@@ -75,9 +75,10 @@ def linear_fit_r2(x, y):
 
 def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
               seed: int = 0, rate: float = 2.5) -> BenchReport:
-    """Simulate at each target size and time structure build, E/M sweeps, DP.
+    """Simulate at each target size; time structure build, E/M sweeps, root pass.
 
-    Scales are target event counts; the synthetic setup has stationary rate
+    The root pass is the E-step posteriors + forward substitution.  Scales
+    are target event counts; the synthetic setup has stationary rate
     2.5 events per time unit, so T = n / rate.  Sweep timing excludes the
     one-time candidate-structure build, matching how a long fit amortizes it.
     """

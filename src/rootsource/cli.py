@@ -185,7 +185,10 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
 @click.option("--out", default="-", show_default=True, help="CSV output.")
 @click.pass_context
 def root_prob(ctx, config, events_in, params_in, mode, window, out):
-    """Compute per-event root-source probabilities by the forward recursion."""
+    """Compute per-event root-source probabilities.
+
+    Uses the E-step posteriors + forward substitution.
+    """
     _echo_config(ctx)
     events = dataio.read_events(_in(events_in))
     params = dataio.read_params(params_in)

@@ -130,16 +130,18 @@ class PairStructure:
             lo = np.searchsorted(times, times - window * nu, side="left")
         cand = np.arange(n) - lo
         self.lo = lo
+        self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
-        self.pair_i = np.repeat(np.arange(n), cand)
         self.pair_j = ragged_arange(lo, np.arange(n))
-        self.n_pairs = self.pair_i.size
-        self.log_kernel = -(times[self.pair_i] - times[self.pair_j]) / nu - np.log(nu)
-        self.pair_cell = (sources[self.pair_i] * S + sources[self.pair_j]).astype(np.int64)
+        self.n_pairs = self.pair_j.size
+        self.log_kernel = -(np.repeat(times, cand) - times[self.pair_j]) / nu - np.log(nu)
+        sources32 = sources.astype(np.int32)
+        self.pair_cell = np.repeat(sources32 * S, cand)
+        self.pair_cell += sources32[self.pair_j]
 
         lengths = events.lengths
         parent_has_tokens = lengths[self.pair_j] > 0
-        self.mix_scale = np.where(parent_has_tokens, lengths[self.pair_i], 0.0)
+        self.mix_scale = np.where(parent_has_tokens, np.repeat(lengths, cand), 0.0)
 
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
         self.beta = _event_betas(mark_impact, events)
@@ -159,6 +161,11 @@ class PairStructure:
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
         self._build_triples()
+
+    @property
+    def pair_i(self) -> np.ndarray:
+        """Child index of every pair; rebuilt on each access, not stored."""
+        return np.repeat(np.arange(len(self.events)), self.row_len)
 
     def _build_triples(self):
         events = self.events
@@ -248,63 +255,99 @@ def _fast_path_ok(params: ModelParams) -> bool:
     return True
 
 
-def _log_weights(structure: PairStructure, params: ModelParams):
+def _log_weights(structure: PairStructure, params: ModelParams,
+                 use_time: bool = True, use_marks: bool = True):
     """Per-component unnormalized log posterior weights.
 
     Returns (logw_imm, logw_pair): logw_imm[k] = log(mu(t_k) f(x_k|t_k,s_k)),
     logw_pair aligned with the structure's pairs holding
-    log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  -inf entries are legal.
+    log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  use_time=False leaves out the
+    intensity factors mu and lambda_j, use_marks=False the mark densities f.
+    -inf entries are legal.
     """
-    if _fast_path_ok(params):
-        return _log_weights_fast(structure, params)
-    return _log_weights_slow(structure, params)
+    if use_marks:
+        logw_imm, logw_pair = _log_mark_densities(structure, params)
+    else:
+        logw_imm = np.zeros(len(structure.events))
+        logw_pair = np.zeros(structure.n_pairs)
+    if use_time:
+        _add_log_intensities(structure, params, logw_imm, logw_pair)
+    return logw_imm, logw_pair
 
 
-def _log_weights_fast(structure: PairStructure, params: ModelParams):
-    events = structure.events
+def _add_log_intensities(structure: PairStructure, params: ModelParams,
+                         logw_imm: np.ndarray, logw_pair: np.ndarray) -> None:
+    # Adds log(rho mu(t_k)) and log(A beta_j kappa(t_i - t_j)) in place.
     with np.errstate(divide="ignore"):
-        log_theta = np.log(params.theta).ravel() if params.V else np.empty(0)
         log_rho = np.log(params.rho)
         log_A = np.log(params.A).ravel()
+    logw_imm += log_rho[structure.events.sources] + structure.mu_log
+    logw_pair += log_A[structure.pair_cell]
+    logw_pair += structure.log_beta[structure.pair_j]
+    logw_pair += structure.log_kernel
 
-    tok_term = events.tok_count * log_theta[structure.key_nnz] \
-        if structure.key_nnz.size else np.empty(0)
-    log_f_imm = np.bincount(structure.nnz_row, weights=tok_term, minlength=len(events)) \
-        if structure.key_nnz.size else np.zeros(len(events))
-    logw_imm = log_rho[events.sources] + structure.mu_log + log_f_imm
+
+def _log_mark_densities(structure: PairStructure, params: ModelParams):
+    # (log f(x_k | t_k, s_k), log f(x_i | t_i, s_i, e_j)) in fresh buffers.
+    if not _fast_path_ok(params):
+        return _log_mark_densities_slow(structure, params)
+    events = structure.events
+    n = len(events)
+    if structure.key_nnz.size:
+        log_theta = np.log(params.theta).ravel()
+        log_f_imm = np.bincount(structure.nnz_row,
+                                weights=events.tok_count * log_theta[structure.key_nnz],
+                                minlength=n)
+    else:
+        log_f_imm = np.zeros(n)
 
     g = params.gamma
     if structure.tri_pair.size and g > 0:
         ratio = (g * structure.tri_xjv) / ((1.0 - g) * params.theta.ravel()[structure.tri_key])
-        corr = np.bincount(structure.tri_pair,
-                           weights=structure.tri_xiv * np.log1p(ratio),
-                           minlength=structure.n_pairs)
+        log_f_pair = np.bincount(structure.tri_pair,
+                                 weights=structure.tri_xiv * np.log1p(ratio),
+                                 minlength=structure.n_pairs)
     else:
-        corr = 0.0
-    pair_logf = structure.mix_scale * math.log1p(-g) + log_f_imm[structure.pair_i] + corr
-    logw_pair = (log_A[structure.pair_cell] + structure.log_beta[structure.pair_j]
-                 + structure.log_kernel + pair_logf)
-    return logw_imm, logw_pair
+        log_f_pair = np.zeros(structure.n_pairs)
+    if g > 0:
+        log_f_pair += structure.mix_scale * math.log1p(-g)
+    log_f_pair += np.repeat(log_f_imm, structure.row_len)
+    return log_f_imm, log_f_pair
 
 
-def _log_weights_slow(structure: PairStructure, params: ModelParams):
+def _log_mark_densities_slow(structure: PairStructure, params: ModelParams):
     # Reference path via the per-event density functions; used when theta has
     # exact zeros or gamma = 1, where the mixture decomposition breaks down.
-    events = structure.events
-    ev = list(events)
-    n = len(events)
-    logw_imm = np.empty(n)
-    for k in range(n):
-        mu = params.rho[ev[k].s] * structure.base_shape.value(ev[k].s, ev[k].t)
-        logw_imm[k] = (math.log(mu) if mu > 0 else -np.inf) \
-            + log_mark_density_immigrant(params, ev[k])
-    logw_pair = np.empty(structure.n_pairs)
-    for p in range(structure.n_pairs):
-        i, j = structure.pair_i[p], structure.pair_j[p]
-        lam = params.A[ev[i].s, ev[j].s] * structure.beta[j]
-        base = (math.log(lam) if lam > 0 else -np.inf) + structure.log_kernel[p]
-        logw_pair[p] = base + log_mark_density_offspring(params, ev[i], ev[j])
-    return logw_imm, logw_pair
+    ev = list(structure.events)
+    log_f_imm = np.array([log_mark_density_immigrant(params, e) for e in ev],
+                         dtype=np.float64)
+    pairs = zip(structure.pair_i.tolist(), structure.pair_j.tolist())
+    log_f_pair = np.fromiter((log_mark_density_offspring(params, ev[i], ev[j])
+                              for i, j in pairs), dtype=np.float64, count=structure.n_pairs)
+    return log_f_imm, log_f_pair
+
+
+def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.ndarray):
+    """Per-event log-sum-exp normalization of the posterior weights.
+
+    Returns (eta0, eta_pair, log_z).  eta_pair is logw_pair's buffer,
+    normalized in place.  Raises NumericalError naming the first event whose
+    components are all -inf.
+    """
+    m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
+    bad = ~np.isfinite(m)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(
+            f"all parent hypotheses for event {k + 1} have zero probability "
+            f"(degenerate theta or zero intensities)")
+    wi = np.exp(logw_imm - m)
+    eta_pair = logw_pair
+    eta_pair -= np.repeat(m, structure.row_len)
+    np.exp(eta_pair, out=eta_pair)
+    z = wi + segment_sum(eta_pair, structure.row_start)
+    eta_pair /= np.repeat(z, structure.row_len)
+    return wi / z, eta_pair, m + np.log(z)
 
 
 def update_eta(events: EventSequence, params: ModelParams,
@@ -318,20 +361,7 @@ def update_eta(events: EventSequence, params: ModelParams,
     """
     if structure is None:
         structure = _structure_for(events, params, window)
-    logw_imm, logw_pair = _log_weights(structure, params)
-    m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
-    bad = ~np.isfinite(m)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericalError(
-            f"all parent hypotheses for event {k + 1} have zero probability "
-            f"(degenerate theta or zero intensities)")
-    wi = np.exp(logw_imm - m)
-    wp = np.exp(logw_pair - m[structure.pair_i])
-    z = wi + segment_sum(wp, structure.row_start)
-    eta0 = wi / z
-    eta_pair = wp / z[structure.pair_i]
-    log_z = m + np.log(z)
+    eta0, eta_pair, log_z = _normalize(structure, *_log_weights(structure, params))
     return VariationalState(structure, eta0, eta_pair, log_z)
 
 
@@ -427,8 +457,9 @@ def _update_theta_gamma_parent(events, state, theta_hat, gamma_hat):
         e = ev[k]
         theta_num[e.s, e.tokens] += state.eta0[k] * e.counts
     g = gamma_hat
+    pair_i = st.pair_i
     for p in range(st.n_pairs):
-        i, j = st.pair_i[p], st.pair_j[p]
+        i, j = pair_i[p], st.pair_j[p]
         e_i, e_j = ev[i], ev[j]
         eta = state.eta_pair[p]
         if e_j.counts.sum() == 0:

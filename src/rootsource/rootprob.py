@@ -1,23 +1,25 @@
-"""Root-source probabilities: forward DP recursion and the enumeration oracle.
+"""Root-source probabilities from the E-step posteriors, and the enumeration oracle.
 
 The s-root probability of event i is the posterior probability, over latent
 branching structures, that the tree containing event i was started by source
-s.  Because parent assignments are conditionally independent given the
-observed events, the probabilities satisfy the forward recursion
+s.  Parent assignments are conditionally independent given the observed
+events, so with the E-step's parent posteriors eta_i0 (immigrant) and eta_ij
+(parent j < i) the probabilities satisfy
 
-    r_i^(s)  oc  delta(s_i = s) mu^(s_i)(t_i) f(x_i | t_i, s_i)
-               + sum_{j<i} r_j^(s) lambda_j^(s_i)(t_i) f(x_i | t_i, s_i, e_j)
+    r_i^(s) = eta_i0 delta(s_i = s) + sum_{j<i} eta_ij r_j^(s),
 
-normalized per event.  Each row is normalized immediately — the recursion is
-stated up to proportionality and r_j enters linearly, so per-row constants
-are absorbed into the following rows' normalizers; this keeps the dynamic
-range bounded.  Unnormalized terms are computed as exp(log-weight - m_i)
-with a per-event max shift m_i.
+a unit lower-triangular system (I - H) R = diag(eta_0) onehot(s) in the
+sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
+2008).  Each pass builds a PairStructure, runs the E-step's weights and
+normalization, and solves the system by forward substitution, row by row.
+Every row of r sums to 1 because every row of eta does, so no row is
+renormalized.
 
-The temporal-only variant keeps just the intensity factors, the mark-only
-variant keeps just the densities.  `enumerate_oracle` recomputes r by brute
-force over all joint parent assignments (product over events of their
-candidate sets) and is the ground truth the DP is tested against.
+The temporal-only variant keeps just the intensity factors of the weights,
+the mark-only variant keeps just the densities.  `enumerate_oracle`
+recomputes r by brute force over all joint parent assignments (product over
+events of their candidate sets) and is the ground truth the solve is tested
+against.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import (ConstantShape, EventSequence, ModelParams, _event_betas,
-                    compensator, excited_intensity, log_mark_density_immigrant,
-                    log_mark_density_offspring)
+from .fitting import _log_weights, _normalize, _structure_for
+from .model import (EventSequence, ModelParams, compensator, excited_intensity,
+                    log_mark_density_immigrant, log_mark_density_offspring)
 
 __all__ = [
     "RootProbMatrix",
@@ -79,124 +81,40 @@ class RootProbMatrix:
         return self.r.argmax(axis=1)
 
 
-def _mark_fast_ok(params: ModelParams) -> bool:
-    if not 0.0 <= params.gamma < 1.0:
-        return False
-    if params.V and params.theta.min() <= 0.0:
-        return False
-    return True
-
-
-def _immigrant_log_densities(events: EventSequence, params: ModelParams) -> np.ndarray:
-    if _mark_fast_ok(params) and events.tok_index.size:
-        with np.errstate(divide="ignore"):
-            log_theta = np.log(params.theta).ravel()
-        rows = np.repeat(np.arange(len(events)), np.diff(events.tok_indptr))
-        key = events.sources[rows] * events.V + events.tok_index
-        return np.bincount(rows, weights=events.tok_count * log_theta[key],
-                           minlength=len(events))
-    return np.array([log_mark_density_immigrant(params, e) for e in events])
-
-
-def _root_dp(events: EventSequence, params: ModelParams, use_time: bool,
-             use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
+def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
+               use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
-    n, S = len(events), events.S
-    if n == 0:
-        return RootProbMatrix(np.zeros((0, S)), mode)
-    times = events.times
-    sources = events.sources
-    if window is not None:
-        if window <= 0:
-            raise ValidationError("truncation window must be positive")
-        lo = np.searchsorted(times, times - window * params.nu, side="left")
-    else:
-        lo = np.zeros(n, dtype=np.int64)
-
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(params.rho)
-        log_A = np.log(params.A)
-        log_beta = np.log(_event_betas(params.mark_impact, events))
-    if isinstance(params.base_shape, ConstantShape):
-        mu_log = np.full(n, math.log(params.base_shape.c))
-    else:
-        with np.errstate(divide="ignore"):
-            mu_log = np.log(np.array([params.base_shape.value(int(sources[k]),
-                                                              float(times[k]))
-                                      for k in range(n)]))
-
-    g = params.gamma
-    mark_fast = _mark_fast_ok(params)
-    lengths = events.lengths
-    if use_marks:
-        log_f_imm = _immigrant_log_densities(events, params)
-        if mark_fast and g > 0:
-            indptr, post_ev, post_cnt, post_norm = events.token_postings()
-    ev = list(events) if use_marks and not mark_fast else None
-
-    r = np.zeros((n, S))
+    structure = _structure_for(events, params, window)
+    eta0, eta_pair, _ = _normalize(
+        structure, *_log_weights(structure, params, use_time, use_marks))
+    row_start = structure.row_start.tolist()
+    lo = structure.lo.tolist()
+    sources = events.sources.tolist()
+    n = len(events)
+    r = np.zeros((n, events.S))
     for i in range(n):
-        e_lo = int(lo[i])
-        cand = np.arange(e_lo, i)
-        log_off = np.zeros(i - e_lo)
-        imm_log = 0.0
-        if use_time:
-            imm_log += log_rho[sources[i]] + mu_log[i]
-            log_off += (log_A[sources[i], sources[cand]] + log_beta[cand]
-                        - (times[i] - times[cand]) / params.nu - math.log(params.nu))
-        if use_marks:
-            if mark_fast:
-                imm_log += log_f_imm[i]
-                log_off += log_f_imm[i]
-                if g > 0 and lengths[i] > 0:
-                    log_off += np.where(lengths[cand] > 0,
-                                        lengths[i] * math.log1p(-g), 0.0)
-                    a, b = events.tok_indptr[i], events.tok_indptr[i + 1]
-                    for v, x_iv in zip(events.tok_index[a:b], events.tok_count[a:b]):
-                        pa, pb = indptr[v], indptr[v + 1]
-                        jl = pa + np.searchsorted(post_ev[pa:pb], e_lo, side="left")
-                        jr = pa + np.searchsorted(post_ev[pa:pb], i, side="left")
-                        if jl == jr:
-                            continue
-                        ratio = (g * post_norm[jl:jr]) \
-                            / ((1.0 - g) * params.theta[sources[i], v])
-                        log_off[post_ev[jl:jr] - e_lo] += x_iv * np.log1p(ratio)
-            else:
-                imm_log += log_mark_density_immigrant(params, ev[i])
-                for c, j in enumerate(cand):
-                    log_off[c] += log_mark_density_offspring(params, ev[i], ev[int(j)])
-
-        m = max(imm_log, log_off.max()) if log_off.size else imm_log
-        if not np.isfinite(m):
-            raise NumericalError(
-                f"all root hypotheses for event {i + 1} have zero probability")
-        row = np.exp(log_off - m) @ r[e_lo:i]
-        row[sources[i]] += math.exp(imm_log - m)
-        tot = row.sum()
-        if not np.isfinite(tot) or tot <= 0:
-            raise NumericalError(
-                f"degenerate root-probability row at event {i + 1}")
-        # division can round a lone dominant entry to 1 + ulp
-        r[i] = np.clip(row / tot, 0.0, 1.0)
-    return RootProbMatrix(r, mode)
+        r[i] = eta_pair[row_start[i]:row_start[i + 1]] @ r[lo[i]:i]
+        r[i, sources[i]] += eta0[i]
+    # rounding can push a lone dominant entry to 1 + ulp
+    return RootProbMatrix(np.clip(r, 0.0, 1.0, out=r), mode)
 
 
 def root_probabilities(events: EventSequence, params: ModelParams,
                        window: float | None = None) -> RootProbMatrix:
     """Full-model root probabilities (intensity and mark factors)."""
-    return _root_dp(events, params, True, True, "full", window)
+    return _root_pass(events, params, True, True, "full", window)
 
 
 def root_probabilities_temporal(events: EventSequence, params: ModelParams,
                                 window: float | None = None) -> RootProbMatrix:
     """Sub-model variant using intensity factors only."""
-    return _root_dp(events, params, True, False, "temporal_only", window)
+    return _root_pass(events, params, True, False, "temporal_only", window)
 
 
 def root_probabilities_mark(events: EventSequence, params: ModelParams,
                             window: float | None = None) -> RootProbMatrix:
     """Sub-model variant using mark densities only."""
-    return _root_dp(events, params, False, True, "mark_only", window)
+    return _root_pass(events, params, False, True, "mark_only", window)
 
 
 ORACLE_CAP = 12
@@ -272,6 +190,6 @@ def enumerate_posteriors(events: EventSequence, params: ModelParams):
 
 
 def enumerate_oracle(events: EventSequence, params: ModelParams) -> RootProbMatrix:
-    """Root probabilities by explicit enumeration; reference for the DP (n <= 12)."""
+    """Root probabilities by explicit enumeration; reference for the solve (n <= 12)."""
     r, _, _ = enumerate_posteriors(events, params)
     return RootProbMatrix(r, "full")

@@ -14,7 +14,7 @@ from rootsource.rootprob import (
     root_probabilities_mark,
     root_probabilities_temporal,
 )
-from util import random_events, random_instance
+from util import random_events, random_instance, random_params
 
 
 def test_matrix_validation():
@@ -211,3 +211,80 @@ def test_oracle_log_marginal_is_finite_and_reproducible():
     assert lm1 == lm2 and np.isfinite(lm1)
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_allclose(eta1.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _zero_theta(events, params):
+    # theta[s, v] = 0 for a token v of the first marked event and every source s
+    # other than that event's, so the zero is reachable but event 1 survives
+    first = int(np.argmax(events.lengths > 0))
+    v = int(events[first].tokens[0])
+    theta = params.theta.copy()
+    theta[np.arange(params.S) != events.sources[first], v] = 0.0
+    theta /= theta.sum(axis=1, keepdims=True)
+    return rs.ModelParams(rho=params.rho, A=params.A, theta=theta,
+                          gamma=params.gamma, nu=params.nu)
+
+
+def _degenerate_instances(seed, count):
+    """(events, params) under gamma = 1 or zero theta entries, oracle finite."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        events, params = random_instance(rng, n_max=8)
+        if events.lengths.sum() == 0:
+            continue
+        for hot in (_zero_theta(events, params),
+                    rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
+                                   gamma=1.0, nu=params.nu)):
+            try:
+                enumerate_oracle(events, hot)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    root_probabilities(events, hot)
+                continue
+            out.append((events, hot))
+    return out
+
+
+def test_degenerate_params_match_enumeration():
+    # gamma = 1 and exact zeros in theta take the per-pair mark densities
+    cases = _degenerate_instances(53, 12)
+    assert any(p.gamma == 1.0 for _, p in cases)
+    assert any(p.theta.min() == 0.0 for _, p in cases)
+    worst = 0.0
+    for events, params in cases:
+        got = root_probabilities(events, params).r
+        want = enumerate_oracle(events, params).r
+        worst = max(worst, np.abs(got - want).max())
+    assert worst < 1e-10
+
+
+def test_submodels_ignore_the_other_factor():
+    # the temporal pass never reads (theta, gamma), the mark pass never (rho, A)
+    rng = np.random.default_rng(59)
+    events = random_events(rng, 40, 3, 6)
+    params = random_params(rng, 3, 6)
+    temp = root_probabilities_temporal(events, params).r
+    mark = root_probabilities_mark(events, params).r
+    hot = [_zero_theta(events, params),
+           rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
+                          gamma=1.0, nu=params.nu)]
+    for p in hot:
+        np.testing.assert_array_equal(root_probabilities_temporal(events, p).r, temp)
+    for p in [params] + hot:
+        other = rs.ModelParams(rho=rng.uniform(0.05, 0.5, 3),
+                               A=rng.uniform(0.0, 0.3, (3, 3)), theta=p.theta,
+                               gamma=p.gamma, nu=p.nu)
+        want = mark if p is params else root_probabilities_mark(events, p).r
+        np.testing.assert_array_equal(root_probabilities_mark(events, other).r, want)
+
+
+@pytest.mark.parametrize("n, window", [(2000, 20.0), (1000, None)])
+def test_rows_sum_to_one_without_renormalization(n, window):
+    params = rs.make_synthetic_params(seed=61)
+    events, _ = rs.simulate(rs.make_synthetic_config(T=n / 2.5, seed=61, params=params))
+    assert len(events) > n // 2
+    for compute in (root_probabilities, root_probabilities_temporal,
+                    root_probabilities_mark):
+        r = compute(events, params, window=window).r
+        assert np.abs(r.sum(axis=1) - 1.0).max() <= 1e-12
