@@ -20,6 +20,11 @@ def segment_sum(values: np.ndarray, row_start: np.ndarray) -> np.ndarray:
     return out
 
 
+def scatter_sum(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = sum of weights[index == k]; float64 even when index is empty."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
+
+
 def segment_max(values: np.ndarray, row_start: np.ndarray,
                 empty: float = -np.inf) -> np.ndarray:
     counts = np.diff(row_start)

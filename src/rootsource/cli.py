@@ -60,6 +60,15 @@ def _echo_config(ctx):
     click.echo(f"[{ctx.info_name}] {pairs}", err=True)
 
 
+def _comma_list(value, flag: str, kind=int) -> list:
+    """Entries of a comma list such as "1,2,3"; a malformed entry is a ValidationError."""
+    try:
+        return [kind(v) for v in str(value).split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"{flag} must be a comma list of {kind.__name__}s, got {value!r}") from None
+
+
 def _in(path):
     return sys.stdin if path == "-" else path
 
@@ -109,12 +118,12 @@ def simulate(ctx, config, T, S, V, rho, diag, offdiag, gamma, nu, mean_lengths,
     """Sample a synthetic event sequence with its latent branching structure."""
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
-    params = make_synthetic_params(S=S, V=V, seed=seed, rho=rho, diag=diag,
-                                   offdiag=offdiag, gamma=gamma, nu=nu)
     if mean_lengths is not None:
-        lengths = np.array([float(v) for v in str(mean_lengths).split(",")])
+        lengths = np.array(_comma_list(mean_lengths, "--mean-lengths", float))
     else:
         lengths = 10.0 * np.arange(1, S + 1)
+    params = make_synthetic_params(S=S, V=V, seed=seed, rho=rho, diag=diag,
+                                   offdiag=offdiag, gamma=gamma, nu=nu)
     cfg = SimConfig(params=params, T=T, mean_text_length=lengths, seed=seed,
                     max_events=max_events)
     events, truth = run_simulation(cfg)
@@ -237,11 +246,11 @@ def baseline(ctx, config, events_in, rw, include_self, out):
 def evaluate(ctx, config, rootprob_in, truth_in, est_params, true_params, ks, out):
     """Score a root-probability matrix against ground truth."""
     _echo_config(ctx)
+    k_list = _comma_list(ks, "--ks")
     rpm = dataio.read_rootprob(rootprob_in)
     truth = dataio.read_truth(truth_in)
     p_est = dataio.read_params(est_params) if est_params else None
     p_true = dataio.read_params(true_params) if true_params else None
-    k_list = [int(v) for v in str(ks).split(",") if v.strip()]
     report = evaluate_root_probabilities(rpm, truth.root_sources, ks=k_list,
                                          params_est=p_est, params_true=p_true)
     for line in report.lines():
@@ -266,8 +275,7 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
     """Time fit sweeps and the root-probability pass across problem sizes."""
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
-    scale_list = [int(v) for v in str(scales).split(",") if v.strip()]
-    report = run_bench(scale_list, window=None if exact else window,
+    report = run_bench(_comma_list(scales, "--scales"), window=None if exact else window,
                        sweeps=sweeps, seed=seed)
     for line in report.table():
         click.echo(line)

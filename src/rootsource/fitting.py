@@ -30,11 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from ._numeric import ragged_arange, segment_max, segment_sum
+from ._numeric import ragged_arange, scatter_sum, segment_max, segment_sum
 from .errors import NumericalError, ValidationError
-from .model import (ConstantShape, EventSequence, ModelParams, _event_betas,
-                    log_mark_density_immigrant, log_mark_density_offspring,
-                    unit_mark_impact)
+from .model import ConstantShape, EventSequence, ModelParams, _event_betas, unit_mark_impact
 
 __all__ = [
     "PriorConfig",
@@ -247,14 +245,6 @@ def _structure_for(events, params, window):
                          base_shape=params.base_shape, mark_impact=params.mark_impact)
 
 
-def _fast_path_ok(params: ModelParams) -> bool:
-    if not 0.0 <= params.gamma < 1.0:
-        return False
-    if params.V and params.theta.min() <= 0.0:
-        return False
-    return True
-
-
 def _log_weights(structure: PairStructure, params: ModelParams,
                  use_time: bool = True, use_marks: bool = True):
     """Per-component unnormalized log posterior weights.
@@ -289,41 +279,47 @@ def _add_log_intensities(structure: PairStructure, params: ModelParams,
 
 def _log_mark_densities(structure: PairStructure, params: ModelParams):
     # (log f(x_k | t_k, s_k), log f(x_i | t_i, s_i, e_j)) in fresh buffers.
-    if not _fast_path_ok(params):
-        return _log_mark_densities_slow(structure, params)
     events = structure.events
     n = len(events)
-    if structure.key_nnz.size:
-        log_theta = np.log(params.theta).ravel()
-        log_f_imm = np.bincount(structure.nnz_row,
-                                weights=events.tok_count * log_theta[structure.key_nnz],
-                                minlength=n)
-    else:
-        log_f_imm = np.zeros(n)
-
+    theta = params.theta.ravel()
+    with np.errstate(divide="ignore"):
+        log_theta = np.log(theta)
+    log_f_imm = scatter_sum(structure.nnz_row,
+                            events.tok_count * log_theta[structure.key_nnz], n)
     g = params.gamma
-    if structure.tri_pair.size and g > 0:
-        ratio = (g * structure.tri_xjv) / ((1.0 - g) * params.theta.ravel()[structure.tri_key])
-        log_f_pair = np.bincount(structure.tri_pair,
-                                 weights=structure.tri_xiv * np.log1p(ratio),
-                                 minlength=structure.n_pairs)
-    else:
-        log_f_pair = np.zeros(structure.n_pairs)
-    if g > 0:
+    if g == 0.0:
+        return log_f_imm, np.repeat(log_f_imm, structure.row_len)
+
+    own = (1.0 - g) * theta
+    dead = own[structure.key_nnz] == 0.0
+    if g < 1.0 and not dead.any():
+        ratio = (g * structure.tri_xjv) / own[structure.tri_key]
+        log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * np.log1p(ratio),
+                                 structure.n_pairs)
         log_f_pair += structure.mix_scale * math.log1p(-g)
-    log_f_pair += np.repeat(log_f_imm, structure.row_len)
-    return log_f_imm, log_f_pair
+        log_f_pair += np.repeat(log_f_imm, structure.row_len)
+        return log_f_imm, log_f_pair
 
-
-def _log_mark_densities_slow(structure: PairStructure, params: ModelParams):
-    # Reference path via the per-event density functions; used when theta has
-    # exact zeros or gamma = 1, where the mixture decomposition breaks down.
-    ev = list(structure.events)
-    log_f_imm = np.array([log_mark_density_immigrant(params, e) for e in ev],
-                         dtype=np.float64)
-    pairs = zip(structure.pair_i.tolist(), structure.pair_j.tolist())
-    log_f_pair = np.fromiter((log_mark_density_offspring(params, ev[i], ev[j])
-                              for i, j in pairs), dtype=np.float64, count=structure.n_pairs)
+    # Token v of child i is dead when (1 - g) theta[s_i, v] = 0 (a zero in
+    # theta, or g = 1): only the parent's bag can emit it, so log f sums
+    # log((1 - g) theta) over the live tokens and log(g xt_jv) over the dead
+    # ones in the overlap, and is -inf when the overlap misses a dead token.
+    tri_own = own[structure.tri_key]
+    tri_dead = tri_own == 0.0
+    with np.errstate(divide="ignore"):
+        term = np.where(tri_dead, np.log(g * structure.tri_xjv),
+                        np.log1p(g * structure.tri_xjv / tri_own))
+        log_own = np.log(own[structure.key_nnz])
+    log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
+    log_f_live = scatter_sum(structure.nnz_row,
+                             np.where(dead, 0.0, events.tok_count * log_own), n)
+    n_dead = np.bincount(structure.nnz_row[dead], minlength=n)
+    covered = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
+    # a parent with an empty mark leaves the immigrant density
+    has_bag = structure.mix_scale > 0
+    log_f_pair += np.where(has_bag, np.repeat(log_f_live, structure.row_len),
+                           np.repeat(log_f_imm, structure.row_len))
+    log_f_pair[has_bag & (covered != np.repeat(n_dead, structure.row_len))] = -np.inf
     return log_f_imm, log_f_pair
 
 
@@ -395,25 +391,18 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     return rho, A
 
 
-def update_theta_gamma(events: EventSequence, state: VariationalState,
-                       current, form: str = "child"):
+def update_theta_gamma(events: EventSequence, state: VariationalState, current):
     """M-step for (theta, gamma) via the Jensen minorant tight at `current`.
 
     With xi_{j,v}^(s) = g xt_{j,v} / ((1-g) th[s,v] + g xt_{j,v}) evaluated at
     the current estimates, theta[s, v] oc sum over events of source s of
     x_{i,v} (1 - sum_j eta_ij xi), and gamma = sum eta_ij x_{i,v} xi / sum
-    eta_ij x_{i,v}.  `form="parent"` swaps x_{i,v} for the parent's counts
-    x_{j,v} in both updates (comparison variant, reference-speed only).
-    Pairs whose parent has an empty mark use the immigrant density and carry
-    no information about gamma, so they are excluded from its ratio.
+    eta_ij x_{i,v}.  Pairs whose parent has an empty mark use the immigrant
+    density and carry no information about gamma, so they are excluded from
+    its ratio.
     """
     theta_hat = np.asarray(current[0], dtype=np.float64)
     gamma_hat = float(current[1])
-    if form == "parent":
-        return _update_theta_gamma_parent(events, state, theta_hat, gamma_hat)
-    if form != "child":
-        raise ValidationError(f"unknown update form: {form!r}")
-
     st = state.structure
     S, V = events.S, events.V
     counts = st.counts_by_source
@@ -440,43 +429,6 @@ def update_theta_gamma(events: EventSequence, state: VariationalState,
         else:
             gamma_new = min(max(gamma_num / gamma_den, GAMMA_FLOOR), 1.0 - GAMMA_FLOOR)
 
-    theta_num = np.maximum(theta_num, THETA_FLOOR)
-    theta = theta_num / theta_num.sum(axis=1, keepdims=True) if V else theta_num
-    return theta, gamma_new
-
-
-def _update_theta_gamma_parent(events, state, theta_hat, gamma_hat):
-    # Literal x_{j,v} variant, kept only for comparison tests.
-    S, V = events.S, events.V
-    st = state.structure
-    ev = list(events)
-    theta_num = np.zeros((S, V))
-    gamma_num = 0.0
-    gamma_den = 0.0
-    for k in range(len(events)):
-        e = ev[k]
-        theta_num[e.s, e.tokens] += state.eta0[k] * e.counts
-    g = gamma_hat
-    pair_i = st.pair_i
-    for p in range(st.n_pairs):
-        i, j = pair_i[p], st.pair_j[p]
-        e_i, e_j = ev[i], ev[j]
-        eta = state.eta_pair[p]
-        if e_j.counts.sum() == 0:
-            theta_num[e_i.s, e_i.tokens] += eta * e_i.counts
-            continue
-        xt = e_j.counts / e_j.counts.sum()
-        if g > 0:
-            xi = g * xt / ((1.0 - g) * theta_hat[e_i.s, e_j.tokens] + g * xt)
-        else:
-            xi = np.zeros_like(xt)
-        theta_num[e_i.s, e_j.tokens] += eta * (1.0 - xi) * e_j.counts
-        gamma_num += eta * float(np.dot(e_j.counts, xi))
-        gamma_den += eta * float(e_j.counts.sum())
-    if gamma_hat == 0.0 or gamma_den == 0.0:
-        gamma_new = gamma_hat
-    else:
-        gamma_new = min(max(gamma_num / gamma_den, GAMMA_FLOOR), 1.0 - GAMMA_FLOOR)
     theta_num = np.maximum(theta_num, THETA_FLOOR)
     theta = theta_num / theta_num.sum(axis=1, keepdims=True) if V else theta_num
     return theta, gamma_new

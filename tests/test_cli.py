@@ -201,6 +201,18 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--scales", "10,x"], "--scales"),
+    (["evaluate", "--rootprob", "r.csv", "--truth", "t.jsonl", "--ks", "a"], "--ks"),
+    (["simulate", "--T", "5", "--mean-lengths", "x"], "--mean-lengths"),
+], ids=["scales", "ks", "mean-lengths"])
+def test_exit_code_malformed_comma_list(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {flag} must be a comma list" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--no-such-flag"])

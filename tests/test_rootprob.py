@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
@@ -14,7 +16,7 @@ from rootsource.rootprob import (
     root_probabilities_mark,
     root_probabilities_temporal,
 )
-from util import random_events, random_instance, random_params
+from util import dense_eta, random_events, random_instance, random_params
 
 
 def test_matrix_validation():
@@ -123,12 +125,14 @@ def test_empty_marks_make_temporal_exact():
     rng = np.random.default_rng(23)
     events = random_events(rng, 8, 3, 4, max_len=1)  # every mark is empty
     assert events.lengths.sum() == 0
-    params = rs.ModelParams(rho=np.full(3, 0.2), A=rng.uniform(0, 0.3, (3, 3)),
-                            theta=rng.dirichlet(np.ones(4), size=3), gamma=0.6,
-                            nu=1.0)
-    full = root_probabilities(events, params).r
-    temp = root_probabilities_temporal(events, params).r
-    np.testing.assert_allclose(full, temp, atol=1e-14)
+    A = rng.uniform(0, 0.3, (3, 3))
+    theta = rng.dirichlet(np.ones(4), size=3)
+    for gamma in (0.6, 1.0):
+        params = rs.ModelParams(rho=np.full(3, 0.2), A=A, theta=theta, gamma=gamma,
+                                nu=1.0)
+        full = root_probabilities(events, params).r
+        temp = root_probabilities_temporal(events, params).r
+        np.testing.assert_allclose(full, temp, atol=1e-14)
 
 
 def test_equal_intensities_make_mark_exact():
@@ -247,7 +251,7 @@ def _degenerate_instances(seed, count):
 
 
 def test_degenerate_params_match_enumeration():
-    # gamma = 1 and exact zeros in theta take the per-pair mark densities
+    # gamma = 1 and exact zeros in theta take the dead-token mark densities
     cases = _degenerate_instances(53, 12)
     assert any(p.gamma == 1.0 for _, p in cases)
     assert any(p.theta.min() == 0.0 for _, p in cases)
@@ -288,3 +292,60 @@ def test_rows_sum_to_one_without_renormalization(n, window):
                     root_probabilities_mark):
         r = compute(events, params, window=window).r
         assert np.abs(r.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Small sequences with empty marks, zeros in A and theta, gamma in {0, 1, interior}."""
+    n = draw(st.integers(1, 8))
+    S = draw(st.integers(1, 3))
+    V = draw(st.integers(1, 6))
+    times = np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n)))
+    evs = [rs.Event.make(k + 1, float(times[k]), draw(st.integers(0, S - 1)),
+                         draw(st.dictionaries(st.integers(0, V - 1), st.integers(1, 3),
+                                              max_size=3)))
+           for k in range(n)]
+    events = rs.EventSequence.from_events(evs, T=float(times[-1]) + 1.0, S=S, V=V)
+
+    def cells(values, size):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size,
+                                      max_size=size)))
+
+    theta = cells([0.0, 0.3, 1.0, 2.0, 3.0, 0.5], S * V).reshape(S, V)
+    # zeros a later event may reach through a parent; event 1 has no parent
+    reachable = sorted({(e.s, v) for e in evs[1:] for v in e.tokens.tolist()}
+                       - {(evs[0].s, v) for v in evs[0].tokens.tolist()})
+    if reachable:
+        for s, v in draw(st.lists(st.sampled_from(reachable), max_size=2)):
+            theta[s, v] = 0.0
+    theta[evs[0].s, evs[0].tokens] += 1.0
+    theta[~theta.any(axis=1)] = 1.0
+    params = rs.ModelParams(
+        rho=np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=S, max_size=S))),
+        A=cells([0.0, 0.2, 1.5], S * S).reshape(S, S),
+        theta=theta / theta.sum(axis=1, keepdims=True),
+        gamma=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)),
+        nu=draw(st.floats(0.3, 5.0)))
+    return events, params
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_oracle_cases())
+def test_posteriors_match_enumeration_property(case):
+    events, params = case
+    try:
+        r_want, eta_want, log_marginal = enumerate_posteriors(events, params)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            rs.update_eta(events, params)
+        with pytest.raises(NumericalError):
+            root_probabilities(events, params)
+        return
+    state = rs.update_eta(events, params)
+    np.testing.assert_allclose(dense_eta(state), eta_want, atol=1e-10)
+    np.testing.assert_allclose(root_probabilities(events, params).r, r_want, atol=1e-10)
+    # parents are independent given the events: the E-step posterior is exact
+    # and the objective is tight there
+    log_lik = math.fsum(state.log_z) - rs.compensator(params, events)
+    assert log_lik == pytest.approx(log_marginal, abs=1e-10)
+    assert rs.elbo(events, params, state) == pytest.approx(log_marginal, abs=1e-10)
