@@ -77,7 +77,9 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
               seed: int = 0, rate: float = 2.5) -> BenchReport:
     """Simulate at each target size; time structure build, E/M sweeps, root pass.
 
-    The root pass is the E-step posteriors + forward substitution.  Scales
+    The root pass is the E-step posteriors + forward substitution.  Like a
+    root pass after `fit`, it reuses the live PairStructure of the sweeps, so
+    rootprob_seconds excludes the build, which build_seconds times.  Scales
     are target event counts; the synthetic setup has stationary rate
     2.5 events per time unit, so T = n / rate.  Sweep timing excludes the
     one-time candidate-structure build, matching how a long fit amortizes it.

@@ -272,7 +272,11 @@ def evaluate(ctx, config, rootprob_in, truth_in, est_params, true_params, ks, ou
 @click.option("--out", default=None, help="Rows as JSON output path.")
 @click.pass_context
 def bench(ctx, config, scales, window, exact, sweeps, seed, out):
-    """Time fit sweeps and the root-probability pass across problem sizes."""
+    """Time fit sweeps and the root-probability pass across problem sizes.
+
+    The structure build has its own column; the root pass reuses the sweeps'
+    pair layout, as a root pass after a fit does, so its time excludes the build.
+    """
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
     report = run_bench(_comma_list(scales, "--scales"), window=None if exact else window,

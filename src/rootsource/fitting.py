@@ -19,12 +19,16 @@ window keeps only pairs with t_i - t_j <= window * nu; dropped pairs have
 kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  Candidate-pair layouts and the token-overlap
 triples (i, j, v) are precomputed once per fit in a PairStructure and reused
-across sweeps.
+across sweeps, and by root passes on the same events while the fit's state
+is alive.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +97,38 @@ class PriorConfig:
                    a_alpha=shapes, b_alpha=events.T / (1.0 - c), c=c)
 
 
+# Every PairStructure still in use somewhere, held weakly: a layout lives
+# exactly as long as its users keep it, and can be shared until then.  It is
+# found only through the identical events object, so callers holding
+# different sequences never see each other's layouts.  The lock keeps a
+# registration in one thread from changing the set while another iterates it.
+_LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
+_LIVE_LOCK = threading.Lock()
+
+# Peak bytes per candidate pair of a PairStructure plus one E-step with the
+# previous state alive, as inside `fit`: tracemalloc gave 63-71 B at the
+# synthetic defaults (about 0.2 token-overlap triples per pair), exact at
+# n = 1 795 and window 20 at n = 8 015, gamma 0.3 and 1.
+PAIR_BYTES = 72
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(n_pairs: int, window: float | None) -> None:
+    need, have = n_pairs * PAIR_BYTES, _physical_memory()
+    if have is not None and need > have:
+        hint = "a smaller" if window is not None else "a"
+        raise ValidationError(
+            f"{n_pairs} candidate parent pairs need about {need / 2**30:.1f} GiB, more "
+            f"than the {have / 2**30:.1f} GiB of physical memory; pass {hint} "
+            f"truncation window (--truncate-window) to limit the candidate parents")
+
+
 class PairStructure:
     """Fixed candidate-parent layout for one event sequence and kernel setting.
 
@@ -101,7 +137,12 @@ class PairStructure:
     is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
     updates.  Everything here depends only on events, nu, window, and the
-    base-shape/mark-impact hooks, so one instance is shared across sweeps.
+    base-shape/mark-impact hooks, so one instance is shared across sweeps,
+    and later E-steps and root passes on the same events object with the same
+    settings reuse it for as long as it is alive (see `_structure_for`).
+    The pairs are counted first; a layout whose pairs would not fit in
+    physical memory raises ValidationError before anything pair-sized is
+    allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None,
@@ -127,6 +168,7 @@ class PairStructure:
         else:
             lo = np.searchsorted(times, times - window * nu, side="left")
         cand = np.arange(n) - lo
+        _check_memory(int(cand.sum()), window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -159,6 +201,8 @@ class PairStructure:
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
         self._build_triples()
+        with _LIVE_LOCK:
+            _LIVE.add(self)
 
     @property
     def pair_i(self) -> np.ndarray:
@@ -166,40 +210,23 @@ class PairStructure:
         return np.repeat(np.arange(len(self.events)), self.row_len)
 
     def _build_triples(self):
+        # Postings are sorted by (token, event), so the composite key
+        # tok * n + event is ascending and child i's in-window partners for
+        # token v are the postings keyed tok * n + [lo_i, i), just before i.
         events = self.events
         n, V = len(events), events.V
         indptr, post_ev, post_cnt, post_norm = events.token_postings()
-        lo = self.lo
-        sources = events.sources
-        parts_pair, parts_key, parts_xiv, parts_xjv = [], [], [], []
-        for v in range(V):
-            a, b = indptr[v], indptr[v + 1]
-            if b - a < 2:
-                continue
-            P = post_ev[a:b]
-            starts = np.searchsorted(P, lo[P], side="left")
-            stops = np.arange(P.size)
-            m = stops - starts
-            if not np.any(m > 0):
-                continue
-            child_sel = np.repeat(np.arange(P.size), np.maximum(m, 0))
-            j_sel = ragged_arange(starts, stops)
-            i_ev = P[child_sel]
-            j_ev = P[j_sel]
-            parts_pair.append(self.row_start[i_ev] + (j_ev - lo[i_ev]))
-            parts_key.append(sources[i_ev] * V + v)
-            parts_xiv.append(post_cnt[a:b][child_sel])
-            parts_xjv.append(post_norm[a:b][j_sel])
-        if parts_pair:
-            self.tri_pair = np.concatenate(parts_pair)
-            self.tri_key = np.concatenate(parts_key)
-            self.tri_xiv = np.concatenate(parts_xiv)
-            self.tri_xjv = np.concatenate(parts_xjv)
-        else:
-            self.tri_pair = np.empty(0, dtype=np.int64)
-            self.tri_key = np.empty(0, dtype=np.int64)
-            self.tri_xiv = np.empty(0)
-            self.tri_xjv = np.empty(0)
+        tok = np.repeat(np.arange(V, dtype=np.int64), np.diff(indptr))
+        base = tok * n
+        pos = np.arange(post_ev.size)
+        starts = np.searchsorted(base + post_ev, base + self.lo[post_ev], side="left")
+        child_sel = np.repeat(pos, pos - starts)
+        j_sel = ragged_arange(starts, pos)
+        i_ev = post_ev[child_sel]
+        self.tri_pair = self.row_start[i_ev] + (post_ev[j_sel] - self.lo[i_ev])
+        self.tri_key = events.sources[i_ev] * V + tok[child_sel]
+        self.tri_xiv = post_cnt[child_sel]
+        self.tri_xjv = post_norm[j_sel]
 
 
 @dataclass
@@ -241,6 +268,15 @@ class FitReport:
 
 
 def _structure_for(events, params, window):
+    """A live PairStructure for these events and kernel settings, else a new one."""
+    window = None if window is None else float(window)
+    with _LIVE_LOCK:
+        alive = list(_LIVE)
+    for live in alive:
+        if (live.events is events and live.nu == params.nu and live.window == window
+                and live.base_shape == params.base_shape
+                and live.mark_impact == params.mark_impact):
+            return live
     return PairStructure(events, params.nu, window=window,
                          base_shape=params.base_shape, mark_impact=params.mark_impact)
 
@@ -313,13 +349,16 @@ def _log_mark_densities(structure: PairStructure, params: ModelParams):
     log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
     log_f_live = scatter_sum(structure.nnz_row,
                              np.where(dead, 0.0, events.tok_count * log_own), n)
-    n_dead = np.bincount(structure.nnz_row[dead], minlength=n)
-    covered = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
-    # a parent with an empty mark leaves the immigrant density
-    has_bag = structure.mix_scale > 0
-    log_f_pair += np.where(has_bag, np.repeat(log_f_live, structure.row_len),
-                           np.repeat(log_f_imm, structure.row_len))
-    log_f_pair[has_bag & (covered != np.repeat(n_dead, structure.row_len))] = -np.inf
+    log_f_pair += np.repeat(log_f_live, structure.row_len)
+    n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
+    missed = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
+    missed -= np.repeat(n_dead, structure.row_len)
+    log_f_pair[missed != 0] = -np.inf
+    # a parent with an empty mark (no triples, so log_f_pair holds log_f_live)
+    # leaves the immigrant density
+    empty = np.flatnonzero(structure.mix_scale == 0.0)
+    child = np.searchsorted(structure.row_start, empty, side="right") - 1
+    log_f_pair[empty] = log_f_imm[child]
     return log_f_imm, log_f_pair
 
 

@@ -167,6 +167,11 @@ class EventSequence:
     Times are strictly increasing in (0, T]; sources are 0-based labels in
     [0, S); marks are stored CSR-style (tok_indptr/tok_index/tok_count) with
     token indices sorted within each row.
+
+    The arrays must not be mutated after construction: the token postings
+    cached here, and the pair layouts that fits and root passes derive from
+    the sequence and reuse while they are alive, would no longer match them.
+    Build a new EventSequence instead.
     """
 
     def __init__(self, times, sources, tok_indptr, tok_index, tok_count, T, S, V,

@@ -10,8 +10,10 @@ events, so with the E-step's parent posteriors eta_i0 (immigrant) and eta_ij
 
 a unit lower-triangular system (I - H) R = diag(eta_0) onehot(s) in the
 sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
-2008).  Each pass builds a PairStructure, runs the E-step's weights and
-normalization, and solves the system by forward substitution, row by row.
+2008).  Each pass takes the PairStructure of the same events and kernel
+settings that is still alive (a fit's, while its report is held) or builds
+one, runs the E-step's weights and normalization, and solves the system by
+forward substitution, row by row.
 Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 

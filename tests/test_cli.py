@@ -201,6 +201,17 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_exit_code_pairs_beyond_memory(workdir, monkeypatch, capsys):
+    # a machine too small for the exact layout of this tiny sequence
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 1000)
+    argv = ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
+            "--params-out", os.devnull]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--truncate-window" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["bench", "--scales", "10,x"], "--scales"),
     (["evaluate", "--rootprob", "r.csv", "--truth", "t.jsonl", "--ks", "a"], "--ks"),

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +10,10 @@ import pytest
 import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
 from rootsource.fitting import (
+    PAIR_BYTES,
     PairStructure,
+    _physical_memory,
+    _structure_for,
     PriorConfig,
     elbo,
     fit,
@@ -16,7 +23,7 @@ from rootsource.fitting import (
     update_theta_gamma,
 )
 from rootsource.rootprob import enumerate_posteriors
-from util import dense_eta, random_instance
+from util import dense_eta, random_events, random_instance, reference_triples
 
 
 def brute_force_eta(events, params):
@@ -82,6 +89,146 @@ def test_pair_structure_window_prunes_stale_pairs():
     assert pairs == {(1, 0), (3, 2)}
     with pytest.raises(ValidationError):
         PairStructure(events, nu=1.0, window=0.0)
+
+
+def _events(times, marks, S=1, V=4):
+    evs = [rs.Event.make(k + 1, t, k % S, m) for k, (t, m) in enumerate(zip(times, marks))]
+    return rs.EventSequence.from_events(evs, T=float(times[-1]) + 1.0, S=S, V=V)
+
+
+TRIPLE_CASES = {
+    "exact": (lambda: random_events(np.random.default_rng(8), 40, 3, 6), None),
+    "windowed": (lambda: random_events(np.random.default_rng(8), 40, 3, 6), 2.0),
+    "window drops every partner": (
+        lambda: random_events(np.random.default_rng(8), 40, 3, 6), 1e-9),
+    "empty marks": (lambda: _events([1.0, 2.0, 3.0], [{}, {}, {}]), None),
+    "V = 0": (lambda: _events([1.0, 2.0, 3.0], [{}, {}, {}], V=0), None),
+    "tokens of one event only": (
+        lambda: _events([1.0, 2.0, 3.0], [{0: 2}, {1: 1, 2: 1}, {3: 4}], S=2), None),
+    "one shared token among empty marks": (
+        lambda: _events([1.0, 2.0, 3.0, 4.0], [{}, {2: 1}, {}, {2: 3}]), None),
+    "n = 1": (lambda: _events([1.0], [{0: 1, 3: 2}]), None),
+}
+
+
+@pytest.mark.parametrize("case", list(TRIPLE_CASES))
+def test_build_triples_matches_per_token_loop(case):
+    make, window = TRIPLE_CASES[case]
+    st = PairStructure(make(), nu=0.7, window=window)
+    want = reference_triples(st)
+    for name, ref in zip(("tri_pair", "tri_key", "tri_xiv", "tri_xjv"), want):
+        got = getattr(st, name)
+        assert got.dtype == ref.dtype, name
+        np.testing.assert_array_equal(got, ref, err_msg=name)
+    if case in ("exact", "windowed"):
+        assert st.tri_pair.size > 0
+
+
+def _count_builds(monkeypatch):
+    built = []
+    init = PairStructure.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(PairStructure, "__init__", counting)
+    return built
+
+
+def test_root_pass_reuses_the_live_structure(monkeypatch):
+    cfg = rs.make_synthetic_config(T=80.0, seed=4)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=4)
+    params, live = report.params, report.eta.structure
+    assert _structure_for(events, params, 20.0) is live
+    built = _count_builds(monkeypatch)
+    passes = (rs.root_probabilities, rs.root_probabilities_temporal,
+              rs.root_probabilities_mark)
+    got = [f(events, params, window=20.0).r for f in passes]
+    assert built == []
+    twin = copy.deepcopy(events)
+    for f, r in zip(passes, got):
+        np.testing.assert_array_equal(f(twin, params, window=20.0).r, r)
+    assert len(built) == 3  # the twin has no live structure to reuse
+
+    # a structure built directly is registered as well
+    other = rs.EventSequence(events.times, events.sources, events.tok_indptr,
+                             events.tok_index, events.tok_count, events.T, events.S,
+                             events.V)
+    direct = PairStructure(other, params.nu, window=20.0)
+    assert _structure_for(other, params, 20.0) is direct
+
+
+def test_changed_settings_build_a_new_structure():
+    cfg = rs.make_synthetic_config(T=40.0, seed=6)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=2)
+    p = report.params
+
+    def variant(**changes):
+        kw = dict(rho=p.rho, A=p.A, theta=p.theta, gamma=p.gamma, nu=p.nu,
+                  base_shape=p.base_shape, mark_impact=p.mark_impact)
+        kw.update(changes)
+        return rs.ModelParams(**kw)
+
+    cases = [(variant(nu=2.0 * p.nu), 20.0), (p, 10.0), (p, None),
+             (variant(base_shape=rs.ConstantShape(2.0)), 20.0),
+             (variant(mark_impact=lambda tokens, counts: 2.0), 20.0)]
+    fresh = [_structure_for(events, params, window) for params, window in cases]
+    for st, (params, window) in zip(fresh, cases):
+        assert st is not report.eta.structure
+        assert st.window == window and st.nu == params.nu
+        assert _structure_for(events, params, window) is st
+    assert len({id(st) for st in fresh}) == len(cases)
+    # the fit's layout stays shared, also under an equal but new shape object
+    assert _structure_for(events, p, 20.0) is report.eta.structure
+    same = variant(base_shape=rs.ConstantShape(1.0))
+    assert _structure_for(events, same, 20.0) is report.eta.structure
+
+
+def test_dropped_fit_releases_its_structure(monkeypatch):
+    cfg = rs.make_synthetic_config(T=40.0, seed=7)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=2)
+    params, gone = report.params, weakref.ref(report.eta.structure)
+    del report
+    gc.collect()
+    assert gone() is None
+    built = _count_builds(monkeypatch)
+    rs.root_probabilities(events, params, window=20.0)
+    assert len(built) == 1
+
+
+def test_event_sequence_copies_after_a_fit():
+    cfg = rs.make_synthetic_config(T=40.0, seed=9)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=2)
+    want = rs.root_probabilities(events, report.params, window=20.0).r
+    for twin in (pickle.loads(pickle.dumps(events)), copy.deepcopy(events)):
+        assert twin is not events
+        for name in ("times", "sources", "tok_indptr", "tok_index", "tok_count"):
+            np.testing.assert_array_equal(getattr(twin, name), getattr(events, name))
+        np.testing.assert_array_equal(
+            rs.root_probabilities(twin, report.params, window=20.0).r, want)
+
+
+def test_pair_structure_fails_fast_beyond_physical_memory():
+    have = _physical_memory()
+    if have is None:
+        pytest.skip("physical memory size not available from os.sysconf")
+    # n (n - 1) / 2 pairs of PAIR_BYTES each exceed physical memory; only the
+    # O(n) event arrays and the pair count are ever allocated
+    n = math.isqrt(2 * have // PAIR_BYTES) + 2
+    assert n * (n - 1) // 2 * PAIR_BYTES > have
+    events = rs.EventSequence(np.arange(1.0, n + 1.0), np.zeros(n, dtype=np.int64),
+                              np.zeros(n + 1, dtype=np.int64), [], [], T=n + 1.0, S=1,
+                              V=0)
+    with pytest.raises(ValidationError, match="--truncate-window"):
+        PairStructure(events, nu=1.0)
+    with pytest.raises(ValidationError, match="physical memory"):
+        fit(events, nu=1.0)
+    assert PairStructure(events, nu=1.0, window=1.5).n_pairs == n - 1
 
 
 def test_update_eta_matches_brute_force():

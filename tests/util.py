@@ -44,3 +44,40 @@ def dense_eta(state):
     for k in range(n):
         out[k, : k + 1] = state.eta_vector(k)
     return out
+
+
+def reference_triples(structure):
+    """Token-overlap triples of a PairStructure, built one token at a time.
+
+    The per-token loop that PairStructure._build_triples replaced; returns
+    (tri_pair, tri_key, tri_xiv, tri_xjv) in the same order and dtypes.
+    """
+    from rootsource._numeric import ragged_arange
+
+    events = structure.events
+    V = events.V
+    indptr, post_ev, post_cnt, post_norm = events.token_postings()
+    lo, sources = structure.lo, events.sources
+    parts_pair, parts_key, parts_xiv, parts_xjv = [], [], [], []
+    for v in range(V):
+        a, b = indptr[v], indptr[v + 1]
+        if b - a < 2:
+            continue
+        P = post_ev[a:b]
+        starts = np.searchsorted(P, lo[P], side="left")
+        stops = np.arange(P.size)
+        m = stops - starts
+        if not np.any(m > 0):
+            continue
+        child_sel = np.repeat(np.arange(P.size), np.maximum(m, 0))
+        j_sel = ragged_arange(starts, stops)
+        i_ev = P[child_sel]
+        j_ev = P[j_sel]
+        parts_pair.append(structure.row_start[i_ev] + (j_ev - lo[i_ev]))
+        parts_key.append(sources[i_ev] * V + v)
+        parts_xiv.append(post_cnt[a:b][child_sel])
+        parts_xjv.append(post_norm[a:b][j_sel])
+    if not parts_pair:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0), np.empty(0))
+    return tuple(np.concatenate(p) for p in (parts_pair, parts_key, parts_xiv, parts_xjv))
