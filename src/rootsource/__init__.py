@@ -11,10 +11,9 @@ from .metrics import (EvalReport, MiniConversations, evaluate_root_probabilities
                       identification_accuracy, mini_conversations,
                       relative_square_error, social_power, top_k_accuracy,
                       true_root_log_probability)
-from .model import (ConstantShape, Event, EventSequence, KernelConfig,
-                    ModelParams, base_intensity, compensator, excited_intensity,
-                    log_mark_density_immigrant, log_mark_density_offspring,
-                    total_intensity, unit_mark_impact)
+from .model import (Event, EventSequence, ModelParams, base_intensity, compensator,
+                    excited_intensity, log_mark_density_immigrant,
+                    log_mark_density_offspring, total_intensity)
 from .rootprob import (RootProbMatrix, enumerate_oracle, root_probabilities,
                        root_probabilities_mark, root_probabilities_temporal)
 from .simulate import (BranchingStructure, GroundTruth, SimConfig,
@@ -24,8 +23,8 @@ from .simulate import (BranchingStructure, GroundTruth, SimConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport", "BranchingStructure", "ConstantShape", "EvalReport", "Event",
-    "EventSequence", "FitReport", "GroundTruth", "KernelConfig",
+    "BenchReport", "BranchingStructure", "EvalReport", "Event",
+    "EventSequence", "FitReport", "GroundTruth",
     "MiniConversations", "ModelParams", "NumericalError", "PairStructure",
     "PriorConfig", "RootProbMatrix", "SimConfig", "ValidationError",
     "VariationalState", "base_intensity", "compensator", "elbo",
@@ -36,6 +35,6 @@ __all__ = [
     "relative_square_error", "root_probabilities", "root_probabilities_mark",
     "root_probabilities_temporal", "run_bench", "running_window", "simulate",
     "social_power", "top_k_accuracy", "total_intensity", "trace_roots",
-    "true_root_log_probability", "unit_mark_impact", "update_eta",
+    "true_root_log_probability", "update_eta",
     "update_rho_alpha", "update_theta_gamma",
 ]

@@ -93,8 +93,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         cfg = make_synthetic_config(T=target / rate, seed=seed)
         events, _ = simulate(cfg)
         prior = PriorConfig.maximum_likelihood(events.S)
-        params = _default_init(events, prior, cfg.params.nu, None,
-                               cfg.params.mark_impact)
+        params = _default_init(events, prior, cfg.params.nu)
 
         t0 = time.perf_counter()
         structure = PairStructure(events, params.nu, window=window)

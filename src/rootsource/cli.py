@@ -20,7 +20,6 @@ from .bench import run_bench
 from .errors import NumericalError, ValidationError
 from .fitting import PriorConfig, _default_init, fit, jitter_init
 from .metrics import evaluate_root_probabilities
-from .model import unit_mark_impact
 from .rootprob import (root_probabilities, root_probabilities_mark,
                        root_probabilities_temporal)
 from .simulate import SimConfig, make_synthetic_params
@@ -166,8 +165,7 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
         prior = PriorConfig.maximum_likelihood(events.S)
     init = None
     if seed is not None:
-        init = jitter_init(_default_init(events, prior, nu, None, unit_mark_impact),
-                           seed)
+        init = jitter_init(_default_init(events, prior, nu), seed)
     report = fit(events, init=init, prior=prior, tol=tol, max_iters=max_iters,
                  window=window, nu=nu)
     click.echo(f"[fit] {report.iterations} iterations, "

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import ConstantShape, EventSequence, ModelParams, unit_mark_impact
+from .model import EventSequence, ModelParams
 from .rootprob import RootProbMatrix
 from .simulate import GroundTruth
 
@@ -162,10 +162,6 @@ def read_truth(path_or_file) -> TruthInfo:
 # ---------------------------------------------------------------- params ---
 
 def write_params(params: ModelParams, path_or_file) -> None:
-    if params.mark_impact is not unit_mark_impact:
-        raise ValidationError("custom mark-impact hooks are not serializable")
-    if not isinstance(params.base_shape, ConstantShape):
-        raise ValidationError("custom base-shape hooks are not serializable")
     doc = {
         "schema": PARAMS_SCHEMA,
         "rho": params.rho.tolist(),
@@ -173,7 +169,6 @@ def write_params(params: ModelParams, path_or_file) -> None:
         "theta": params.theta.tolist(),
         "gamma": params.gamma,
         "nu": params.nu,
-        "base_shape": {"kind": "constant", "c": params.base_shape.c},
     }
     fp, owned = _open(path_or_file, "w")
     try:
@@ -197,12 +192,17 @@ def read_params(path_or_file) -> ModelParams:
     if doc.get("schema") != PARAMS_SCHEMA:
         raise ValidationError(
             f"schema mismatch: expected {PARAMS_SCHEMA}, got {doc.get('schema')!r}")
+    # Older writers stored a constant base shape c, the factor on rho in the
+    # base rate rho * c; it folds into rho, and c = 1 leaves rho bit for bit.
     shape = doc.get("base_shape", {"kind": "constant", "c": 1.0})
     if shape.get("kind") != "constant":
         raise ValidationError(f"unsupported base shape {shape.get('kind')!r}")
-    return ModelParams(rho=np.array(doc["rho"]), A=np.array(doc["A"]),
-                       theta=np.array(doc["theta"]), gamma=doc["gamma"],
-                       nu=doc["nu"], base_shape=ConstantShape(shape.get("c", 1.0)))
+    c = float(shape.get("c", 1.0))
+    if not c > 0:
+        raise ValidationError("constant shape must be positive")
+    return ModelParams(rho=np.asarray(doc["rho"], dtype=np.float64) * c,
+                       A=np.array(doc["A"]), theta=np.array(doc["theta"]),
+                       gamma=doc["gamma"], nu=doc["nu"])
 
 
 # ------------------------------------------------------------------- eta ---

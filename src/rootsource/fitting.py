@@ -3,10 +3,10 @@
 The mean-field posterior Q(z) = prod_i Multi(z_i | 1, eta_i) gives the
 surrogate objective (coefficient-free ELBO)
 
-    L~ = - sum_s rho[s] int_0^T mu_bar_s
-         - sum_s sum_i A[s, s_i] beta(x_i) int_{t_i}^T kappa
-         + sum_i eta_i0 log( rho[s_i] mu_bar(t_i) f(x_i | t_i, s_i) )
-         + sum_i sum_{j<i} eta_ij log( A[s_i, s_j] kappa(t_j, t_i) f(x_i | t_i, s_i, e_j) )
+    L~ = - sum_s rho[s] T
+         - sum_s sum_i A[s, s_i] int_{t_i}^T kappa(t - t_i) dt
+         + sum_i eta_i0 log( rho[s_i] f(x_i | t_i, s_i) )
+         + sum_i sum_{j<i} eta_ij log( A[s_i, s_j] kappa(t_i - t_j) f(x_i | t_i, s_i, e_j) )
          - sum_i sum_j eta_ij log eta_ij   [+ Gamma log-prior terms]
 
 maximized by block-coordinate ascent with closed-form updates: eta by
@@ -36,7 +36,7 @@ from scipy.special import xlogy
 
 from ._numeric import ragged_arange, scatter_sum, segment_max, segment_sum
 from .errors import NumericalError, ValidationError
-from .model import ConstantShape, EventSequence, ModelParams, _event_betas, unit_mark_impact
+from .model import EventSequence, ModelParams
 
 __all__ = [
     "PriorConfig",
@@ -105,11 +105,14 @@ class PriorConfig:
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
-# Peak bytes per candidate pair of a PairStructure plus one E-step with the
-# previous state alive, as inside `fit`: tracemalloc gave 63-71 B at the
-# synthetic defaults (about 0.2 token-overlap triples per pair), exact at
-# n = 1 795 and window 20 at n = 8 015, gamma 0.3 and 1.
-PAIR_BYTES = 72
+# Peak bytes per candidate pair and per token-overlap triple of a three-sweep
+# fit (structure, E-steps with the previous state alive, M-steps).  Under
+# tracemalloc every one of 18 runs peaked below 56 B per pair plus 57 B per
+# triple: the synthetic defaults (0.22 triples per pair) exact at n = 1 562
+# and window 20 at n = 8 015, and random marks over V = 2 to 64 tokens (0.12
+# to 2.8 triples per pair), gamma 0.3 and 1.
+PAIR_BYTES = 56
+TRIPLE_BYTES = 58
 
 
 def _physical_memory() -> int | None:
@@ -119,14 +122,31 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n_pairs: int, window: float | None) -> None:
-    need, have = n_pairs * PAIR_BYTES, _physical_memory()
+def _check_memory(n_pairs: int, n_triples: int, window: float | None) -> None:
+    need, have = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES, _physical_memory()
     if have is not None and need > have:
         hint = "a smaller" if window is not None else "a"
         raise ValidationError(
-            f"{n_pairs} candidate parent pairs need about {need / 2**30:.1f} GiB, more "
-            f"than the {have / 2**30:.1f} GiB of physical memory; pass {hint} "
-            f"truncation window (--truncate-window) to limit the candidate parents")
+            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples "
+            f"need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            f"of physical memory; pass {hint} truncation window (--truncate-window) "
+            f"to limit the candidate parents")
+
+
+def _first_partners(events: EventSequence, lo: np.ndarray):
+    """Token of every posting and the position of its first in-window partner.
+
+    Postings are sorted by (token, event), so the composite key tok * n + event
+    is ascending and child i's in-window partners for token v are the postings
+    keyed tok * n + [lo_i, i), just before i: posting p has p - first[p]
+    token-overlap triples.
+    """
+    n = len(events)
+    indptr, post_ev, _, _ = events.token_postings()
+    tok = np.repeat(np.arange(events.V, dtype=np.int64), np.diff(indptr))
+    base = tok * n
+    first = np.searchsorted(base + post_ev, base + lo[post_ev], side="left")
+    return tok, first
 
 
 class PairStructure:
@@ -136,22 +156,20 @@ class PairStructure:
     given) are stored flat, grouped by child i; row_start[i]:row_start[i+1]
     is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
-    updates.  Everything here depends only on events, nu, window, and the
-    base-shape/mark-impact hooks, so one instance is shared across sweeps,
-    and later E-steps and root passes on the same events object with the same
-    settings reuse it for as long as it is alive (see `_structure_for`).
-    The pairs are counted first; a layout whose pairs would not fit in
+    updates.  Everything here depends only on events, nu and window, so one
+    instance is shared across sweeps, and later E-steps and root passes on
+    the same events object with the same settings reuse it for as long as it
+    is alive (see `_structure_for`).
+    The pairs and triples are counted first; a layout that would not fit in
     physical memory raises ValidationError before anything pair-sized is
     allocated.
     """
 
-    def __init__(self, events: EventSequence, nu: float, window: float | None = None,
-                 base_shape=None, mark_impact=unit_mark_impact):
+    def __init__(self, events: EventSequence, nu: float, window: float | None = None):
         if nu <= 0:
             raise ValidationError("nu must be positive")
         if window is not None and window <= 0:
             raise ValidationError("truncation window must be positive")
-        base_shape = base_shape if base_shape is not None else ConstantShape()
         n = len(events)
         times = events.times
         sources = events.sources
@@ -160,15 +178,14 @@ class PairStructure:
         self.events = events
         self.nu = float(nu)
         self.window = None if window is None else float(window)
-        self.base_shape = base_shape
-        self.mark_impact = mark_impact
 
         if window is None:
             lo = np.zeros(n, dtype=np.int64)
         else:
             lo = np.searchsorted(times, times - window * nu, side="left")
         cand = np.arange(n) - lo
-        _check_memory(int(cand.sum()), window)
+        tok, first = _first_partners(events, lo)
+        _check_memory(int(cand.sum()), int((np.arange(first.size) - first).sum()), window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -184,23 +201,12 @@ class PairStructure:
         self.mix_scale = np.where(parent_has_tokens, np.repeat(lengths, cand), 0.0)
 
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
-        self.beta = _event_betas(mark_impact, events)
-        with np.errstate(divide="ignore"):
-            self.log_beta = np.log(self.beta)
-        if isinstance(base_shape, ConstantShape):
-            self.mu_log = np.full(n, math.log(base_shape.c))
-        else:
-            vals = np.array([base_shape.value(int(sources[k]), float(times[k]))
-                             for k in range(n)])
-            with np.errstate(divide="ignore"):
-                self.mu_log = np.log(vals)
-        self.mu_int = np.array([base_shape.integral(s, 0.0, events.T) for s in range(S)])
 
         self.counts_by_source = events.token_counts_by_source()
         self.nnz_row = np.repeat(np.arange(n), np.diff(events.tok_indptr))
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
-        self._build_triples()
+        self._build_triples(tok, first)
         with _LIVE_LOCK:
             _LIVE.add(self)
 
@@ -209,19 +215,14 @@ class PairStructure:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
 
-    def _build_triples(self):
-        # Postings are sorted by (token, event), so the composite key
-        # tok * n + event is ascending and child i's in-window partners for
-        # token v are the postings keyed tok * n + [lo_i, i), just before i.
+    def _build_triples(self, tok: np.ndarray, first: np.ndarray):
+        # one triple per posting pos and earlier posting in [first, pos)
         events = self.events
-        n, V = len(events), events.V
-        indptr, post_ev, post_cnt, post_norm = events.token_postings()
-        tok = np.repeat(np.arange(V, dtype=np.int64), np.diff(indptr))
-        base = tok * n
+        V = events.V
+        _, post_ev, post_cnt, post_norm = events.token_postings()
         pos = np.arange(post_ev.size)
-        starts = np.searchsorted(base + post_ev, base + self.lo[post_ev], side="left")
-        child_sel = np.repeat(pos, pos - starts)
-        j_sel = ragged_arange(starts, pos)
+        child_sel = np.repeat(pos, pos - first)
+        j_sel = ragged_arange(first, pos)
         i_ev = post_ev[child_sel]
         self.tri_pair = self.row_start[i_ev] + (post_ev[j_sel] - self.lo[i_ev])
         self.tri_key = events.sources[i_ev] * V + tok[child_sel]
@@ -273,22 +274,19 @@ def _structure_for(events, params, window):
     with _LIVE_LOCK:
         alive = list(_LIVE)
     for live in alive:
-        if (live.events is events and live.nu == params.nu and live.window == window
-                and live.base_shape == params.base_shape
-                and live.mark_impact == params.mark_impact):
+        if live.events is events and live.nu == params.nu and live.window == window:
             return live
-    return PairStructure(events, params.nu, window=window,
-                         base_shape=params.base_shape, mark_impact=params.mark_impact)
+    return PairStructure(events, params.nu, window=window)
 
 
 def _log_weights(structure: PairStructure, params: ModelParams,
                  use_time: bool = True, use_marks: bool = True):
     """Per-component unnormalized log posterior weights.
 
-    Returns (logw_imm, logw_pair): logw_imm[k] = log(mu(t_k) f(x_k|t_k,s_k)),
+    Returns (logw_imm, logw_pair): logw_imm[k] = log(rho[s_k] f(x_k|t_k,s_k)),
     logw_pair aligned with the structure's pairs holding
     log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  use_time=False leaves out the
-    intensity factors mu and lambda_j, use_marks=False the mark densities f.
+    intensity factors rho and lambda_j, use_marks=False the mark densities f.
     -inf entries are legal.
     """
     if use_marks:
@@ -303,13 +301,12 @@ def _log_weights(structure: PairStructure, params: ModelParams,
 
 def _add_log_intensities(structure: PairStructure, params: ModelParams,
                          logw_imm: np.ndarray, logw_pair: np.ndarray) -> None:
-    # Adds log(rho mu(t_k)) and log(A beta_j kappa(t_i - t_j)) in place.
+    # Adds log(rho[s_k]) and log(A[s_i, s_j] kappa(t_i - t_j)) in place.
     with np.errstate(divide="ignore"):
         log_rho = np.log(params.rho)
         log_A = np.log(params.A).ravel()
-    logw_imm += log_rho[structure.events.sources] + structure.mu_log
+    logw_imm += log_rho[structure.events.sources]
     logw_pair += log_A[structure.pair_cell]
-    logw_pair += structure.log_beta[structure.pair_j]
     logw_pair += structure.log_kernel
 
 
@@ -388,7 +385,7 @@ def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.nda
 def update_eta(events: EventSequence, params: ModelParams,
                structure: PairStructure | None = None,
                window: float | None = None) -> VariationalState:
-    """E-step: eta_i0 oc mu(t_i) f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
+    """E-step: eta_i0 oc rho[s_i] f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
 
     Normalization is done per event via log-sum-exp; a component at -inf gets
     exactly zero weight.  Raises NumericalError naming the first event whose
@@ -404,9 +401,9 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
                      prior: PriorConfig, diag: dict | None = None):
     """M-step for (rho, A): Gamma-posterior means given the responsibilities.
 
-    rho_s = (a_rho[s] - 1 + sum_{i: s_i=s} eta_i0) / (b_rho + int_0^T mu_bar_s);
+    rho_s = (a_rho[s] - 1 + sum_{i: s_i=s} eta_i0) / (b_rho + T);
     A[s, s'] = (a_alpha[s] - 1 + sum eta_ij over child source s, parent source s')
-               / (b_alpha + sum_{i: s_i=s'} beta(x_i)(1 - e^{-(T - t_i)/nu})).
+               / (b_alpha + sum_{i: s_i=s'} (1 - e^{-(T - t_i)/nu})).
     Negative numerators (possible when a < 1) are clamped to a small floor and
     counted in diag["clamped"].
     """
@@ -422,9 +419,8 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     rho_num = np.where(rho_num < 0, NUMERATOR_FLOOR, rho_num)
     a_num = np.where(a_num < 0, NUMERATOR_FLOOR, a_num)
 
-    rho = rho_num / (prior.b_rho + st.mu_int)
-    a_den = prior.b_alpha + np.bincount(events.sources, weights=st.beta * st.kint,
-                                        minlength=S)
+    rho = rho_num / (prior.b_rho + events.T)
+    a_den = prior.b_alpha + np.bincount(events.sources, weights=st.kint, minlength=S)
     with np.errstate(invalid="ignore", divide="ignore"):
         A = np.where(a_den[None, :] > 0, a_num / a_den[None, :], 0.0)
     return rho, A
@@ -474,10 +470,11 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
 
 
 def _compensator_terms(structure: PairStructure, params: ModelParams) -> float:
-    base = float(np.dot(params.rho, structure.mu_int))
+    events = structure.events
+    # a dot product, not T * rho.sum(): the two round differently
+    base = float(np.dot(params.rho, np.full(events.S, events.T)))
     col = params.A.sum(axis=0)
-    excite = float(np.sum(col[structure.events.sources] * structure.beta * structure.kint,
-                          dtype=np.longdouble))
+    excite = float(np.sum(col[events.sources] * structure.kint, dtype=np.longdouble))
     return base + excite
 
 
@@ -522,8 +519,7 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     return value
 
 
-def _default_init(events: EventSequence, prior: PriorConfig, nu: float,
-                  base_shape, mark_impact) -> ModelParams:
+def _default_init(events: EventSequence, prior: PriorConfig, nu: float) -> ModelParams:
     S, V = events.S, events.V
     counts = events.token_counts_by_source() + 1.0  # add-one smoothing
     theta = counts / counts.sum(axis=1, keepdims=True) if V else counts
@@ -535,9 +531,7 @@ def _default_init(events: EventSequence, prior: PriorConfig, nu: float,
         n_s = np.bincount(events.sources, minlength=S).astype(np.float64)
         rho = n_s * c / events.T
         A = np.full((S, S), (1.0 - c) / S)
-    return ModelParams(rho=rho, A=A, theta=theta, gamma=0.5, nu=nu,
-                       base_shape=base_shape if base_shape is not None else ConstantShape(),
-                       mark_impact=mark_impact)
+    return ModelParams(rho=rho, A=A, theta=theta, gamma=0.5, nu=nu)
 
 
 def jitter_init(params: ModelParams, seed: int, scale: float = 0.1) -> ModelParams:
@@ -548,21 +542,22 @@ def jitter_init(params: ModelParams, seed: int, scale: float = 0.1) -> ModelPara
     theta = params.theta * np.exp(scale * rng.standard_normal(params.theta.shape))
     if params.V:
         theta = theta / theta.sum(axis=1, keepdims=True)
-    return ModelParams(rho=rho, A=A, theta=theta, gamma=params.gamma, nu=params.nu,
-                       base_shape=params.base_shape, mark_impact=params.mark_impact)
+    return ModelParams(rho=rho, A=A, theta=theta, gamma=params.gamma, nu=params.nu)
 
 
 def fit(events: EventSequence, init: ModelParams | None = None,
         prior: PriorConfig | None = None, tol: float = 1e-6, max_iters: int = 200,
-        window: float | None = None, nu: float | None = None,
-        base_shape=None, mark_impact=unit_mark_impact) -> FitReport:
+        window: float | None = None, nu: float | None = None) -> FitReport:
     """Block-coordinate ascent eta -> (rho, A) -> (theta, gamma) until the ELBO settles.
 
     The trace records, for each sweep, the surrogate at the post-E-step point
     (computed from the E-step normalizers, so it equals the exact ELBO there);
     the sequence is monotone because every block update is.  Convergence:
     relative trace change below tol, or the parameters reach an exact fixed
-    point.  Raises NumericalError on a NaN objective with the iteration number.
+    point.  A fit that reaches max_iters unconverged stops after that sweep's
+    E-step, so the returned eta is the E-step at the returned parameters and
+    elbo(events, params, eta) is the last trace value.  Raises NumericalError
+    on a NaN objective with the iteration number.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")
@@ -573,7 +568,7 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     if init is None:
         if nu is None:
             raise ValidationError("either init or nu must be given")
-        params = _default_init(events, prior, nu, base_shape, mark_impact)
+        params = _default_init(events, prior, nu)
     else:
         params = init
     structure = _structure_for(events, params, window)
@@ -595,11 +590,11 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         if it > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             converged = True
             break
+        if it == max_iters:
+            break
         rho, A = update_rho_alpha(events, state, prior, diag)
         theta, gamma = update_theta_gamma(events, state, (params.theta, params.gamma))
-        new_params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=params.nu,
-                                 base_shape=params.base_shape,
-                                 mark_impact=params.mark_impact)
+        new_params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=params.nu)
         if (np.array_equal(new_params.rho, params.rho)
                 and np.array_equal(new_params.A, params.A)
                 and np.array_equal(new_params.theta, params.theta)

@@ -4,10 +4,10 @@ Each event carries a timestamp t, a source label s (0-based, out of S), and a
 sparse bag-of-tokens mark x over a vocabulary of size V.  The conditional
 intensity of source s at time t given the history is
 
-    lambda_s(t | H) = rho[s] * mu_bar_s(t) + sum_{t_j < t} A[s, s_j] * beta(x_j) * kappa(t_j, t)
+    lambda_s(t | H) = rho[s] + sum_{t_j < t} A[s, s_j] * kappa(t - t_j)
 
-with the normalized exponential kernel kappa(t, t') = exp(-(t' - t) / nu) / nu,
-so that the kernel integrates to 1 over (t, inf).
+with the normalized exponential kernel kappa(lag) = exp(-lag / nu) / nu, so
+that the kernel integrates to 1 over (0, inf).
 
 Marks: an immigrant event draws each of its L tokens from theta[s]; an
 offspring of parent j draws each token from the mixture
@@ -31,9 +31,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "ConstantShape",
-    "unit_mark_impact",
-    "KernelConfig",
     "Event",
     "EventSequence",
     "ModelParams",
@@ -44,59 +41,6 @@ __all__ = [
     "log_mark_density_offspring",
     "compensator",
 ]
-
-
-class ConstantShape:
-    """Base-rate shape mu_bar_s(t) = c, the default (c = 1)."""
-
-    def __init__(self, c: float = 1.0):
-        if c <= 0:
-            raise ValidationError("constant shape must be positive")
-        self.c = float(c)
-
-    def value(self, s: int, t: float) -> float:
-        return self.c
-
-    def integral(self, s: int, t0: float, t1: float) -> float:
-        return self.c * (t1 - t0)
-
-    def max_value(self, s: int, t0: float, t1: float) -> float:
-        # Upper bound used for thinning when sampling inhomogeneous immigrants.
-        return self.c
-
-    def __eq__(self, other):
-        return isinstance(other, ConstantShape) and other.c == self.c
-
-
-def unit_mark_impact(tokens: np.ndarray, counts: np.ndarray) -> float:
-    """Default mark impact beta(x) = 1."""
-    return 1.0
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Normalized decay kernel; only the exponential family is supported."""
-
-    kind: str = "exponential"
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if self.kind != "exponential":
-            raise ValidationError(f"unsupported kernel kind: {self.kind!r}")
-        if self.nu <= 0:
-            raise ValidationError("kernel bandwidth nu must be positive")
-
-    def value(self, lag: float) -> float:
-        """kappa at the given nonnegative lag t' - t."""
-        if lag < 0:
-            raise ValidationError("kernel lag must be nonnegative")
-        return np.exp(-lag / self.nu) / self.nu
-
-    def integral(self, lag: float) -> float:
-        """Integral of kappa from lag 0 to the given lag."""
-        if lag < 0:
-            raise ValidationError("kernel lag must be nonnegative")
-        return 1.0 - np.exp(-lag / self.nu)
 
 
 def _canonical_mark(x) -> tuple[np.ndarray, np.ndarray]:
@@ -294,15 +238,14 @@ class EventSequence:
 
 @dataclass
 class ModelParams:
-    """Full parameter set Theta = (rho, A, theta, gamma) plus kernel/hook settings.
+    """Full parameter set Theta = (rho, A, theta, gamma) plus the kernel bandwidth.
 
-    rho : (S,) positive base-rate multipliers.
+    rho : (S,) nonnegative base rates.
     A : (S, S) nonnegative excitation matrix; A[s, s'] is the strength with
         which source s' excites source s (row = excited, column = exciting).
     theta : (S, V) row-stochastic token distributions.
     gamma : token inheritance rate in [0, 1] (fitting keeps it interior).
     nu : kernel bandwidth.
-    base_shape / mark_impact : pluggable mu_bar and beta hooks, constant 1 by default.
     """
 
     rho: np.ndarray
@@ -310,8 +253,6 @@ class ModelParams:
     theta: np.ndarray
     gamma: float
     nu: float
-    base_shape: object = field(default_factory=ConstantShape)
-    mark_impact: object = field(default=unit_mark_impact)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=np.float64)
@@ -348,29 +289,22 @@ class ModelParams:
     def V(self) -> int:
         return self.theta.shape[1]
 
-    @property
-    def kernel(self) -> KernelConfig:
-        return KernelConfig(kind="exponential", nu=self.nu)
-
-    def beta(self, event: Event) -> float:
-        return float(self.mark_impact(event.tokens, event.counts))
-
 
 def base_intensity(params: ModelParams, s: int, t: float) -> float:
-    """mu_s(t) = rho[s] * mu_bar_s(t)."""
+    """mu_s(t) = rho[s], constant in t."""
     if not 0 <= s < params.S:
         raise ValidationError(f"source index {s} out of range [0, {params.S})")
-    return float(params.rho[s] * params.base_shape.value(s, t))
+    return float(params.rho[s])
 
 
 def excited_intensity(params: ModelParams, s: int, parent: Event, t: float) -> float:
-    """lambda_parent_s(t) = A[s, parent.s] * beta(parent.x) * kappa(parent.t, t)."""
+    """lambda_parent_s(t) = A[s, parent.s] * kappa(t - parent.t)."""
     if not 0 <= s < params.S:
         raise ValidationError(f"source index {s} out of range [0, {params.S})")
     if t <= parent.t:
         raise ValidationError("excited intensity requires t > parent.t")
-    return float(params.A[s, parent.s] * params.beta(parent)
-                 * params.kernel.value(t - parent.t))
+    lag = t - parent.t
+    return float(params.A[s, parent.s] * (np.exp(-lag / params.nu) / params.nu))
 
 
 def total_intensity(params: ModelParams, s: int, t: float, history) -> float:
@@ -418,20 +352,11 @@ def compensator(params: ModelParams, events: EventSequence) -> float:
     """Integral over [0, T] of the total intensity summed across sources.
 
     For the exponential kernel this is
-    sum_s rho[s] * int_0^T mu_bar_s + sum_i colsum(A)[s_i] * beta(x_i) * (1 - exp(-(T - t_i)/nu)).
+    sum_s rho[s] * T + sum_i colsum(A)[s_i] * (1 - exp(-(T - t_i)/nu)).
     """
-    total = sum(params.rho[s] * params.base_shape.integral(s, 0.0, events.T)
-                for s in range(params.S))
+    total = sum(params.rho[s] * events.T for s in range(params.S))
     if len(events):
         kint = 1.0 - np.exp(-(events.T - events.times) / params.nu)
-        beta = _event_betas(params.mark_impact, events)
         col = params.A.sum(axis=0)
-        total += float(np.dot(col[events.sources], beta * kint))
+        total += float(np.dot(col[events.sources], kint))
     return float(total)
-
-
-def _event_betas(mark_impact, events: EventSequence) -> np.ndarray:
-    """beta(x_i) for every event; fast path for the constant-1 default."""
-    if mark_impact is unit_mark_impact:
-        return np.ones(len(events))
-    return np.array([float(mark_impact(e.tokens, e.counts)) for e in events])

@@ -128,7 +128,7 @@ def _choice_log_weights(events: EventSequence, params: ModelParams) -> np.ndarra
     n = len(ev)
     W = np.full((n, n + 1), -np.inf)
     for k, e in enumerate(ev):
-        mu = params.rho[e.s] * params.base_shape.value(e.s, e.t)
+        mu = params.rho[e.s]
         W[k, 0] = ((math.log(mu) if mu > 0 else -np.inf)
                    + log_mark_density_immigrant(params, e))
         for j in range(k):

@@ -1,9 +1,9 @@
 """Exact cluster-construction sampler for marked Hawkes processes.
 
-Immigrants arrive per source as a Poisson process with intensity
-rho[s] * mu_bar_s(t) on [0, T].  Every event e_j then spawns, for each target
-source s, Poisson(A[s, s_j] * beta(x_j) * int_{t_j}^T kappa) offspring whose
-timestamps are drawn from the kernel restricted to (t_j, T] by inverse CDF.
+Immigrants arrive per source as a homogeneous Poisson process with rate
+rho[s] on [0, T].  Every event e_j then spawns, for each target source s,
+Poisson(A[s, s_j] * int_{t_j}^T kappa(t - t_j) dt) offspring whose timestamps
+are drawn from the kernel restricted to (t_j, T] by inverse CDF.
 Marks are drawn causally: length from a truncated-Poisson length law, then
 each token either from theta[s] or (with probability gamma) from the parent's
 normalized bag.  The latent branching structure and the per-token inheritance
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import ConstantShape, EventSequence, ModelParams, unit_mark_impact
+from .model import EventSequence, ModelParams
 
 __all__ = [
     "BranchingStructure",
@@ -90,8 +90,7 @@ def expected_event_count(params: ModelParams, T: float) -> float:
     offspring (so this slightly overestimates).  Near/above critical A the
     inverse blows up; the value is then only used to size the cascade guard.
     """
-    m = np.array([params.rho[s] * params.base_shape.integral(s, 0.0, T)
-                  for s in range(params.S)])
+    m = np.array([params.rho[s] * T for s in range(params.S)])
     radius = float(np.max(np.abs(np.linalg.eigvals(params.A))))
     if radius < 0.99:
         return float(np.linalg.solve(np.eye(params.S) - params.A, m).sum())
@@ -144,7 +143,6 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
     rng = np.random.default_rng(config.seed)
     nu = params.nu
     theta_cum = np.cumsum(params.theta, axis=1)
-    unit_beta = params.mark_impact is unit_mark_impact
 
     cap = config.max_events
     if cap is None:
@@ -156,7 +154,6 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
     tok_list: list[np.ndarray] = []
     cnt_list: list[np.ndarray] = []
     cum_list: list[np.ndarray] = []  # parent-bag CDF for offspring token draws
-    beta_list: list[float] = []
     inherited: list[int] = []
 
     def _add_event(t: float, s: int, parent_pos: int):
@@ -181,7 +178,6 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
         tok_list.append(uniq.astype(np.int32))
         cnt_list.append(cnt.astype(np.float64))
         cum_list.append(np.cumsum(cnt.astype(np.float64)))
-        beta_list.append(1.0 if unit_beta else float(params.mark_impact(uniq, cnt)))
         inherited.append(k)
         if len(t_list) > cap:
             raise NumericalError(
@@ -189,19 +185,10 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
                 f"of A may be at or above 1 (spectral radius "
                 f"{np.max(np.abs(np.linalg.eigvals(params.A))):.3f})")
 
-    # Immigrants: homogeneous fast path for the constant shape, thinning otherwise.
+    # Immigrants: a homogeneous Poisson count, then uniform times.
     for s in range(S):
-        shape = params.base_shape
-        if isinstance(shape, ConstantShape):
-            n_imm = rng.poisson(params.rho[s] * shape.integral(s, 0.0, T))
-            times = rng.uniform(0.0, T, size=n_imm)
-        else:
-            bound = shape.max_value(s, 0.0, T)
-            n_cand = rng.poisson(params.rho[s] * bound * T)
-            cand = rng.uniform(0.0, T, size=n_cand)
-            accept = rng.random(n_cand) * bound < np.array(
-                [shape.value(s, t) for t in cand])
-            times = cand[accept]
+        n_imm = rng.poisson(params.rho[s] * T)
+        times = rng.uniform(0.0, T, size=n_imm)
         for t in times:
             _add_event(float(t), s, -1)
 
@@ -212,7 +199,7 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
         delta = T - t_j
         if delta > 0:
             pint = 1.0 - np.exp(-delta / nu)
-            means = params.A[:, s_list[idx]] * beta_list[idx] * pint
+            means = params.A[:, s_list[idx]] * pint
             counts = rng.poisson(means)
             for s in range(S):
                 if counts[s]:

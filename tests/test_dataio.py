@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-import rootsource as rs
 from rootsource.dataio import (
     RawComment,
     ingest,
@@ -107,33 +106,39 @@ def test_params_round_trip():
     np.testing.assert_array_equal(back.A, params.A)
     np.testing.assert_array_equal(back.theta, params.theta)
     assert back.gamma == params.gamma and back.nu == params.nu
-    assert isinstance(back.base_shape, rs.ConstantShape)
 
 
-def test_params_refuses_custom_hooks():
-    rng = np.random.default_rng(5)
-    _, params = random_instance(rng)
-    hooked = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
-                            gamma=params.gamma, nu=params.nu,
-                            mark_impact=lambda tokens, counts: 2.0)
-    with pytest.raises(ValidationError, match="mark-impact"):
-        write_params(hooked, io.StringIO())
+def test_params_refuses_bad_documents():
     with pytest.raises(ValidationError, match="schema"):
         read_params(io.StringIO('{"schema": "params-v0"}'))
     with pytest.raises(ValidationError, match="malformed"):
         read_params(io.StringIO("{broken"))
 
 
-def test_params_preserves_constant_shape_scale():
+def test_params_v1_base_shape_folds_into_rho():
+    # params-v1 files from older writers carry a constant base shape c; the
+    # base rate was rho * c
     rng = np.random.default_rng(7)
     _, params = random_instance(rng)
-    scaled = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
-                            gamma=params.gamma, nu=params.nu,
-                            base_shape=rs.ConstantShape(2.5))
     buf = io.StringIO()
-    write_params(scaled, buf)
-    buf.seek(0)
-    assert read_params(buf).base_shape.c == 2.5
+    write_params(params, buf)
+    doc = json.loads(buf.getvalue())
+    assert "base_shape" not in doc
+
+    def read_with(shape):
+        return read_params(io.StringIO(json.dumps({**doc, "base_shape": shape})))
+
+    back = read_with({"kind": "constant", "c": 1})
+    for name in ("rho", "A", "theta"):
+        got, want = getattr(back, name), getattr(params, name)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+    assert back.gamma == params.gamma and back.nu == params.nu
+    np.testing.assert_array_equal(read_with({"kind": "constant", "c": 2.5}).rho,
+                                  params.rho * 2.5)
+    for bad in ({"kind": "linear", "c": 1.0}, {"kind": "constant", "c": 0.0}):
+        with pytest.raises(ValidationError):
+            read_with(bad)
 
 
 def test_eta_round_trip(tmp_path):

@@ -11,6 +11,7 @@ import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
 from rootsource.fitting import (
     PAIR_BYTES,
+    TRIPLE_BYTES,
     PairStructure,
     _physical_memory,
     _structure_for,
@@ -167,24 +168,20 @@ def test_changed_settings_build_a_new_structure():
     p = report.params
 
     def variant(**changes):
-        kw = dict(rho=p.rho, A=p.A, theta=p.theta, gamma=p.gamma, nu=p.nu,
-                  base_shape=p.base_shape, mark_impact=p.mark_impact)
+        kw = dict(rho=p.rho, A=p.A, theta=p.theta, gamma=p.gamma, nu=p.nu)
         kw.update(changes)
         return rs.ModelParams(**kw)
 
-    cases = [(variant(nu=2.0 * p.nu), 20.0), (p, 10.0), (p, None),
-             (variant(base_shape=rs.ConstantShape(2.0)), 20.0),
-             (variant(mark_impact=lambda tokens, counts: 2.0), 20.0)]
+    cases = [(variant(nu=2.0 * p.nu), 20.0), (p, 10.0), (p, None)]
     fresh = [_structure_for(events, params, window) for params, window in cases]
     for st, (params, window) in zip(fresh, cases):
         assert st is not report.eta.structure
         assert st.window == window and st.nu == params.nu
         assert _structure_for(events, params, window) is st
     assert len({id(st) for st in fresh}) == len(cases)
-    # the fit's layout stays shared, also under an equal but new shape object
+    # the fit's layout stays shared, also under an equal but new params object
     assert _structure_for(events, p, 20.0) is report.eta.structure
-    same = variant(base_shape=rs.ConstantShape(1.0))
-    assert _structure_for(events, same, 20.0) is report.eta.structure
+    assert _structure_for(events, variant(), 20.0) is report.eta.structure
 
 
 def test_dropped_fit_releases_its_structure(monkeypatch):
@@ -229,6 +226,21 @@ def test_pair_structure_fails_fast_beyond_physical_memory():
     with pytest.raises(ValidationError, match="physical memory"):
         fit(events, nu=1.0)
     assert PairStructure(events, nu=1.0, window=1.5).n_pairs == n - 1
+
+
+def test_fail_fast_counts_token_overlap_triples(monkeypatch):
+    # few tokens, long marks: more overlap triples than pairs
+    events = random_events(np.random.default_rng(8), 1500, 3, 8, T=100.0, max_len=9)
+    built = PairStructure(events, nu=1.0)
+    n_pairs, n_triples = built.n_pairs, built.tri_pair.size
+    del built
+    assert n_triples > n_pairs
+    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
+    with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples"):
+        PairStructure(events, nu=1.0)
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
+    assert PairStructure(events, nu=1.0).tri_pair.size == n_triples
 
 
 def test_update_eta_matches_brute_force():
@@ -452,6 +464,19 @@ def test_fit_trace_is_monotone_small():
         report = fit(events, init=params)
         diffs = np.diff(report.elbo_trace)
         assert np.all(diffs >= -1e-8), diffs
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_unconverged_fit_returns_the_eta_of_its_params(max_iters):
+    # a fit cut at max_iters skips the M-step after its last E-step
+    events, _ = rs.simulate(rs.make_synthetic_config(T=400.0, seed=1))
+    report = fit(events, nu=10.0, window=20.0, max_iters=max_iters)
+    assert not report.converged and report.iterations == max_iters
+    want = update_eta(events, report.params, window=20.0)
+    for name in ("eta0", "eta_pair", "log_z"):
+        np.testing.assert_array_equal(getattr(report.eta, name), getattr(want, name))
+    assert elbo(events, report.params, report.eta) == pytest.approx(
+        report.elbo_trace[-1], rel=1e-12)
 
 
 def test_fit_huge_window_matches_exact():

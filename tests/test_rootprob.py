@@ -296,11 +296,14 @@ def test_rows_sum_to_one_without_renormalization(n, window):
 
 @st.composite
 def _oracle_cases(draw):
-    """Small sequences with empty marks, zeros in A and theta, gamma in {0, 1, interior}."""
+    """Small sequences with empty marks, near-tied times, zeros in A and theta, and
+    gamma in {0, 1, interior}."""
     n = draw(st.integers(1, 8))
     S = draw(st.integers(1, 3))
     V = draw(st.integers(1, 6))
-    times = np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n)))
+    # gaps down to 1e-9 put near-ties between events; times stay strictly increasing
+    gaps = st.floats(1e-3, 2.0) | st.floats(1e-9, 1e-3)
+    times = np.cumsum(draw(st.lists(gaps, min_size=n, max_size=n)))
     evs = [rs.Event.make(k + 1, float(times[k]), draw(st.integers(0, S - 1)),
                          draw(st.dictionaries(st.integers(0, V - 1), st.integers(1, 3),
                                               max_size=3)))

@@ -21,7 +21,6 @@ def small_config(seed=0, **overrides):
         theta=np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]),
         gamma=overrides.pop("gamma", 0.4),
         nu=1.0,
-        **{k: overrides.pop(k) for k in ("base_shape",) if k in overrides},
     )
     if "A" in overrides:
         params = rs.ModelParams(rho=params.rho, A=overrides.pop("A"),
