@@ -30,6 +30,8 @@ class BenchRow:
     build_seconds: float
     sweep_seconds: float
     rootprob_seconds: float
+    pairs: int
+    triples: int
 
 
 @dataclass
@@ -42,10 +44,11 @@ class BenchReport:
         mode = "exact" if self.window is None else f"window={self.window:g}"
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
                f"{'target':>8} {'events':>8} {'build[s]':>10} "
-               f"{'sweep[s]':>10} {'rootprob[s]':>12}"]
+               f"{'sweep[s]':>10} {'rootprob[s]':>12} {'pairs':>11} {'triples':>11}"]
         for r in self.rows:
             out.append(f"{r.target:>8} {r.n:>8} {r.build_seconds:>10.3f} "
-                       f"{r.sweep_seconds:>10.3f} {r.rootprob_seconds:>12.3f}")
+                       f"{r.sweep_seconds:>10.3f} {r.rootprob_seconds:>12.3f} "
+                       f"{r.pairs:>11} {r.triples:>11}")
         if not self.rows:
             out.append("(no scales requested)")
         return out
@@ -79,7 +82,11 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
     The root pass is the E-step posteriors + forward substitution.  Like a
     root pass after `fit`, it reuses the live PairStructure of the sweeps, so
-    rootprob_seconds excludes the build, which build_seconds times.  Scales
+    rootprob_seconds excludes the build, which build_seconds times.  It runs
+    at the parameters of the last M-step, which no E-step has seen, so it
+    computes its posteriors: the path of a root pass that cannot reuse a
+    fit's final E-step.  Each row also counts the candidate pairs and the
+    token-overlap triples of the layout.  Scales
     are target event counts; the synthetic setup has stationary rate
     2.5 events per time unit, so T = n / rate.  Sweep timing excludes the
     one-time candidate-structure build, matching how a long fit amortizes it.
@@ -115,5 +122,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
         report.rows.append(BenchRow(target=target, n=len(events),
                                     build_seconds=build, sweep_seconds=sweep,
-                                    rootprob_seconds=rootprob))
+                                    rootprob_seconds=rootprob,
+                                    pairs=structure.n_pairs,
+                                    triples=structure.tri_pair.size))
     return report

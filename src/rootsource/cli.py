@@ -274,6 +274,8 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
 
     The structure build has its own column; the root pass reuses the sweeps'
     pair layout, as a root pass after a fit does, so its time excludes the build.
+    It runs at the last M-step's parameters, so it computes its E-step.  Each
+    row also counts the candidate pairs and token-overlap triples.
     """
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
@@ -293,9 +295,10 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
         import json
         rows = [{"target": r.target, "n": r.n, "build_seconds": r.build_seconds,
                  "sweep_seconds": r.sweep_seconds,
-                 "rootprob_seconds": r.rootprob_seconds} for r in report.rows]
+                 "rootprob_seconds": r.rootprob_seconds, "pairs": r.pairs,
+                 "triples": r.triples} for r in report.rows]
         with open(out, "w") as fp:
-            json.dump({"schema": "bench-v1", "exact": exact,
+            json.dump({"schema": "bench-v2", "exact": exact,
                        "sweeps": sweeps, "rows": rows}, fp, indent=2)
             fp.write("\n")
 

@@ -20,7 +20,13 @@ kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  Candidate-pair layouts and the token-overlap
 triples (i, j, v) are precomputed once per fit in a PairStructure and reused
 across sweeps, and by root passes on the same events while the fit's state
-is alive.
+is alive.  The structure also remembers its last E-step, weakly, so a full
+root pass at the fit's final parameters reads the fit's posteriors.
+
+The E-step's log weights leave out c_i = sum over child i's live tokens of
+x log((1 - gamma) theta), a constant all components of child i share: the
+posteriors do not depend on it, and the normalizers and the objective add it
+back.
 """
 
 from __future__ import annotations
@@ -110,7 +116,9 @@ _LIVE_LOCK = threading.Lock()
 # tracemalloc every one of 18 runs peaked below 56 B per pair plus 57 B per
 # triple: the synthetic defaults (0.22 triples per pair) exact at n = 1 562
 # and window 20 at n = 8 015, and random marks over V = 2 to 64 tokens (0.12
-# to 2.8 triples per pair), gamma 0.3 and 1.
+# to 2.8 triples per pair), gamma 0.3 and 1.  With 8-byte pair cells and no
+# per-pair mark scale, 18 such runs (n = 1 592 exact, 0.06 to 1.46 triples
+# per pair) peaked at 82% to 94% of this estimate.
 PAIR_BYTES = 56
 TRIPLE_BYTES = 58
 
@@ -159,7 +167,8 @@ class PairStructure:
     updates.  Everything here depends only on events, nu and window, so one
     instance is shared across sweeps, and later E-steps and root passes on
     the same events object with the same settings reuse it for as long as it
-    is alive (see `_structure_for`).
+    is alive (see `_structure_for`).  It also remembers, weakly, the last
+    E-step run on it (see `_state_at`).
     The pairs and triples are counted first; a layout that would not fit in
     physical memory raises ValidationError before anything pair-sized is
     allocated.
@@ -192,13 +201,13 @@ class PairStructure:
         self.pair_j = ragged_arange(lo, np.arange(n))
         self.n_pairs = self.pair_j.size
         self.log_kernel = -(np.repeat(times, cand) - times[self.pair_j]) / nu - np.log(nu)
-        sources32 = sources.astype(np.int32)
-        self.pair_cell = np.repeat(sources32 * S, cand)
-        self.pair_cell += sources32[self.pair_j]
-
-        lengths = events.lengths
-        parent_has_tokens = lengths[self.pair_j] > 0
-        self.mix_scale = np.where(parent_has_tokens, np.repeat(lengths, cand), 0.0)
+        # intp, so that numpy gathers and bincounts take it without converting
+        self.pair_cell = np.repeat(sources.astype(np.intp) * S, cand)
+        self.pair_cell += sources[self.pair_j]
+        # pairs whose parent has an empty mark, and their children: the
+        # offspring density there is the immigrant one
+        self.empty_pair = np.flatnonzero(events.lengths[self.pair_j] == 0)
+        self.empty_row = np.searchsorted(self.row_start, self.empty_pair, side="right") - 1
 
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
 
@@ -207,6 +216,7 @@ class PairStructure:
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
         self._build_triples(tok, first)
+        self._last = None
         with _LIVE_LOCK:
             _LIVE.add(self)
 
@@ -214,6 +224,35 @@ class PairStructure:
     def pair_i(self) -> np.ndarray:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
+
+    def __getstate__(self):
+        # a weak reference cannot be pickled, and a copy has no E-step of its own
+        return {**self.__dict__, "_last": None}
+
+    def _remember(self, state: "VariationalState", params: ModelParams) -> None:
+        """Record state as the E-step on this layout at params' values.
+
+        The state is held weakly, so it lives only as long as its users keep
+        it; the parameters are copied, so later changes to params' arrays do
+        not move the record.
+        """
+        self._last = (weakref.ref(state), params.rho.copy(), params.A.copy(),
+                      params.theta.copy(), params.gamma)
+
+    def _state_at(self, params: ModelParams) -> "VariationalState | None":
+        """The remembered E-step, if it is alive and ran at params' values, else None.
+
+        The values are compared, not the objects: a fit that stops at an exact
+        fixed point returns new parameters equal to those of its last E-step.
+        """
+        if self._last is None:
+            return None
+        ref, rho, A, theta, gamma = self._last
+        state = ref()
+        if (state is not None and gamma == params.gamma and np.array_equal(rho, params.rho)
+                and np.array_equal(A, params.A) and np.array_equal(theta, params.theta)):
+            return state
+        return None
 
     def _build_triples(self, tok: np.ndarray, first: np.ndarray):
         # one triple per posting pos and earlier posting in [first, pos)
@@ -237,6 +276,10 @@ class VariationalState:
     eta0[k] is event k's immigrant probability; eta_pair aligns with the
     structure's pair arrays; log_z holds the per-event log-normalizers of
     the E-step that produced the state.
+
+    The arrays must not be mutated in place: while the state is alive, a full
+    root pass at the parameters of its E-step reads them instead of
+    recomputing them (see `PairStructure._state_at`).
     """
 
     structure: PairStructure
@@ -281,22 +324,25 @@ def _structure_for(events, params, window):
 
 def _log_weights(structure: PairStructure, params: ModelParams,
                  use_time: bool = True, use_marks: bool = True):
-    """Per-component unnormalized log posterior weights.
+    """Per-component unnormalized log posterior weights, relative to a per-child constant.
 
-    Returns (logw_imm, logw_pair): logw_imm[k] = log(rho[s_k] f(x_k|t_k,s_k)),
-    logw_pair aligned with the structure's pairs holding
-    log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  use_time=False leaves out the
-    intensity factors rho and lambda_j, use_marks=False the mark densities f.
-    -inf entries are legal.
+    Returns (logw_imm, logw_pair, c): the log weights are logw + c[k] for
+    event k's components, logw_imm[k] + c[k] = log(rho[s_k] f(x_k|t_k,s_k))
+    and, aligned with the structure's pairs, logw_pair + c[i] =
+    log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  c, which every component of a
+    child shares, leaves the posteriors unchanged and is added back only to
+    the normalizers and the objective.  use_time=False leaves out the
+    intensity factors rho and lambda_j, use_marks=False the mark densities f
+    (and c is then 0).  -inf entries are legal.
     """
     if use_marks:
-        logw_imm, logw_pair = _log_mark_densities(structure, params)
+        logw_imm, logw_pair, c = _log_mark_densities(structure, params)
     else:
-        logw_imm = np.zeros(len(structure.events))
-        logw_pair = np.zeros(structure.n_pairs)
+        n = len(structure.events)
+        logw_imm, logw_pair, c = np.zeros(n), np.zeros(structure.n_pairs), np.zeros(n)
     if use_time:
         _add_log_intensities(structure, params, logw_imm, logw_pair)
-    return logw_imm, logw_pair
+    return logw_imm, logw_pair, c
 
 
 def _add_log_intensities(structure: PairStructure, params: ModelParams,
@@ -311,60 +357,57 @@ def _add_log_intensities(structure: PairStructure, params: ModelParams,
 
 
 def _log_mark_densities(structure: PairStructure, params: ModelParams):
-    # (log f(x_k | t_k, s_k), log f(x_i | t_i, s_i, e_j)) in fresh buffers.
+    # (log f(x_k | t_k, s_k) - c_k, log f(x_i | t_i, s_i, e_j) - c_i, c) in
+    # fresh buffers.  Token v of child i is live when (1 - g) theta[s_i, v] > 0
+    # and dead otherwise (a zero in theta, or g = 1): only the parent's bag can
+    # emit a dead token.  c_i sums x log((1 - g) theta) over the live tokens,
+    # so a parent with a non-empty mark leaves, per overlap triple,
+    # x log1p(g xt_jv / ((1 - g) theta)) for a live token and x log(g xt_jv)
+    # for a dead one, and is -inf when the overlap misses a dead token.  A
+    # parent with an empty mark leaves the immigrant density.
     events = structure.events
     n = len(events)
+    key = structure.key_nnz
     theta = params.theta.ravel()
+    g = params.gamma
+    own = (1.0 - g) * theta
     with np.errstate(divide="ignore"):
         log_theta = np.log(theta)
-    log_f_imm = scatter_sum(structure.nnz_row,
-                            events.tok_count * log_theta[structure.key_nnz], n)
-    g = params.gamma
-    if g == 0.0:
-        return log_f_imm, np.repeat(log_f_imm, structure.row_len)
+        log_own = np.log(own)
+    log_f_imm = scatter_sum(structure.nnz_row, events.tok_count * log_theta[key], n)
+    dead = own[key] == 0.0
+    any_dead = bool(dead.any())
+    live = events.tok_count * log_own[key]
+    live[dead] = 0.0
+    c = scatter_sum(structure.nnz_row, live, n)
 
-    own = (1.0 - g) * theta
-    dead = own[structure.key_nnz] == 0.0
-    if g < 1.0 and not dead.any():
-        ratio = (g * structure.tri_xjv) / own[structure.tri_key]
-        log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * np.log1p(ratio),
-                                 structure.n_pairs)
-        log_f_pair += structure.mix_scale * math.log1p(-g)
-        log_f_pair += np.repeat(log_f_imm, structure.row_len)
-        return log_f_imm, log_f_pair
-
-    # Token v of child i is dead when (1 - g) theta[s_i, v] = 0 (a zero in
-    # theta, or g = 1): only the parent's bag can emit it, so log f sums
-    # log((1 - g) theta) over the live tokens and log(g xt_jv) over the dead
-    # ones in the overlap, and is -inf when the overlap misses a dead token.
     tri_own = own[structure.tri_key]
-    tri_dead = tri_own == 0.0
-    with np.errstate(divide="ignore"):
-        term = np.where(tri_dead, np.log(g * structure.tri_xjv),
-                        np.log1p(g * structure.tri_xjv / tri_own))
-        log_own = np.log(own[structure.key_nnz])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.log1p(g * structure.tri_xjv / tri_own)
+        if any_dead:
+            tri_dead = tri_own == 0.0
+            term[tri_dead] = np.log(g * structure.tri_xjv[tri_dead])
     log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
-    log_f_live = scatter_sum(structure.nnz_row,
-                             np.where(dead, 0.0, events.tok_count * log_own), n)
-    log_f_pair += np.repeat(log_f_live, structure.row_len)
-    n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
-    missed = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
-    missed -= np.repeat(n_dead, structure.row_len)
-    log_f_pair[missed != 0] = -np.inf
-    # a parent with an empty mark (no triples, so log_f_pair holds log_f_live)
-    # leaves the immigrant density
-    empty = np.flatnonzero(structure.mix_scale == 0.0)
-    child = np.searchsorted(structure.row_start, empty, side="right") - 1
-    log_f_pair[empty] = log_f_imm[child]
-    return log_f_imm, log_f_pair
+    if any_dead:
+        n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
+        missed = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
+        missed -= np.repeat(n_dead, structure.row_len)
+        log_f_pair[missed != 0] = -np.inf
+    log_f_imm -= c
+    # after the mask: a parent with an empty mark covers no dead token, yet
+    # its pair keeps the immigrant density
+    log_f_pair[structure.empty_pair] = log_f_imm[structure.empty_row]
+    return log_f_imm, log_f_pair, c
 
 
-def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.ndarray):
+def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.ndarray,
+               c: np.ndarray):
     """Per-event log-sum-exp normalization of the posterior weights.
 
-    Returns (eta0, eta_pair, log_z).  eta_pair is logw_pair's buffer,
-    normalized in place.  Raises NumericalError naming the first event whose
-    components are all -inf.
+    Takes _log_weights' relative weights and constant; returns (eta0,
+    eta_pair, log_z).  eta_pair is logw_pair's buffer, normalized in place.
+    Raises NumericalError naming the first event whose components are all
+    -inf.
     """
     m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
     bad = ~np.isfinite(m)
@@ -379,7 +422,7 @@ def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.nda
     np.exp(eta_pair, out=eta_pair)
     z = wi + segment_sum(eta_pair, structure.row_start)
     eta_pair /= np.repeat(z, structure.row_len)
-    return wi / z, eta_pair, m + np.log(z)
+    return wi / z, eta_pair, m + np.log(z) + c
 
 
 def update_eta(events: EventSequence, params: ModelParams,
@@ -389,12 +432,15 @@ def update_eta(events: EventSequence, params: ModelParams,
 
     Normalization is done per event via log-sum-exp; a component at -inf gets
     exactly zero weight.  Raises NumericalError naming the first event whose
-    components are all -inf.
+    components are all -inf.  The structure remembers the returned state for
+    as long as it is alive, so a full root pass at parameters of equal value
+    reuses it.
     """
     if structure is None:
         structure = _structure_for(events, params, window)
-    eta0, eta_pair, log_z = _normalize(structure, *_log_weights(structure, params))
-    return VariationalState(structure, eta0, eta_pair, log_z)
+    state = VariationalState(structure, *_normalize(structure, *_log_weights(structure, params)))
+    structure._remember(state, params)
+    return state
 
 
 def update_rho_alpha(events: EventSequence, state: VariationalState,
@@ -458,8 +504,11 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
         else:
             theta_num = counts.copy()
             gamma_num = 0.0
-        gamma_den = float(state.eta_pair @ st.mix_scale)
-        if gamma_den == 0.0:
+        # sum of eta_ij L_i over the pairs whose parent has a non-empty mark
+        lengths = events.lengths
+        gamma_den = float(lengths @ (1.0 - state.eta0)
+                          - state.eta_pair[st.empty_pair] @ lengths[st.empty_row])
+        if gamma_den <= 0.0:
             gamma_new = gamma_hat
         else:
             gamma_new = min(max(gamma_num / gamma_den, GAMMA_FLOOR), 1.0 - GAMMA_FLOOR)
@@ -501,16 +550,18 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     st = state.structure
     if st.nu != params.nu:
         raise ValidationError("state was built for a different kernel bandwidth")
-    logw_imm, logw_pair = _log_weights(st, params)
+    logw_imm, logw_pair, c = _log_weights(st, params)
     with np.errstate(invalid="ignore"):
         data_imm = np.where(state.eta0 > 0, state.eta0 * logw_imm, 0.0)
         data_pair = np.where(state.eta_pair > 0, state.eta_pair * logw_pair, 0.0)
+    data_c = c * (state.eta0 + segment_sum(state.eta_pair, st.row_start))
     entropy = -(float(np.sum(xlogy(state.eta0, state.eta0), dtype=np.longdouble))
                 + float(np.sum(xlogy(state.eta_pair, state.eta_pair), dtype=np.longdouble)))
     value = math.fsum([
         -_compensator_terms(st, params),
         float(np.sum(data_imm, dtype=np.longdouble)),
         float(np.sum(data_pair, dtype=np.longdouble)),
+        float(np.sum(data_c, dtype=np.longdouble)),
         entropy,
         _prior_terms(params, prior),
     ])

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import segment_max
 from .errors import ValidationError
 from .fitting import VariationalState
 from .model import EventSequence
@@ -104,9 +105,16 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     n = len(eta)
     if n != len(events):
         raise ValidationError("state and events disagree on length")
-    parent = np.zeros(n, dtype=np.int64)
-    for k in range(n):
-        parent[k] = int(np.argmax(eta.eta_vector(k)))  # 0 = immigrant, j -> event j
+    # argmax over (immigrant, parents in time order), ties to the first: the
+    # immigrant when it reaches the row's largest pair posterior, else the
+    # earliest pair that does
+    st = eta.structure
+    best = segment_max(eta.eta_pair, st.row_start)
+    rows = np.flatnonzero(eta.eta0 < best)
+    hits = np.flatnonzero(eta.eta_pair == np.repeat(best, st.row_len))
+    first = hits[np.searchsorted(hits, st.row_start[rows])]
+    parent = np.zeros(n, dtype=np.int64)  # 0 = immigrant, j -> event j
+    parent[rows] = st.pair_j[first] + 1
     branching = BranchingStructure(parent=parent)
     root = np.zeros(n, dtype=np.int64)
     members: dict[int, list[int]] = {}

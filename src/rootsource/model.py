@@ -113,9 +113,10 @@ class EventSequence:
     token indices sorted within each row.
 
     The arrays must not be mutated after construction: the token postings
-    cached here, and the pair layouts that fits and root passes derive from
-    the sequence and reuse while they are alive, would no longer match them.
-    Build a new EventSequence instead.
+    cached here, the pair layouts that fits and root passes derive from the
+    sequence and reuse while they are alive, and the final E-step of a fit
+    that a root pass reuses would no longer match them.  Build a new
+    EventSequence instead.
     """
 
     def __init__(self, times, sources, tok_indptr, tok_index, tok_count, T, S, V,

@@ -13,7 +13,11 @@ sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
 2008).  Each pass takes the PairStructure of the same events and kernel
 settings that is still alive (a fit's, while its report is held) or builds
 one, runs the E-step's weights and normalization, and solves the system by
-forward substitution, row by row.
+forward substitution, row by row.  The weights are those of `_log_weights`:
+relative to a constant per child, which the normalization cancels.  When
+the structure's last E-step is still alive and ran at parameters equal in
+value to the pass's (a fit's final state, while its report is held), the
+full pass reads its posteriors and runs only the forward substitution.
 Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 
@@ -87,8 +91,12 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
                use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
     structure = _structure_for(events, params, window)
-    eta0, eta_pair, _ = _normalize(
-        structure, *_log_weights(structure, params, use_time, use_marks))
+    state = structure._state_at(params) if use_time and use_marks else None
+    if state is None:
+        eta0, eta_pair, _ = _normalize(
+            structure, *_log_weights(structure, params, use_time, use_marks))
+    else:
+        eta0, eta_pair = state.eta0, state.eta_pair
     row_start = structure.row_start.tolist()
     lo = structure.lo.tolist()
     sources = events.sources.tolist()

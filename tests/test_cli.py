@@ -186,8 +186,9 @@ def test_bench_smoke(runner, tmp_path):
                               "--out", str(tmp_path / "bench.json")])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["schema"] == "bench-v1"
+    assert doc["schema"] == "bench-v2"
     assert [r["target"] for r in doc["rows"]] == [60, 120]
+    assert all(r["pairs"] > 0 and r["triples"] >= 0 for r in doc["rows"])
     assert all(r["sweep_seconds"] > 0 for r in doc["rows"])
     assert "R^2" in res.output
 

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from rootsource.fitting import (
     PAIR_BYTES,
     TRIPLE_BYTES,
     PairStructure,
+    _log_weights,
     _physical_memory,
     _structure_for,
     PriorConfig,
@@ -24,7 +26,8 @@ from rootsource.fitting import (
     update_theta_gamma,
 )
 from rootsource.rootprob import enumerate_posteriors
-from util import dense_eta, random_events, random_instance, reference_triples
+from util import (dense_eta, random_events, random_instance, random_params,
+                  reference_e_step, reference_triples)
 
 
 def brute_force_eta(events, params):
@@ -137,6 +140,17 @@ def _count_builds(monkeypatch):
     return built
 
 
+def _count_weights(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:])
+        return _log_weights(*args, **kwargs)
+
+    monkeypatch.setattr("rootsource.rootprob._log_weights", counting)
+    return calls
+
+
 def test_root_pass_reuses_the_live_structure(monkeypatch):
     cfg = rs.make_synthetic_config(T=80.0, seed=4)
     events, _ = rs.simulate(cfg)
@@ -144,14 +158,41 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
     params, live = report.params, report.eta.structure
     assert _structure_for(events, params, 20.0) is live
     built = _count_builds(monkeypatch)
+    weights = _count_weights(monkeypatch)
     passes = (rs.root_probabilities, rs.root_probabilities_temporal,
               rs.root_probabilities_mark)
     got = [f(events, params, window=20.0).r for f in passes]
     assert built == []
+    # the full pass reads the fit's final E-step; the other two recompute
+    assert weights == [(True, False), (False, True)]
     twin = copy.deepcopy(events)
     for f, r in zip(passes, got):
         np.testing.assert_array_equal(f(twin, params, window=20.0).r, r)
     assert len(built) == 3  # the twin has no live structure to reuse
+    assert len(weights) == 5
+
+    # parameters equal in value reuse the E-step too; a changed gamma does not
+    equal = rs.ModelParams(rho=params.rho.copy(), A=params.A.copy(),
+                           theta=params.theta.copy(), gamma=params.gamma, nu=params.nu)
+    del weights[:]
+    np.testing.assert_array_equal(rs.root_probabilities(events, equal, window=20.0).r, got[0])
+    assert weights == []
+    moved = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
+                           gamma=0.5 * params.gamma, nu=params.nu)
+    np.testing.assert_array_equal(rs.root_probabilities(events, moved, window=20.0).r,
+                                  rs.root_probabilities(twin, moved, window=20.0).r)
+    assert len(weights) == 2
+
+    # the structure holds the E-step weakly: once the report is dropped, the
+    # pass recomputes, though the layout itself is still alive
+    del weights[:]
+    state = weakref.ref(report.eta)
+    del report
+    gc.collect()
+    assert state() is None
+    assert _structure_for(events, params, 20.0) is live
+    np.testing.assert_array_equal(rs.root_probabilities(events, params, window=20.0).r, got[0])
+    assert weights == [(True, True)]
 
     # a structure built directly is registered as well
     other = rs.EventSequence(events.times, events.sources, events.tok_indptr,
@@ -195,6 +236,17 @@ def test_dropped_fit_releases_its_structure(monkeypatch):
     built = _count_builds(monkeypatch)
     rs.root_probabilities(events, params, window=20.0)
     assert len(built) == 1
+
+
+def test_fit_report_pickles_and_copies():
+    cfg = rs.make_synthetic_config(T=40.0, seed=9)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=2)
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        np.testing.assert_array_equal(twin.eta.eta_pair, report.eta.eta_pair)
+        # a copied layout remembers no E-step, so it never hands out the original's
+        assert twin.eta.structure._state_at(twin.params) is None
+    assert report.eta.structure._state_at(report.params) is report.eta
 
 
 def test_event_sequence_copies_after_a_fit():
@@ -289,6 +341,56 @@ def test_update_eta_slow_path_degenerate_theta():
         np.testing.assert_allclose(got, want, atol=1e-12)
         compared[kind] += 1
     assert min(compared.values()) >= 8, compared
+
+
+def _covered_cells(events, window, nu):
+    """(s, v) cells where every event of source s holding token v has an
+    earlier in-window event holding v, so a zero theta[s, v] leaves a parent."""
+    indptr, post_ev, _, _ = events.token_postings()
+    ok = np.ones((events.S, events.V), dtype=bool)
+    limit = np.inf if window is None else window * nu
+    for v in range(events.V):
+        P = post_ev[indptr[v]:indptr[v + 1]]
+        missed = np.ones(P.size, dtype=bool)
+        missed[1:] = np.diff(events.times[P]) > limit
+        ok[events.sources[P[missed]], v] = False
+    return ok
+
+
+@pytest.mark.parametrize("n, window", [(1000, None), (1800, 8.0)])
+def test_lean_e_step_matches_the_two_branch_reference(n, window):
+    # the per-child constant folded out and one mark path for live and dead
+    # tokens, against the two-branch mark half it replaced: gamma 0, 0.3 and
+    # 1, with and without reachable zeros in theta, some marks empty
+    rng = np.random.default_rng([41, n])
+    events = random_events(rng, n, 3, 6, T=n / 4.0, max_len=5)
+    params = random_params(rng, 3, 6, nu=1.0)
+    structure = PairStructure(events, params.nu, window=window)
+    # one zero per source row at a token its events use, each one inherited
+    zero = (events.token_counts_by_source() > 0) & _covered_cells(events, window, params.nu)
+    zero &= np.cumsum(zero, axis=1) <= 1
+    zeroed = np.where(zero, 0.0, params.theta)
+    zeroed /= zeroed.sum(axis=1, keepdims=True)
+    assert zero.any() and (events.lengths == 0).any()
+    compared = []
+    for theta in (params.theta, zeroed):
+        for gamma in (0.0, 0.3, 1.0):
+            p = rs.ModelParams(rho=params.rho, A=params.A, theta=theta, gamma=gamma,
+                               nu=params.nu)
+            try:
+                want = reference_e_step(structure, p)
+            except NumericalError as err:
+                with pytest.raises(NumericalError, match=re.escape(str(err))):
+                    update_eta(events, p, structure)
+                continue
+            got = update_eta(events, p, structure)
+            np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.eta_pair, want[1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.log_z, want[2], rtol=1e-12, atol=1e-12)
+            compared.append((theta is zeroed, gamma))
+    # with the zeros, gamma 0 raises (no parent emits a zeroed token) and so
+    # does gamma 1 (every token is dead, and some bag is in no earlier one)
+    assert compared == [(False, 0.0), (False, 0.3), (False, 1.0), (True, 0.3)]
 
 
 def test_update_eta_matches_oracle():

@@ -5,7 +5,7 @@ import pytest
 
 import rootsource as rs
 from rootsource.errors import ValidationError
-from rootsource.fitting import update_eta
+from rootsource.fitting import PairStructure, VariationalState, update_eta
 from rootsource.metrics import (
     evaluate_root_probabilities,
     identification_accuracy,
@@ -87,6 +87,26 @@ def test_mini_conversations_chain_and_singletons():
     mc = mini_conversations(update_eta(events, params), events)
     assert mc.branching.parent.tolist() == [0, 1, 2, 0]
     assert mc.conversations == [[1, 2, 3], [4]]
+
+
+def test_mini_conversations_ties_and_windowed_rows():
+    # argmax ties go to the immigrant, then to the earliest parent; rows 4 and
+    # 5 are windowed, their candidates starting at lo = 1 and lo = 2
+    evs = [rs.Event.make(k + 1, float(k + 1), 0, {}) for k in range(5)]
+    events = rs.EventSequence.from_events(evs, T=6.0, S=1, V=0)
+    structure = PairStructure(events, nu=1.0, window=2.5)
+    assert structure.lo.tolist() == [0, 0, 0, 1, 2]
+    eta0 = np.array([1.0, 0.5, 0.2, 0.2, 0.1])
+    eta_pair = np.array([0.5,        # row 2: immigrant ties parent 1
+                         0.4, 0.4,   # row 3: parents 1 and 2 tie
+                         0.4, 0.4,   # row 4: parents 2 and 3 tie
+                         0.3, 0.6])  # row 5: parent 4 wins
+    state = VariationalState(structure, eta0, eta_pair, np.zeros(5))
+    mc = mini_conversations(state, events)
+    assert mc.branching.parent.tolist() == [0, 0, 1, 2, 4]
+    assert mc.branching.parent.tolist() == [int(np.argmax(state.eta_vector(k)))
+                                            for k in range(5)]
+    assert mc.conversations == [[1, 3], [2, 4, 5]]
 
 
 def test_mini_conversations_all_immigrants():

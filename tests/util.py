@@ -81,3 +81,68 @@ def reference_triples(structure):
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0), np.empty(0))
     return tuple(np.concatenate(p) for p in (parts_pair, parts_key, parts_xiv, parts_xjv))
+
+
+def reference_log_mark_densities(structure, params):
+    """The two-branch mark half of the E-step that the lean one replaced.
+
+    Returns (log f(x_k | t_k, s_k), log f(x_i | t_i, s_i, e_j)) in absolute
+    terms: no per-child constant is folded out.  Parameters without a dead
+    token (gamma < 1, no reachable zero in theta) take the live-only branch,
+    the rest the dead-token branch with its -inf mask.
+    """
+    import math
+
+    from rootsource._numeric import scatter_sum
+
+    events = structure.events
+    n = len(events)
+    lengths = events.lengths
+    mix_scale = np.where(lengths[structure.pair_j] > 0,
+                         np.repeat(lengths, structure.row_len), 0.0)
+    theta = params.theta.ravel()
+    with np.errstate(divide="ignore"):
+        log_theta = np.log(theta)
+    log_f_imm = scatter_sum(structure.nnz_row,
+                            events.tok_count * log_theta[structure.key_nnz], n)
+    g = params.gamma
+    if g == 0.0:
+        return log_f_imm, np.repeat(log_f_imm, structure.row_len)
+
+    own = (1.0 - g) * theta
+    dead = own[structure.key_nnz] == 0.0
+    if g < 1.0 and not dead.any():
+        ratio = (g * structure.tri_xjv) / own[structure.tri_key]
+        log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * np.log1p(ratio),
+                                 structure.n_pairs)
+        log_f_pair += mix_scale * math.log1p(-g)
+        log_f_pair += np.repeat(log_f_imm, structure.row_len)
+        return log_f_imm, log_f_pair
+
+    tri_own = own[structure.tri_key]
+    tri_dead = tri_own == 0.0
+    with np.errstate(divide="ignore"):
+        term = np.where(tri_dead, np.log(g * structure.tri_xjv),
+                        np.log1p(g * structure.tri_xjv / tri_own))
+        log_own = np.log(own[structure.key_nnz])
+    log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
+    log_f_live = scatter_sum(structure.nnz_row,
+                             np.where(dead, 0.0, events.tok_count * log_own), n)
+    log_f_pair += np.repeat(log_f_live, structure.row_len)
+    n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
+    missed = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
+    missed -= np.repeat(n_dead, structure.row_len)
+    log_f_pair[missed != 0] = -np.inf
+    empty = np.flatnonzero(mix_scale == 0.0)
+    child = np.searchsorted(structure.row_start, empty, side="right") - 1
+    log_f_pair[empty] = log_f_imm[child]
+    return log_f_imm, log_f_pair
+
+
+def reference_e_step(structure, params):
+    """(eta0, eta_pair, log_z) from the reference mark half, in absolute terms."""
+    from rootsource.fitting import _add_log_intensities, _normalize
+
+    logw_imm, logw_pair = reference_log_mark_densities(structure, params)
+    _add_log_intensities(structure, params, logw_imm, logw_pair)
+    return _normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
