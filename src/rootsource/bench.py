@@ -1,15 +1,22 @@
 """Runtime-scaling benchmark for the fit sweeps and the root-probability pass.
 
-With a truncation window each E/M sweep touches O(n * w) candidate pairs, so
-wall time per sweep should fit a linear model in n; exact mode is O(n^2) and
-is reported as quadratic rather than held to a linear bar.  The one-time
-PairStructure build is timed separately from the per-sweep cost.
+An E/M sweep costs O(n S + overlap pairs + triples): with a truncation
+window the overlap pairs and triples grow as n * w, so wall time per sweep
+should fit a linear model in n; in exact mode they grow as n^2, and the
+sweep is reported as quadratic rather than held to a linear bar.  The
+one-time PairStructure build is timed separately from the per-sweep cost,
+and each sweep is split into its E-step and its two M-steps.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -32,6 +39,10 @@ class BenchRow:
     rootprob_seconds: float
     pairs: int
     triples: int
+    e_step_seconds: float
+    rho_A_seconds: float
+    theta_gamma_seconds: float
+    peak_rss_mb: float | None  # the process's peak RSS after this row
 
 
 @dataclass
@@ -43,12 +54,16 @@ class BenchReport:
     def table(self) -> list:
         mode = "exact" if self.window is None else f"window={self.window:g}"
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
-               f"{'target':>8} {'events':>8} {'build[s]':>10} "
-               f"{'sweep[s]':>10} {'rootprob[s]':>12} {'pairs':>11} {'triples':>11}"]
+               f"{'target':>8} {'events':>8} {'build[s]':>10} {'sweep[s]':>10} "
+               f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'rootprob[s]':>12} "
+               f"{'pairs':>11} {'triples':>11} {'RSS[MB]':>8}"]
         for r in self.rows:
+            rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
             out.append(f"{r.target:>8} {r.n:>8} {r.build_seconds:>10.3f} "
-                       f"{r.sweep_seconds:>10.3f} {r.rootprob_seconds:>12.3f} "
-                       f"{r.pairs:>11} {r.triples:>11}")
+                       f"{r.sweep_seconds:>10.3f} {r.e_step_seconds:>8.3f} "
+                       f"{r.rho_A_seconds:>8.3f} {r.theta_gamma_seconds:>8.3f} "
+                       f"{r.rootprob_seconds:>12.3f} {r.pairs:>11} {r.triples:>11} "
+                       f"{rss:>8}")
         if not self.rows:
             out.append("(no scales requested)")
         return out
@@ -80,13 +95,17 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
               seed: int = 0, rate: float = 2.5) -> BenchReport:
     """Simulate at each target size; time structure build, E/M sweeps, root pass.
 
-    The root pass is the E-step posteriors + forward substitution.  Like a
-    root pass after `fit`, it reuses the live PairStructure of the sweeps, so
-    rootprob_seconds excludes the build, which build_seconds times.  It runs
-    at the parameters of the last M-step, which no E-step has seen, so it
-    computes its posteriors: the path of a root pass that cannot reuse a
-    fit's final E-step.  Each row also counts the candidate pairs and the
-    token-overlap triples of the layout.  Scales
+    e_step_seconds, rho_A_seconds and theta_gamma_seconds are the shortest
+    times of the sweep's phases over the sweeps, and sweep_seconds is their
+    sum.  The root pass is the E-step
+    posteriors + forward substitution.  Like a root pass after `fit`, it
+    reuses the live PairStructure of the sweeps, so rootprob_seconds excludes
+    the build, which build_seconds times.  It runs at the parameters of the
+    last M-step, which no E-step has seen, so it computes its posteriors and
+    builds them per pair: the path of a root pass that cannot reuse a fit's
+    final E-step.  Each row also counts the candidate pairs and the
+    token-overlap triples of the layout, and records the process's peak RSS
+    (ru_maxrss, which never decreases) after the row.  Scales
     are target event counts; the synthetic setup has stationary rate
     2.5 events per time unit, so T = n / rate.  Sweep timing excludes the
     one-time candidate-structure build, matching how a long fit amortizes it.
@@ -106,23 +125,33 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         structure = PairStructure(events, params.nu, window=window)
         build = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        for _ in range(sweeps):
+        phases = np.zeros((sweeps, 3))
+        for k in range(sweeps):
+            t0 = time.perf_counter()
             state = update_eta(events, params, structure)
+            t1 = time.perf_counter()
             rho, A = update_rho_alpha(events, state, prior)
+            t2 = time.perf_counter()
             theta, gamma = update_theta_gamma(events, state,
                                               (params.theta, params.gamma))
+            phases[k] = (t1 - t0, t2 - t1, time.perf_counter() - t2)
             params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma,
                                  nu=params.nu)
-        sweep = (time.perf_counter() - t0) / sweeps
+        # the fastest sweep: other work on the host only ever adds time
+        e_step, rho_a, theta_gamma = phases.min(axis=0).tolist()
 
         t0 = time.perf_counter()
         root_probabilities(events, params, window=window)
         rootprob = time.perf_counter() - t0
 
+        rss = (None if resource is None
+               else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         report.rows.append(BenchRow(target=target, n=len(events),
-                                    build_seconds=build, sweep_seconds=sweep,
+                                    build_seconds=build,
+                                    sweep_seconds=e_step + rho_a + theta_gamma,
                                     rootprob_seconds=rootprob,
                                     pairs=structure.n_pairs,
-                                    triples=structure.tri_pair.size))
+                                    triples=structure.tri_pair.size,
+                                    e_step_seconds=e_step, rho_A_seconds=rho_a,
+                                    theta_gamma_seconds=theta_gamma, peak_rss_mb=rss))
     return report

@@ -171,6 +171,10 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
     click.echo(f"[fit] {report.iterations} iterations, "
                f"converged={report.converged}, "
                f"elbo={report.elbo_trace[-1]:.6f}", err=True)
+    if report.window_dropped_max is not None:
+        click.echo(f"[fit] the window dropped at most {report.window_dropped_max:.3g} "
+                   f"(mean {report.window_dropped_mean:.3g}) of an event's "
+                   f"excitation intensity", err=True)
     dataio.write_params(report.params, _out(params_out))
     if eta_out:
         dataio.write_eta(report.eta, eta_out)
@@ -272,10 +276,13 @@ def evaluate(ctx, config, rootprob_in, truth_in, est_params, true_params, ks, ou
 def bench(ctx, config, scales, window, exact, sweeps, seed, out):
     """Time fit sweeps and the root-probability pass across problem sizes.
 
-    The structure build has its own column; the root pass reuses the sweeps'
-    pair layout, as a root pass after a fit does, so its time excludes the build.
-    It runs at the last M-step's parameters, so it computes its E-step.  Each
-    row also counts the candidate pairs and token-overlap triples.
+    The structure build has its own column, and each sweep is split into the
+    E-step, the (rho, A) and the (theta, gamma) M-steps, each timed as its
+    fastest over the sweeps.  The root pass reuses
+    the sweeps' pair layout, as a root pass after a fit does, so its time
+    excludes the build.  It runs at the last M-step's parameters, so it
+    computes its E-step.  Each row also counts the candidate pairs and
+    token-overlap triples and gives the process's peak RSS so far.
     """
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
@@ -293,12 +300,10 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
             click.echo(f"sweep time vs n: slope={a:.3e}s/event, R^2={r2:.4f}")
     if out:
         import json
-        rows = [{"target": r.target, "n": r.n, "build_seconds": r.build_seconds,
-                 "sweep_seconds": r.sweep_seconds,
-                 "rootprob_seconds": r.rootprob_seconds, "pairs": r.pairs,
-                 "triples": r.triples} for r in report.rows]
+        from dataclasses import asdict
+        rows = [asdict(r) for r in report.rows]
         with open(out, "w") as fp:
-            json.dump({"schema": "bench-v2", "exact": exact,
+            json.dump({"schema": "bench-v3", "exact": exact,
                        "sweeps": sweeps, "rows": rows}, fp, indent=2)
             fp.write("\n")
 

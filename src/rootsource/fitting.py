@@ -26,7 +26,15 @@ root pass at the fit's final parameters reads the fit's posteriors.
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
 posteriors do not depend on it, and the normalizers and the objective add it
-back.
+back.  Relative to c_i, a parent with a non-empty mark that shares no token
+with child i has weight A[s_i, s_j] kappa(t_i - t_j), and one with an empty
+mark that weight times f_imm e^{-c_i}.  So a sweep never visits the pairs:
+the exponential kernel lets per-source sums of kappa over the earlier events
+(Ozaki 1979), one for parents with a non-empty mark and one for parents with
+an empty one, give every child's total over such parents, and only the
+pairs that share a token (the overlap pairs) add a correction.  An E-step
+and both M-steps cost O(n S + overlap pairs + triples); the per-pair
+posteriors are built only on demand (`VariationalState.eta_pair`).
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -111,16 +120,27 @@ class PriorConfig:
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
-# Peak bytes per candidate pair and per token-overlap triple of a three-sweep
-# fit (structure, E-steps with the previous state alive, M-steps).  Under
-# tracemalloc every one of 18 runs peaked below 56 B per pair plus 57 B per
-# triple: the synthetic defaults (0.22 triples per pair) exact at n = 1 562
-# and window 20 at n = 8 015, and random marks over V = 2 to 64 tokens (0.12
-# to 2.8 triples per pair), gamma 0.3 and 1.  With 8-byte pair cells and no
-# per-pair mark scale, 18 such runs (n = 1 592 exact, 0.06 to 1.46 triples
-# per pair) peaked at 82% to 94% of this estimate.
+# Peak bytes per candidate pair, per token-overlap triple and per entry of
+# the (n + S) x S arrays of a three-sweep fit (structure, E-steps with the
+# previous state alive, M-steps, the per-pair posteriors of the returned
+# state).  The overlap pairs are at most the triples and fit in
+# TRIPLE_BYTES.  Under tracemalloc 18 runs peaked at 72% to 98% of the
+# estimate: the synthetic defaults exact at n = 1 361 and window 20 at
+# n = 8 015, and their marks redrawn over V = 2 to 128 tokens (0.21 to 9.9
+# triples per pair), initial gamma 0.3 and 1.  The (n + S) x S arrays are
+# the per-source kernel states (n x 2S, and n x S dropped sums when
+# windowed), the E-step's per-child weights and the S x S parameters:
+# windowed fits at n = 1 300 with S = 300 and 1 000 peaked at 49 B per entry
+# beyond their pair and triple terms.
 PAIR_BYTES = 56
 TRIPLE_BYTES = 58
+STATE_BYTES = 64
+# Pairs per block of the per-pair gathers, which then need no pair-length
+# temporary.
+PAIR_BLOCK = 1 << 20
+# Kernel lengths spanned by one block of the kernel states' prefix sums:
+# exp(64) is far from overflow, and the time offsets stay small.
+KERNEL_BLOCK = 64.0
 
 
 def _physical_memory() -> int | None:
@@ -130,8 +150,10 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n_pairs: int, n_triples: int, window: float | None) -> None:
-    need, have = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES, _physical_memory()
+def _check_memory(n_pairs: int, n_triples: int, n_states: int,
+                  window: float | None) -> None:
+    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_states * STATE_BYTES
+    have = _physical_memory()
     if have is not None and need > have:
         hint = "a smaller" if window is not None else "a"
         raise ValidationError(
@@ -157,6 +179,72 @@ def _first_partners(events: EventSequence, lo: np.ndarray):
     return tok, first
 
 
+def _own_states(t: np.ndarray, nu: float) -> np.ndarray:
+    """E[k] = sum over m <= k of exp(-(t[k] - t[m]) / nu) for increasing t; E >= 1.
+
+    Prefix sums of exp((t_m - t_b) / nu), in blocks that span less than
+    KERNEL_BLOCK kernel lengths from their first time t_b: a single block
+    would overflow to inf once (t - t[0]) / nu passes about 709.  The carry
+    into the next block decays by exp(-(t_b' - t_b) / nu).
+    """
+    block = np.floor((t - t[0]) / (KERNEL_BLOCK * nu))
+    starts = np.flatnonzero(np.diff(block, prepend=-1.0)).tolist()
+    out = np.empty_like(t)
+    carry, prev = 0.0, float(t[0])
+    for a, b in zip(starts, starts[1:] + [t.size]):
+        lag = (t[a:b] - t[a]) / nu
+        carry *= math.exp(-(t[a] - prev) / nu)
+        acc = np.cumsum(np.exp(lag))
+        acc += carry
+        out[a:b] = acc * np.exp(-lag)
+        carry, prev = float(acc[-1]), float(t[a])
+    return out
+
+
+def _kernel_states(events: EventSequence, nu: float, lo: np.ndarray, windowed: bool):
+    """Per-event log sums of kappa over the earlier events of each parent class.
+
+    Class c < S holds the events of source c with a non-empty mark, class
+    S + c those with an empty one.  Returns (log_in, log_out): log_in[i, c]
+    = log sum over class-c events j in [lo_i, i) of kappa(t_i - t_j), and
+    log_out[i, s] the same over the events j < lo_i of source s, of both
+    classes (None unless windowed).  A sum over the class events up to the
+    latest one, m, is exp(-(t_i - t_m) / nu) E_m with E_m >= 1 from
+    `_own_states`, so no state underflows however far back its events lie,
+    and the in-window sum, E_m less the decayed state before the window,
+    keeps E_m's last term.
+    """
+    times, S, n = events.times, events.S, len(events)
+    cls = events.sources + S * (events.lengths == 0)
+    order = np.argsort(cls, kind="stable")
+    bounds = np.searchsorted(cls[order], np.arange(2 * S + 1))
+    log_in = np.full((n, 2 * S), -np.inf)
+    log_out = np.full((n, S), -np.inf) if windowed else None
+    rows = np.arange(n)
+    log_nu = math.log(nu)
+    for c in range(2 * S):
+        q = order[bounds[c]:bounds[c + 1]]
+        if not q.size:
+            continue
+        tq = times[q]
+        own = _own_states(tq, nu)
+        last = np.searchsorted(q, rows) - 1      # latest class event before i
+        before = np.searchsorted(q, lo) - 1      # latest one before the window
+        hit = np.flatnonzero(last > before)
+        m, b = last[hit], before[hit]
+        inner = own[m]
+        early = b >= 0
+        inner[early] -= np.exp(-(tq[m[early]] - tq[b[early]]) / nu) * own[b[early]]
+        log_in[hit, c] = np.log(inner) - (times[hit] - tq[m]) / nu - log_nu
+        if windowed:
+            out = np.flatnonzero(before >= 0)
+            b = before[out]
+            col = log_out[out, c % S]
+            log_out[out, c % S] = np.logaddexp(
+                col, np.log(own[b]) - (times[out] - tq[b]) / nu - log_nu)
+    return log_in, log_out
+
+
 class PairStructure:
     """Fixed candidate-parent layout for one event sequence and kernel setting.
 
@@ -164,14 +252,22 @@ class PairStructure:
     given) are stored flat, grouped by child i; row_start[i]:row_start[i+1]
     is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
-    updates.  Everything here depends only on events, nu and window, so one
-    instance is shared across sweeps, and later E-steps and root passes on
-    the same events object with the same settings reuse it for as long as it
-    is alive (see `_structure_for`).  It also remembers, weakly, the last
-    E-step run on it (see `_state_at`).
-    The pairs and triples are counted first; a layout that would not fit in
-    physical memory raises ValidationError before anything pair-sized is
-    allocated.
+    updates; the distinct (i, j) among them are the overlap pairs (ov_*, in
+    pair order, with tri_ov the overlap pair of each triple).  log_dense
+    holds, per event and source, the log sums of kappa over its candidate
+    parents with a non-empty mark (first S columns) and with an empty one
+    (last S), and log_dropped, windowed, those over the parents beyond the
+    window.  The E-step and the M-steps read only these, the triples and the
+    overlap pairs; the pair arrays serve the per-pair posteriors, the
+    objective and the temporal- and mark-only passes.
+
+    Everything here depends only on events, nu and window, so one instance
+    is shared across sweeps, and later E-steps and root passes on the same
+    events object with the same settings reuse it for as long as it is alive
+    (see `_structure_for`).  It also remembers, weakly, the last E-step run
+    on it (see `_state_at`).  The pairs and triples are counted first; a
+    layout that would not fit in physical memory, with its kernel states,
+    raises ValidationError before anything pair-sized is allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -194,7 +290,8 @@ class PairStructure:
             lo = np.searchsorted(times, times - window * nu, side="left")
         cand = np.arange(n) - lo
         tok, first = _first_partners(events, lo)
-        _check_memory(int(cand.sum()), int((np.arange(first.size) - first).sum()), window)
+        _check_memory(int(cand.sum()), int((np.arange(first.size) - first).sum()),
+                      (n + S) * S, window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -216,6 +313,14 @@ class PairStructure:
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
         self._build_triples(tok, first)
+        self._build_overlaps()
+        self.log_dense, self.log_dropped = _kernel_states(events, self.nu, lo,
+                                                          window is not None)
+        from scipy import sparse  # loaded by token_postings already
+
+        # sums over each source's events, as a sparse S x n matrix
+        self.by_source = sparse.csr_matrix((np.ones(n), (sources, np.arange(n))),
+                                           shape=(S, n))
         self._last = None
         with _LIVE_LOCK:
             _LIVE.add(self)
@@ -268,24 +373,88 @@ class PairStructure:
         self.tri_xiv = post_cnt[child_sel]
         self.tri_xjv = post_norm[j_sel]
 
+    def _build_overlaps(self):
+        # the distinct pairs among the triples (overlap pairs), in pair order,
+        # so grouped by child: ov_row_start[i]:ov_row_start[i+1] is child i's
+        shared = np.zeros(self.n_pairs, dtype=bool)
+        shared[self.tri_pair] = True
+        self.ov_pair = np.flatnonzero(shared)
+        del shared
+        # a pair-length map to overlap positions: a gather, where a search of
+        # ov_pair per triple costs several times as much
+        at = np.empty(self.n_pairs, dtype=np.int32 if self.ov_pair.size < 2**31 else np.intp)
+        at[self.ov_pair] = np.arange(self.ov_pair.size)
+        self.tri_ov = at[self.tri_pair].astype(np.intp)
+        del at
+        self.ov_row_start = np.searchsorted(self.ov_pair, self.row_start)
+        self.ov_row_len = np.diff(self.ov_row_start)
+        self.ov_cell = self.pair_cell[self.ov_pair]
+        self.ov_log_kernel = self.log_kernel[self.ov_pair]
 
-@dataclass
+
 class VariationalState:
-    """Mean-field parent posteriors, stored sparse over the pair layout.
+    """Mean-field parent posteriors over the pair layout of a PairStructure.
 
     eta0[k] is event k's immigrant probability; eta_pair aligns with the
     structure's pair arrays; log_z holds the per-event log-normalizers of
-    the E-step that produced the state.
+    the E-step that produced the state.  The M-steps read only eta_overlap
+    (eta on the overlap pairs), eta_cells (the S x S sums of eta over the
+    pairs of each child source and parent source) and eta_empty (each
+    child's eta mass on parents with an empty mark).  A state built from
+    dense posteriors derives them from eta_pair; an `update_eta` state
+    carries them and computes eta_pair on first access.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
     recomputing them (see `PairStructure._state_at`).
     """
 
-    structure: PairStructure
-    eta0: np.ndarray
-    eta_pair: np.ndarray
-    log_z: np.ndarray
+    def __init__(self, structure: PairStructure, eta0: np.ndarray,
+                 eta_pair: np.ndarray | None, log_z: np.ndarray):
+        self.structure = structure
+        self.eta0 = eta0
+        self.log_z = log_z
+        # (log A flattened, per-child log factor on the pairs whose parent has
+        # a non-empty mark and on those whose parent has an empty one), set
+        # by the E-step for a state whose eta_pair is built on demand
+        self._factors = None
+        if eta_pair is not None:
+            self.eta_pair = eta_pair
+
+    @cached_property
+    def eta_pair(self) -> np.ndarray:
+        """eta on every pair: A[cell] kappa times the child's factor, then the
+        overlap pairs overwritten with their own posteriors."""
+        st = self.structure
+        log_a, live, empty = self._factors
+        eta = np.empty(st.n_pairs)
+        # in blocks of rows, so that the per-child factor's expansion stays small
+        rows = np.searchsorted(st.row_start, np.arange(0, st.n_pairs, PAIR_BLOCK), "right") - 1
+        for a, b in zip(rows.tolist(), rows[1:].tolist() + [len(live)]):
+            part = eta[st.row_start[a]:st.row_start[b]]
+            np.take(log_a, st.pair_cell[st.row_start[a]:st.row_start[b]], out=part)
+            part += st.log_kernel[st.row_start[a]:st.row_start[b]]
+            part += np.repeat(live[a:b], st.row_len[a:b])
+            np.exp(part, out=part)
+        p = st.empty_pair
+        eta[p] = np.exp(log_a[st.pair_cell[p]] + st.log_kernel[p] + empty[st.empty_row])
+        eta[st.ov_pair] = self.eta_overlap
+        return eta
+
+    @cached_property
+    def eta_overlap(self) -> np.ndarray:
+        return self.eta_pair[self.structure.ov_pair]
+
+    @cached_property
+    def eta_cells(self) -> np.ndarray:
+        S = self.structure.events.S
+        return np.bincount(self.structure.pair_cell, weights=self.eta_pair,
+                           minlength=S * S).reshape(S, S)
+
+    @cached_property
+    def eta_empty(self) -> np.ndarray:
+        st = self.structure
+        return scatter_sum(st.empty_row, self.eta_pair[st.empty_pair], len(self))
 
     def __len__(self) -> int:
         return self.eta0.size
@@ -309,6 +478,11 @@ class FitReport:
     converged: bool
     numerator_clamps: int = 0
     window: float | None = None
+    # windowed fits: the largest and the mean share of an event's excitation
+    # intensity sum_j A[s_i, s_j] kappa(t_i - t_j) that the window left out,
+    # at the returned parameters (None in exact mode)
+    window_dropped_max: float | None = None
+    window_dropped_mean: float | None = None
 
 
 def _structure_for(events, params, window):
@@ -333,7 +507,9 @@ def _log_weights(structure: PairStructure, params: ModelParams,
     child shares, leaves the posteriors unchanged and is added back only to
     the normalizers and the objective.  use_time=False leaves out the
     intensity factors rho and lambda_j, use_marks=False the mark densities f
-    (and c is then 0).  -inf entries are legal.
+    (and c is then 0).  -inf entries are legal.  One value per pair: for
+    `elbo` at arbitrary parameters and the temporal- and mark-only root
+    passes; the E-step never builds it.
     """
     if use_marks:
         logw_imm, logw_pair, c = _log_mark_densities(structure, params)
@@ -352,19 +528,25 @@ def _add_log_intensities(structure: PairStructure, params: ModelParams,
         log_rho = np.log(params.rho)
         log_A = np.log(params.A).ravel()
     logw_imm += log_rho[structure.events.sources]
-    logw_pair += log_A[structure.pair_cell]
+    for a in range(0, structure.n_pairs, PAIR_BLOCK):  # no pair-length gather
+        logw_pair[a:a + PAIR_BLOCK] += log_A[structure.pair_cell[a:a + PAIR_BLOCK]]
     logw_pair += structure.log_kernel
 
 
-def _log_mark_densities(structure: PairStructure, params: ModelParams):
-    # (log f(x_k | t_k, s_k) - c_k, log f(x_i | t_i, s_i, e_j) - c_i, c) in
-    # fresh buffers.  Token v of child i is live when (1 - g) theta[s_i, v] > 0
-    # and dead otherwise (a zero in theta, or g = 1): only the parent's bag can
-    # emit a dead token.  c_i sums x log((1 - g) theta) over the live tokens,
-    # so a parent with a non-empty mark leaves, per overlap triple,
-    # x log1p(g xt_jv / ((1 - g) theta)) for a live token and x log(g xt_jv)
-    # for a dead one, and is -inf when the overlap misses a dead token.  A
-    # parent with an empty mark leaves the immigrant density.
+def _mark_terms(structure: PairStructure, params: ModelParams):
+    """The mark half of the posterior weights, per child and per triple.
+
+    Returns (log_f_imm, c, tri_term, tri_dead, n_dead).  Token v of child i
+    is live when (1 - g) theta[s_i, v] > 0 and dead otherwise (a zero in
+    theta, or g = 1): only the parent's bag can emit a dead token.  c_i sums
+    x log((1 - g) theta) over child i's live tokens and log_f_imm is
+    log f(x_i | t_i, s_i) - c_i.  Relative to c_i, a parent with a non-empty
+    mark has the log density sum over its triples of tri_term: x log1p(g
+    xt_jv / ((1 - g) theta)) for a live token and x log(g xt_jv) for a dead
+    one, or -inf when the triples miss one of child i's n_dead dead tokens.
+    A parent with an empty mark has log_f_imm.  tri_dead flags the dead
+    triples; tri_dead and n_dead are None when no token is dead.
+    """
     events = structure.events
     n = len(events)
     key = structure.key_nnz
@@ -376,24 +558,45 @@ def _log_mark_densities(structure: PairStructure, params: ModelParams):
         log_own = np.log(own)
     log_f_imm = scatter_sum(structure.nnz_row, events.tok_count * log_theta[key], n)
     dead = own[key] == 0.0
-    any_dead = bool(dead.any())
     live = events.tok_count * log_own[key]
     live[dead] = 0.0
     c = scatter_sum(structure.nnz_row, live, n)
+    log_f_imm -= c
 
     tri_own = own[structure.tri_key]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.log1p(g * structure.tri_xjv / tri_own)
-        if any_dead:
-            tri_dead = tri_own == 0.0
-            term[tri_dead] = np.log(g * structure.tri_xjv[tri_dead])
-    log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
-    if any_dead:
+    tri_dead = n_dead = None
+    if dead.any():
+        tri_dead = tri_own == 0.0
         n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
-        missed = np.bincount(structure.tri_pair[tri_dead], minlength=structure.n_pairs)
-        missed -= np.repeat(n_dead, structure.row_len)
-        log_f_pair[missed != 0] = -np.inf
-    log_f_imm -= c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = g * structure.tri_xjv
+        term /= tri_own
+        del tri_own
+        np.log1p(term, out=term)
+        if tri_dead is not None:
+            at_dead = structure.tri_xjv[tri_dead]
+            at_dead *= g
+            term[tri_dead] = np.log(at_dead, out=at_dead)
+            del at_dead
+    term *= structure.tri_xiv
+    return log_f_imm, c, term, tri_dead, n_dead
+
+
+def _missed_dead(tri_index, tri_dead, n_dead, row_len, size):
+    # the pairs (or overlap pairs) whose triples miss one of the child's dead tokens
+    missed = np.bincount(tri_index[tri_dead], minlength=size)
+    missed -= np.repeat(n_dead, row_len)
+    return missed != 0
+
+
+def _log_mark_densities(structure: PairStructure, params: ModelParams):
+    # (log f(x_k | t_k, s_k) - c_k, log f(x_i | t_i, s_i, e_j) - c_i, c) in
+    # fresh buffers, the triple terms scattered onto every pair
+    log_f_imm, c, term, tri_dead, n_dead = _mark_terms(structure, params)
+    log_f_pair = scatter_sum(structure.tri_pair, term, structure.n_pairs)
+    if n_dead is not None:
+        log_f_pair[_missed_dead(structure.tri_pair, tri_dead, n_dead, structure.row_len,
+                                structure.n_pairs)] = -np.inf
     # after the mask: a parent with an empty mark covers no dead token, yet
     # its pair keeps the immigrant density
     log_f_pair[structure.empty_pair] = log_f_imm[structure.empty_row]
@@ -410,12 +613,7 @@ def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.nda
     -inf.
     """
     m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
-    bad = ~np.isfinite(m)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericalError(
-            f"all parent hypotheses for event {k + 1} have zero probability "
-            f"(degenerate theta or zero intensities)")
+    _raise_if_dead(m)
     wi = np.exp(logw_imm - m)
     eta_pair = logw_pair
     eta_pair -= np.repeat(m, structure.row_len)
@@ -425,20 +623,99 @@ def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.nda
     return wi / z, eta_pair, m + np.log(z) + c
 
 
+def _raise_if_dead(m: np.ndarray) -> None:
+    bad = ~np.isfinite(m)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(
+            f"all parent hypotheses for event {k + 1} have zero probability "
+            f"(degenerate theta or zero intensities)")
+
+
+def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
+    """The E-step from the kernel states and the overlap pairs; see `update_eta`.
+
+    Relative to c_i, child i's weights are: the immigrant rho f_imm; per
+    parent source s', A[s_i, s'] times the kernel state over its parents with
+    a non-empty mark (dropped when child i has a dead token) and A[s_i, s']
+    f_imm times the state over those with an empty mark; and, per overlap
+    pair, its excess w_ij (1 - e^{-sigma_ij}) over the state's share (all of
+    w_ij for a child with a dead token), where sigma_ij is the pair's log
+    mark density.  No term is negative, so the normalizer sums without
+    cancellation, with a per-child maximum taken out.
+    """
+    events = structure.events
+    n, S = len(events), events.S
+    sources = events.sources
+    log_f_imm, c, term, tri_dead, n_dead = _mark_terms(structure, params)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(params.rho)
+        log_a = np.log(params.A)
+    ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
+    n_ov = structure.ov_pair.size
+    sigma = scatter_sum(structure.tri_ov, term, n_ov)
+    del term
+    if n_dead is not None:
+        sigma[_missed_dead(structure.tri_ov, tri_dead, n_dead, ov_len, n_ov)] = -np.inf
+        del tri_dead
+    logw = structure.log_dense.reshape(n, 2, S) + log_a[sources][:, None, :]
+    logw = logw.reshape(n, 2 * S)
+    logw[:, S:] += log_f_imm[:, None]
+    excess = -np.expm1(-sigma)
+    if n_dead is not None:
+        dead = n_dead != 0
+        logw[dead, :S] = -np.inf
+        excess[np.repeat(dead, ov_len)] = 1.0
+    logw_ov = log_a.ravel()[structure.ov_cell]
+    logw_ov += structure.ov_log_kernel
+    logw_ov += sigma
+    logw_imm = log_rho[sources] + log_f_imm
+
+    m = np.maximum(np.maximum(logw_imm, logw.max(axis=1)),
+                   segment_max(logw_ov, ov_start))
+    _raise_if_dead(m)
+    wi = np.exp(logw_imm - m)
+    logw -= m[:, None]
+    wd = np.exp(logw, out=logw)
+    logw_ov -= np.repeat(m, ov_len)
+    w_ov = np.exp(logw_ov, out=logw_ov)
+    excess *= w_ov
+    z = wi + wd.sum(axis=1) + segment_sum(excess, ov_start)
+    z_ov = np.repeat(z, ov_len)
+    w_ov /= z_ov
+    excess /= z_ov
+    wd /= z[:, None]
+    log_zr = m + np.log(z)
+
+    state = VariationalState(structure, wi / z, None, log_zr + c)
+    state.eta_overlap = w_ov
+    cells = structure.by_source @ (wd[:, :S] + wd[:, S:])
+    cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S).reshape(S, S)
+    state.eta_cells = cells
+    state.eta_empty = wd[:, S:].sum(axis=1)
+    live = -log_zr
+    if n_dead is not None:
+        live[dead] = -np.inf
+    state._factors = (log_a.ravel(), live, log_f_imm - log_zr)
+    return state
+
+
 def update_eta(events: EventSequence, params: ModelParams,
                structure: PairStructure | None = None,
                window: float | None = None) -> VariationalState:
     """E-step: eta_i0 oc rho[s_i] f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
 
-    Normalization is done per event via log-sum-exp; a component at -inf gets
-    exactly zero weight.  Raises NumericalError naming the first event whose
-    components are all -inf.  The structure remembers the returned state for
-    as long as it is alive, so a full root pass at parameters of equal value
-    reuses it.
+    Runs in O(n S + overlap pairs + triples) from the structure's kernel
+    states and overlap pairs; the returned state's eta_pair is computed on
+    first access.  Normalization is done per event with the largest log
+    weight taken out; a component at -inf gets exactly zero weight.  Raises
+    NumericalError naming the first event whose components are all -inf.
+    The structure remembers the returned state for as long as it is alive,
+    so a full root pass at parameters of equal value reuses it.
     """
     if structure is None:
         structure = _structure_for(events, params, window)
-    state = VariationalState(structure, *_normalize(structure, *_log_weights(structure, params)))
+    state = _e_step(structure, params)
     structure._remember(state, params)
     return state
 
@@ -453,12 +730,10 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     Negative numerators (possible when a < 1) are clamped to a small floor and
     counted in diag["clamped"].
     """
-    st = state.structure
     S = events.S
     rho_num = prior.a_rho - 1.0 + np.bincount(events.sources, weights=state.eta0,
                                               minlength=S)
-    a_num = np.bincount(st.pair_cell, weights=state.eta_pair,
-                        minlength=S * S).reshape(S, S) + (prior.a_alpha - 1.0)[:, None]
+    a_num = state.eta_cells + (prior.a_alpha - 1.0)[:, None]
     clamped = int((rho_num < 0).sum() + (a_num < 0).sum())
     if diag is not None:
         diag["clamped"] = diag.get("clamped", 0) + clamped
@@ -466,7 +741,8 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     a_num = np.where(a_num < 0, NUMERATOR_FLOOR, a_num)
 
     rho = rho_num / (prior.b_rho + events.T)
-    a_den = prior.b_alpha + np.bincount(events.sources, weights=st.kint, minlength=S)
+    a_den = prior.b_alpha + np.bincount(events.sources, weights=state.structure.kint,
+                                        minlength=S)
     with np.errstate(invalid="ignore", divide="ignore"):
         A = np.where(a_den[None, :] > 0, a_num / a_den[None, :], 0.0)
     return rho, A
@@ -495,19 +771,27 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
     else:
         g = gamma_hat
         if st.tri_pair.size:
-            mix = (1.0 - g) * theta_hat.ravel()[st.tri_key] + g * st.tri_xjv
-            xi = g * st.tri_xjv / mix
-            w = state.eta_pair[st.tri_pair] * st.tri_xiv
-            sub = np.bincount(st.tri_key, weights=w * xi, minlength=S * V).reshape(S, V)
+            # xi, then the weights eta_ij x_iv xi, in place: at most three
+            # triple-length buffers at a time
+            gx = g * st.tri_xjv
+            xi = theta_hat.ravel()[st.tri_key]
+            xi *= 1.0 - g
+            xi += gx
+            np.divide(gx, xi, out=xi)
+            del gx
+            w = state.eta_overlap[st.tri_ov]
+            w *= st.tri_xiv
+            w *= xi
+            del xi
+            sub = np.bincount(st.tri_key, weights=w, minlength=S * V).reshape(S, V)
             theta_num = counts - sub
-            gamma_num = float(np.sum(w * xi, dtype=np.longdouble))
+            gamma_num = float(np.sum(w, dtype=np.longdouble))
         else:
             theta_num = counts.copy()
             gamma_num = 0.0
         # sum of eta_ij L_i over the pairs whose parent has a non-empty mark
         lengths = events.lengths
-        gamma_den = float(lengths @ (1.0 - state.eta0)
-                          - state.eta_pair[st.empty_pair] @ lengths[st.empty_row])
+        gamma_den = float(lengths @ (1.0 - state.eta0) - state.eta_empty @ lengths)
         if gamma_den <= 0.0:
             gamma_new = gamma_hat
         else:
@@ -551,16 +835,21 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     if st.nu != params.nu:
         raise ValidationError("state was built for a different kernel bandwidth")
     logw_imm, logw_pair, c = _log_weights(st, params)
+    eta = state.eta_pair
     with np.errstate(invalid="ignore"):
         data_imm = np.where(state.eta0 > 0, state.eta0 * logw_imm, 0.0)
-        data_pair = np.where(state.eta_pair > 0, state.eta_pair * logw_pair, 0.0)
-    data_c = c * (state.eta0 + segment_sum(state.eta_pair, st.row_start))
+        # eta log w in place, 0 where eta = 0 (w may be 0 there)
+        logw_pair *= eta
+        logw_pair[eta == 0.0] = 0.0
+    data_pair = float(np.sum(logw_pair, dtype=np.longdouble))
+    del logw_pair
+    data_c = c * (state.eta0 + segment_sum(eta, st.row_start))
     entropy = -(float(np.sum(xlogy(state.eta0, state.eta0), dtype=np.longdouble))
-                + float(np.sum(xlogy(state.eta_pair, state.eta_pair), dtype=np.longdouble)))
+                + float(np.sum(xlogy(eta, eta), dtype=np.longdouble)))
     value = math.fsum([
         -_compensator_terms(st, params),
         float(np.sum(data_imm, dtype=np.longdouble)),
-        float(np.sum(data_pair, dtype=np.longdouble)),
+        data_pair,
         float(np.sum(data_c, dtype=np.longdouble)),
         entropy,
         _prior_terms(params, prior),
@@ -568,6 +857,28 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     if math.isnan(value):
         raise NumericalError("ELBO evaluated to NaN")
     return value
+
+
+def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | None:
+    """Per event, the share of sum_j A[s_i, s_j] kappa(t_i - t_j) over all
+    j < i that lies outside the window (0 without earlier excitation); None
+    in exact mode."""
+    if structure.log_dropped is None:
+        return None
+    S = structure.events.S
+    with np.errstate(divide="ignore"):
+        lost = np.log(A)[structure.events.sources]
+    kept = np.logaddexp(structure.log_dense[:, :S], structure.log_dense[:, S:])
+    kept += lost
+    lost += structure.log_dropped
+    m = np.maximum(kept.max(axis=1), lost.max(axis=1))
+    m[~np.isfinite(m)] = 0.0
+    for part in (kept, lost):
+        part -= m[:, None]
+        np.exp(part, out=part)
+    lost = lost.sum(axis=1)
+    total = kept.sum(axis=1) + lost
+    return np.divide(lost, total, out=np.zeros_like(lost), where=total > 0)
 
 
 def _default_init(events: EventSequence, prior: PriorConfig, nu: float) -> ModelParams:
@@ -607,8 +918,11 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     relative trace change below tol, or the parameters reach an exact fixed
     point.  A fit that reaches max_iters unconverged stops after that sweep's
     E-step, so the returned eta is the E-step at the returned parameters and
-    elbo(events, params, eta) is the last trace value.  Raises NumericalError
-    on a NaN objective with the iteration number.
+    elbo(events, params, eta) is the last trace value.  The sweeps never build
+    per-pair posteriors; the returned eta builds them once.  A windowed fit
+    reports the largest and the mean share of an event's excitation
+    intensity that the window dropped.  Raises NumericalError on a NaN
+    objective with the iteration number.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")
@@ -655,6 +969,10 @@ def fit(events: EventSequence, init: ModelParams | None = None,
             break
         params = new_params
 
+    state.eta_pair  # built once, here: root passes and mini_conversations read it
+    dropped = _window_dropped(structure, params.A)
     return FitReport(params=params, eta=state, elbo_trace=np.array(trace),
                      iterations=len(trace), converged=converged,
-                     numerator_clamps=diag.get("clamped", 0), window=window)
+                     numerator_clamps=diag.get("clamped", 0), window=window,
+                     window_dropped_max=None if dropped is None else float(dropped.max()),
+                     window_dropped_mean=None if dropped is None else float(dropped.mean()))

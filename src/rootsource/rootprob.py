@@ -12,17 +12,20 @@ a unit lower-triangular system (I - H) R = diag(eta_0) onehot(s) in the
 sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
 2008).  Each pass takes the PairStructure of the same events and kernel
 settings that is still alive (a fit's, while its report is held) or builds
-one, runs the E-step's weights and normalization, and solves the system by
-forward substitution, row by row.  The weights are those of `_log_weights`:
-relative to a constant per child, which the normalization cancels.  When
-the structure's last E-step is still alive and ran at parameters equal in
-value to the pass's (a fit's final state, while its report is held), the
-full pass reads its posteriors and runs only the forward substitution.
-Every row of r sums to 1 because every row of eta does, so no row is
+one, gets the posteriors, and solves the system by forward substitution, row
+by row.  When the structure's last E-step is still alive and ran at
+parameters equal in value to the pass's (a fit's final state, while its
+report is held), the full pass reads its posteriors and runs only the
+forward substitution; otherwise it runs the same E-step as the fit
+(`fitting._e_step`, from the kernel states and the overlap pairs) and builds
+its per-pair posteriors, so a reused and a recomputed pass agree bit for
+bit.  Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 
 The temporal-only variant keeps just the intensity factors of the weights,
-the mark-only variant keeps just the densities.  `enumerate_oracle`
+the mark-only variant keeps just the densities; both take the per-pair
+weights of `_log_weights`, relative to a constant per child, which the
+normalization cancels.  `enumerate_oracle`
 recomputes r by brute force over all joint parent assignments (product over
 events of their candidate sets) and is the ground truth the solve is tested
 against.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _log_weights, _normalize, _structure_for
+from .fitting import _e_step, _log_weights, _normalize, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
 
@@ -91,12 +94,13 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
                use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
     structure = _structure_for(events, params, window)
-    state = structure._state_at(params) if use_time and use_marks else None
-    if state is None:
+    if use_time and use_marks:
+        # not update_eta: the structure's record of a fit's E-step stays
+        state = structure._state_at(params) or _e_step(structure, params)
+        eta0, eta_pair = state.eta0, state.eta_pair
+    else:
         eta0, eta_pair, _ = _normalize(
             structure, *_log_weights(structure, params, use_time, use_marks))
-    else:
-        eta0, eta_pair = state.eta0, state.eta_pair
     row_start = structure.row_start.tolist()
     lo = structure.lo.tolist()
     sources = events.sources.tolist()

@@ -96,6 +96,18 @@ def test_fit_outputs(workdir):
     assert np.all(np.diff(vals) >= -1e-8)
 
 
+def test_fit_reports_what_the_window_dropped(runner, workdir, tmp_path):
+    res = runner.invoke(cli, ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
+                              "--truncate-window", "2", "--max-iters", "3",
+                              "--params-out", str(tmp_path / "p.json")])
+    assert res.exit_code == 0, res.output
+    assert "[fit] the window dropped at most" in res.stderr
+    res = runner.invoke(cli, ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
+                              "--max-iters", "3", "--params-out", str(tmp_path / "q.json")])
+    assert res.exit_code == 0, res.output
+    assert "window dropped" not in res.stderr
+
+
 def test_root_prob_and_baseline_and_evaluate(runner, workdir):
     for mode, expect in [("full", "full"), ("temporal", "temporal_only"),
                          ("mark", "mark_only")]:
@@ -186,10 +198,14 @@ def test_bench_smoke(runner, tmp_path):
                               "--out", str(tmp_path / "bench.json")])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["schema"] == "bench-v2"
+    assert doc["schema"] == "bench-v3"
     assert [r["target"] for r in doc["rows"]] == [60, 120]
     assert all(r["pairs"] > 0 and r["triples"] >= 0 for r in doc["rows"])
-    assert all(r["sweep_seconds"] > 0 for r in doc["rows"])
+    for r in doc["rows"]:
+        phases = (r["e_step_seconds"], r["rho_A_seconds"], r["theta_gamma_seconds"])
+        assert min(phases) > 0
+        assert r["sweep_seconds"] == pytest.approx(sum(phases))
+        assert r["peak_rss_mb"] > 0
     assert "R^2" in res.output
 
 

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
 from rootsource.fitting import (
     PAIR_BYTES,
+    STATE_BYTES,
     TRIPLE_BYTES,
     PairStructure,
-    _log_weights,
+    VariationalState,
+    _e_step,
     _physical_memory,
     _structure_for,
     PriorConfig,
@@ -126,6 +129,14 @@ def test_build_triples_matches_per_token_loop(case):
         np.testing.assert_array_equal(got, ref, err_msg=name)
     if case in ("exact", "windowed"):
         assert st.tri_pair.size > 0
+    # the overlap pairs: the distinct pairs among the triples, grouped by child
+    np.testing.assert_array_equal(st.ov_pair, np.unique(st.tri_pair))
+    np.testing.assert_array_equal(st.ov_pair[st.tri_ov], st.tri_pair)
+    child = np.searchsorted(st.row_start, st.ov_pair, side="right") - 1
+    np.testing.assert_array_equal(st.ov_row_len, np.bincount(child, minlength=len(st.events)))
+    np.testing.assert_array_equal(st.ov_row_start[1:], np.cumsum(st.ov_row_len))
+    np.testing.assert_array_equal(st.ov_cell, st.pair_cell[st.ov_pair])
+    np.testing.assert_array_equal(st.ov_log_kernel, st.log_kernel[st.ov_pair])
 
 
 def _count_builds(monkeypatch):
@@ -140,14 +151,14 @@ def _count_builds(monkeypatch):
     return built
 
 
-def _count_weights(monkeypatch):
+def _count_e_steps(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[2:])
-        return _log_weights(*args, **kwargs)
+    def counting(structure, params):
+        calls.append(structure.events)
+        return _e_step(structure, params)
 
-    monkeypatch.setattr("rootsource.rootprob._log_weights", counting)
+    monkeypatch.setattr("rootsource.rootprob._e_step", counting)
     return calls
 
 
@@ -158,41 +169,44 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
     params, live = report.params, report.eta.structure
     assert _structure_for(events, params, 20.0) is live
     built = _count_builds(monkeypatch)
-    weights = _count_weights(monkeypatch)
+    e_steps = _count_e_steps(monkeypatch)
     passes = (rs.root_probabilities, rs.root_probabilities_temporal,
               rs.root_probabilities_mark)
     got = [f(events, params, window=20.0).r for f in passes]
     assert built == []
-    # the full pass reads the fit's final E-step; the other two recompute
-    assert weights == [(True, False), (False, True)]
+    # the full pass reads the fit's final E-step; the other two take the
+    # per-pair weights of their sub-models
+    assert e_steps == []
     twin = copy.deepcopy(events)
     for f, r in zip(passes, got):
         np.testing.assert_array_equal(f(twin, params, window=20.0).r, r)
     assert len(built) == 3  # the twin has no live structure to reuse
-    assert len(weights) == 5
+    assert len(e_steps) == 1 and e_steps[0] is twin
 
     # parameters equal in value reuse the E-step too; a changed gamma does not
     equal = rs.ModelParams(rho=params.rho.copy(), A=params.A.copy(),
                            theta=params.theta.copy(), gamma=params.gamma, nu=params.nu)
-    del weights[:]
+    del e_steps[:]
     np.testing.assert_array_equal(rs.root_probabilities(events, equal, window=20.0).r, got[0])
-    assert weights == []
+    assert e_steps == []
     moved = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
                            gamma=0.5 * params.gamma, nu=params.nu)
     np.testing.assert_array_equal(rs.root_probabilities(events, moved, window=20.0).r,
                                   rs.root_probabilities(twin, moved, window=20.0).r)
-    assert len(weights) == 2
+    assert len(e_steps) == 2
+    # a recomputing pass leaves the structure's record of the fit's E-step
+    assert live._state_at(params) is report.eta
 
     # the structure holds the E-step weakly: once the report is dropped, the
     # pass recomputes, though the layout itself is still alive
-    del weights[:]
+    del e_steps[:]
     state = weakref.ref(report.eta)
     del report
     gc.collect()
     assert state() is None
     assert _structure_for(events, params, 20.0) is live
     np.testing.assert_array_equal(rs.root_probabilities(events, params, window=20.0).r, got[0])
-    assert weights == [(True, True)]
+    assert len(e_steps) == 1 and e_steps[0] is events
 
     # a structure built directly is registered as well
     other = rs.EventSequence(events.times, events.sources, events.tok_indptr,
@@ -287,7 +301,8 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
     n_pairs, n_triples = built.n_pairs, built.tri_pair.size
     del built
     assert n_triples > n_pairs
-    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
+    need = (n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
+            + (len(events) + 3) * 3 * STATE_BYTES)
     monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
     with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples"):
         PairStructure(events, nu=1.0)
@@ -359,9 +374,10 @@ def _covered_cells(events, window, nu):
 
 @pytest.mark.parametrize("n, window", [(1000, None), (1800, 8.0)])
 def test_lean_e_step_matches_the_two_branch_reference(n, window):
-    # the per-child constant folded out and one mark path for live and dead
-    # tokens, against the two-branch mark half it replaced: gamma 0, 0.3 and
-    # 1, with and without reachable zeros in theta, some marks empty
+    # the E-step from kernel states and overlap pairs (per-child constant
+    # folded out, one mark path for live and dead tokens) against the
+    # per-pair reference with the two-branch mark half: gamma 0, 0.3 and 1,
+    # with and without reachable zeros in theta, some marks empty
     rng = np.random.default_rng([41, n])
     events = random_events(rng, n, 3, 6, T=n / 4.0, max_len=5)
     params = random_params(rng, 3, 6, nu=1.0)
@@ -391,6 +407,163 @@ def test_lean_e_step_matches_the_two_branch_reference(n, window):
     # with the zeros, gamma 0 raises (no parent emits a zeroed token) and so
     # does gamma 1 (every token is dead, and some bag is in no earlier one)
     assert compared == [(False, 0.0), (False, 0.3), (False, 1.0), (True, 0.3)]
+
+
+def _e_step_matches_reference(events, params, window):
+    structure = PairStructure(events, params.nu, window=window)
+    want = reference_e_step(structure, params)
+    got = update_eta(events, params, structure)
+    np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.eta_pair, want[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.log_z, want[2], rtol=1e-12, atol=0)
+    return structure, got
+
+
+def _pair_kernel_sums(structure):
+    """Per event and parent class (source, empty mark), sum kappa over its
+    candidate parents: the pair-by-pair value of the kernel states."""
+    events = structure.events
+    S = events.S
+    cls = events.sources[structure.pair_j] + S * (events.lengths[structure.pair_j] == 0)
+    out = np.zeros((len(events), 2 * S))
+    np.add.at(out, (structure.pair_i, cls), np.exp(structure.log_kernel))
+    return out
+
+
+@pytest.mark.parametrize("window", [None, 30.0])
+def test_kernel_states_do_not_overflow_on_long_sequences(window):
+    # T / nu = 2 400: prefix sums of exp(t / nu) would overflow to inf
+    rng = np.random.default_rng(83)
+    events = random_events(rng, 900, 3, 5, T=2400.0, max_len=4)
+    params = random_params(rng, 3, 5, gamma=0.3, nu=1.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(events.times[-1] / params.nu))
+    structure, state = _e_step_matches_reference(events, params, window)
+    assert np.isfinite(state.log_z).all()
+    with np.errstate(divide="ignore"):
+        want = np.log(_pair_kernel_sums(structure))
+    np.testing.assert_allclose(structure.log_dense, want, rtol=1e-12, atol=1e-12)
+
+
+def brute_force_window_eta(events, params, window):
+    """brute_force_eta with the parents beyond the window taken out."""
+    eta = brute_force_eta(events, params)
+    for k in range(len(events)):
+        far = np.flatnonzero(events.times[k] - events.times[:k] > window * params.nu)
+        eta[k, far + 1] = 0.0
+        eta[k, : k + 1] /= eta[k, : k + 1].sum()
+    return eta
+
+
+def test_window_edge_parent_after_a_burst():
+    # source 0's only in-window parent of the last event sits at the window's
+    # far edge, right after a burst of 40 events just outside the window: the
+    # in-window kernel state is the whole state less the burst's, which
+    # outweighs it forty times
+    nu, window = 1.0, 5.0
+    burst = list(np.linspace(14.96, 14.999, 40))
+    times = [1.0] + burst + [15.0 + 1e-6, 17.0, 20.0]
+    marks = [{0: 1}] + [{1: 1}] * 40 + [{1: 2, 2: 1}, {}, {1: 1, 3: 1}]
+    sources = [0] + [0] * 40 + [0, 1, 0]
+    evs = [rs.Event.make(k + 1, t, s, m)
+           for k, (t, s, m) in enumerate(zip(times, sources, marks))]
+    events = rs.EventSequence.from_events(evs, T=21.0, S=2, V=4)
+    params = rs.ModelParams(rho=np.array([1e-3, 0.2]), A=np.array([[0.6, 0.3], [0.2, 0.5]]),
+                            theta=np.full((2, 4), 0.25), gamma=0.4, nu=nu)
+    structure, state = _e_step_matches_reference(events, params, window)
+    last = len(events) - 1
+    assert structure.lo[last] == 41  # the edge parent is the first in the window
+    np.testing.assert_allclose(np.exp(structure.log_dense[last]),
+                               _pair_kernel_sums(structure)[last], rtol=1e-13)
+    np.testing.assert_allclose(dense_eta(state),
+                               brute_force_window_eta(events, params, window), atol=1e-12)
+
+
+@pytest.mark.parametrize("window", [None, 3.0])
+def test_m_step_inputs_match_the_per_pair_posteriors(window):
+    # the E-step's overlap, cell and empty-parent sums against bincounts over
+    # the per-pair posteriors it builds on demand, live and dead tokens
+    rng = np.random.default_rng(89)
+    events = random_events(rng, 400, 3, 6, T=100.0, max_len=5)
+    params = random_params(rng, 3, 6, nu=1.0)
+    structure = PairStructure(events, params.nu, window=window)
+    S = events.S
+    for gamma in (0.0, 0.3, 1.0):
+        p = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=gamma,
+                           nu=params.nu)
+        state = update_eta(events, p, structure)
+        eta = state.eta_pair
+        np.testing.assert_array_equal(state.eta_overlap, eta[structure.ov_pair])
+        np.testing.assert_allclose(
+            state.eta_cells,
+            np.bincount(structure.pair_cell, weights=eta, minlength=S * S).reshape(S, S),
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            state.eta_empty,
+            np.bincount(structure.empty_row, weights=eta[structure.empty_pair],
+                        minlength=len(events)), rtol=0, atol=1e-12)
+        # a state built from the same dense posteriors gives the same M-steps
+        dense = VariationalState(structure, state.eta0, eta, state.log_z)
+        prior = PriorConfig.maximum_likelihood(S)
+        for a, b in zip(update_rho_alpha(events, state, prior),
+                        update_rho_alpha(events, dense, prior)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        ta, ga = update_theta_gamma(events, state, (p.theta, gamma))
+        tb, gb = update_theta_gamma(events, dense, (p.theta, gamma))
+        np.testing.assert_array_equal(ta, tb)
+        assert ga == pytest.approx(gb, rel=1e-12)
+
+
+def _count_pair_posteriors(monkeypatch):
+    calls = []
+    build = VariationalState.eta_pair.func
+
+    def counting(state):
+        calls.append(state)
+        return build(state)
+
+    prop = cached_property(counting)
+    prop.__set_name__(VariationalState, "eta_pair")
+    monkeypatch.setattr(VariationalState, "eta_pair", prop)
+    return calls
+
+
+def test_fit_builds_the_per_pair_posteriors_once(monkeypatch):
+    events, _ = rs.simulate(rs.make_synthetic_config(T=200.0, seed=3))
+    built = _count_pair_posteriors(monkeypatch)
+    report = fit(events, nu=10.0, window=20.0, max_iters=5)
+    assert report.iterations == 5
+    assert built == [report.eta]
+    rs.root_probabilities(events, report.params, window=20.0)
+    rs.mini_conversations(report.eta, events)
+    assert built == [report.eta]
+
+
+def brute_force_dropped(events, params, window):
+    """Share of each event's excitation intensity from parents beyond the window."""
+    n = len(events)
+    out = np.zeros(n)
+    for i in range(n):
+        lag = events.times[i] - events.times[:i]
+        excite = params.A[events.sources[i], events.sources[:i]] * np.exp(-lag / params.nu)
+        if excite.sum() > 0:
+            out[i] = excite[lag > window * params.nu].sum() / excite.sum()
+    return out
+
+
+def test_window_dropped_share():
+    rng = np.random.default_rng(97)
+    events = random_events(rng, 60, 3, 4, T=30.0)
+    params = random_params(rng, 3, 4, nu=1.0)
+    report = fit(events, init=params, window=2.0, max_iters=3)
+    want = brute_force_dropped(events, report.params, 2.0)
+    assert want.max() > 1e-3
+    assert report.window_dropped_max == pytest.approx(want.max(), rel=1e-12)
+    assert report.window_dropped_mean == pytest.approx(want.mean(), rel=1e-12)
+    whole = fit(events, init=params, window=100.0, max_iters=3)
+    assert whole.window_dropped_max == 0.0 and whole.window_dropped_mean == 0.0
+    exact = fit(events, init=params, max_iters=3)
+    assert exact.window_dropped_max is None and exact.window_dropped_mean is None
 
 
 def test_update_eta_matches_oracle():
