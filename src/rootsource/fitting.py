@@ -28,13 +28,17 @@ x log((1 - gamma) theta), a constant all components of child i share: the
 posteriors do not depend on it, and the normalizers and the objective add it
 back.  Relative to c_i, a parent with a non-empty mark that shares no token
 with child i has weight A[s_i, s_j] kappa(t_i - t_j), and one with an empty
-mark that weight times f_imm e^{-c_i}.  So a sweep never visits the pairs:
+mark that weight times f_imm e^{-c_i}.  So a sweep need not visit the pairs:
 the exponential kernel lets per-source sums of kappa over the earlier events
 (Ozaki 1979), one for parents with a non-empty mark and one for parents with
 an empty one, give every child's total over such parents, and only the
-pairs that share a token (the overlap pairs) add a correction.  An E-step
-and both M-steps cost O(n S + overlap pairs + triples); the per-pair
-posteriors are built only on demand (`VariationalState.eta_pair`).
+pairs that share a token (the overlap pairs) add a correction.  That E-step
+and both M-steps cost O(n S + overlap pairs + triples) and the per-pair
+posteriors are built only on demand (`VariationalState.eta_pair`).  The
+n x 2S kernel states outgrow the pairs when the sources outnumber the
+candidate parents per event, so a layout takes this path only when its
+states are a small fraction of its pairs (KERNEL_MARGIN); otherwise the
+E-step normalizes per-pair weights, at O(pairs) per sweep.
 """
 
 from __future__ import annotations
@@ -128,13 +132,19 @@ _LIVE_LOCK = threading.Lock()
 # estimate: the synthetic defaults exact at n = 1 361 and window 20 at
 # n = 8 015, and their marks redrawn over V = 2 to 128 tokens (0.21 to 9.9
 # triples per pair), initial gamma 0.3 and 1.  The (n + S) x S arrays are
-# the per-source kernel states (n x 2S, and n x S dropped sums when
-# windowed), the E-step's per-child weights and the S x S parameters:
-# windowed fits at n = 1 300 with S = 300 and 1 000 peaked at 49 B per entry
-# beyond their pair and triple terms.
+# the per-source kernel states (n x 2S), the E-step's per-child weights and
+# the S x S parameters, charged only for a layout that uses the kernel
+# states: windowed fits at n = 1 300 with S = 300 and 1 000 peaked at 49 B
+# per entry beyond their pair and triple terms.
 PAIR_BYTES = 56
 TRIPLE_BYTES = 58
 STATE_BYTES = 64
+# A layout takes the kernel-state E-step when its n x 2S states number at
+# most 1 / KERNEL_MARGIN of its candidate pairs, and the per-pair E-step
+# otherwise.  Whole sweeps on the synthetic defaults at n = 8 015, sources
+# relabelled at random to S = 5 to 1 000, broke even at 1.2 (window 20) and
+# 2.7 (window 2) pairs per kernel state.
+KERNEL_MARGIN = 3.0
 # Pairs per block of the per-pair gathers, which then need no pair-length
 # temporary.
 PAIR_BLOCK = 1 << 20
@@ -152,13 +162,15 @@ def _physical_memory() -> int | None:
 
 def _check_memory(n_pairs: int, n_triples: int, n_states: int,
                   window: float | None) -> None:
+    # n_states: entries of the (n + S) x S arrays, 0 without kernel states
     need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_states * STATE_BYTES
     have = _physical_memory()
     if have is not None and need > have:
         hint = "a smaller" if window is not None else "a"
+        states = f", with {n_states} kernel-state entries," if n_states else ""
         raise ValidationError(
-            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples "
-            f"need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples"
+            f"{states} need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
             f"of physical memory; pass {hint} truncation window (--truncate-window) "
             f"to limit the candidate parents")
 
@@ -201,31 +213,31 @@ def _own_states(t: np.ndarray, nu: float) -> np.ndarray:
     return out
 
 
-def _kernel_states(events: EventSequence, nu: float, lo: np.ndarray, windowed: bool):
-    """Per-event log sums of kappa over the earlier events of each parent class.
+def _groups(key: np.ndarray, size: int):
+    """(c, the increasing indices k with key[k] == c) for each non-empty c < size."""
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(size + 1)).tolist()
+    for c in range(size):
+        if bounds[c] < bounds[c + 1]:
+            yield c, order[bounds[c]:bounds[c + 1]]
+
+
+def _kernel_states(events: EventSequence, nu: float, lo: np.ndarray) -> np.ndarray:
+    """Per-event log sums of kappa over the candidate parents of each parent class.
 
     Class c < S holds the events of source c with a non-empty mark, class
-    S + c those with an empty one.  Returns (log_in, log_out): log_in[i, c]
-    = log sum over class-c events j in [lo_i, i) of kappa(t_i - t_j), and
-    log_out[i, s] the same over the events j < lo_i of source s, of both
-    classes (None unless windowed).  A sum over the class events up to the
-    latest one, m, is exp(-(t_i - t_m) / nu) E_m with E_m >= 1 from
-    `_own_states`, so no state underflows however far back its events lie,
-    and the in-window sum, E_m less the decayed state before the window,
-    keeps E_m's last term.
+    S + c those with an empty one; entry [i, c] is log sum over the class-c
+    events j in [lo_i, i) of kappa(t_i - t_j).  A sum over the class events
+    up to the latest one, m, is exp(-(t_i - t_m) / nu) E_m with E_m >= 1
+    from `_own_states`, so no state underflows however far back its events
+    lie, and the in-window sum, E_m less the decayed state before the
+    window, keeps E_m's last term.
     """
     times, S, n = events.times, events.S, len(events)
-    cls = events.sources + S * (events.lengths == 0)
-    order = np.argsort(cls, kind="stable")
-    bounds = np.searchsorted(cls[order], np.arange(2 * S + 1))
     log_in = np.full((n, 2 * S), -np.inf)
-    log_out = np.full((n, S), -np.inf) if windowed else None
     rows = np.arange(n)
     log_nu = math.log(nu)
-    for c in range(2 * S):
-        q = order[bounds[c]:bounds[c + 1]]
-        if not q.size:
-            continue
+    for c, q in _groups(events.sources + S * (events.lengths == 0), 2 * S):
         tq = times[q]
         own = _own_states(tq, nu)
         last = np.searchsorted(q, rows) - 1      # latest class event before i
@@ -236,13 +248,7 @@ def _kernel_states(events: EventSequence, nu: float, lo: np.ndarray, windowed: b
         early = b >= 0
         inner[early] -= np.exp(-(tq[m[early]] - tq[b[early]]) / nu) * own[b[early]]
         log_in[hit, c] = np.log(inner) - (times[hit] - tq[m]) / nu - log_nu
-        if windowed:
-            out = np.flatnonzero(before >= 0)
-            b = before[out]
-            col = log_out[out, c % S]
-            log_out[out, c % S] = np.logaddexp(
-                col, np.log(own[b]) - (times[out] - tq[b]) / nu - log_nu)
-    return log_in, log_out
+    return log_in
 
 
 class PairStructure:
@@ -253,21 +259,24 @@ class PairStructure:
     is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
     updates; the distinct (i, j) among them are the overlap pairs (ov_*, in
-    pair order, with tri_ov the overlap pair of each triple).  log_dense
-    holds, per event and source, the log sums of kappa over its candidate
-    parents with a non-empty mark (first S columns) and with an empty one
-    (last S), and log_dropped, windowed, those over the parents beyond the
-    window.  The E-step and the M-steps read only these, the triples and the
-    overlap pairs; the pair arrays serve the per-pair posteriors, the
-    objective and the temporal- and mark-only passes.
+    pair order, with tri_ov the overlap pair of each triple).  kernel_states
+    says which E-step the layout takes: from log_dense, per event and
+    source the log sums of kappa over its candidate parents with a non-empty
+    mark (first S columns) and with an empty one (last S), plus the overlap
+    pairs; or, when those n x 2S states would not be a small fraction of
+    the pairs (see KERNEL_MARGIN), from per-pair weights.  The overlap
+    pairs, log_dense and by_source are built on first use, so the temporal-
+    and mark-only passes, which read only the pairs and the triples, never
+    build them.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
     events object with the same settings reuse it for as long as it is alive
     (see `_structure_for`).  It also remembers, weakly, the last E-step run
     on it (see `_state_at`).  The pairs and triples are counted first; a
-    layout that would not fit in physical memory, with its kernel states,
-    raises ValidationError before anything pair-sized is allocated.
+    layout that would not fit in physical memory, with its kernel states
+    when it uses them, raises ValidationError before anything pair-sized is
+    allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -290,8 +299,10 @@ class PairStructure:
             lo = np.searchsorted(times, times - window * nu, side="left")
         cand = np.arange(n) - lo
         tok, first = _first_partners(events, lo)
-        _check_memory(int(cand.sum()), int((np.arange(first.size) - first).sum()),
-                      (n + S) * S, window)
+        n_pairs = int(cand.sum())
+        self.kernel_states = 2 * n * S * KERNEL_MARGIN <= n_pairs
+        _check_memory(n_pairs, int((np.arange(first.size) - first).sum()),
+                      (n + S) * S if self.kernel_states else 0, window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -313,14 +324,6 @@ class PairStructure:
         self.key_nnz = sources[self.nnz_row] * V + events.tok_index
 
         self._build_triples(tok, first)
-        self._build_overlaps()
-        self.log_dense, self.log_dropped = _kernel_states(events, self.nu, lo,
-                                                          window is not None)
-        from scipy import sparse  # loaded by token_postings already
-
-        # sums over each source's events, as a sparse S x n matrix
-        self.by_source = sparse.csr_matrix((np.ones(n), (sources, np.arange(n))),
-                                           shape=(S, n))
         self._last = None
         with _LIVE_LOCK:
             _LIVE.add(self)
@@ -373,23 +376,55 @@ class PairStructure:
         self.tri_xiv = post_cnt[child_sel]
         self.tri_xjv = post_norm[j_sel]
 
-    def _build_overlaps(self):
-        # the distinct pairs among the triples (overlap pairs), in pair order,
-        # so grouped by child: ov_row_start[i]:ov_row_start[i+1] is child i's
+    @cached_property
+    def ov_pair(self) -> np.ndarray:
+        """The distinct pairs among the triples (overlap pairs), in pair order."""
         shared = np.zeros(self.n_pairs, dtype=bool)
         shared[self.tri_pair] = True
-        self.ov_pair = np.flatnonzero(shared)
-        del shared
+        return np.flatnonzero(shared)
+
+    @cached_property
+    def tri_ov(self) -> np.ndarray:
+        """The overlap pair of each triple."""
         # a pair-length map to overlap positions: a gather, where a search of
         # ov_pair per triple costs several times as much
-        at = np.empty(self.n_pairs, dtype=np.int32 if self.ov_pair.size < 2**31 else np.intp)
-        at[self.ov_pair] = np.arange(self.ov_pair.size)
-        self.tri_ov = at[self.tri_pair].astype(np.intp)
-        del at
-        self.ov_row_start = np.searchsorted(self.ov_pair, self.row_start)
-        self.ov_row_len = np.diff(self.ov_row_start)
-        self.ov_cell = self.pair_cell[self.ov_pair]
-        self.ov_log_kernel = self.log_kernel[self.ov_pair]
+        ov = self.ov_pair
+        at = np.empty(self.n_pairs, dtype=np.int32 if ov.size < 2**31 else np.intp)
+        at[ov] = np.arange(ov.size)
+        return at[self.tri_pair].astype(np.intp)
+
+    @cached_property
+    def ov_row_start(self) -> np.ndarray:
+        """Child i's overlap pairs are ov_row_start[i]:ov_row_start[i+1]."""
+        return np.searchsorted(self.ov_pair, self.row_start)
+
+    @cached_property
+    def ov_row_len(self) -> np.ndarray:
+        return np.diff(self.ov_row_start)
+
+    @cached_property
+    def ov_cell(self) -> np.ndarray:
+        return self.pair_cell[self.ov_pair]
+
+    @cached_property
+    def ov_log_kernel(self) -> np.ndarray:
+        return self.log_kernel[self.ov_pair]
+
+    @cached_property
+    def log_dense(self) -> np.ndarray:
+        """Per event and parent class, the log sum of kappa over its candidate
+        parents (see `_kernel_states`)."""
+        return _kernel_states(self.events, self.nu, self.lo)
+
+    @cached_property
+    def by_source(self):
+        """Sums over each source's events, as a sparse S x n matrix."""
+        from scipy import sparse  # loaded by token_postings already
+
+        events = self.events
+        n = len(events)
+        return sparse.csr_matrix((np.ones(n), (events.sources, np.arange(n))),
+                                 shape=(events.S, n))
 
 
 class VariationalState:
@@ -401,8 +436,9 @@ class VariationalState:
     (eta on the overlap pairs), eta_cells (the S x S sums of eta over the
     pairs of each child source and parent source) and eta_empty (each
     child's eta mass on parents with an empty mark).  A state built from
-    dense posteriors derives them from eta_pair; an `update_eta` state
-    carries them and computes eta_pair on first access.
+    dense posteriors, as the per-pair E-step builds it, derives them from
+    eta_pair; a kernel-state E-step's state carries them and computes
+    eta_pair on first access.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
@@ -480,7 +516,8 @@ class FitReport:
     window: float | None = None
     # windowed fits: the largest and the mean share of an event's excitation
     # intensity sum_j A[s_i, s_j] kappa(t_i - t_j) that the window left out,
-    # at the returned parameters (None in exact mode)
+    # at the returned parameters (None in exact mode, and when the layout
+    # has no kernel states: see `_window_dropped`)
     window_dropped_max: float | None = None
     window_dropped_mean: float | None = None
 
@@ -633,17 +670,21 @@ def _raise_if_dead(m: np.ndarray) -> None:
 
 
 def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
-    """The E-step from the kernel states and the overlap pairs; see `update_eta`.
+    """The E-step of the structure's path; see `update_eta`.
 
-    Relative to c_i, child i's weights are: the immigrant rho f_imm; per
-    parent source s', A[s_i, s'] times the kernel state over its parents with
-    a non-empty mark (dropped when child i has a dead token) and A[s_i, s']
-    f_imm times the state over those with an empty mark; and, per overlap
-    pair, its excess w_ij (1 - e^{-sigma_ij}) over the state's share (all of
+    Without kernel states, the per-pair weights of `_log_weights` are
+    normalized.  With them, relative to c_i, child i's weights are: the
+    immigrant rho f_imm; per parent source s', A[s_i, s'] times the kernel
+    state over its parents with a non-empty mark (dropped when child i has a
+    dead token) and A[s_i, s'] f_imm times the state over those with an
+    empty mark; and, per overlap pair, its excess w_ij (1 - e^{-sigma_ij}) over the state's share (all of
     w_ij for a child with a dead token), where sigma_ij is the pair's log
     mark density.  No term is negative, so the normalizer sums without
     cancellation, with a per-child maximum taken out.
     """
+    if not structure.kernel_states:
+        return VariationalState(structure,
+                                *_normalize(structure, *_log_weights(structure, params)))
     events = structure.events
     n, S = len(events), events.S
     sources = events.sources
@@ -706,9 +747,10 @@ def update_eta(events: EventSequence, params: ModelParams,
     """E-step: eta_i0 oc rho[s_i] f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
 
     Runs in O(n S + overlap pairs + triples) from the structure's kernel
-    states and overlap pairs; the returned state's eta_pair is computed on
-    first access.  Normalization is done per event with the largest log
-    weight taken out; a component at -inf gets exactly zero weight.  Raises
+    states and overlap pairs, and the returned state's eta_pair is computed
+    on first access; on a structure without kernel states (many sources, few
+    candidate parents per event) it runs in O(pairs).  Normalization is done
+    per event with the largest log weight taken out; a component at -inf gets exactly zero weight.  Raises
     NumericalError naming the first event whose components are all -inf.
     The structure remembers the returned state for as long as it is alive,
     so a full root pass at parameters of equal value reuses it.
@@ -861,16 +903,30 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
 
 def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | None:
     """Per event, the share of sum_j A[s_i, s_j] kappa(t_i - t_j) over all
-    j < i that lies outside the window (0 without earlier excitation); None
-    in exact mode."""
-    if structure.log_dropped is None:
+    j < i that lies outside the window (0 without earlier excitation).
+
+    From the kernel states and per-source sums over the events before each
+    window, in O(n S); None in exact mode and for a structure without kernel
+    states, where O(n S) would outweigh the per-pair sweeps.
+    """
+    if structure.window is None or not structure.kernel_states:
         return None
-    S = structure.events.S
+    events, nu = structure.events, structure.nu
+    S = events.S
     with np.errstate(divide="ignore"):
-        lost = np.log(A)[structure.events.sources]
+        log_a = np.log(A)[events.sources]
     kept = np.logaddexp(structure.log_dense[:, :S], structure.log_dense[:, S:])
-    kept += lost
-    lost += structure.log_dropped
+    kept += log_a
+    # lost[i, s]: log sum of kappa over source s's events before child i's
+    # window, the decayed state of the latest one, b
+    lost = np.full_like(kept, -np.inf)
+    for s, q in _groups(events.sources, S):
+        tq = events.times[q]
+        before = np.searchsorted(q, structure.lo) - 1
+        out = np.flatnonzero(before >= 0)
+        b = before[out]
+        lost[out, s] = (log_a[out, s] + np.log(_own_states(tq, nu)[b])
+                        - (events.times[out] - tq[b]) / nu - math.log(nu))
     m = np.maximum(kept.max(axis=1), lost.max(axis=1))
     m[~np.isfinite(m)] = 0.0
     for part in (kept, lost):
@@ -918,11 +974,13 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     relative trace change below tol, or the parameters reach an exact fixed
     point.  A fit that reaches max_iters unconverged stops after that sweep's
     E-step, so the returned eta is the E-step at the returned parameters and
-    elbo(events, params, eta) is the last trace value.  The sweeps never build
-    per-pair posteriors; the returned eta builds them once.  A windowed fit
-    reports the largest and the mean share of an event's excitation
-    intensity that the window dropped.  Raises NumericalError on a NaN
-    objective with the iteration number.
+    elbo(events, params, eta) is the last trace value.  With kernel states
+    the sweeps never build per-pair posteriors, and the returned eta builds
+    them once, here, so a root pass or `mini_conversations` on the report
+    finds them built.  A windowed fit with kernel states reports the largest
+    and the mean share of an event's excitation intensity that the window
+    dropped.  Raises NumericalError on a NaN objective with the iteration
+    number.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")

@@ -1,6 +1,7 @@
 import importlib.metadata
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -96,12 +97,20 @@ def test_fit_outputs(workdir):
     assert np.all(np.diff(vals) >= -1e-8)
 
 
-def test_fit_reports_what_the_window_dropped(runner, workdir, tmp_path):
-    res = runner.invoke(cli, ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
-                              "--truncate-window", "2", "--max-iters", "3",
-                              "--params-out", str(tmp_path / "p.json")])
+def test_fit_reports_what_the_window_dropped(runner, workdir, tmp_path, monkeypatch):
+    windowed = ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
+                "--truncate-window", "2", "--max-iters", "3",
+                "--params-out", str(tmp_path / "p.json")]
+    # the share comes from the kernel states: every layout takes them with a
+    # zero margin, none with an infinite one
+    monkeypatch.setattr("rootsource.fitting.KERNEL_MARGIN", 0.0)
+    res = runner.invoke(cli, windowed)
     assert res.exit_code == 0, res.output
     assert "[fit] the window dropped at most" in res.stderr
+    monkeypatch.setattr("rootsource.fitting.KERNEL_MARGIN", math.inf)
+    res = runner.invoke(cli, windowed)
+    assert res.exit_code == 0, res.output
+    assert "window dropped is not computed" in res.stderr
     res = runner.invoke(cli, ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
                               "--max-iters", "3", "--params-out", str(tmp_path / "q.json")])
     assert res.exit_code == 0, res.output

@@ -33,6 +33,12 @@ from util import (dense_eta, random_events, random_instance, random_params,
                   reference_e_step, reference_triples)
 
 
+def _take_path(monkeypatch, kernel):
+    """Layouts built from here on take the kernel-state E-step (kernel=True)
+    or the per-pair one, whatever their size."""
+    monkeypatch.setattr("rootsource.fitting.KERNEL_MARGIN", 0.0 if kernel else math.inf)
+
+
 def brute_force_eta(events, params):
     """Parent posteriors straight from the model densities, one pair at a time."""
     n = len(events)
@@ -299,15 +305,26 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
     events = random_events(np.random.default_rng(8), 1500, 3, 8, T=100.0, max_len=9)
     built = PairStructure(events, nu=1.0)
     n_pairs, n_triples = built.n_pairs, built.tri_pair.size
+    assert built.kernel_states
     del built
     assert n_triples > n_pairs
-    need = (n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
-            + (len(events) + 3) * 3 * STATE_BYTES)
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
-    with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples"):
+    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
+    states = (len(events) + 3) * 3
+    monkeypatch.setattr("rootsource.fitting._physical_memory",
+                        lambda: need + states * STATE_BYTES - 1)
+    with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples, "
+                                              f"with {states} kernel-state entries,"):
         PairStructure(events, nu=1.0)
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
+    monkeypatch.setattr("rootsource.fitting._physical_memory",
+                        lambda: need + states * STATE_BYTES)
     assert PairStructure(events, nu=1.0).tri_pair.size == n_triples
+    # a layout without kernel states is not charged for them
+    _take_path(monkeypatch, kernel=False)
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
+    assert not PairStructure(events, nu=1.0).kernel_states
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
+    with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples need"):
+        PairStructure(events, nu=1.0)
 
 
 def test_update_eta_matches_brute_force():
@@ -373,44 +390,49 @@ def _covered_cells(events, window, nu):
 
 
 @pytest.mark.parametrize("n, window", [(1000, None), (1800, 8.0)])
-def test_lean_e_step_matches_the_two_branch_reference(n, window):
-    # the E-step from kernel states and overlap pairs (per-child constant
-    # folded out, one mark path for live and dead tokens) against the
-    # per-pair reference with the two-branch mark half: gamma 0, 0.3 and 1,
-    # with and without reachable zeros in theta, some marks empty
+def test_lean_e_step_matches_the_two_branch_reference(n, window, monkeypatch):
+    # both E-steps, from kernel states and overlap pairs and from per-pair
+    # weights (per-child constant folded out, one mark path for live and
+    # dead tokens), against the per-pair reference with the two-branch mark
+    # half: gamma 0, 0.3 and 1, with and without reachable zeros in theta,
+    # some marks empty
     rng = np.random.default_rng([41, n])
     events = random_events(rng, n, 3, 6, T=n / 4.0, max_len=5)
     params = random_params(rng, 3, 6, nu=1.0)
-    structure = PairStructure(events, params.nu, window=window)
     # one zero per source row at a token its events use, each one inherited
     zero = (events.token_counts_by_source() > 0) & _covered_cells(events, window, params.nu)
     zero &= np.cumsum(zero, axis=1) <= 1
     zeroed = np.where(zero, 0.0, params.theta)
     zeroed /= zeroed.sum(axis=1, keepdims=True)
     assert zero.any() and (events.lengths == 0).any()
-    compared = []
-    for theta in (params.theta, zeroed):
-        for gamma in (0.0, 0.3, 1.0):
-            p = rs.ModelParams(rho=params.rho, A=params.A, theta=theta, gamma=gamma,
-                               nu=params.nu)
-            try:
-                want = reference_e_step(structure, p)
-            except NumericalError as err:
-                with pytest.raises(NumericalError, match=re.escape(str(err))):
-                    update_eta(events, p, structure)
-                continue
-            got = update_eta(events, p, structure)
-            np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.eta_pair, want[1], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.log_z, want[2], rtol=1e-12, atol=1e-12)
-            compared.append((theta is zeroed, gamma))
-    # with the zeros, gamma 0 raises (no parent emits a zeroed token) and so
-    # does gamma 1 (every token is dead, and some bag is in no earlier one)
-    assert compared == [(False, 0.0), (False, 0.3), (False, 1.0), (True, 0.3)]
+    for kernel in (True, False):
+        _take_path(monkeypatch, kernel)
+        structure = PairStructure(events, params.nu, window=window)
+        assert structure.kernel_states == kernel
+        compared = []
+        for theta in (params.theta, zeroed):
+            for gamma in (0.0, 0.3, 1.0):
+                p = rs.ModelParams(rho=params.rho, A=params.A, theta=theta, gamma=gamma,
+                                   nu=params.nu)
+                try:
+                    want = reference_e_step(structure, p)
+                except NumericalError as err:
+                    with pytest.raises(NumericalError, match=re.escape(str(err))):
+                        update_eta(events, p, structure)
+                    continue
+                got = update_eta(events, p, structure)
+                np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.eta_pair, want[1], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.log_z, want[2], rtol=1e-12, atol=1e-12)
+                compared.append((theta is zeroed, gamma))
+        # with the zeros, gamma 0 raises (no parent emits a zeroed token) and
+        # so does gamma 1 (every token is dead, and some bag is in no earlier one)
+        assert compared == [(False, 0.0), (False, 0.3), (False, 1.0), (True, 0.3)]
 
 
 def _e_step_matches_reference(events, params, window):
     structure = PairStructure(events, params.nu, window=window)
+    assert structure.kernel_states
     want = reference_e_step(structure, params)
     got = update_eta(events, params, structure)
     np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
@@ -431,7 +453,8 @@ def _pair_kernel_sums(structure):
 
 
 @pytest.mark.parametrize("window", [None, 30.0])
-def test_kernel_states_do_not_overflow_on_long_sequences(window):
+def test_kernel_states_do_not_overflow_on_long_sequences(window, monkeypatch):
+    _take_path(monkeypatch, kernel=True)
     # T / nu = 2 400: prefix sums of exp(t / nu) would overflow to inf
     rng = np.random.default_rng(83)
     events = random_events(rng, 900, 3, 5, T=2400.0, max_len=4)
@@ -455,7 +478,7 @@ def brute_force_window_eta(events, params, window):
     return eta
 
 
-def test_window_edge_parent_after_a_burst():
+def test_window_edge_parent_after_a_burst(monkeypatch):
     # source 0's only in-window parent of the last event sits at the window's
     # far edge, right after a burst of 40 events just outside the window: the
     # in-window kernel state is the whole state less the burst's, which
@@ -470,6 +493,7 @@ def test_window_edge_parent_after_a_burst():
     events = rs.EventSequence.from_events(evs, T=21.0, S=2, V=4)
     params = rs.ModelParams(rho=np.array([1e-3, 0.2]), A=np.array([[0.6, 0.3], [0.2, 0.5]]),
                             theta=np.full((2, 4), 0.25), gamma=0.4, nu=nu)
+    _take_path(monkeypatch, kernel=True)
     structure, state = _e_step_matches_reference(events, params, window)
     last = len(events) - 1
     assert structure.lo[last] == 41  # the edge parent is the first in the window
@@ -480,12 +504,14 @@ def test_window_edge_parent_after_a_burst():
 
 
 @pytest.mark.parametrize("window", [None, 3.0])
-def test_m_step_inputs_match_the_per_pair_posteriors(window):
-    # the E-step's overlap, cell and empty-parent sums against bincounts over
-    # the per-pair posteriors it builds on demand, live and dead tokens
+def test_m_step_inputs_match_the_per_pair_posteriors(window, monkeypatch):
+    # the kernel-state E-step's overlap, cell and empty-parent sums against
+    # bincounts over the per-pair posteriors it builds on demand, live and
+    # dead tokens
     rng = np.random.default_rng(89)
     events = random_events(rng, 400, 3, 6, T=100.0, max_len=5)
     params = random_params(rng, 3, 6, nu=1.0)
+    _take_path(monkeypatch, kernel=True)
     structure = PairStructure(events, params.nu, window=window)
     S = events.S
     for gamma in (0.0, 0.3, 1.0):
@@ -512,6 +538,47 @@ def test_m_step_inputs_match_the_per_pair_posteriors(window):
         tb, gb = update_theta_gamma(events, dense, (p.theta, gamma))
         np.testing.assert_array_equal(ta, tb)
         assert ga == pytest.approx(gb, rel=1e-12)
+
+
+def test_e_step_path_follows_the_layout_size(monkeypatch):
+    # 300 events, every earlier one a candidate: 44 850 pairs, more than
+    # KERNEL_MARGIN times the 2 400 kernel states of 4 sources, fewer than
+    # KERNEL_MARGIN times the 24 000 of 40 sources
+    rng = np.random.default_rng(101)
+    few = random_events(rng, 300, 4, 6, T=60.0)
+    many = random_events(rng, 300, 40, 6, T=60.0)
+    assert PairStructure(few, nu=1.0).kernel_states
+    assert not PairStructure(many, nu=1.0).kernel_states
+    # either path fits alike: same sweeps, parameters and posteriors to 1e-12
+    init = random_params(rng, 40, 6, gamma=0.3, nu=1.0)
+    reports = []
+    for kernel in (True, False):
+        _take_path(monkeypatch, kernel)
+        report = fit(copy.deepcopy(many), init=init, max_iters=6)
+        assert report.eta.structure.kernel_states == kernel
+        reports.append(report)
+    a, b = reports
+    assert a.iterations == b.iterations
+    np.testing.assert_allclose(a.elbo_trace, b.elbo_trace, rtol=1e-12)
+    for name in ("rho", "A", "theta"):
+        np.testing.assert_allclose(getattr(a.params, name), getattr(b.params, name),
+                                   rtol=0, atol=1e-12)
+    assert a.params.gamma == pytest.approx(b.params.gamma, abs=1e-12)
+    np.testing.assert_allclose(a.eta.eta_pair, b.eta.eta_pair, rtol=0, atol=1e-12)
+
+
+def test_sub_model_passes_build_no_kernel_states(monkeypatch):
+    _take_path(monkeypatch, kernel=True)
+    rng = np.random.default_rng(103)
+    events = random_events(rng, 200, 3, 6, T=40.0)
+    params = random_params(rng, 3, 6, nu=1.0)
+    live = PairStructure(events, params.nu, window=5.0)
+    lazy = ("ov_pair", "tri_ov", "ov_row_start", "ov_cell", "log_dense", "by_source")
+    rs.root_probabilities_temporal(events, params, window=5.0)
+    rs.root_probabilities_mark(events, params, window=5.0)
+    assert not set(lazy) & set(vars(live))
+    rs.root_probabilities(events, params, window=5.0)
+    assert set(lazy) <= set(vars(live))
 
 
 def _count_pair_posteriors(monkeypatch):
@@ -551,10 +618,11 @@ def brute_force_dropped(events, params, window):
     return out
 
 
-def test_window_dropped_share():
+def test_window_dropped_share(monkeypatch):
     rng = np.random.default_rng(97)
     events = random_events(rng, 60, 3, 4, T=30.0)
     params = random_params(rng, 3, 4, nu=1.0)
+    _take_path(monkeypatch, kernel=True)
     report = fit(events, init=params, window=2.0, max_iters=3)
     want = brute_force_dropped(events, report.params, 2.0)
     assert want.max() > 1e-3
@@ -564,6 +632,10 @@ def test_window_dropped_share():
     assert whole.window_dropped_max == 0.0 and whole.window_dropped_mean == 0.0
     exact = fit(events, init=params, max_iters=3)
     assert exact.window_dropped_max is None and exact.window_dropped_mean is None
+    # without kernel states the share would cost O(n S) beyond the sweeps
+    _take_path(monkeypatch, kernel=False)
+    paired = fit(copy.deepcopy(events), init=params, window=2.0, max_iters=3)
+    assert paired.window_dropped_max is None and paired.window_dropped_mean is None
 
 
 def test_update_eta_matches_oracle():
