@@ -259,15 +259,15 @@ class PairStructure:
     is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
     updates; the distinct (i, j) among them are the overlap pairs (ov_*, in
-    pair order, with tri_ov the overlap pair of each triple).  kernel_states
-    says which E-step the layout takes: from log_dense, per event and
-    source the log sums of kappa over its candidate parents with a non-empty
-    mark (first S columns) and with an empty one (last S), plus the overlap
-    pairs; or, when those n x 2S states would not be a small fraction of
-    the pairs (see KERNEL_MARGIN), from per-pair weights.  The overlap
-    pairs, log_dense and by_source are built on first use, so the temporal-
-    and mark-only passes, which read only the pairs and the triples, never
-    build them.
+    pair order, with tri_ov the overlap pair of each triple).
+    use_kernel_states says which E-step the layout takes: from log_dense,
+    per event and source the log sums of kappa over its candidate parents
+    with a non-empty mark (first S columns) and with an empty one (last S),
+    plus the overlap pairs; or, when those n x 2S states would not be a
+    small fraction of the pairs (see KERNEL_MARGIN), from per-pair weights.
+    The overlap pairs, log_dense and by_source are built on first use, so
+    the temporal- and mark-only passes, which read only the pairs and the
+    triples, never build them.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -300,9 +300,9 @@ class PairStructure:
         cand = np.arange(n) - lo
         tok, first = _first_partners(events, lo)
         n_pairs = int(cand.sum())
-        self.kernel_states = 2 * n * S * KERNEL_MARGIN <= n_pairs
+        self.use_kernel_states = 2 * n * S * KERNEL_MARGIN <= n_pairs
         _check_memory(n_pairs, int((np.arange(first.size) - first).sum()),
-                      (n + S) * S if self.kernel_states else 0, window)
+                      (n + S) * S if self.use_kernel_states else 0, window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -682,7 +682,7 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     mark density.  No term is negative, so the normalizer sums without
     cancellation, with a per-child maximum taken out.
     """
-    if not structure.kernel_states:
+    if not structure.use_kernel_states:
         return VariationalState(structure,
                                 *_normalize(structure, *_log_weights(structure, params)))
     events = structure.events
@@ -909,7 +909,7 @@ def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | Non
     window, in O(n S); None in exact mode and for a structure without kernel
     states, where O(n S) would outweigh the per-pair sweeps.
     """
-    if structure.window is None or not structure.kernel_states:
+    if structure.window is None or not structure.use_kernel_states:
         return None
     events, nu = structure.events, structure.nu
     S = events.S

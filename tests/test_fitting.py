@@ -305,7 +305,7 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
     events = random_events(np.random.default_rng(8), 1500, 3, 8, T=100.0, max_len=9)
     built = PairStructure(events, nu=1.0)
     n_pairs, n_triples = built.n_pairs, built.tri_pair.size
-    assert built.kernel_states
+    assert built.use_kernel_states
     del built
     assert n_triples > n_pairs
     need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES
@@ -321,7 +321,7 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
     # a layout without kernel states is not charged for them
     _take_path(monkeypatch, kernel=False)
     monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
-    assert not PairStructure(events, nu=1.0).kernel_states
+    assert not PairStructure(events, nu=1.0).use_kernel_states
     monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
     with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples need"):
         PairStructure(events, nu=1.0)
@@ -408,7 +408,7 @@ def test_lean_e_step_matches_the_two_branch_reference(n, window, monkeypatch):
     for kernel in (True, False):
         _take_path(monkeypatch, kernel)
         structure = PairStructure(events, params.nu, window=window)
-        assert structure.kernel_states == kernel
+        assert structure.use_kernel_states == kernel
         compared = []
         for theta in (params.theta, zeroed):
             for gamma in (0.0, 0.3, 1.0):
@@ -432,7 +432,7 @@ def test_lean_e_step_matches_the_two_branch_reference(n, window, monkeypatch):
 
 def _e_step_matches_reference(events, params, window):
     structure = PairStructure(events, params.nu, window=window)
-    assert structure.kernel_states
+    assert structure.use_kernel_states
     want = reference_e_step(structure, params)
     got = update_eta(events, params, structure)
     np.testing.assert_allclose(got.eta0, want[0], rtol=0, atol=1e-12)
@@ -547,15 +547,15 @@ def test_e_step_path_follows_the_layout_size(monkeypatch):
     rng = np.random.default_rng(101)
     few = random_events(rng, 300, 4, 6, T=60.0)
     many = random_events(rng, 300, 40, 6, T=60.0)
-    assert PairStructure(few, nu=1.0).kernel_states
-    assert not PairStructure(many, nu=1.0).kernel_states
+    assert PairStructure(few, nu=1.0).use_kernel_states
+    assert not PairStructure(many, nu=1.0).use_kernel_states
     # either path fits alike: same sweeps, parameters and posteriors to 1e-12
     init = random_params(rng, 40, 6, gamma=0.3, nu=1.0)
     reports = []
     for kernel in (True, False):
         _take_path(monkeypatch, kernel)
         report = fit(copy.deepcopy(many), init=init, max_iters=6)
-        assert report.eta.structure.kernel_states == kernel
+        assert report.eta.structure.use_kernel_states == kernel
         reports.append(report)
     a, b = reports
     assert a.iterations == b.iterations
