@@ -1,13 +1,12 @@
 """Runtime-scaling benchmark for the fit sweeps and the root-probability pass.
 
-An E/M sweep costs O(n S + overlap pairs + triples) on the kernel states
-(O(pairs) on a layout without them, see `fitting.KERNEL_MARGIN`): with a
-truncation window the pairs, overlap pairs and triples grow as n * w, so
-wall time per sweep should fit a linear model in n; in exact mode they grow
-as n^2, and the sweep is reported as quadratic rather than held to a linear
-bar.  The one-time PairStructure build is timed separately from the
-per-sweep cost, and the fastest sweep is split into its E-step and its two
-M-steps.
+An E/M sweep costs O(kernel cells + overlap pairs + triples), with at most
+min(pairs, n 2S) cells: with a truncation window all three grow as n * w,
+so wall time per sweep should fit a linear model in n; in exact mode the
+overlap pairs and triples grow as n^2, and the sweep is reported as
+quadratic rather than held to a linear bar.  The one-time PairStructure
+build is timed separately from the per-sweep cost, and the fastest sweep is
+split into its E-step and its two M-steps.
 """
 
 from __future__ import annotations

@@ -175,10 +175,6 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
         click.echo(f"[fit] the window dropped at most {report.window_dropped_max:.3g} "
                    f"(mean {report.window_dropped_mean:.3g}) of an event's "
                    f"excitation intensity", err=True)
-    elif window is not None:
-        click.echo("[fit] the share of excitation the window dropped is not computed: "
-                   "with more sources than candidate parents per event the fit runs "
-                   "on per-pair weights, without the per-source kernel states", err=True)
     dataio.write_params(report.params, _out(params_out))
     if eta_out:
         dataio.write_eta(report.eta, eta_out)

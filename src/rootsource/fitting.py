@@ -29,16 +29,15 @@ posteriors do not depend on it, and the normalizers and the objective add it
 back.  Relative to c_i, a parent with a non-empty mark that shares no token
 with child i has weight A[s_i, s_j] kappa(t_i - t_j), and one with an empty
 mark that weight times f_imm e^{-c_i}.  So a sweep need not visit the pairs:
-the exponential kernel lets per-source sums of kappa over the earlier events
-(Ozaki 1979), one for parents with a non-empty mark and one for parents with
-an empty one, give every child's total over such parents, and only the
-pairs that share a token (the overlap pairs) add a correction.  That E-step
-and both M-steps cost O(n S + overlap pairs + triples) and the per-pair
-posteriors are built only on demand (`VariationalState.eta_pair`).  The
-n x 2S kernel states outgrow the pairs when the sources outnumber the
-candidate parents per event, so a layout takes this path only when its
-states are a small fraction of its pairs (KERNEL_MARGIN); otherwise the
-E-step normalizes per-pair weights, at O(pairs) per sweep.
+the exponential kernel lets per-class sums of kappa over the earlier events
+(Ozaki 1979), one class per source and parents with a non-empty or an empty
+mark, give every child's total over such parents, and only the pairs that
+share a token (the overlap pairs) add a correction.  The sums are stored
+sparsely, one cell per child and parent class with a candidate in the
+child's window, so there are at most min(pairs, n 2S) of them however many
+sources there are.  That E-step and both M-steps cost O(cells + overlap
+pairs + triples), and the per-pair posteriors are built only on demand
+(`VariationalState.eta_pair`).
 """
 
 from __future__ import annotations
@@ -124,33 +123,32 @@ class PriorConfig:
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
-# Peak bytes per candidate pair, per token-overlap triple and per entry of
-# the (n + S) x S arrays of a three-sweep fit (structure, E-steps with the
-# previous state alive, M-steps, the per-pair posteriors of the returned
-# state).  The overlap pairs are at most the triples and fit in
-# TRIPLE_BYTES.  Under tracemalloc 18 runs peaked at 72% to 98% of the
-# estimate: the synthetic defaults exact at n = 1 361 and window 20 at
-# n = 8 015, and their marks redrawn over V = 2 to 128 tokens (0.21 to 9.9
-# triples per pair), initial gamma 0.3 and 1.  The (n + S) x S arrays are
-# the per-source kernel states (n x 2S), the E-step's per-child weights and
-# the S x S parameters, charged only for a layout that uses the kernel
-# states: windowed fits at n = 1 300 with S = 300 and 1 000 peaked at 49 B
-# per entry beyond their pair and triple terms.
+# Peak bytes per candidate pair, per token-overlap triple and per kernel
+# cell of a three-sweep fit (structure, E-steps with the previous state
+# alive, M-steps, the per-pair posteriors of the returned state).  The
+# overlap pairs are at most the triples and fit in TRIPLE_BYTES; the cells
+# are charged by their bound min(pairs, n 2S), and their build peaks at 56
+# to 66 B per cell (72 at S = 5, where its O(n) arrays weigh on few
+# cells).  Under tracemalloc 18 runs peaked at 71% to 98% of the estimate:
+# the synthetic defaults exact at n = 1 431 and window 20 at n = 8 015,
+# with their marks at initial gamma 0.3 and 1 and redrawn over V = 2 to 128
+# tokens (0.2 to 10.6 triples per pair).  Windowed fits at n = 1 328 with
+# sources relabelled to S = 300 and 1 000 peaked at 37% to 63% of it
+# beyond their S x V and S x S parameter-sized arrays, which no term
+# charges.
 PAIR_BYTES = 56
 TRIPLE_BYTES = 58
-STATE_BYTES = 64
-# A layout takes the kernel-state E-step when its n x 2S states number at
-# most 1 / KERNEL_MARGIN of its candidate pairs, and the per-pair E-step
-# otherwise.  Whole sweeps on the synthetic defaults at n = 8 015, sources
-# relabelled at random to S = 5 to 1 000, broke even at 1.2 (window 20) and
-# 2.7 (window 2) pairs per kernel state.
-KERNEL_MARGIN = 3.0
+CELL_BYTES = 64
 # Pairs per block of the per-pair gathers, which then need no pair-length
 # temporary.
 PAIR_BLOCK = 1 << 20
-# Kernel lengths spanned by one block of the kernel states' prefix sums:
-# exp(64) is far from overflow, and the time offsets stay small.
-KERNEL_BLOCK = 64.0
+
+
+def _row_blocks(row_start: np.ndarray):
+    """(a, b) bounds of consecutive row ranges that hold about PAIR_BLOCK
+    pairs each, row_start[a]:row_start[b], and together every pair."""
+    rows = np.searchsorted(row_start, np.arange(0, row_start[-1], PAIR_BLOCK), "right") - 1
+    return zip(rows.tolist(), rows[1:].tolist() + [row_start.size - 1])
 
 
 def _physical_memory() -> int | None:
@@ -160,17 +158,15 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n_pairs: int, n_triples: int, n_states: int,
+def _check_memory(n_pairs: int, n_triples: int, n_cells: int,
                   window: float | None) -> None:
-    # n_states: entries of the (n + S) x S arrays, 0 without kernel states
-    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_states * STATE_BYTES
+    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_cells * CELL_BYTES
     have = _physical_memory()
     if have is not None and need > have:
         hint = "a smaller" if window is not None else "a"
-        states = f", with {n_states} kernel-state entries," if n_states else ""
         raise ValidationError(
-            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples"
-            f"{states} need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples "
+            f"need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
             f"of physical memory; pass {hint} truncation window (--truncate-window) "
             f"to limit the candidate parents")
 
@@ -191,64 +187,77 @@ def _first_partners(events: EventSequence, lo: np.ndarray):
     return tok, first
 
 
-def _own_states(t: np.ndarray, nu: float) -> np.ndarray:
-    """E[k] = sum over m <= k of exp(-(t[k] - t[m]) / nu) for increasing t; E >= 1.
+def _class_states(cls: np.ndarray, times: np.ndarray, nu: float):
+    """Events grouped by class, each class in time order, and their own states.
 
-    Prefix sums of exp((t_m - t_b) / nu), in blocks that span less than
-    KERNEL_BLOCK kernel lengths from their first time t_b: a single block
-    would overflow to inf once (t - t[0]) / nu passes about 709.  The carry
-    into the next block decays by exp(-(t_b' - t_b) / nu).
+    Returns (q, cq, own): q[p] is an event, cq[p] its class, ascending, and
+    own[p] = sum over the class events m <= q[p] of exp(-(t[q[p]] - t_m) / nu)
+    >= 1.  own follows the recursion E_p = 1 + d_p E_{p-1}, with d_p the
+    decay since the class's previous event (0 for its first), as a
+    Hillis-Steele scan: log2(n) passes that compose (decay, sum) pairs.
+    Every term is a product of decays, so nothing overflows however long the
+    sequence, and no term is subtracted.
     """
-    block = np.floor((t - t[0]) / (KERNEL_BLOCK * nu))
-    starts = np.flatnonzero(np.diff(block, prepend=-1.0)).tolist()
-    out = np.empty_like(t)
-    carry, prev = 0.0, float(t[0])
-    for a, b in zip(starts, starts[1:] + [t.size]):
-        lag = (t[a:b] - t[a]) / nu
-        carry *= math.exp(-(t[a] - prev) / nu)
-        acc = np.cumsum(np.exp(lag))
-        acc += carry
-        out[a:b] = acc * np.exp(-lag)
-        carry, prev = float(acc[-1]), float(t[a])
-    return out
+    q = np.argsort(cls, kind="stable")
+    cq = cls[q]
+    tq = times[q]
+    gap = np.diff(tq, prepend=tq[:1])
+    gap[np.diff(cq, prepend=-1) != 0] = np.inf  # a class's first event
+    decay = np.exp(-gap / nu)
+    own = np.ones(q.size)
+    step = 1
+    while step < q.size:
+        own[step:] += decay[step:] * own[:-step]
+        decay[step:] *= decay[:-step]
+        step *= 2
+    return q, cq, own
 
 
-def _groups(key: np.ndarray, size: int):
-    """(c, the increasing indices k with key[k] == c) for each non-empty c < size."""
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(size + 1)).tolist()
-    for c in range(size):
-        if bounds[c] < bounds[c + 1]:
-            yield c, order[bounds[c]:bounds[c + 1]]
-
-
-def _kernel_states(events: EventSequence, nu: float, lo: np.ndarray) -> np.ndarray:
-    """Per-event log sums of kappa over the candidate parents of each parent class.
+def _kernel_cells(events: EventSequence, nu: float, lo: np.ndarray):
+    """Per child and parent class, the log sum of kappa over its candidate parents.
 
     Class c < S holds the events of source c with a non-empty mark, class
-    S + c those with an empty one; entry [i, c] is log sum over the class-c
-    events j in [lo_i, i) of kappa(t_i - t_j).  A sum over the class events
-    up to the latest one, m, is exp(-(t_i - t_m) / nu) E_m with E_m >= 1
-    from `_own_states`, so no state underflows however far back its events
-    lie, and the in-window sum, E_m less the decayed state before the
-    window, keeps E_m's last term.
+    S + c those with an empty one.  Child i has a cell for class c when a
+    class-c event lies in [lo_i, i), holding log sum over those events j of
+    kappa(t_i - t_j).  A sum over the class events up to the latest one, m,
+    is exp(-(t_i - t_m) / nu) E_m with E_m >= 1 from `_class_states`, so no
+    cell underflows however far back its events lie, and the in-window sum,
+    E_m less the decayed state before the window, keeps E_m's last term.
+
+    Returns (cell_start, cell_key, cell_log), grouped by child: child i's
+    cells of non-empty-mark classes are cell_start[2i]:cell_start[2i+1] and
+    those of empty-mark classes cell_start[2i+1]:cell_start[2i+2], each in
+    class order; cell_key is s_i * S + the class's source.
     """
     times, S, n = events.times, events.S, len(events)
-    log_in = np.full((n, 2 * S), -np.inf)
-    rows = np.arange(n)
-    log_nu = math.log(nu)
-    for c, q in _groups(events.sources + S * (events.lengths == 0), 2 * S):
-        tq = times[q]
-        own = _own_states(tq, nu)
-        last = np.searchsorted(q, rows) - 1      # latest class event before i
-        before = np.searchsorted(q, lo) - 1      # latest one before the window
-        hit = np.flatnonzero(last > before)
-        m, b = last[hit], before[hit]
-        inner = own[m]
-        early = b >= 0
-        inner[early] -= np.exp(-(tq[m[early]] - tq[b[early]]) / nu) * own[b[early]]
-        log_in[hit, c] = np.log(inner) - (times[hit] - tq[m]) / nu - log_nu
-    return log_in
+    q, cq, own = _class_states(events.sources + S * (events.lengths == 0), times, nu)
+    # event q[m] is the latest of its class before each child up to the
+    # class's next event; of those, the children up to hi[m] have it in
+    # their window, and so a cell
+    hi = np.searchsorted(lo, q, side="right") - 1
+    stop = np.minimum(hi, np.append(np.where(cq[1:] == cq[:-1], q[1:], n), n))
+    i = ragged_arange(q + 1, stop + 1)
+    m = np.repeat(np.arange(q.size), stop - q)
+    c = cq[m]
+    # the latest class event before i's window, from the ascending composite
+    # key class * n + event
+    b = np.searchsorted(cq * n + q, c * n + lo[i]) - 1
+    tq = times[q]
+    log = own[m]
+    early = (b >= 0) & (cq[b] == c)
+    b = b[early]
+    log[early] -= np.exp(-(tq[m[early]] - tq[b]) / nu) * own[b]
+    del b, early
+    np.log(log, out=log)
+    log -= (times[i] - tq[m]) / nu + math.log(nu)
+    del m
+    # the children come in class order, so a stable sort keeps it per child
+    seg = 2 * i + (c >= S)
+    order = np.argsort(seg, kind="stable")
+    cell_start = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=2 * n))])
+    del seg
+    cell_key = events.sources[i] * S + c % S
+    return cell_start, cell_key[order], log[order]
 
 
 class PairStructure:
@@ -260,23 +269,20 @@ class PairStructure:
     x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
     updates; the distinct (i, j) among them are the overlap pairs (ov_*, in
     pair order, with tri_ov the overlap pair of each triple).
-    use_kernel_states says which E-step the layout takes: from log_dense,
-    per event and source the log sums of kappa over its candidate parents
-    with a non-empty mark (first S columns) and with an empty one (last S),
-    plus the overlap pairs; or, when those n x 2S states would not be a
-    small fraction of the pairs (see KERNEL_MARGIN), from per-pair weights.
-    The overlap pairs, log_dense and by_source are built on first use, so
-    the temporal- and mark-only passes, which read only the pairs and the
-    triples, never build them.
+    cells holds, per child and parent class (source, empty or non-empty
+    mark) with a candidate in the child's window, the log sum of kappa over
+    those candidates (see `_kernel_cells`); the E-step reads the cells and
+    the overlap pairs.  The overlap pairs and the cells are built on first
+    use, so the temporal- and mark-only passes, which read only the pairs
+    and the triples, never build them.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
     events object with the same settings reuse it for as long as it is alive
     (see `_structure_for`).  It also remembers, weakly, the last E-step run
     on it (see `_state_at`).  The pairs and triples are counted first; a
-    layout that would not fit in physical memory, with its kernel states
-    when it uses them, raises ValidationError before anything pair-sized is
-    allocated.
+    layout that would not fit in physical memory, with its cells at their
+    bound, raises ValidationError before anything pair-sized is allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -300,9 +306,8 @@ class PairStructure:
         cand = np.arange(n) - lo
         tok, first = _first_partners(events, lo)
         n_pairs = int(cand.sum())
-        self.use_kernel_states = 2 * n * S * KERNEL_MARGIN <= n_pairs
         _check_memory(n_pairs, int((np.arange(first.size) - first).sum()),
-                      (n + S) * S if self.use_kernel_states else 0, window)
+                      min(n_pairs, 2 * n * S), window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -321,7 +326,13 @@ class PairStructure:
 
         self.counts_by_source = events.token_counts_by_source()
         self.nnz_row = np.repeat(np.arange(n), np.diff(events.tok_indptr))
-        self.key_nnz = sources[self.nnz_row] * V + events.tok_index
+        # the distinct (source, token) keys of the marks, and each mark
+        # entry's among them: the E-step takes logs of theta only there
+        key = sources[self.nnz_row] * V + events.tok_index
+        used = np.zeros(S * V, dtype=bool)
+        used[key] = True
+        self.key_used = np.flatnonzero(used)
+        self.key_at = (np.cumsum(used) - 1)[key]
 
         self._build_triples(tok, first)
         self._last = None
@@ -411,20 +422,9 @@ class PairStructure:
         return self.log_kernel[self.ov_pair]
 
     @cached_property
-    def log_dense(self) -> np.ndarray:
-        """Per event and parent class, the log sum of kappa over its candidate
-        parents (see `_kernel_states`)."""
-        return _kernel_states(self.events, self.nu, self.lo)
-
-    @cached_property
-    def by_source(self):
-        """Sums over each source's events, as a sparse S x n matrix."""
-        from scipy import sparse  # loaded by token_postings already
-
-        events = self.events
-        n = len(events)
-        return sparse.csr_matrix((np.ones(n), (events.sources, np.arange(n))),
-                                 shape=(events.S, n))
+    def cells(self):
+        """(cell_start, cell_key, cell_log) of `_kernel_cells`."""
+        return _kernel_cells(self.events, self.nu, self.lo)
 
 
 class VariationalState:
@@ -436,9 +436,8 @@ class VariationalState:
     (eta on the overlap pairs), eta_cells (the S x S sums of eta over the
     pairs of each child source and parent source) and eta_empty (each
     child's eta mass on parents with an empty mark).  A state built from
-    dense posteriors, as the per-pair E-step builds it, derives them from
-    eta_pair; a kernel-state E-step's state carries them and computes
-    eta_pair on first access.
+    dense posteriors derives them from eta_pair; the E-step's state carries
+    them and computes eta_pair on first access.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
@@ -465,8 +464,7 @@ class VariationalState:
         log_a, live, empty = self._factors
         eta = np.empty(st.n_pairs)
         # in blocks of rows, so that the per-child factor's expansion stays small
-        rows = np.searchsorted(st.row_start, np.arange(0, st.n_pairs, PAIR_BLOCK), "right") - 1
-        for a, b in zip(rows.tolist(), rows[1:].tolist() + [len(live)]):
+        for a, b in _row_blocks(st.row_start):
             part = eta[st.row_start[a]:st.row_start[b]]
             np.take(log_a, st.pair_cell[st.row_start[a]:st.row_start[b]], out=part)
             part += st.log_kernel[st.row_start[a]:st.row_start[b]]
@@ -516,8 +514,7 @@ class FitReport:
     window: float | None = None
     # windowed fits: the largest and the mean share of an event's excitation
     # intensity sum_j A[s_i, s_j] kappa(t_i - t_j) that the window left out,
-    # at the returned parameters (None in exact mode, and when the layout
-    # has no kernel states: see `_window_dropped`)
+    # at the returned parameters (None in exact mode)
     window_dropped_max: float | None = None
     window_dropped_mean: float | None = None
 
@@ -586,16 +583,16 @@ def _mark_terms(structure: PairStructure, params: ModelParams):
     """
     events = structure.events
     n = len(events)
-    key = structure.key_nnz
+    used, at = structure.key_used, structure.key_at
     theta = params.theta.ravel()
     g = params.gamma
     own = (1.0 - g) * theta
+    own_used = own[used]
     with np.errstate(divide="ignore"):
-        log_theta = np.log(theta)
-        log_own = np.log(own)
-    log_f_imm = scatter_sum(structure.nnz_row, events.tok_count * log_theta[key], n)
-    dead = own[key] == 0.0
-    live = events.tok_count * log_own[key]
+        log_f_imm = scatter_sum(structure.nnz_row,
+                                events.tok_count * np.log(theta[used])[at], n)
+        live = events.tok_count * np.log(own_used)[at]
+    dead = own_used[at] == 0.0
     live[dead] = 0.0
     c = scatter_sum(structure.nnz_row, live, n)
     log_f_imm -= c
@@ -670,28 +667,22 @@ def _raise_if_dead(m: np.ndarray) -> None:
 
 
 def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
-    """The E-step of the structure's path; see `update_eta`.
+    """The E-step of `update_eta`, from the kernel cells and the overlap pairs.
 
-    Without kernel states, the per-pair weights of `_log_weights` are
-    normalized.  With them, relative to c_i, child i's weights are: the
-    immigrant rho f_imm; per parent source s', A[s_i, s'] times the kernel
-    state over its parents with a non-empty mark (dropped when child i has a
-    dead token) and A[s_i, s'] f_imm times the state over those with an
-    empty mark; and, per overlap pair, its excess w_ij (1 - e^{-sigma_ij}) over the state's share (all of
-    w_ij for a child with a dead token), where sigma_ij is the pair's log
-    mark density.  No term is negative, so the normalizer sums without
-    cancellation, with a per-child maximum taken out.
+    Relative to c_i, child i's weights are: the immigrant rho f_imm; per
+    cell, A[s_i, s'] times the cell's kernel sum, times f_imm for a class of
+    parents with an empty mark (the other cells are dropped when child i has
+    a dead token); and, per overlap pair, its excess w_ij (1 - e^{-sigma_ij})
+    over its cell's share (all of w_ij for a child with a dead token), where
+    sigma_ij is the pair's log mark density.  No term is negative, so the
+    normalizer sums without cancellation, with a per-child maximum taken out.
     """
-    if not structure.use_kernel_states:
-        return VariationalState(structure,
-                                *_normalize(structure, *_log_weights(structure, params)))
     events = structure.events
     n, S = len(events), events.S
-    sources = events.sources
     log_f_imm, c, term, tri_dead, n_dead = _mark_terms(structure, params)
     with np.errstate(divide="ignore"):
         log_rho = np.log(params.rho)
-        log_a = np.log(params.A)
+        log_a = np.log(params.A).ravel()
     ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
     n_ov = structure.ov_pair.size
     sigma = scatter_sum(structure.tri_ov, term, n_ov)
@@ -699,45 +690,48 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     if n_dead is not None:
         sigma[_missed_dead(structure.tri_ov, tri_dead, n_dead, ov_len, n_ov)] = -np.inf
         del tri_dead
-    logw = structure.log_dense.reshape(n, 2, S) + log_a[sources][:, None, :]
-    logw = logw.reshape(n, 2 * S)
-    logw[:, S:] += log_f_imm[:, None]
+    # per child, the log factor of its cells whose parents have a non-empty
+    # mark and of those whose parents have an empty one
+    factor = np.zeros((n, 2))
+    factor[:, 1] = log_f_imm
     excess = -np.expm1(-sigma)
     if n_dead is not None:
         dead = n_dead != 0
-        logw[dead, :S] = -np.inf
+        factor[dead, 0] = -np.inf
         excess[np.repeat(dead, ov_len)] = 1.0
-    logw_ov = log_a.ravel()[structure.ov_cell]
+    cell_start, cell_key, cell_log = structure.cells
+    logw = log_a[cell_key]
+    logw += cell_log
+    logw_ov = log_a[structure.ov_cell]
     logw_ov += structure.ov_log_kernel
     logw_ov += sigma
-    logw_imm = log_rho[sources] + log_f_imm
+    logw_imm = log_rho[events.sources] + log_f_imm
 
-    m = np.maximum(np.maximum(logw_imm, logw.max(axis=1)),
-                   segment_max(logw_ov, ov_start))
+    top = (segment_max(logw, cell_start).reshape(n, 2) + factor).max(axis=1)
+    m = np.maximum(np.maximum(logw_imm, top), segment_max(logw_ov, ov_start))
     _raise_if_dead(m)
     wi = np.exp(logw_imm - m)
-    logw -= m[:, None]
-    wd = np.exp(logw, out=logw)
+    logw -= np.repeat(m[:, None] - factor, np.diff(cell_start))
+    w = np.exp(logw, out=logw)
     logw_ov -= np.repeat(m, ov_len)
     w_ov = np.exp(logw_ov, out=logw_ov)
     excess *= w_ov
-    z = wi + wd.sum(axis=1) + segment_sum(excess, ov_start)
+    halves = segment_sum(w, cell_start).reshape(n, 2)
+    z = wi + halves.sum(axis=1) + segment_sum(excess, ov_start)
     z_ov = np.repeat(z, ov_len)
     w_ov /= z_ov
     excess /= z_ov
-    wd /= z[:, None]
+    w /= np.repeat(z, np.diff(cell_start[::2]))
     log_zr = m + np.log(z)
 
     state = VariationalState(structure, wi / z, None, log_zr + c)
     state.eta_overlap = w_ov
-    cells = structure.by_source @ (wd[:, :S] + wd[:, S:])
-    cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S).reshape(S, S)
-    state.eta_cells = cells
-    state.eta_empty = wd[:, S:].sum(axis=1)
-    live = -log_zr
-    if n_dead is not None:
-        live[dead] = -np.inf
-    state._factors = (log_a.ravel(), live, log_f_imm - log_zr)
+    cells = np.bincount(cell_key, weights=w, minlength=S * S)
+    cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
+    state.eta_cells = cells.reshape(S, S)
+    state.eta_empty = halves[:, 1] / z
+    factor -= log_zr[:, None]
+    state._factors = (log_a, factor[:, 0], factor[:, 1])
     return state
 
 
@@ -746,11 +740,10 @@ def update_eta(events: EventSequence, params: ModelParams,
                window: float | None = None) -> VariationalState:
     """E-step: eta_i0 oc rho[s_i] f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
 
-    Runs in O(n S + overlap pairs + triples) from the structure's kernel
-    states and overlap pairs, and the returned state's eta_pair is computed
-    on first access; on a structure without kernel states (many sources, few
-    candidate parents per event) it runs in O(pairs).  Normalization is done
-    per event with the largest log weight taken out; a component at -inf gets exactly zero weight.  Raises
+    Runs in O(cells + overlap pairs + triples) from the structure's kernel
+    cells and overlap pairs, and the returned state's eta_pair is computed
+    on first access.  Normalization is done per event with the largest log
+    weight taken out; a component at -inf gets exactly zero weight.  Raises
     NumericalError naming the first event whose components are all -inf.
     The structure remembers the returned state for as long as it is alive,
     so a full root pass at parameters of equal value reuses it.
@@ -905,36 +898,39 @@ def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | Non
     """Per event, the share of sum_j A[s_i, s_j] kappa(t_i - t_j) over all
     j < i that lies outside the window (0 without earlier excitation).
 
-    From the kernel states and per-source sums over the events before each
-    window, in O(n S); None in exact mode and for a structure without kernel
-    states, where O(n S) would outweigh the per-pair sweeps.
+    The kept part sums the kernel cells; the dropped part adds up, source by
+    source, the decayed state of the source's latest event before the
+    window, in O(n) memory.  None in exact mode.
     """
-    if structure.window is None or not structure.use_kernel_states:
+    if structure.window is None:
         return None
-    events, nu = structure.events, structure.nu
-    S = events.S
+    events, nu, lo = structure.events, structure.nu, structure.lo
+    times, n = events.times, len(events)
     with np.errstate(divide="ignore"):
-        log_a = np.log(A)[events.sources]
-    kept = np.logaddexp(structure.log_dense[:, :S], structure.log_dense[:, S:])
-    kept += log_a
-    # lost[i, s]: log sum of kappa over source s's events before child i's
-    # window, the decayed state of the latest one, b
-    lost = np.full_like(kept, -np.inf)
-    for s, q in _groups(events.sources, S):
-        tq = events.times[q]
-        before = np.searchsorted(q, structure.lo) - 1
-        out = np.flatnonzero(before >= 0)
-        b = before[out]
-        lost[out, s] = (log_a[out, s] + np.log(_own_states(tq, nu)[b])
-                        - (events.times[out] - tq[b]) / nu - math.log(nu))
-    m = np.maximum(kept.max(axis=1), lost.max(axis=1))
-    m[~np.isfinite(m)] = 0.0
-    for part in (kept, lost):
-        part -= m[:, None]
-        np.exp(part, out=part)
-    lost = lost.sum(axis=1)
-    total = kept.sum(axis=1) + lost
-    return np.divide(lost, total, out=np.zeros_like(lost), where=total > 0)
+        log_a = np.log(A)
+    cell_start, cell_key, cell_log = structure.cells
+    rows = cell_start[::2]
+    x = log_a.ravel()[cell_key] + cell_log
+    top = segment_max(x, rows)
+    top[~np.isfinite(top)] = 0.0
+    x -= np.repeat(top, np.diff(rows))
+    with np.errstate(divide="ignore"):
+        kept = np.log(segment_sum(np.exp(x, out=x), rows)) + top
+    # the dropped part, source by source: for each window that starts past
+    # the source's first event, the decayed state of its latest event before
+    q, sq, own = _class_states(events.sources, times, nu)
+    log_own = np.log(own) - math.log(nu)
+    lost = np.full(n, -np.inf)
+    bounds = np.flatnonzero(np.diff(sq, prepend=-1)).tolist() + [n]
+    for a, z in zip(bounds, bounds[1:]):
+        k = np.searchsorted(lo, q[a], side="right")
+        b = a + np.searchsorted(q[a:z], lo[k:]) - 1
+        np.logaddexp(lost[k:], log_a[events.sources[k:], sq[a]] + log_own[b]
+                     - (times[k:] - times[q[b]]) / nu, out=lost[k:])
+    share = np.zeros(n)
+    hit = np.isfinite(lost)
+    share[hit] = np.exp(lost[hit] - np.logaddexp(kept[hit], lost[hit]))
+    return share
 
 
 def _default_init(events: EventSequence, prior: PriorConfig, nu: float) -> ModelParams:
@@ -974,12 +970,11 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     relative trace change below tol, or the parameters reach an exact fixed
     point.  A fit that reaches max_iters unconverged stops after that sweep's
     E-step, so the returned eta is the E-step at the returned parameters and
-    elbo(events, params, eta) is the last trace value.  With kernel states
-    the sweeps never build per-pair posteriors, and the returned eta builds
-    them once, here, so a root pass or `mini_conversations` on the report
-    finds them built.  A windowed fit with kernel states reports the largest
-    and the mean share of an event's excitation intensity that the window
-    dropped.  Raises NumericalError on a NaN objective with the iteration
+    elbo(events, params, eta) is the last trace value.  The sweeps never
+    build per-pair posteriors, and the returned eta builds them once, here,
+    so a root pass or `mini_conversations` on the report finds them built.
+    A windowed fit reports the largest and the mean share of an event's
+    excitation intensity that the window dropped.  Raises NumericalError on a NaN objective with the iteration
     number.
     """
     if len(events) == 0:

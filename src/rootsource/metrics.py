@@ -9,7 +9,7 @@ import numpy as np
 
 from ._numeric import segment_max
 from .errors import ValidationError
-from .fitting import VariationalState
+from .fitting import VariationalState, _row_blocks
 from .model import EventSequence
 from .rootprob import RootProbMatrix
 from .simulate import BranchingStructure
@@ -107,14 +107,17 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
         raise ValidationError("state and events disagree on length")
     # argmax over (immigrant, parents in time order), ties to the first: the
     # immigrant when it reaches the row's largest pair posterior, else the
-    # earliest pair that does
+    # earliest pair that does; compared in blocks of rows, so that no
+    # pair-length temporary is needed
     st = eta.structure
     best = segment_max(eta.eta_pair, st.row_start)
-    rows = np.flatnonzero(eta.eta0 < best)
-    hits = np.flatnonzero(eta.eta_pair == np.repeat(best, st.row_len))
-    first = hits[np.searchsorted(hits, st.row_start[rows])]
     parent = np.zeros(n, dtype=np.int64)  # 0 = immigrant, j -> event j
-    parent[rows] = st.pair_j[first] + 1
+    for a, b in _row_blocks(st.row_start):
+        rows = a + np.flatnonzero(eta.eta0[a:b] < best[a:b])
+        pa = st.row_start[a]
+        hits = pa + np.flatnonzero(eta.eta_pair[pa:st.row_start[b]]
+                                   == np.repeat(best[a:b], st.row_len[a:b]))
+        parent[rows] = st.pair_j[hits[np.searchsorted(hits, st.row_start[rows])]] + 1
     branching = BranchingStructure(parent=parent)
     root = np.zeros(n, dtype=np.int64)
     members: dict[int, list[int]] = {}

@@ -17,7 +17,7 @@ by row.  When the structure's last E-step is still alive and ran at
 parameters equal in value to the pass's (a fit's final state, while its
 report is held), the full pass reads its posteriors and runs only the
 forward substitution; otherwise it runs the same E-step as the fit
-(`fitting._e_step`, from the kernel states and the overlap pairs) and builds
+(`fitting._e_step`, from the kernel cells and the overlap pairs) and builds
 its per-pair posteriors, so a reused and a recomputed pass agree bit for
 bit.  Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.

@@ -16,6 +16,7 @@ from rootsource.metrics import (
     true_root_log_probability,
 )
 from rootsource.rootprob import RootProbMatrix
+from util import random_events
 
 
 def mat(rows, mode="full"):
@@ -107,6 +108,22 @@ def test_mini_conversations_ties_and_windowed_rows():
     assert mc.branching.parent.tolist() == [int(np.argmax(state.eta_vector(k)))
                                             for k in range(5)]
     assert mc.conversations == [[1, 3], [2, 4, 5]]
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_mini_conversations_in_row_blocks(block, monkeypatch):
+    # rows compared a few pairs at a time, some split across blocks, get
+    # np.argmax's parents; posteriors from three values make ties common
+    events = random_events(np.random.default_rng(19), 30, 2, 3)
+    structure = PairStructure(events, nu=1.0, window=3.0)
+    rng = np.random.default_rng(block)
+    eta0 = rng.choice([0.1, 0.2, 0.3], len(events))
+    state = VariationalState(structure, eta0, rng.choice([0.1, 0.2, 0.3], structure.n_pairs),
+                             np.zeros(len(events)))
+    monkeypatch.setattr("rootsource.fitting.PAIR_BLOCK", block)
+    mc = mini_conversations(state, events)
+    assert mc.branching.parent.tolist() == [int(np.argmax(state.eta_vector(k)))
+                                            for k in range(len(events))]
 
 
 def test_mini_conversations_all_immigrants():

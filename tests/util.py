@@ -97,6 +97,7 @@ def reference_log_mark_densities(structure, params):
 
     events = structure.events
     n = len(events)
+    key_nnz = structure.key_used[structure.key_at]
     lengths = events.lengths
     mix_scale = np.where(lengths[structure.pair_j] > 0,
                          np.repeat(lengths, structure.row_len), 0.0)
@@ -104,13 +105,13 @@ def reference_log_mark_densities(structure, params):
     with np.errstate(divide="ignore"):
         log_theta = np.log(theta)
     log_f_imm = scatter_sum(structure.nnz_row,
-                            events.tok_count * log_theta[structure.key_nnz], n)
+                            events.tok_count * log_theta[key_nnz], n)
     g = params.gamma
     if g == 0.0:
         return log_f_imm, np.repeat(log_f_imm, structure.row_len)
 
     own = (1.0 - g) * theta
-    dead = own[structure.key_nnz] == 0.0
+    dead = own[key_nnz] == 0.0
     if g < 1.0 and not dead.any():
         ratio = (g * structure.tri_xjv) / own[structure.tri_key]
         log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * np.log1p(ratio),
@@ -124,7 +125,7 @@ def reference_log_mark_densities(structure, params):
     with np.errstate(divide="ignore"):
         term = np.where(tri_dead, np.log(g * structure.tri_xjv),
                         np.log1p(g * structure.tri_xjv / tri_own))
-        log_own = np.log(own[structure.key_nnz])
+        log_own = np.log(own[key_nnz])
     log_f_pair = scatter_sum(structure.tri_pair, structure.tri_xiv * term, structure.n_pairs)
     log_f_live = scatter_sum(structure.nnz_row,
                              np.where(dead, 0.0, events.tok_count * log_own), n)
