@@ -22,7 +22,7 @@ except ImportError:  # not on every platform
 import numpy as np
 
 from .errors import ValidationError
-from .fitting import (PairStructure, PriorConfig, _default_init, update_eta,
+from .fitting import (PairStructure, PriorConfig, _default_init, elbo, update_eta,
                       update_rho_alpha, update_theta_gamma)
 from .model import ModelParams
 from .rootprob import root_probabilities
@@ -43,6 +43,7 @@ class BenchRow:
     e_step_seconds: float
     rho_A_seconds: float
     theta_gamma_seconds: float
+    objective_seconds: float
     peak_rss_mb: float | None  # the process's peak RSS after this row
 
 
@@ -56,13 +57,14 @@ class BenchReport:
         mode = "exact" if self.window is None else f"window={self.window:g}"
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
                f"{'target':>8} {'events':>8} {'build[s]':>10} {'sweep[s]':>10} "
-               f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'rootprob[s]':>12} "
+               f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
                f"{'pairs':>11} {'triples':>11} {'RSS[MB]':>8}"]
         for r in self.rows:
             rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
             out.append(f"{r.target:>8} {r.n:>8} {r.build_seconds:>10.3f} "
                        f"{r.sweep_seconds:>10.3f} {r.e_step_seconds:>8.3f} "
                        f"{r.rho_A_seconds:>8.3f} {r.theta_gamma_seconds:>8.3f} "
+                       f"{r.objective_seconds:>8.3f} "
                        f"{r.rootprob_seconds:>12.3f} {r.pairs:>11} {r.triples:>11} "
                        f"{rss:>8}")
         if not self.rows:
@@ -98,7 +100,9 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
     sweep_seconds is the fastest whole sweep (other work on the host only
     ever adds time), and e_step_seconds, rho_A_seconds and
-    theta_gamma_seconds are that sweep's E-step and M-steps.  The root pass is the E-step
+    theta_gamma_seconds are that sweep's E-step and M-steps.  objective_seconds
+    times one `elbo` on the last sweep's state at its E-step's parameters,
+    outside the sweeps.  The root pass is the E-step
     posteriors + forward substitution.  Like a root pass after `fit`, it
     reuses the live PairStructure of the sweeps, so rootprob_seconds excludes
     the build, which build_seconds times.  It runs at the parameters of the
@@ -128,6 +132,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
         phases = np.zeros((sweeps, 3))
         for k in range(sweeps):
+            e_params = params
             t0 = time.perf_counter()
             state = update_eta(events, params, structure)
             t1 = time.perf_counter()
@@ -140,6 +145,12 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
                                  nu=params.nu)
         fastest = phases[phases.sum(axis=1).argmin()]
         e_step, rho_a, theta_gamma = fastest.tolist()
+
+        state.eta_pair  # built once per fit, as `fit` does: not the objective's cost
+        t0 = time.perf_counter()
+        elbo(events, e_params, state, prior)
+        objective = time.perf_counter() - t0
+        del state  # the root pass below computes its own posteriors
 
         t0 = time.perf_counter()
         root_probabilities(events, params, window=window)
@@ -154,5 +165,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
                                     pairs=structure.n_pairs,
                                     triples=structure.tri_pair.size,
                                     e_step_seconds=e_step, rho_A_seconds=rho_a,
-                                    theta_gamma_seconds=theta_gamma, peak_rss_mb=rss))
+                                    theta_gamma_seconds=theta_gamma,
+                                    objective_seconds=objective, peak_rss_mb=rss))
     return report

@@ -37,7 +37,9 @@ sparsely, one cell per child and parent class with a candidate in the
 child's window, so there are at most min(pairs, n 2S) of them however many
 sources there are.  That E-step and both M-steps cost O(cells + overlap
 pairs + triples), and the per-pair posteriors are built only on demand
-(`VariationalState.eta_pair`).
+(`VariationalState.eta_pair`).  `_weights` computes the terms of every
+weight; the E-step sums them over the cells, and `_expand` writes them out
+per pair for `eta_pair`, `elbo` and the temporal- and mark-only root passes.
 """
 
 from __future__ import annotations
@@ -123,22 +125,22 @@ class PriorConfig:
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
-# Peak bytes per candidate pair, per token-overlap triple and per kernel
-# cell of a three-sweep fit (structure, E-steps with the previous state
-# alive, M-steps, the per-pair posteriors of the returned state).  The
-# overlap pairs are at most the triples and fit in TRIPLE_BYTES; the cells
-# are charged by their bound min(pairs, n 2S), and their build peaks at 56
-# to 66 B per cell (72 at S = 5, where its O(n) arrays weigh on few
-# cells).  Under tracemalloc 18 runs peaked at 71% to 98% of the estimate:
-# the synthetic defaults exact at n = 1 431 and window 20 at n = 8 015,
-# with their marks at initial gamma 0.3 and 1 and redrawn over V = 2 to 128
-# tokens (0.2 to 10.6 triples per pair).  Windowed fits at n = 1 328 with
-# sources relabelled to S = 300 and 1 000 peaked at 37% to 63% of it
-# beyond their S x V and S x S parameter-sized arrays, which no term
-# charges.
+# Peak bytes per candidate pair, per token-overlap triple, per kernel cell
+# and per parameter entry (S V + S S) of a three-sweep fit (structure,
+# E-steps with the previous state alive, M-steps, the per-pair posteriors of
+# the returned state).  The overlap pairs are at most the triples and fit in
+# TRIPLE_BYTES; the cells are charged by their bound min(pairs, n 2S), and
+# their build peaks at 56 to 66 B per cell (72 at S = 5).  Under tracemalloc
+# 18 runs peaked at 71% to 98% of the estimate: the synthetic defaults exact
+# at n = 1 431 and window 20 at n = 8 015, with their marks at initial gamma
+# 0.3 and 1 and redrawn over V = 2 to 128 tokens (0.2 to 10.6 triples per
+# pair).  The parameters (theta, (1 - gamma) theta, the token counts and the
+# theta-step's sums; A, its log and the cell sums) took 42 to 56 B per entry
+# beyond that, with S V or S S of 1 M to 10 M and 60 to 1 000 events.
 PAIR_BYTES = 56
 TRIPLE_BYTES = 58
 CELL_BYTES = 64
+PARAM_BYTES = 60
 # Pairs per block of the per-pair gathers, which then need no pair-length
 # temporary.
 PAIR_BLOCK = 1 << 20
@@ -158,17 +160,26 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n_pairs: int, n_triples: int, n_cells: int,
+def _check_memory(n_pairs: int, n_triples: int, n_cells: int, S: int, V: int,
                   window: float | None) -> None:
-    need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_cells * CELL_BYTES
+    layout = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_cells * CELL_BYTES
+    param = S * (V + S) * PARAM_BYTES
     have = _physical_memory()
-    if have is not None and need > have:
+    if have is None or layout + param <= have:
+        return
+    fixes = []
+    if param > have:
+        fixes.append("use fewer sources or tokens (for example a larger min_author_count "
+                     "or min_count in rootsource.ingest)")
+    if param <= have or layout > have:
         hint = "a smaller" if window is not None else "a"
-        raise ValidationError(
-            f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples "
-            f"need about {need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-            f"of physical memory; pass {hint} truncation window (--truncate-window) "
-            f"to limit the candidate parents")
+        fixes.append(f"pass {hint} truncation window (--truncate-window) to limit the "
+                     f"candidate parents")
+    raise ValidationError(
+        f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples need "
+        f"about {layout / 2**30:.1f} GiB and the parameters of {S} sources and {V} tokens "
+        f"{param / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical "
+        f"memory; " + "; ".join(fixes))
 
 
 def _first_partners(events: EventSequence, lo: np.ndarray):
@@ -273,8 +284,8 @@ class PairStructure:
     mark) with a candidate in the child's window, the log sum of kappa over
     those candidates (see `_kernel_cells`); the E-step reads the cells and
     the overlap pairs.  The overlap pairs and the cells are built on first
-    use, so the temporal- and mark-only passes, which read only the pairs
-    and the triples, never build them.
+    use: the temporal-only pass builds neither, the mark-only pass only the
+    overlap pairs.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -282,7 +293,8 @@ class PairStructure:
     (see `_structure_for`).  It also remembers, weakly, the last E-step run
     on it (see `_state_at`).  The pairs and triples are counted first; a
     layout that would not fit in physical memory, with its cells at their
-    bound, raises ValidationError before anything pair-sized is allocated.
+    bound and the S x V and S x S parameter arrays, raises ValidationError
+    before anything pair- or parameter-sized is allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -307,7 +319,7 @@ class PairStructure:
         tok, first = _first_partners(events, lo)
         n_pairs = int(cand.sum())
         _check_memory(n_pairs, int((np.arange(first.size) - first).sum()),
-                      min(n_pairs, 2 * n * S), window)
+                      min(n_pairs, 2 * n * S), S, V, window)
         self.lo = lo
         self.row_len = cand
         self.row_start = np.concatenate([[0], np.cumsum(cand)])
@@ -449,8 +461,7 @@ class VariationalState:
         self.structure = structure
         self.eta0 = eta0
         self.log_z = log_z
-        # (log A flattened, per-child log factor on the pairs whose parent has
-        # a non-empty mark and on those whose parent has an empty one), set
+        # (log A flattened, per-child factor less log z) of `_weights`, set
         # by the E-step for a state whose eta_pair is built on demand
         self._factors = None
         if eta_pair is not None:
@@ -458,20 +469,11 @@ class VariationalState:
 
     @cached_property
     def eta_pair(self) -> np.ndarray:
-        """eta on every pair: A[cell] kappa times the child's factor, then the
-        overlap pairs overwritten with their own posteriors."""
+        """eta on every pair: the E-step's terms expanded at factor - log z,
+        then the overlap pairs overwritten with their own posteriors."""
         st = self.structure
-        log_a, live, empty = self._factors
-        eta = np.empty(st.n_pairs)
-        # in blocks of rows, so that the per-child factor's expansion stays small
-        for a, b in _row_blocks(st.row_start):
-            part = eta[st.row_start[a]:st.row_start[b]]
-            np.take(log_a, st.pair_cell[st.row_start[a]:st.row_start[b]], out=part)
-            part += st.log_kernel[st.row_start[a]:st.row_start[b]]
-            part += np.repeat(live[a:b], st.row_len[a:b])
-            np.exp(part, out=part)
-        p = st.empty_pair
-        eta[p] = np.exp(log_a[st.pair_cell[p]] + st.log_kernel[p] + empty[st.empty_row])
+        eta = _expand(st, *self._factors)
+        np.exp(eta, out=eta)
         eta[st.ov_pair] = self.eta_overlap
         return eta
 
@@ -519,70 +521,42 @@ class FitReport:
     window_dropped_mean: float | None = None
 
 
-def _structure_for(events, params, window):
+def _structure_for(events, nu, window):
     """A live PairStructure for these events and kernel settings, else a new one."""
     window = None if window is None else float(window)
     with _LIVE_LOCK:
         alive = list(_LIVE)
     for live in alive:
-        if live.events is events and live.nu == params.nu and live.window == window:
+        if live.events is events and live.nu == nu and live.window == window:
             return live
-    return PairStructure(events, params.nu, window=window)
+    return PairStructure(events, nu, window=window)
 
 
-def _log_weights(structure: PairStructure, params: ModelParams,
-                 use_time: bool = True, use_marks: bool = True):
-    """Per-component unnormalized log posterior weights, relative to a per-child constant.
+def _weights(structure: PairStructure, params: ModelParams,
+             use_time: bool = True, use_marks: bool = True):
+    """The terms of the log posterior weights, relative to a per-child constant.
 
-    Returns (logw_imm, logw_pair, c): the log weights are logw + c[k] for
-    event k's components, logw_imm[k] + c[k] = log(rho[s_k] f(x_k|t_k,s_k))
-    and, aligned with the structure's pairs, logw_pair + c[i] =
-    log(lambda_j(t_i) f(x_i | t_i, s_i, e_j)).  c, which every component of a
-    child shares, leaves the posteriors unchanged and is added back only to
-    the normalizers and the objective.  use_time=False leaves out the
-    intensity factors rho and lambda_j, use_marks=False the mark densities f
-    (and c is then 0).  -inf entries are legal.  One value per pair: for
-    `elbo` at arbitrary parameters and the temporal- and mark-only root
-    passes; the E-step never builds it.
-    """
-    if use_marks:
-        logw_imm, logw_pair, c = _log_mark_densities(structure, params)
-    else:
-        n = len(structure.events)
-        logw_imm, logw_pair, c = np.zeros(n), np.zeros(structure.n_pairs), np.zeros(n)
-    if use_time:
-        _add_log_intensities(structure, params, logw_imm, logw_pair)
-    return logw_imm, logw_pair, c
-
-
-def _add_log_intensities(structure: PairStructure, params: ModelParams,
-                         logw_imm: np.ndarray, logw_pair: np.ndarray) -> None:
-    # Adds log(rho[s_k]) and log(A[s_i, s_j] kappa(t_i - t_j)) in place.
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(params.rho)
-        log_A = np.log(params.A).ravel()
-    logw_imm += log_rho[structure.events.sources]
-    for a in range(0, structure.n_pairs, PAIR_BLOCK):  # no pair-length gather
-        logw_pair[a:a + PAIR_BLOCK] += log_A[structure.pair_cell[a:a + PAIR_BLOCK]]
-    logw_pair += structure.log_kernel
-
-
-def _mark_terms(structure: PairStructure, params: ModelParams):
-    """The mark half of the posterior weights, per child and per triple.
-
-    Returns (log_f_imm, c, tri_term, tri_dead, n_dead).  Token v of child i
-    is live when (1 - g) theta[s_i, v] > 0 and dead otherwise (a zero in
-    theta, or g = 1): only the parent's bag can emit a dead token.  c_i sums
-    x log((1 - g) theta) over child i's live tokens and log_f_imm is
-    log f(x_i | t_i, s_i) - c_i.  Relative to c_i, a parent with a non-empty
-    mark has the log density sum over its triples of tri_term: x log1p(g
-    xt_jv / ((1 - g) theta)) for a live token and x log(g xt_jv) for a dead
-    one, or -inf when the triples miss one of child i's n_dead dead tokens.
-    A parent with an empty mark has log_f_imm.  tri_dead flags the dead
-    triples; tri_dead and n_dead are None when no token is dead.
+    Returns (log_a, logw_imm, c, factor, sigma).  c_i sums x log((1 - g)
+    theta) over child i's live tokens, those with (1 - g) theta[s_i, v] > 0
+    (a dead token, at a zero in theta or g = 1, only a parent can emit);
+    the posteriors do not depend on it.  logw_imm + c is log(rho f_imm) and
+    log_a is log A flattened.  A parent that shares no token with child i
+    has log_a[pair_cell] + log_kernel + factor[i, 0] (0, or -inf when child
+    i has a dead token), or + factor[i, 1] = log f_imm - c_i when its mark
+    is empty.  An overlap pair has sigma + log_a[ov_cell] + ov_log_kernel:
+    sigma sums x log1p(g xt / ((1 - g) theta)) over its triples (x log(g xt)
+    for a dead token), -inf when they miss one of the child's dead tokens.
+    use_time=False leaves out rho and A kappa (log_a None), use_marks=False
+    the marks (c and factor 0, sigma None: no overlap layout is built).
     """
     events = structure.events
     n = len(events)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(params.rho)
+        log_a = np.log(params.A).ravel() if use_time else None
+    factor = np.zeros((n, 2))
+    if not use_marks:
+        return log_a, log_rho[events.sources], np.zeros(n), factor, None
     used, at = structure.key_used, structure.key_at
     theta = params.theta.ravel()
     g = params.gamma
@@ -596,10 +570,11 @@ def _mark_terms(structure: PairStructure, params: ModelParams):
     live[dead] = 0.0
     c = scatter_sum(structure.nnz_row, live, n)
     log_f_imm -= c
+    factor[:, 1] = log_f_imm
 
     tri_own = own[structure.tri_key]
-    tri_dead = n_dead = None
-    if dead.any():
+    has_dead = dead.any()
+    if has_dead:
         tri_dead = tri_own == 0.0
         n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -607,34 +582,58 @@ def _mark_terms(structure: PairStructure, params: ModelParams):
         term /= tri_own
         del tri_own
         np.log1p(term, out=term)
-        if tri_dead is not None:
+        if has_dead:
             at_dead = structure.tri_xjv[tri_dead]
             at_dead *= g
             term[tri_dead] = np.log(at_dead, out=at_dead)
             del at_dead
     term *= structure.tri_xiv
-    return log_f_imm, c, term, tri_dead, n_dead
+    n_ov = structure.ov_pair.size
+    sigma = scatter_sum(structure.tri_ov, term, n_ov)
+    del term
+    if has_dead:
+        # the overlap pairs whose triples miss one of the child's dead tokens
+        missed = np.bincount(structure.tri_ov[tri_dead], minlength=n_ov)
+        missed -= np.repeat(n_dead, structure.ov_row_len)
+        sigma[missed != 0] = -np.inf
+        factor[n_dead != 0, 0] = -np.inf
+    logw_imm = log_f_imm if log_a is None else log_rho[events.sources] + log_f_imm
+    return log_a, logw_imm, c, factor, sigma
 
 
-def _missed_dead(tri_index, tri_dead, n_dead, row_len, size):
-    # the pairs (or overlap pairs) whose triples miss one of the child's dead tokens
-    missed = np.bincount(tri_index[tri_dead], minlength=size)
-    missed -= np.repeat(n_dead, row_len)
-    return missed != 0
+def _expand(structure: PairStructure, log_a: np.ndarray | None,
+            factor: np.ndarray) -> np.ndarray:
+    """Per pair, log_a[pair_cell] + log_kernel + the child's factor, column 1
+    where the parent's mark is empty; log_a None leaves out the first two.
+    Callers write the overlap pairs themselves."""
+    st = structure
+    out = np.zeros(st.n_pairs)
+    # in blocks of rows, so that the per-child factor's expansion stays small
+    for a, b in _row_blocks(st.row_start):
+        pa, pb = st.row_start[a], st.row_start[b]
+        part = out[pa:pb]
+        if log_a is not None:
+            np.take(log_a, st.pair_cell[pa:pb], out=part)
+            part += st.log_kernel[pa:pb]
+        part += np.repeat(factor[a:b, 0], st.row_len[a:b])
+    p = st.empty_pair
+    empty = factor[st.empty_row, 1]
+    out[p] = empty if log_a is None else log_a[st.pair_cell[p]] + st.log_kernel[p] + empty
+    return out
 
 
-def _log_mark_densities(structure: PairStructure, params: ModelParams):
-    # (log f(x_k | t_k, s_k) - c_k, log f(x_i | t_i, s_i, e_j) - c_i, c) in
-    # fresh buffers, the triple terms scattered onto every pair
-    log_f_imm, c, term, tri_dead, n_dead = _mark_terms(structure, params)
-    log_f_pair = scatter_sum(structure.tri_pair, term, structure.n_pairs)
-    if n_dead is not None:
-        log_f_pair[_missed_dead(structure.tri_pair, tri_dead, n_dead, structure.row_len,
-                                structure.n_pairs)] = -np.inf
-    # after the mask: a parent with an empty mark covers no dead token, yet
-    # its pair keeps the immigrant density
-    log_f_pair[structure.empty_pair] = log_f_imm[structure.empty_row]
-    return log_f_imm, log_f_pair, c
+def _log_weights(structure: PairStructure, params: ModelParams,
+                 use_time: bool = True, use_marks: bool = True):
+    """(logw_imm, logw_pair, c): `_weights`' terms expanded onto every pair,
+    for `elbo` and the temporal- and mark-only root passes."""
+    log_a, logw_imm, c, factor, sigma = _weights(structure, params, use_time, use_marks)
+    logw_pair = _expand(structure, log_a, factor)
+    if sigma is not None:
+        if log_a is not None:
+            sigma += log_a[structure.ov_cell]
+            sigma += structure.ov_log_kernel
+        logw_pair[structure.ov_pair] = sigma
+    return logw_imm, logw_pair, c
 
 
 def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.ndarray,
@@ -677,35 +676,17 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     sigma_ij is the pair's log mark density.  No term is negative, so the
     normalizer sums without cancellation, with a per-child maximum taken out.
     """
-    events = structure.events
-    n, S = len(events), events.S
-    log_f_imm, c, term, tri_dead, n_dead = _mark_terms(structure, params)
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(params.rho)
-        log_a = np.log(params.A).ravel()
+    n, S = len(structure.events), structure.events.S
+    log_a, logw_imm, c, factor, sigma = _weights(structure, params)
     ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
-    n_ov = structure.ov_pair.size
-    sigma = scatter_sum(structure.tri_ov, term, n_ov)
-    del term
-    if n_dead is not None:
-        sigma[_missed_dead(structure.tri_ov, tri_dead, n_dead, ov_len, n_ov)] = -np.inf
-        del tri_dead
-    # per child, the log factor of its cells whose parents have a non-empty
-    # mark and of those whose parents have an empty one
-    factor = np.zeros((n, 2))
-    factor[:, 1] = log_f_imm
     excess = -np.expm1(-sigma)
-    if n_dead is not None:
-        dead = n_dead != 0
-        factor[dead, 0] = -np.inf
-        excess[np.repeat(dead, ov_len)] = 1.0
+    excess[np.repeat(factor[:, 0] == -np.inf, ov_len)] = 1.0
     cell_start, cell_key, cell_log = structure.cells
     logw = log_a[cell_key]
     logw += cell_log
     logw_ov = log_a[structure.ov_cell]
     logw_ov += structure.ov_log_kernel
     logw_ov += sigma
-    logw_imm = log_rho[events.sources] + log_f_imm
 
     top = (segment_max(logw, cell_start).reshape(n, 2) + factor).max(axis=1)
     m = np.maximum(np.maximum(logw_imm, top), segment_max(logw_ov, ov_start))
@@ -731,7 +712,7 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     state.eta_cells = cells.reshape(S, S)
     state.eta_empty = halves[:, 1] / z
     factor -= log_zr[:, None]
-    state._factors = (log_a, factor[:, 0], factor[:, 1])
+    state._factors = (log_a, factor)
     return state
 
 
@@ -749,7 +730,7 @@ def update_eta(events: EventSequence, params: ModelParams,
     so a full root pass at parameters of equal value reuses it.
     """
     if structure is None:
-        structure = _structure_for(events, params, window)
+        structure = _structure_for(events, params.nu, window)
     state = _e_step(structure, params)
     structure._remember(state, params)
     return state
@@ -805,25 +786,20 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
         gamma_new = 0.0
     else:
         g = gamma_hat
-        if st.tri_pair.size:
-            # xi, then the weights eta_ij x_iv xi, in place: at most three
-            # triple-length buffers at a time
-            gx = g * st.tri_xjv
-            xi = theta_hat.ravel()[st.tri_key]
-            xi *= 1.0 - g
-            xi += gx
-            np.divide(gx, xi, out=xi)
-            del gx
-            w = state.eta_overlap[st.tri_ov]
-            w *= st.tri_xiv
-            w *= xi
-            del xi
-            sub = np.bincount(st.tri_key, weights=w, minlength=S * V).reshape(S, V)
-            theta_num = counts - sub
-            gamma_num = float(np.sum(w, dtype=np.longdouble))
-        else:
-            theta_num = counts.copy()
-            gamma_num = 0.0
+        # xi, then the weights eta_ij x_iv xi, in place: at most three
+        # triple-length buffers at a time
+        gx = g * st.tri_xjv
+        xi = theta_hat.ravel()[st.tri_key]
+        xi *= 1.0 - g
+        xi += gx
+        np.divide(gx, xi, out=xi)
+        del gx
+        w = state.eta_overlap[st.tri_ov]
+        w *= st.tri_xiv
+        w *= xi
+        del xi
+        theta_num = counts - scatter_sum(st.tri_key, w, S * V).reshape(S, V)
+        gamma_num = float(np.sum(w, dtype=np.longdouble))
         # sum of eta_ij L_i over the pairs whose parent has a non-empty mark
         lengths = events.lengths
         gamma_den = float(lengths @ (1.0 - state.eta0) - state.eta_empty @ lengths)
@@ -974,8 +950,8 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     build per-pair posteriors, and the returned eta builds them once, here,
     so a root pass or `mini_conversations` on the report finds them built.
     A windowed fit reports the largest and the mean share of an event's
-    excitation intensity that the window dropped.  Raises NumericalError on a NaN objective with the iteration
-    number.
+    excitation intensity that the window dropped.  Raises NumericalError on
+    a NaN objective with the iteration number.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")
@@ -983,13 +959,11 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         raise ValidationError("tol must be positive and max_iters >= 1")
     if prior is None:
         prior = PriorConfig.maximum_likelihood(events.S)
-    if init is None:
-        if nu is None:
-            raise ValidationError("either init or nu must be given")
-        params = _default_init(events, prior, nu)
-    else:
-        params = init
-    structure = _structure_for(events, params, window)
+    if init is None and nu is None:
+        raise ValidationError("either init or nu must be given")
+    # the layout's memory check, before any S x V array is allocated
+    structure = _structure_for(events, nu if init is None else init.nu, window)
+    params = _default_init(events, prior, nu) if init is None else init
 
     trace: list[float] = []
     diag: dict = {}

@@ -12,7 +12,7 @@ from .errors import ValidationError
 from .fitting import VariationalState, _row_blocks
 from .model import EventSequence
 from .rootprob import RootProbMatrix
-from .simulate import BranchingStructure
+from .simulate import BranchingStructure, _root_positions
 
 __all__ = [
     "EvalReport",
@@ -119,11 +119,9 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
                                    == np.repeat(best[a:b], st.row_len[a:b]))
         parent[rows] = st.pair_j[hits[np.searchsorted(hits, st.row_start[rows])]] + 1
     branching = BranchingStructure(parent=parent)
-    root = np.zeros(n, dtype=np.int64)
     members: dict[int, list[int]] = {}
-    for k in range(n):
-        root[k] = k if parent[k] == 0 else root[parent[k] - 1]
-        members.setdefault(int(root[k]), []).append(k + 1)
+    for k, r in enumerate(_root_positions(parent).tolist()):
+        members.setdefault(r, []).append(k + 1)
     convs = [members[r] for r in sorted(members)]
     return MiniConversations(branching=branching, conversations=convs)
 

@@ -23,9 +23,9 @@ bit.  Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 
 The temporal-only variant keeps just the intensity factors of the weights,
-the mark-only variant keeps just the densities; both take the per-pair
-weights of `_log_weights`, relative to a constant per child, which the
-normalization cancels.  `enumerate_oracle`
+the mark-only variant keeps just the densities; both expand the E-step's
+terms (`fitting._weights`) onto every pair with `_log_weights`, relative to
+a constant per child, which the normalization cancels.  `enumerate_oracle`
 recomputes r by brute force over all joint parent assignments (product over
 events of their candidate sets) and is the ground truth the solve is tested
 against.
@@ -93,7 +93,7 @@ class RootProbMatrix:
 def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
                use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
-    structure = _structure_for(events, params, window)
+    structure = _structure_for(events, params.nu, window)
     if use_time and use_marks:
         # not update_eta: the structure's record of a fit's E-step stays
         state = structure._state_at(params) or _e_step(structure, params)

@@ -14,6 +14,7 @@ from rootsource.errors import NumericalError, ValidationError
 from rootsource.fitting import (
     CELL_BYTES,
     PAIR_BYTES,
+    PARAM_BYTES,
     TRIPLE_BYTES,
     PairStructure,
     VariationalState,
@@ -167,7 +168,7 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
     events, _ = rs.simulate(cfg)
     report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=4)
     params, live = report.params, report.eta.structure
-    assert _structure_for(events, params, 20.0) is live
+    assert _structure_for(events, params.nu, 20.0) is live
     built = _count_builds(monkeypatch)
     e_steps = _count_e_steps(monkeypatch)
     passes = (rs.root_probabilities, rs.root_probabilities_temporal,
@@ -204,7 +205,7 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
     del report
     gc.collect()
     assert state() is None
-    assert _structure_for(events, params, 20.0) is live
+    assert _structure_for(events, params.nu, 20.0) is live
     np.testing.assert_array_equal(rs.root_probabilities(events, params, window=20.0).r, got[0])
     assert len(e_steps) == 1 and e_steps[0] is events
 
@@ -213,7 +214,7 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
                              events.tok_index, events.tok_count, events.T, events.S,
                              events.V)
     direct = PairStructure(other, params.nu, window=20.0)
-    assert _structure_for(other, params, 20.0) is direct
+    assert _structure_for(other, params.nu, 20.0) is direct
 
 
 def test_changed_settings_build_a_new_structure():
@@ -228,15 +229,14 @@ def test_changed_settings_build_a_new_structure():
         return rs.ModelParams(**kw)
 
     cases = [(variant(nu=2.0 * p.nu), 20.0), (p, 10.0), (p, None)]
-    fresh = [_structure_for(events, params, window) for params, window in cases]
+    fresh = [_structure_for(events, params.nu, window) for params, window in cases]
     for st, (params, window) in zip(fresh, cases):
         assert st is not report.eta.structure
         assert st.window == window and st.nu == params.nu
-        assert _structure_for(events, params, window) is st
+        assert _structure_for(events, params.nu, window) is st
     assert len({id(st) for st in fresh}) == len(cases)
-    # the fit's layout stays shared, also under an equal but new params object
-    assert _structure_for(events, p, 20.0) is report.eta.structure
-    assert _structure_for(events, variant(), 20.0) is report.eta.structure
+    # the fit's layout stays shared
+    assert _structure_for(events, p.nu, 20.0) is report.eta.structure
 
 
 def test_dropped_fit_releases_its_structure(monkeypatch):
@@ -310,13 +310,46 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
         pairs_bound.append(cells == n_pairs)
         assert built.cells[0][-1] <= cells
         del built
-        need = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + cells * CELL_BYTES
+        need = (n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + cells * CELL_BYTES
+                + events.S * (events.V + events.S) * PARAM_BYTES)
         monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
         with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples need"):
             PairStructure(events, nu=1.0, window=window)
         monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
         assert PairStructure(events, nu=1.0, window=window).tri_pair.size == n_triples
     assert pairs_bound == [False, True]
+
+
+def test_fail_fast_counts_the_parameters(monkeypatch):
+    # 40 events of 300 sources over 20 000 tokens: a few pairs, and 6.09 M
+    # entries of theta and A, which no truncation window shrinks
+    rng = np.random.default_rng(9)
+    events = random_events(rng, 40, 300, 20_000, T=10.0)
+    built = PairStructure(events, nu=1.0, window=1.0)
+    layout = (built.n_pairs * PAIR_BYTES + built.tri_pair.size * TRIPLE_BYTES
+              + min(built.n_pairs, 2 * 40 * 300) * CELL_BYTES)
+    del built
+    param = 300 * (20_000 + 300) * PARAM_BYTES
+    assert param > 100 * layout
+    inits = []
+    monkeypatch.setattr("rootsource.fitting._default_init",
+                        lambda *args: inits.append(args))
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param - 1)
+    for attempt in (lambda: PairStructure(events, nu=1.0, window=1.0),
+                    lambda: fit(events, nu=1.0, window=1.0)):
+        with pytest.raises(ValidationError, match="fewer sources or tokens") as err:
+            attempt()
+        assert "min_author_count" in str(err.value)
+        assert "--truncate-window" not in str(err.value)
+    # checked before fit's initial point allocates its S x V theta
+    assert inits == []
+    # the parameters fit, the whole does not: the window is the fix
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + layout - 1)
+    with pytest.raises(ValidationError, match="--truncate-window") as err:
+        PairStructure(events, nu=1.0, window=1.0)
+    assert "fewer sources" not in str(err.value)
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + layout)
+    PairStructure(events, nu=1.0, window=1.0)
 
 
 def test_update_eta_matches_brute_force():
@@ -568,8 +601,11 @@ def test_sub_model_passes_build_no_kernel_states():
     live = PairStructure(events, params.nu, window=5.0)
     lazy = ("ov_pair", "tri_ov", "ov_row_start", "ov_cell", "cells")
     rs.root_probabilities_temporal(events, params, window=5.0)
-    rs.root_probabilities_mark(events, params, window=5.0)
     assert not set(lazy) & set(vars(live))
+    # the mark pass reads sigma on the overlap pairs, but no kernel cells
+    rs.root_probabilities_mark(events, params, window=5.0)
+    assert {"ov_pair", "tri_ov"} <= set(vars(live))
+    assert "cells" not in vars(live)
     rs.root_probabilities(events, params, window=5.0)
     assert set(lazy) <= set(vars(live))
 

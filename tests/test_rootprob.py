@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
+from rootsource.model import (excited_intensity, log_mark_density_immigrant,
+                              log_mark_density_offspring)
 from rootsource.rootprob import (
     ORACLE_CAP,
     RootProbMatrix,
+    _choice_log_weights,
     enumerate_oracle,
     enumerate_posteriors,
     root_probabilities,
@@ -332,10 +336,53 @@ def _oracle_cases(draw):
     return events, params
 
 
+def _sub_model_log_weights(events, params):
+    """(time-only, mark-only) log weights, laid out as `_choice_log_weights`."""
+    ev = list(events)
+    n = len(ev)
+    w_time, w_mark = np.full((2, n, n + 1), -np.inf)
+    with np.errstate(divide="ignore"):
+        for k, e in enumerate(ev):
+            w_time[k, 0] = np.log(params.rho[e.s])
+            w_mark[k, 0] = log_mark_density_immigrant(params, e)
+            for j in range(k):
+                w_time[k, j + 1] = np.log(excited_intensity(params, e.s, ev[j], e.t))
+                w_mark[k, j + 1] = log_mark_density_offspring(params, e, ev[j])
+    return w_time, w_mark
+
+
+def _forward_substitution(W, sources, S):
+    """Root probabilities from row-normalized log weights W, row by row."""
+    r = np.zeros((W.shape[0], S))
+    for k in range(W.shape[0]):
+        eta = np.exp(W[k, :k + 1] - W[k, :k + 1].max())
+        eta /= eta.sum()
+        r[k] = eta[1:] @ r[:k]
+        r[k, sources[k]] += eta[0]
+    return r
+
+
+def _other_params(params):
+    """Parameters with the same bandwidth and the same kinds of zeros elsewhere."""
+    return rs.ModelParams(rho=params.rho[::-1].copy(), A=params.A.T.copy(),
+                          theta=np.roll(params.theta, 1, axis=0),
+                          gamma=1.0 - params.gamma, nu=params.nu)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_oracle_cases())
 def test_posteriors_match_enumeration_property(case):
     events, params = case
+    # the sub-model passes against forward substitution of their own weights
+    for W, compute in zip(_sub_model_log_weights(events, params),
+                          (root_probabilities_temporal, root_probabilities_mark)):
+        if not np.isfinite([row[:k + 1].max() for k, row in enumerate(W)]).all():
+            with pytest.raises(NumericalError):
+                compute(events, params)
+            continue
+        np.testing.assert_allclose(compute(events, params).r,
+                                   _forward_substitution(W, events.sources, events.S),
+                                   atol=1e-10)
     try:
         r_want, eta_want, log_marginal = enumerate_posteriors(events, params)
     except NumericalError:
@@ -352,3 +399,11 @@ def test_posteriors_match_enumeration_property(case):
     log_lik = math.fsum(state.log_z) - rs.compensator(params, events)
     assert log_lik == pytest.approx(log_marginal, abs=1e-10)
     assert rs.elbo(events, params, state) == pytest.approx(log_marginal, abs=1e-10)
+    # the objective at other parameters: sum eta W - sum eta log eta - compensator
+    other = _other_params(params)
+    W = _choice_log_weights(events, other)
+    eta = dense_eta(state)
+    with np.errstate(invalid="ignore"):
+        data = np.where(eta > 0, eta * W, 0.0).sum()
+    want = data - xlogy(eta, eta).sum() - rs.compensator(other, events)
+    assert rs.elbo(events, other, state) == pytest.approx(want, abs=1e-10)

@@ -142,8 +142,11 @@ def reference_log_mark_densities(structure, params):
 
 def reference_e_step(structure, params):
     """(eta0, eta_pair, log_z) from the reference mark half, in absolute terms."""
-    from rootsource.fitting import _add_log_intensities, _normalize
+    from rootsource.fitting import _normalize
 
     logw_imm, logw_pair = reference_log_mark_densities(structure, params)
-    _add_log_intensities(structure, params, logw_imm, logw_pair)
+    with np.errstate(divide="ignore"):
+        logw_imm += np.log(params.rho)[structure.events.sources]
+        logw_pair += np.log(params.A).ravel()[structure.pair_cell]
+    logw_pair += structure.log_kernel
     return _normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
