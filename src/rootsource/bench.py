@@ -44,6 +44,7 @@ class BenchRow:
     rho_A_seconds: float
     theta_gamma_seconds: float
     objective_seconds: float
+    structure_mb: float  # the PairStructure's own arrays after the sweeps, in MiB
     peak_rss_mb: float | None  # the process's peak RSS after this row
 
 
@@ -58,7 +59,7 @@ class BenchReport:
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
                f"{'target':>8} {'events':>8} {'build[s]':>10} {'sweep[s]':>10} "
                f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
-               f"{'pairs':>11} {'triples':>11} {'RSS[MB]':>8}"]
+               f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}"]
         for r in self.rows:
             rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
             out.append(f"{r.target:>8} {r.n:>8} {r.build_seconds:>10.3f} "
@@ -66,7 +67,7 @@ class BenchReport:
                        f"{r.rho_A_seconds:>8.3f} {r.theta_gamma_seconds:>8.3f} "
                        f"{r.objective_seconds:>8.3f} "
                        f"{r.rootprob_seconds:>12.3f} {r.pairs:>11} {r.triples:>11} "
-                       f"{rss:>8}")
+                       f"{r.structure_mb:>11.1f} {rss:>8}")
         if not self.rows:
             out.append("(no scales requested)")
         return out
@@ -102,18 +103,19 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     ever adds time), and e_step_seconds, rho_A_seconds and
     theta_gamma_seconds are that sweep's E-step and M-steps.  objective_seconds
     times one `elbo` on the last sweep's state at its E-step's parameters,
-    outside the sweeps.  The root pass is the E-step
-    posteriors + forward substitution.  Like a root pass after `fit`, it
-    reuses the live PairStructure of the sweeps, so rootprob_seconds excludes
-    the build, which build_seconds times.  It runs at the parameters of the
-    last M-step, which no E-step has seen, so it computes its posteriors and
+    outside the sweeps.  The root pass is the E-step posteriors + forward
+    substitution.  Like a root pass after `fit`, it reuses the live
+    PairStructure of the sweeps, so rootprob_seconds excludes the build,
+    which build_seconds times.  It runs at the parameters of the last
+    M-step, which no E-step has seen, so it computes its posteriors and
     builds them per pair: the path of a root pass that cannot reuse a fit's
-    final E-step.  Each row also counts the candidate pairs and the
-    token-overlap triples of the layout, and records the process's peak RSS
-    (ru_maxrss, which never decreases) after the row.  Scales
-    are target event counts; the synthetic setup has stationary rate
-    2.5 events per time unit, so T = n / rate.  Sweep timing excludes the
-    one-time candidate-structure build, matching how a long fit amortizes it.
+    final E-step.  Each row also counts the layout's candidate pairs and
+    token-overlap triples, sums its arrays' nbytes after the sweeps
+    (structure_mb, in MiB), and records the process's peak RSS (ru_maxrss,
+    which never decreases) after the row.  Scales are target event counts;
+    the synthetic setup has stationary rate 2.5 events per time unit, so
+    T = n / rate.  Sweep timing excludes the one-time candidate-structure
+    build, matching how a long fit amortizes it.
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be at least 1")
@@ -144,6 +146,8 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
             params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma,
                                  nu=params.nu)
         fastest = phases[phases.sum(axis=1).argmin()]
+        structure_mb = sum(v.nbytes for v in vars(structure).values()
+                           if isinstance(v, np.ndarray)) / 2.0 ** 20
         e_step, rho_a, theta_gamma = fastest.tolist()
 
         state.eta_pair  # built once per fit, as `fit` does: not the objective's cost
@@ -166,5 +170,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
                                     triples=structure.tri_pair.size,
                                     e_step_seconds=e_step, rho_A_seconds=rho_a,
                                     theta_gamma_seconds=theta_gamma,
-                                    objective_seconds=objective, peak_rss_mb=rss))
+                                    objective_seconds=objective,
+                                    structure_mb=structure_mb, peak_rss_mb=rss))
     return report

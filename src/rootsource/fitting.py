@@ -17,11 +17,11 @@ estimates, so every sweep is monotone in L~.
 The E-step is exact (all j < i pairs) by default.  An optional truncation
 window keeps only pairs with t_i - t_j <= window * nu; dropped pairs have
 kernel weight below exp(-window), and the same restricted objective is then
-maximized monotonically.  Candidate-pair layouts and the token-overlap
-triples (i, j, v) are precomputed once per fit in a PairStructure and reused
-across sweeps, and by root passes on the same events while the fit's state
-is alive.  The structure also remembers its last E-step, weakly, so a full
-root pass at the fit's final parameters reads the fit's posteriors.
+maximized monotonically.  The pair layout (child i's parents are lo_i..i-1)
+and the token-overlap triples (i, j, v) are precomputed once per fit in a
+PairStructure and reused across sweeps, and by root passes on the same
+events while the fit's state is alive.  It also remembers its last E-step,
+weakly, so a full root pass at the fit's final parameters reads its posteriors.
 
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
@@ -38,8 +38,8 @@ child's window, so there are at most min(pairs, n 2S) of them however many
 sources there are.  That E-step and both M-steps cost O(cells + overlap
 pairs + triples), and the per-pair posteriors are built only on demand
 (`VariationalState.eta_pair`).  `_weights` computes the terms of every
-weight; the E-step sums them over the cells, and `_expand` writes them out
-per pair for `eta_pair`, `elbo` and the temporal- and mark-only root passes.
+weight; the E-step sums them over the cells, and `_expand` derives the pairs
+and writes them out for `eta_pair`, `elbo` and the sub-model root passes.
 """
 
 from __future__ import annotations
@@ -125,25 +125,27 @@ class PriorConfig:
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
 
-# Peak bytes per candidate pair, per token-overlap triple, per kernel cell
-# and per parameter entry (S V + S S) of a three-sweep fit (structure,
-# E-steps with the previous state alive, M-steps, the per-pair posteriors of
-# the returned state).  The overlap pairs are at most the triples and fit in
-# TRIPLE_BYTES; the cells are charged by their bound min(pairs, n 2S), and
-# their build peaks at 56 to 66 B per cell (72 at S = 5).  Under tracemalloc
-# 18 runs peaked at 71% to 98% of the estimate: the synthetic defaults exact
-# at n = 1 431 and window 20 at n = 8 015, with their marks at initial gamma
-# 0.3 and 1 and redrawn over V = 2 to 128 tokens (0.2 to 10.6 triples per
-# pair).  The parameters (theta, (1 - gamma) theta, the token counts and the
-# theta-step's sums; A, its log and the cell sums) took 42 to 56 B per entry
-# beyond that, with S V or S S of 1 M to 10 M and 60 to 1 000 events.
-PAIR_BYTES = 56
+# Peak bytes per candidate pair, token-overlap triple, kernel cell and
+# parameter entry (S V + S S) of a three-sweep fit (structure, E-steps with
+# the previous state alive, M-steps, the returned state's eta_pair).  The
+# overlap pairs are at most the triples and fit in TRIPLE_BYTES; the cells
+# are charged by their bound min(pairs, n 2S), and their build peaks at 56
+# to 66 B per cell (72 at S = 5).  Under tracemalloc 18 runs peaked at 45%
+# to 97% of the estimate: the synthetic defaults exact at n = 1 431 and
+# window 20 at n = 8 015, with their marks at initial gamma 0.3 and 1 and
+# redrawn over V = 2 to 128 tokens (0.2 to 10.6 triples per pair).  The
+# parameters (theta, (1 - gamma) theta, the token counts and the theta-step's
+# sums; A, its log and the cell sums) took 42 to 56 B per entry beyond that,
+# with S V or S S of 1 M to 10 M and 60 to 1 000 events.  Root passes with
+# few pairs and an n x S result of 10 M entries peaked at 9.2 to 9.8 B per
+# entry, all included (the result and a boolean check of it).
+PAIR_BYTES = 40
 TRIPLE_BYTES = 58
 CELL_BYTES = 64
 PARAM_BYTES = 60
-# Pairs per block of the per-pair gathers, which then need no pair-length
-# temporary.
-PAIR_BLOCK = 1 << 20
+ROOT_BYTES = 10
+# Pairs per block of the per-pair work, whose temporaries then stay in cache.
+PAIR_BLOCK = 1 << 16
 
 
 def _row_blocks(row_start: np.ndarray):
@@ -160,25 +162,28 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(n_pairs: int, n_triples: int, n_cells: int, S: int, V: int,
-                  window: float | None) -> None:
-    layout = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + n_cells * CELL_BYTES
-    param = S * (V + S) * PARAM_BYTES
+def _check_memory(n: int, n_pairs: int, n_triples: int, S: int, V: int,
+                  window: float | None, roots: bool = False) -> None:
+    layout = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + min(n_pairs, 2 * n * S) * CELL_BYTES
+    result = roots * n * S * ROOT_BYTES
+    param = S * (V + S) * PARAM_BYTES + result
     have = _physical_memory()
     if have is None or layout + param <= have:
         return
     fixes = []
-    if param > have:
-        fixes.append("use fewer sources or tokens (for example a larger min_author_count "
-                     "or min_count in rootsource.ingest)")
+    if param > have:  # fewer tokens shrink the parameters, not the n x S result
+        fixes.append("use fewer %s (for example a larger %s in rootsource.ingest)" % (
+            ("sources", "min_author_count") if result > have
+            else ("sources or tokens", "min_author_count or min_count")))
     if param <= have or layout > have:
         hint = "a smaller" if window is not None else "a"
         fixes.append(f"pass {hint} truncation window (--truncate-window) to limit the "
                      f"candidate parents")
+    what = f" and the root probabilities of {n} events" if roots else ""
     raise ValidationError(
         f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples need "
-        f"about {layout / 2**30:.1f} GiB and the parameters of {S} sources and {V} tokens "
-        f"{param / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical "
+        f"about {layout / 2**30:.1f} GiB and the parameters of {S} sources and {V} tokens"
+        f"{what} {param / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical "
         f"memory; " + "; ".join(fixes))
 
 
@@ -275,17 +280,17 @@ class PairStructure:
     """Fixed candidate-parent layout for one event sequence and kernel setting.
 
     Pairs (i, j) with j < i (and t_i - t_j <= window * nu when a window is
-    given) are stored flat, grouped by child i; row_start[i]:row_start[i+1]
-    is child i's slice.  Token-overlap triples (i, j, v) with x_{i,v} > 0 and
-    x_{j,v} > 0 drive the mark-mixture corrections and the theta/gamma
-    updates; the distinct (i, j) among them are the overlap pairs (ov_*, in
-    pair order, with tri_ov the overlap pair of each triple).
-    cells holds, per child and parent class (source, empty or non-empty
-    mark) with a candidate in the child's window, the log sum of kappa over
-    those candidates (see `_kernel_cells`); the E-step reads the cells and
-    the overlap pairs.  The overlap pairs and the cells are built on first
-    use: the temporal-only pass builds neither, the mark-only pass only the
-    overlap pairs.
+    given) are laid out flat, nothing stored per pair: child i's parents are
+    lo[i]..i-1, at row_start[i]:row_start[i+1].  Token-overlap triples
+    (i, j, v) with x_{i,v} > 0 and x_{j,v} > 0 drive the mark-mixture
+    corrections and the theta/gamma updates; the distinct (i, j) among them
+    are the overlap pairs (ov_*, in pair order, with tri_ov the overlap pair
+    of each triple).  cells holds, per child and parent class (source, empty
+    or non-empty mark) with a candidate in the child's window, the log sum
+    of kappa over those candidates (see `_kernel_cells`); the E-step reads
+    the cells and the overlap pairs.  The overlap pairs and the cells are
+    built on first use: the temporal-only pass builds neither, the mark-only
+    pass only the overlap pairs.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -294,7 +299,7 @@ class PairStructure:
     on it (see `_state_at`).  The pairs and triples are counted first; a
     layout that would not fit in physical memory, with its cells at their
     bound and the S x V and S x S parameter arrays, raises ValidationError
-    before anything pair- or parameter-sized is allocated.
+    before anything triple- or parameter-sized is allocated.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -304,7 +309,6 @@ class PairStructure:
             raise ValidationError("truncation window must be positive")
         n = len(events)
         times = events.times
-        sources = events.sources
         S, V = events.S, events.V
 
         self.events = events
@@ -312,35 +316,21 @@ class PairStructure:
         self.window = None if window is None else float(window)
 
         if window is None:
-            lo = np.zeros(n, dtype=np.int64)
+            self.lo = np.zeros(n, dtype=np.int64)
         else:
-            lo = np.searchsorted(times, times - window * nu, side="left")
-        cand = np.arange(n) - lo
-        tok, first = _first_partners(events, lo)
-        n_pairs = int(cand.sum())
-        _check_memory(n_pairs, int((np.arange(first.size) - first).sum()),
-                      min(n_pairs, 2 * n * S), S, V, window)
-        self.lo = lo
-        self.row_len = cand
-        self.row_start = np.concatenate([[0], np.cumsum(cand)])
-        self.pair_j = ragged_arange(lo, np.arange(n))
-        self.n_pairs = self.pair_j.size
-        self.log_kernel = -(np.repeat(times, cand) - times[self.pair_j]) / nu - np.log(nu)
-        # intp, so that numpy gathers and bincounts take it without converting
-        self.pair_cell = np.repeat(sources.astype(np.intp) * S, cand)
-        self.pair_cell += sources[self.pair_j]
-        # pairs whose parent has an empty mark, and their children: the
-        # offspring density there is the immigrant one
-        self.empty_pair = np.flatnonzero(events.lengths[self.pair_j] == 0)
-        self.empty_row = np.searchsorted(self.row_start, self.empty_pair, side="right") - 1
-
+            self.lo = np.searchsorted(times, times - window * nu, side="left")
+        self.row_len = np.arange(n) - self.lo
+        self.n_pairs = int(self.row_len.sum())
+        tok, first = _first_partners(events, self.lo)
+        _check_memory(n, self.n_pairs, int((np.arange(first.size) - first).sum()), S, V, window)
+        self.row_start = np.concatenate([[0], np.cumsum(self.row_len)])
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
 
         self.counts_by_source = events.token_counts_by_source()
         self.nnz_row = np.repeat(np.arange(n), np.diff(events.tok_indptr))
         # the distinct (source, token) keys of the marks, and each mark
         # entry's among them: the E-step takes logs of theta only there
-        key = sources[self.nnz_row] * V + events.tok_index
+        key = events.sources[self.nnz_row] * V + events.tok_index
         used = np.zeros(S * V, dtype=bool)
         used[key] = True
         self.key_used = np.flatnonzero(used)
@@ -355,6 +345,33 @@ class PairStructure:
     def pair_i(self) -> np.ndarray:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
+
+    @property
+    def pair_j(self) -> np.ndarray:
+        """Parent index of every pair; rebuilt on each access, not stored."""
+        return self._parent(np.arange(self.n_pairs), slice(None))
+
+    # The layout in one place.  A pair's child i is an index array, one entry
+    # per pair, or a slice a:b that stands for all pairs of children a..b-1.
+    def _per_pair(self, child_values: np.ndarray, i) -> np.ndarray:
+        return np.repeat(child_values, self.row_len[i]) if isinstance(i, slice) else child_values
+
+    def _parent(self, p: np.ndarray, i) -> np.ndarray:
+        """Parent of pair p of child i: p - row_start[i] + lo[i]."""
+        return p - self._per_pair(self.row_start[:-1][i] - self.lo[i], i)
+
+    def _pair(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Position of the pairs (i, j), the inverse of `_parent`."""
+        return self.row_start[i] + (j - self.lo[i])
+
+    def _cell(self, i, j: np.ndarray) -> np.ndarray:
+        """Kernel cell s_i S + s_j (the flat index of A[s_i, s_j]) of pairs (i, j)."""
+        return self._per_pair(self.events.sources[i] * self.events.S, i) + self.events.sources[j]
+
+    def _log_kernel(self, i, j: np.ndarray) -> np.ndarray:
+        """log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu of pairs (i, j)."""
+        t = self.events.times
+        return (t[j] - self._per_pair(t[i], i)) / self.nu - np.log(self.nu)
 
     def __getstate__(self):
         # a weak reference cannot be pickled, and a copy has no E-step of its own
@@ -394,7 +411,7 @@ class PairStructure:
         child_sel = np.repeat(pos, pos - first)
         j_sel = ragged_arange(first, pos)
         i_ev = post_ev[child_sel]
-        self.tri_pair = self.row_start[i_ev] + (post_ev[j_sel] - self.lo[i_ev])
+        self.tri_pair = self._pair(i_ev, post_ev[j_sel])
         self.tri_key = events.sources[i_ev] * V + tok[child_sel]
         self.tri_xiv = post_cnt[child_sel]
         self.tri_xjv = post_norm[j_sel]
@@ -425,13 +442,18 @@ class PairStructure:
     def ov_row_len(self) -> np.ndarray:
         return np.diff(self.ov_row_start)
 
+    def _ov_ends(self):
+        """(child, parent) of every overlap pair."""
+        i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
+        return i, self._parent(self.ov_pair, i)
+
     @cached_property
     def ov_cell(self) -> np.ndarray:
-        return self.pair_cell[self.ov_pair]
+        return self._cell(*self._ov_ends())
 
     @cached_property
     def ov_log_kernel(self) -> np.ndarray:
-        return self.log_kernel[self.ov_pair]
+        return self._log_kernel(*self._ov_ends())
 
     @cached_property
     def cells(self):
@@ -442,14 +464,15 @@ class PairStructure:
 class VariationalState:
     """Mean-field parent posteriors over the pair layout of a PairStructure.
 
-    eta0[k] is event k's immigrant probability; eta_pair aligns with the
-    structure's pair arrays; log_z holds the per-event log-normalizers of
-    the E-step that produced the state.  The M-steps read only eta_overlap
-    (eta on the overlap pairs), eta_cells (the S x S sums of eta over the
-    pairs of each child source and parent source) and eta_empty (each
-    child's eta mass on parents with an empty mark).  A state built from
-    dense posteriors derives them from eta_pair; the E-step's state carries
-    them and computes eta_pair on first access.
+    eta0[k] is event k's immigrant probability; eta_pair is eta on the
+    structure's pairs; log_z holds the per-event log-normalizers of the
+    E-step that produced the state.  The E-step's state also carries the
+    M-steps' inputs eta_overlap (eta on the overlap pairs), eta_cells (the
+    S x S sums of eta per child and parent source) and eta_empty (each
+    child's eta mass on parents with an empty mark), and builds eta_pair on
+    first access.  A state built from given posteriors serves only the
+    readers of eta_pair (root passes, `mini_conversations`, `write_eta`);
+    the M-steps reject it.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
@@ -461,36 +484,18 @@ class VariationalState:
         self.structure = structure
         self.eta0 = eta0
         self.log_z = log_z
-        # (log A flattened, per-child factor less log z) of `_weights`, set
-        # by the E-step for a state whose eta_pair is built on demand
-        self._factors = None
         if eta_pair is not None:
             self.eta_pair = eta_pair
 
     @cached_property
     def eta_pair(self) -> np.ndarray:
-        """eta on every pair: the E-step's terms expanded at factor - log z,
-        then the overlap pairs overwritten with their own posteriors."""
+        """eta on every pair: `_factors` (log A flattened, the per-child factor
+        less log z) expanded, then the overlap pairs' own posteriors."""
         st = self.structure
         eta = _expand(st, *self._factors)
         np.exp(eta, out=eta)
         eta[st.ov_pair] = self.eta_overlap
         return eta
-
-    @cached_property
-    def eta_overlap(self) -> np.ndarray:
-        return self.eta_pair[self.structure.ov_pair]
-
-    @cached_property
-    def eta_cells(self) -> np.ndarray:
-        S = self.structure.events.S
-        return np.bincount(self.structure.pair_cell, weights=self.eta_pair,
-                           minlength=S * S).reshape(S, S)
-
-    @cached_property
-    def eta_empty(self) -> np.ndarray:
-        st = self.structure
-        return scatter_sum(st.empty_row, self.eta_pair[st.empty_pair], len(self))
 
     def __len__(self) -> int:
         return self.eta0.size
@@ -500,8 +505,7 @@ class VariationalState:
         st = self.structure
         out = np.zeros(k + 1)
         out[0] = self.eta0[k]
-        sl = slice(st.row_start[k], st.row_start[k + 1])
-        out[st.pair_j[sl] + 1] = self.eta_pair[sl]
+        out[st.lo[k] + 1:k + 1] = self.eta_pair[st.row_start[k]:st.row_start[k + 1]]
         return out
 
 
@@ -540,10 +544,10 @@ def _weights(structure: PairStructure, params: ModelParams,
     theta) over child i's live tokens, those with (1 - g) theta[s_i, v] > 0
     (a dead token, at a zero in theta or g = 1, only a parent can emit);
     the posteriors do not depend on it.  logw_imm + c is log(rho f_imm) and
-    log_a is log A flattened.  A parent that shares no token with child i
-    has log_a[pair_cell] + log_kernel + factor[i, 0] (0, or -inf when child
-    i has a dead token), or + factor[i, 1] = log f_imm - c_i when its mark
-    is empty.  An overlap pair has sigma + log_a[ov_cell] + ov_log_kernel:
+    log_a is log A flattened.  A parent j that shares no token with child i
+    has log A[s_i, s_j] + log kappa(t_i - t_j) + factor[i, 0] (0, or -inf
+    when child i has a dead token), or + factor[i, 1] = log f_imm - c_i when
+    its mark is empty.  An overlap pair has sigma + log_a[ov_cell] + ov_log_kernel:
     sigma sums x log1p(g xt / ((1 - g) theta)) over its triples (x log(g xt)
     for a dead token), -inf when they miss one of the child's dead tokens.
     use_time=False leaves out rho and A kappa (log_a None), use_marks=False
@@ -603,22 +607,33 @@ def _weights(structure: PairStructure, params: ModelParams,
 
 def _expand(structure: PairStructure, log_a: np.ndarray | None,
             factor: np.ndarray) -> np.ndarray:
-    """Per pair, log_a[pair_cell] + log_kernel + the child's factor, column 1
-    where the parent's mark is empty; log_a None leaves out the first two.
-    Callers write the overlap pairs themselves."""
+    """Per pair (i, j), log A[s_i, s_j] + log kappa(t_i - t_j) + factor[i, 0],
+    or + factor[i, 1] where j's mark is empty; log_a None leaves out the
+    first two.  Callers write the overlap pairs themselves."""
     st = structure
+    dead = factor[:, 0].any()  # else column 0 is all 0, and adding it changes nothing
     out = np.zeros(st.n_pairs)
-    # in blocks of rows, so that the per-child factor's expansion stays small
+    # in blocks of rows, so that the per-pair temporaries stay in cache
     for a, b in _row_blocks(st.row_start):
-        pa, pb = st.row_start[a], st.row_start[b]
-        part = out[pa:pb]
+        rows = slice(a, b)
+        part = out[st.row_start[a]:st.row_start[b]]
         if log_a is not None:
-            np.take(log_a, st.pair_cell[pa:pb], out=part)
-            part += st.log_kernel[pa:pb]
-        part += np.repeat(factor[a:b, 0], st.row_len[a:b])
-    p = st.empty_pair
-    empty = factor[st.empty_row, 1]
-    out[p] = empty if log_a is None else log_a[st.pair_cell[p]] + st.log_kernel[p] + empty
+            j = st._parent(np.arange(st.row_start[a], st.row_start[b]), rows)
+            np.take(log_a, st._cell(rows, j), out=part, mode="clip")  # "raise" buffers out
+            part += st._log_kernel(rows, j)
+        if dead:
+            part += st._per_pair(factor[rows, 0], rows)
+    # the pairs whose parent has an empty mark, by parent: the children of
+    # parent e are e + 1 up to the last whose window reaches back to e
+    e = np.flatnonzero(st.events.lengths == 0)
+    stop = np.maximum(np.searchsorted(st.lo, e, side="right"), e + 1)
+    for a, b in _row_blocks(np.concatenate([[0], np.cumsum(stop - e - 1)])):
+        i = ragged_arange(e[a:b] + 1, stop[a:b])
+        j = np.repeat(e[a:b], stop[a:b] - e[a:b] - 1)
+        fill = factor[i, 1]
+        if log_a is not None:
+            fill = log_a[st._cell(i, j)] + st._log_kernel(i, j) + fill
+        out[st._pair(i, j)] = fill
     return out
 
 
@@ -736,6 +751,11 @@ def update_eta(events: EventSequence, params: ModelParams,
     return state
 
 
+def _require_e_step(state: VariationalState) -> None:
+    if not hasattr(state, "eta_cells"):
+        raise ValidationError("the M-steps need a state from update_eta, not given posteriors")
+
+
 def update_rho_alpha(events: EventSequence, state: VariationalState,
                      prior: PriorConfig, diag: dict | None = None):
     """M-step for (rho, A): Gamma-posterior means given the responsibilities.
@@ -746,6 +766,7 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     Negative numerators (possible when a < 1) are clamped to a small floor and
     counted in diag["clamped"].
     """
+    _require_e_step(state)
     S = events.S
     rho_num = prior.a_rho - 1.0 + np.bincount(events.sources, weights=state.eta0,
                                               minlength=S)
@@ -774,6 +795,7 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
     density and carry no information about gamma, so they are excluded from
     its ratio.
     """
+    _require_e_step(state)
     theta_hat = np.asarray(current[0], dtype=np.float64)
     gamma_hat = float(current[1])
     st = state.structure

@@ -117,7 +117,7 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
         pa = st.row_start[a]
         hits = pa + np.flatnonzero(eta.eta_pair[pa:st.row_start[b]]
                                    == np.repeat(best[a:b], st.row_len[a:b]))
-        parent[rows] = st.pair_j[hits[np.searchsorted(hits, st.row_start[rows])]] + 1
+        parent[rows] = st._parent(hits[np.searchsorted(hits, st.row_start[rows])], rows) + 1
     branching = BranchingStructure(parent=parent)
     members: dict[int, list[int]] = {}
     for k, r in enumerate(_root_positions(parent).tolist()):

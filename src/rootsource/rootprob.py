@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _e_step, _log_weights, _normalize, _structure_for
+from .fitting import _check_memory, _e_step, _log_weights, _normalize, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
 
@@ -93,19 +93,21 @@ class RootProbMatrix:
 def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
                use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
-    structure = _structure_for(events, params.nu, window)
+    n, S, V = len(events), events.S, events.V
+    # the n x S result r before any layout is built, then with a reused layout
+    _check_memory(n, 0, 0, S, V, window, roots=True)
+    st = _structure_for(events, params.nu, window)
+    _check_memory(n, st.n_pairs, st.tri_pair.size, S, V, st.window, roots=True)
     if use_time and use_marks:
         # not update_eta: the structure's record of a fit's E-step stays
-        state = structure._state_at(params) or _e_step(structure, params)
+        state = st._state_at(params) or _e_step(st, params)
         eta0, eta_pair = state.eta0, state.eta_pair
     else:
-        eta0, eta_pair, _ = _normalize(
-            structure, *_log_weights(structure, params, use_time, use_marks))
-    row_start = structure.row_start.tolist()
-    lo = structure.lo.tolist()
+        eta0, eta_pair, _ = _normalize(st, *_log_weights(st, params, use_time, use_marks))
+    row_start = st.row_start.tolist()
+    lo = st.lo.tolist()
     sources = events.sources.tolist()
-    n = len(events)
-    r = np.zeros((n, events.S))
+    r = np.zeros((n, S))
     for i in range(n):
         r[i] = eta_pair[row_start[i]:row_start[i + 1]] @ r[lo[i]:i]
         r[i, sources[i]] += eta0[i]

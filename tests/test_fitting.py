@@ -15,6 +15,7 @@ from rootsource.fitting import (
     CELL_BYTES,
     PAIR_BYTES,
     PARAM_BYTES,
+    ROOT_BYTES,
     TRIPLE_BYTES,
     PairStructure,
     VariationalState,
@@ -31,7 +32,7 @@ from rootsource.fitting import (
 )
 from rootsource.rootprob import enumerate_posteriors
 from util import (dense_eta, random_events, random_instance, random_params,
-                  reference_e_step, reference_triples)
+                  reference_e_step, reference_pairs, reference_triples)
 
 
 def brute_force_eta(events, params):
@@ -136,8 +137,9 @@ def test_build_triples_matches_per_token_loop(case):
     child = np.searchsorted(st.row_start, st.ov_pair, side="right") - 1
     np.testing.assert_array_equal(st.ov_row_len, np.bincount(child, minlength=len(st.events)))
     np.testing.assert_array_equal(st.ov_row_start[1:], np.cumsum(st.ov_row_len))
-    np.testing.assert_array_equal(st.ov_cell, st.pair_cell[st.ov_pair])
-    np.testing.assert_array_equal(st.ov_log_kernel, st.log_kernel[st.ov_pair])
+    log_kernel, pair_cell, _ = reference_pairs(st)
+    np.testing.assert_array_equal(st.ov_cell, pair_cell[st.ov_pair])
+    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[st.ov_pair])
 
 
 def _count_builds(monkeypatch):
@@ -352,6 +354,51 @@ def test_fail_fast_counts_the_parameters(monkeypatch):
     PairStructure(events, nu=1.0, window=1.0)
 
 
+def test_root_passes_count_the_root_matrix(monkeypatch):
+    # 2 000 events of 300 sources in a short window: the n x S root matrix
+    # outweighs the layout, so only the root passes need it, also on a
+    # structure that is alive and reused without its own check
+    rng = np.random.default_rng(10)
+    events = random_events(rng, 2000, 300, 5, T=200.0)
+    params = random_params(rng, 300, 5, gamma=0.3, nu=1.0)
+    live = PairStructure(events, nu=1.0, window=0.5)
+    layout = (live.n_pairs * PAIR_BYTES + live.tri_pair.size * TRIPLE_BYTES
+              + min(live.n_pairs, 2 * 2000 * 300) * CELL_BYTES)
+    param = 300 * (5 + 300) * PARAM_BYTES
+    root = 2000 * 300 * ROOT_BYTES
+    assert layout < root
+    passes = (rs.root_probabilities, rs.root_probabilities_temporal,
+              rs.root_probabilities_mark)
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + root - 1)
+    for reused in (True, False):
+        if not reused:
+            del live  # each pass builds and checks its own structure
+        for root_pass in passes:
+            with pytest.raises(ValidationError, match="fewer sources or tokens") as err:
+                root_pass(events, params, window=0.5)
+            assert "min_author_count" in str(err.value)
+            assert "root probabilities of 2000 events" in str(err.value)
+    # the result alone does not fit: fewer tokens or a window cannot help,
+    # and a pass without a live layout stops before it builds one
+    def build(*args):
+        raise AssertionError("a layout was built")
+
+    with monkeypatch.context() as m:
+        m.setattr("rootsource.fitting._physical_memory", lambda: root - 1)
+        m.setattr("rootsource.fitting._first_partners", build)
+        for root_pass in passes:
+            with pytest.raises(ValidationError, match=r"use fewer sources \(") as err:
+                root_pass(events, params, window=0.5)
+            assert "min_count" not in str(err.value)
+            assert "--truncate-window" not in str(err.value)
+    # the structure alone fits
+    PairStructure(events, nu=1.0, window=0.5)
+    monkeypatch.setattr("rootsource.fitting._physical_memory",
+                        lambda: layout + param + root)
+    for root_pass in passes:
+        assert root_pass(events, params, window=0.5).r.shape == (2000, 300)
+
+
 def test_update_eta_matches_brute_force():
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -466,9 +513,10 @@ def _pair_kernel_sums(structure):
     candidate parents: the pair-by-pair value of the kernel cells."""
     events = structure.events
     S = events.S
-    cls = events.sources[structure.pair_j] + S * (events.lengths[structure.pair_j] == 0)
+    log_kernel, _, empty = reference_pairs(structure)
+    cls = events.sources[structure.pair_j] + S * empty
     out = np.zeros((len(events), 2 * S))
-    np.add.at(out, (structure.pair_i, cls), np.exp(structure.log_kernel))
+    np.add.at(out, (structure.pair_i, cls), np.exp(log_kernel))
     return out
 
 
@@ -549,6 +597,7 @@ def test_m_step_inputs_match_the_per_pair_posteriors(window):
     params = random_params(rng, 3, 6, nu=1.0)
     structure = PairStructure(events, params.nu, window=window)
     S = events.S
+    _, pair_cell, empty = reference_pairs(structure)
     for gamma in (0.0, 0.3, 1.0):
         p = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=gamma,
                            nu=params.nu)
@@ -557,22 +606,26 @@ def test_m_step_inputs_match_the_per_pair_posteriors(window):
         np.testing.assert_array_equal(state.eta_overlap, eta[structure.ov_pair])
         np.testing.assert_allclose(
             state.eta_cells,
-            np.bincount(structure.pair_cell, weights=eta, minlength=S * S).reshape(S, S),
+            np.bincount(pair_cell, weights=eta, minlength=S * S).reshape(S, S),
             rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
             state.eta_empty,
-            np.bincount(structure.empty_row, weights=eta[structure.empty_pair],
+            np.bincount(structure.pair_i[empty], weights=eta[empty],
                         minlength=len(events)), rtol=0, atol=1e-12)
-        # a state built from the same dense posteriors gives the same M-steps
-        dense = VariationalState(structure, state.eta0, eta, state.log_z)
-        prior = PriorConfig.maximum_likelihood(S)
-        for a, b in zip(update_rho_alpha(events, state, prior),
-                        update_rho_alpha(events, dense, prior)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-        ta, ga = update_theta_gamma(events, state, (p.theta, gamma))
-        tb, gb = update_theta_gamma(events, dense, (p.theta, gamma))
-        np.testing.assert_array_equal(ta, tb)
-        assert ga == pytest.approx(gb, rel=1e-12)
+
+
+def test_m_steps_need_an_e_step_state():
+    # a state built from given posteriors serves the readers of eta_pair only
+    rng = np.random.default_rng(91)
+    events = random_events(rng, 50, 2, 4, T=20.0)
+    params = random_params(rng, 2, 4, nu=1.0)
+    state = update_eta(events, params)
+    given = VariationalState(state.structure, state.eta0, state.eta_pair, state.log_z)
+    assert rs.mini_conversations(given, events).branching.parent.size == 50
+    with pytest.raises(ValidationError, match="need a state from update_eta"):
+        update_rho_alpha(events, given, PriorConfig.maximum_likelihood(2))
+    with pytest.raises(ValidationError, match="need a state from update_eta"):
+        update_theta_gamma(events, given, (params.theta, params.gamma))
 
 
 @pytest.mark.parametrize("window", [None, 3.0])
@@ -608,6 +661,48 @@ def test_sub_model_passes_build_no_kernel_states():
     assert "cells" not in vars(live)
     rs.root_probabilities(events, params, window=5.0)
     assert set(lazy) <= set(vars(live))
+
+
+def test_structure_stores_no_per_pair_array():
+    # fewer triples than pairs, so no overlap-pair array has a pair's length
+    rng = np.random.default_rng(107)
+    events = random_events(rng, 300, 3, 40, T=60.0)
+    report = fit(events, nu=1.0, max_iters=3)
+    rs.root_probabilities_mark(events, report.params)
+    st = report.eta.structure
+    assert st.tri_pair.size < st.n_pairs and st.cells[0][-1] < st.n_pairs
+    assert {"ov_pair", "tri_ov", "ov_cell", "ov_log_kernel"} <= set(vars(st))
+    sizes = {name: v.size for name, v in vars(st).items() if isinstance(v, np.ndarray)}
+    assert st.n_pairs not in sizes.values(), sizes
+    for name in ("pair_i", "pair_j"):
+        assert isinstance(getattr(PairStructure, name), property)
+        assert getattr(st, name).size == st.n_pairs
+
+
+@pytest.mark.parametrize("window", [None, 2.0])
+def test_expansion_does_not_depend_on_the_block_size(window, monkeypatch):
+    # rows expanded in blocks of about one, seven or PAIR_BLOCK pairs give
+    # the same eta_pair, elbo and temporal- and mark-only passes bit for
+    # bit; some marks are empty, and at gamma 1 every token is dead
+    rng = np.random.default_rng(109)
+    events = random_events(rng, 60, 3, 6, T=15.0)
+    assert (events.lengths == 0).any()
+    params = random_params(rng, 3, 6, nu=1.0)
+    got = {}
+    for block in (None, 1, 7):
+        if block is not None:
+            monkeypatch.setattr("rootsource.fitting.PAIR_BLOCK", block)
+        for gamma in (0.3, 1.0):
+            p = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=gamma,
+                               nu=params.nu)
+            state = update_eta(events, p, PairStructure(events, p.nu, window=window))
+            got[block, gamma] = (
+                state.eta_pair, elbo(events, p, state),
+                rs.root_probabilities_temporal(events, p, window=window).r,
+                rs.root_probabilities_mark(events, p, window=window).r)
+    for (block, gamma), arrays in got.items():
+        for a, b in zip(arrays, got[None, gamma]):
+            np.testing.assert_array_equal(a, b, err_msg=f"block {block}, gamma {gamma}")
 
 
 def _count_pair_posteriors(monkeypatch):

@@ -46,6 +46,18 @@ def dense_eta(state):
     return out
 
 
+def reference_pairs(structure):
+    """(log_kernel, pair_cell, empty) per pair of a PairStructure: log kappa,
+    the flat index s_i S + s_j of A and whether the parent's mark is empty,
+    built from pair_i and pair_j by the formulas of the stored layout that
+    the implicit one replaced."""
+    events, nu = structure.events, structure.nu
+    i, j = structure.pair_i, structure.pair_j
+    log_kernel = -(events.times[i] - events.times[j]) / nu - np.log(nu)
+    pair_cell = events.sources[i].astype(np.intp) * events.S + events.sources[j]
+    return log_kernel, pair_cell, events.lengths[j] == 0
+
+
 def reference_triples(structure):
     """Token-overlap triples of a PairStructure, built one token at a time.
 
@@ -145,8 +157,9 @@ def reference_e_step(structure, params):
     from rootsource.fitting import _normalize
 
     logw_imm, logw_pair = reference_log_mark_densities(structure, params)
+    log_kernel, pair_cell, _ = reference_pairs(structure)
     with np.errstate(divide="ignore"):
         logw_imm += np.log(params.rho)[structure.events.sources]
-        logw_pair += np.log(params.A).ravel()[structure.pair_cell]
-    logw_pair += structure.log_kernel
+        logw_pair += np.log(params.A).ravel()[pair_cell]
+    logw_pair += log_kernel
     return _normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
