@@ -1,4 +1,4 @@
-"""Runtime-scaling benchmark for the fit sweeps and the root-probability pass.
+"""Runtime-scaling benchmark for the simulator, the fit sweeps and the root pass.
 
 An E/M sweep costs O(kernel cells + overlap pairs + triples), with at most
 min(pairs, n 2S) cells: with a truncation window all three grow as n * w,
@@ -6,7 +6,8 @@ so wall time per sweep should fit a linear model in n; in exact mode the
 overlap pairs and triples grow as n^2, and the sweep is reported as
 quadratic rather than held to a linear bar.  The one-time PairStructure
 build is timed separately from the per-sweep cost, and the fastest sweep is
-split into its E-step and its two M-steps.
+split into its E-step and its two M-steps.  The draw of each scale's input
+by `simulate` has its own column.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = ["BenchRow", "BenchReport", "run_bench", "linear_fit_r2"]
 class BenchRow:
     target: int
     n: int
+    simulate_seconds: float
     build_seconds: float
     sweep_seconds: float
     rootprob_seconds: float
@@ -57,12 +59,13 @@ class BenchReport:
     def table(self) -> list:
         mode = "exact" if self.window is None else f"window={self.window:g}"
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
-               f"{'target':>8} {'events':>8} {'build[s]':>10} {'sweep[s]':>10} "
+               f"{'target':>8} {'events':>8} {'sim[s]':>8} {'build[s]':>10} {'sweep[s]':>10} "
                f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
                f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}"]
         for r in self.rows:
             rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
-            out.append(f"{r.target:>8} {r.n:>8} {r.build_seconds:>10.3f} "
+            out.append(f"{r.target:>8} {r.n:>8} {r.simulate_seconds:>8.3f} "
+                       f"{r.build_seconds:>10.3f} "
                        f"{r.sweep_seconds:>10.3f} {r.e_step_seconds:>8.3f} "
                        f"{r.rho_A_seconds:>8.3f} {r.theta_gamma_seconds:>8.3f} "
                        f"{r.objective_seconds:>8.3f} "
@@ -97,7 +100,7 @@ def linear_fit_r2(x, y):
 
 def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
               seed: int = 0, rate: float = 2.5) -> BenchReport:
-    """Simulate at each target size; time structure build, E/M sweeps, root pass.
+    """Simulate at each target size; time the draw, structure build, E/M sweeps, root pass.
 
     sweep_seconds is the fastest whole sweep (other work on the host only
     ever adds time), and e_step_seconds, rho_A_seconds and
@@ -124,7 +127,9 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         if target <= 0:
             raise ValidationError("scales must be positive event counts")
         cfg = make_synthetic_config(T=target / rate, seed=seed)
+        t0 = time.perf_counter()
         events, _ = simulate(cfg)
+        sim = time.perf_counter() - t0
         prior = PriorConfig.maximum_likelihood(events.S)
         params = _default_init(events, prior, cfg.params.nu)
 
@@ -163,7 +168,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         rss = (None if resource is None
                else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         report.rows.append(BenchRow(target=target, n=len(events),
-                                    build_seconds=build,
+                                    simulate_seconds=sim, build_seconds=build,
                                     sweep_seconds=float(fastest.sum()),
                                     rootprob_seconds=rootprob,
                                     pairs=structure.n_pairs,

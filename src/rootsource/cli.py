@@ -274,16 +274,17 @@ def evaluate(ctx, config, rootprob_in, truth_in, est_params, true_params, ks, ou
 @click.option("--out", default=None, help="Rows as JSON output path.")
 @click.pass_context
 def bench(ctx, config, scales, window, exact, sweeps, seed, out):
-    """Time fit sweeps and the root-probability pass across problem sizes.
+    """Time the simulator, fit sweeps and the root-probability pass across sizes.
 
-    The structure build has its own column, and each sweep is split into the
-    E-step, the (rho, A) and the (theta, gamma) M-steps, each timed as its
-    fastest over the sweeps.  One objective evaluation on the last sweep's
-    state has its own column.  The root pass reuses the sweeps' pair layout,
-    as a root pass after a fit does, so its time excludes the build.  It runs
-    at the last M-step's parameters, so it computes its E-step.  Each row
-    also counts the candidate pairs and token-overlap triples, the MiB of the
-    structure's arrays, and gives the process's peak RSS so far.
+    Drawing each size's input and the structure build have their own columns,
+    and each sweep is split into the E-step, the (rho, A) and the (theta,
+    gamma) M-steps, each timed as its fastest over the sweeps.  One objective
+    evaluation on the last sweep's state has its own column.  The root pass
+    reuses the sweeps' pair layout, as a root pass after a fit does, so its
+    time excludes the build.  It runs at the last M-step's parameters, so it
+    computes its E-step.  Each row also counts the candidate pairs and
+    token-overlap triples, the MiB of the structure's arrays, and gives the
+    process's peak RSS so far.
     """
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
@@ -304,7 +305,7 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
         from dataclasses import asdict
         rows = [asdict(r) for r in report.rows]
         with open(out, "w") as fp:
-            json.dump({"schema": "bench-v5", "exact": exact,
+            json.dump({"schema": "bench-v6", "exact": exact,
                        "sweeps": sweeps, "rows": rows}, fp, indent=2)
             fp.write("\n")
 

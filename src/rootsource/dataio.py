@@ -50,20 +50,50 @@ def _open(path_or_file, mode: str):
     return open(path_or_file, mode), True
 
 
+# Rows formatted at a time, so that no file's whole text is held in memory.
+WRITE_BLOCK = 1 << 14
+
+
+def _write_lines(path_or_file, head: str, line: str, n: int, block) -> None:
+    """Write head, then line.format(*row) for rows 0..n-1.
+
+    block(a, b) returns rows a..b-1 as columns: lists from tolist(), or
+    ranges.  A writer's template spells out what json.dumps or repr would
+    write for one record, so no per-record object is built and the bytes
+    match a record-by-record writer exactly.
+    """
+    fp, owned = _open(path_or_file, "w")
+    try:
+        fp.write(head)
+        for a in range(0, n, WRITE_BLOCK):
+            fp.writelines(map(line.format, *block(a, min(a + WRITE_BLOCK, n))))
+    finally:
+        if owned:
+            fp.close()
+
+
 # ---------------------------------------------------------------- events ---
 
 def write_events(events: EventSequence, path_or_file) -> None:
     """JSONL: header {"schema","T","S","V"}, then {"i","t","s","x"} per event."""
-    fp, owned = _open(path_or_file, "w")
-    try:
-        fp.write(json.dumps({"schema": EVENTS_SCHEMA, "T": events.T,
-                             "S": events.S, "V": events.V}) + "\n")
-        for e in events:
-            x = {str(int(v)): int(c) for v, c in zip(e.tokens, e.counts)}
-            fp.write(json.dumps({"i": e.index, "t": e.t, "s": e.s + 1, "x": x}) + "\n")
-    finally:
-        if owned:
-            fp.close()
+    V, indptr = max(events.V, 1), events.tok_indptr
+    key = events.tok_count.astype(np.int64) * V + events.tok_index
+
+    def block(a, b):
+        # the text of each distinct (token, count) entry, written once and gathered
+        distinct, at = np.unique(key[indptr[a]:indptr[b]], return_inverse=True)
+        text = [f'"{v}": {c}' for v, c in zip((distinct % V).tolist(),
+                                              (distinct // V).tolist())]
+        entries = list(map(text.__getitem__, at.tolist()))
+        bounds = (indptr[a:b + 1] - indptr[a]).tolist()
+        marks = [", ".join(entries[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return (range(a + 1, b + 1), events.times[a:b].tolist(),
+                (events.sources[a:b] + 1).tolist(), marks)
+
+    head = json.dumps({"schema": EVENTS_SCHEMA, "T": events.T, "S": events.S,
+                       "V": events.V}) + "\n"
+    _write_lines(path_or_file, head, '{{"i": {}, "t": {!r}, "s": {}, "x": {{{}}}}}\n',
+                 len(events), block)
 
 
 def read_events(path_or_file) -> EventSequence:
@@ -85,14 +115,15 @@ def read_events(path_or_file) -> EventSequence:
                 continue
             try:
                 rec = json.loads(line)
-                t, s, x = float(rec["t"]), int(rec["s"]), rec.get("x", {})
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+                t, s = float(rec["t"]), int(rec["s"])
+                items = sorted((int(v), float(c)) for v, c in rec.get("x", {}).items())
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                    ValueError) as err:
                 raise ValidationError(f"line {lineno}: malformed event record ({err})") from err
             if s < 1:
                 raise ValidationError(f"line {lineno}: source labels are 1-based in files")
             times.append(t)
             sources.append(s - 1)
-            items = sorted((int(v), float(c)) for v, c in x.items())
             for v, c in items:
                 tok_i.append(v)
                 tok_c.append(c)
@@ -119,16 +150,10 @@ class TruthInfo:
 
 def write_truth(truth: GroundTruth, path_or_file) -> None:
     """JSONL sidecar: header, then exactly {"i","parent","root"} per event."""
-    fp, owned = _open(path_or_file, "w")
-    try:
-        fp.write(json.dumps({"schema": TRUTH_SCHEMA}) + "\n")
-        parent = truth.branching.parent
-        for k in range(len(parent)):
-            fp.write(json.dumps({"i": k + 1, "parent": int(parent[k]),
-                                 "root": int(truth.roots[k]) + 1}) + "\n")
-    finally:
-        if owned:
-            fp.close()
+    parent, root = truth.branching.parent, truth.roots + 1
+    _write_lines(path_or_file, json.dumps({"schema": TRUTH_SCHEMA}) + "\n",
+                 '{{"i": {}, "parent": {}, "root": {}}}\n', parent.size,
+                 lambda a, b: (range(a + 1, b + 1), parent[a:b].tolist(), root[a:b].tolist()))
 
 
 def read_truth(path_or_file) -> TruthInfo:
@@ -234,18 +259,12 @@ def read_eta(path_or_file) -> dict:
 
 def write_rootprob(rpm: RootProbMatrix, path_or_file) -> None:
     """CSV: schema comment, then event_index,r_1..r_S,argmax_source rows."""
-    fp, owned = _open(path_or_file, "w")
-    try:
-        fp.write(f"# {ROOTPROB_SCHEMA} mode={rpm.mode}\n")
-        cols = ",".join(f"r_{s + 1}" for s in range(rpm.S))
-        fp.write(f"event_index,{cols},argmax_source\n")
-        arg = rpm.argmax_sources()
-        for k in range(rpm.n):
-            vals = ",".join(repr(float(v)) for v in rpm.r[k])
-            fp.write(f"{k + 1},{vals},{arg[k] + 1}\n")
-    finally:
-        if owned:
-            fp.close()
+    cols = ",".join(f"r_{s + 1}" for s in range(rpm.S))
+    arg = rpm.argmax_sources() + 1
+    _write_lines(path_or_file,
+                 f"# {ROOTPROB_SCHEMA} mode={rpm.mode}\nevent_index,{cols},argmax_source\n",
+                 "{}," + "{!r}," * rpm.S + "{}\n", rpm.n,
+                 lambda a, b: (range(a + 1, b + 1), *rpm.r[a:b].T.tolist(), arg[a:b].tolist()))
 
 
 def read_rootprob(path_or_file) -> RootProbMatrix:

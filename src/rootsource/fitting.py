@@ -358,7 +358,8 @@ class PairStructure:
 
     def _parent(self, p: np.ndarray, i) -> np.ndarray:
         """Parent of pair p of child i: p - row_start[i] + lo[i]."""
-        return p - self._per_pair(self.row_start[:-1][i] - self.lo[i], i)
+        shift = self._per_pair(self.row_start[:-1][i] - self.lo[i], i)
+        return np.subtract(p, shift, out=shift)
 
     def _pair(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Position of the pairs (i, j), the inverse of `_parent`."""
@@ -442,18 +443,23 @@ class PairStructure:
     def ov_row_len(self) -> np.ndarray:
         return np.diff(self.ov_row_start)
 
-    def _ov_ends(self):
-        """(child, parent) of every overlap pair."""
+    def _ov_terms(self) -> None:
+        """Set ov_cell and ov_log_kernel from one (child, parent) pass over
+        the overlap pairs; every reader of one reads the other."""
         i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
-        return i, self._parent(self.ov_pair, i)
+        j = self._parent(self.ov_pair, i)
+        self.ov_cell = self._cell(i, j)
+        self.ov_log_kernel = self._log_kernel(i, j)
 
     @cached_property
     def ov_cell(self) -> np.ndarray:
-        return self._cell(*self._ov_ends())
+        self._ov_terms()
+        return self.ov_cell
 
     @cached_property
     def ov_log_kernel(self) -> np.ndarray:
-        return self._log_kernel(*self._ov_ends())
+        self._ov_terms()
+        return self.ov_log_kernel
 
     @cached_property
     def cells(self):

@@ -156,8 +156,9 @@ class EventSequence:
                 raise ValidationError("token indices out of range")
             if np.any(self.tok_count <= 0):
                 raise ValidationError("stored token counts must be positive")
-            if np.any(self.tok_count != np.floor(self.tok_count)):
-                raise ValidationError("token counts must be integers")
+            if not np.all(np.isfinite(self.tok_count)
+                          & (self.tok_count == np.floor(self.tok_count))):
+                raise ValidationError("token counts must be finite integers")
         if self.tok_index.size > 1:
             d = np.diff(self.tok_index.astype(np.int64))
             row_break = np.zeros(d.size, dtype=bool)

@@ -12,6 +12,16 @@ choices are recorded as ground truth.
 Sampling offspring counts directly (instead of Ogata thinning) makes the
 ground-truth branching exact by construction and keeps every draw attributable
 to a single generator stream, so output is bit-reproducible given the seed.
+
+The sampler runs in two phases.  Phase 1 (`_draw_stream`) is one sequential
+pass that makes every generator call in the stream order of an event-by-event
+sampler: immigrants by source, then each event's offspring in insertion order,
+every event's length followed by its mark uniforms.  It keeps only scalars per
+event and the uniforms.  No draw depends on a mark, so phase 2
+(`_resolve_marks`) turns the uniforms into tokens afterwards, with a few
+array operations per source and per generation.  The stream order, and so
+every output for a given seed, is that of the event-by-event sampler, which
+the tests keep as a reference.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import ragged_arange
 from .errors import NumericalError, ValidationError
 from .model import EventSequence, ModelParams
 
@@ -125,9 +136,153 @@ def _draw_length(rng: np.random.Generator, mean: float) -> int:
     return L
 
 
-def _draw_tokens(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
-    toks = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(toks, cum.size - 1)
+# Up to this many excited targets, per-target scalar Poisson calls cost less
+# than one array call, whose argument checks cost about 15 scalar calls.
+_SCALAR_POISSON_MAX = 16
+
+
+def _cap_error(cap: int, params: ModelParams) -> NumericalError:
+    return NumericalError(
+        f"cascade exceeded the event cap ({cap}); branching-ratio rows "
+        f"of A may be at or above 1 (spectral radius "
+        f"{np.max(np.abs(np.linalg.eigvals(params.A))):.3f})")
+
+
+def _draw_stream(config: SimConfig, cap: int):
+    """Phase 1: every generator draw, in the stream order, keeping only scalars.
+
+    Per source, an immigrant count and uniform times; per immigrant, a length
+    L and L mark uniforms.  Then per event in insertion order, which is
+    generation order: Poisson offspring counts for every target source it
+    excites, then per target the offspring lags, each offspring followed by
+    its length L and 2 L mark uniforms.  The event-by-event sampler drew
+    those as L inheritance tests, k picks from the parent and L - k theta
+    draws; every parent has L >= 1, so the three calls are one block of the
+    stream.  The kernel integrals and the lags' times are computed a
+    generation at a time with the same elementwise operations as one event
+    at a time.
+
+    Returns (times, sources, parent, L, u, gen_start) in insertion order:
+    parent -1 for an immigrant, u the mark uniforms concatenated, and the
+    events of generation g at gen_start[g]:gen_start[g+1].
+    """
+    params = config.params
+    S, T, nu = params.S, config.T, params.nu
+    rng = np.random.default_rng(config.seed)
+    poisson, random = rng.poisson, rng.random
+    mean_len = config.mean_text_length.tolist()
+    times: list[np.ndarray] = []
+    s_list: list[int] = []
+    parent: list[int] = []
+    lengths: list[int] = []
+    u: list[np.ndarray] = []
+
+    for s in range(S):
+        t = rng.uniform(0.0, T, size=rng.poisson(params.rho[s] * T))
+        for _ in range(t.size):
+            L = _draw_length(rng, mean_len[s])
+            lengths.append(L)
+            u.append(random(L))
+        times.append(t)
+        s_list += [s] * t.size
+        if len(lengths) > cap:
+            raise _cap_error(cap, params)
+    parent += [-1] * len(lengths)
+
+    # per exciting source, the targets it excites and their A entries: a
+    # zero mean draws nothing from the stream, so only these are drawn, by
+    # scalar calls, or by one array call where that costs less
+    targets = [np.flatnonzero(params.A[:, s]) for s in range(S)]
+    excite = [params.A[t, s] for s, t in enumerate(targets)]
+    scalar = [(t.tolist(), a.tolist()) for t, a in zip(targets, excite)]
+    gen_start = [0]
+    t_gen = np.concatenate(times)
+    while t_gen.size:
+        a, b = gen_start[-1], len(lengths)
+        gen_start.append(b)
+        delta = T - t_gen
+        pint = 1.0 - np.exp(-delta / nu)
+        lags = []
+        for j, (d, p, s_j) in enumerate(zip(delta.tolist(), pint.tolist(), s_list[a:b])):
+            if not d > 0:
+                continue
+            if targets[s_j].size > _SCALAR_POISSON_MAX:
+                counts = poisson(excite[s_j] * p)
+                hit = np.flatnonzero(counts)
+                born = zip(targets[s_j][hit].tolist(), counts[hit].tolist())
+            else:
+                to, means = scalar[s_j]
+                born = zip(to, [poisson(lam * p) for lam in means])
+            for s, count in born:
+                if count:
+                    lags.append(random(count))
+                    for _ in range(count):
+                        L = _draw_length(rng, mean_len[s])
+                        lengths.append(L)
+                        u.append(random(2 * L))
+                    s_list += [s] * count
+                    parent += [a + j] * count
+            if len(lengths) > cap:
+                raise _cap_error(cap, params)
+        at = np.array(parent[b:], dtype=np.int64) - a
+        t_gen = t_gen[at] + -nu * np.log1p(-np.concatenate(lags or [np.empty(0)]) * pint[at])
+        times.append(t_gen)
+    return (np.concatenate(times), np.array(s_list, dtype=np.int64),
+            np.array(parent, dtype=np.int64), np.array(lengths, dtype=np.int64),
+            np.concatenate(u) if u else np.empty(0), np.array(gen_start, dtype=np.int64))
+
+
+def _resolve_marks(params: ModelParams, sources, parent, L, u, gen_start):
+    """Phase 2: every event's tokens from its mark uniforms, a generation at a time.
+
+    An immigrant's L uniforms, and an offspring's last L - k after its k
+    inherited tokens, are theta draws: one searchsorted per source.  An
+    offspring's first L uniforms are the inheritance tests (u < gamma), and
+    each of its k picks from parent p is the parent's sorted raw tokens at
+    min(floor(u L_p), L_p - 1), the parent's count-weighted CDF searched at
+    u L_p.  The raw tokens, laid out by event, are sorted within each event
+    one generation at a time, since the next generation picks from them.
+
+    Returns (raw, event, k): the sorted raw tokens, the event of each, and
+    the number of inherited tokens per event.
+    """
+    n, S, V = L.size, params.S, params.V
+    child = parent >= 0
+    width = np.where(child, 2 * L, L)
+    ustart = np.cumsum(width) - width
+    rbound = np.concatenate([[0], np.cumsum(L)])
+    rstart = rbound[:-1]
+    event = np.repeat(np.arange(n), L)
+
+    tested = u[ragged_arange(ustart[child], ustart[child] + L[child])] < params.gamma
+    ends = np.concatenate([[0], np.cumsum(tested)])[np.cumsum(L[child])]
+    k = np.zeros(n, dtype=np.int64)
+    k[child] = np.diff(ends, prepend=0)
+
+    raw = np.empty(rbound[-1], dtype=np.int64)
+    first = ustart + np.where(child, L + k, 0)
+    draw_u = u[ragged_arange(first, first + L - k)]
+    draw_at = ragged_arange(rstart + k, rstart + L)
+    by_source = np.argsort(sources[event[draw_at]], kind="stable")
+    bounds = np.searchsorted(sources[event[draw_at[by_source]]], np.arange(S + 1))
+    theta_cum = np.cumsum(params.theta, axis=1)
+    for s in range(S):
+        sel = by_source[bounds[s]:bounds[s + 1]]
+        raw[draw_at[sel]] = np.minimum(
+            np.searchsorted(theta_cum[s], draw_u[sel], side="right"), V - 1)
+
+    pick_at = ragged_arange(rstart, rstart + k)
+    p = parent[event[pick_at]]
+    pick_u = u[ragged_arange(ustart + L, ustart + L + k)]
+    pick_from = rstart[p] + np.minimum(np.floor(pick_u * L[p]).astype(np.int64), L[p] - 1)
+    pick_bounds = np.searchsorted(pick_at, rbound[gen_start])
+    for g in range(gen_start.size - 1):
+        lo, hi = pick_bounds[g], pick_bounds[g + 1]
+        raw[pick_at[lo:hi]] = raw[pick_from[lo:hi]]
+        block = slice(rbound[gen_start[g]], rbound[gen_start[g + 1]])
+        ev = event[block] * V
+        raw[block] = np.sort(ev + raw[block]) - ev
+    return raw, event, k
 
 
 def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
@@ -135,108 +290,44 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
 
     Deterministic given config.seed: all draws come from one PCG64 stream in
     a fixed order (immigrants by source, then each event's offspring by
-    insertion order).  Raises NumericalError if the cascade exceeds the event
-    cap (config.max_events, default 50x the analytic expected count).
+    insertion order; see the module docstring for the two phases).  Raises
+    NumericalError if the cascade exceeds the event cap (config.max_events,
+    default 50x the analytic expected count).
     """
     params = config.params
-    S, V, T = params.S, params.V, config.T
-    rng = np.random.default_rng(config.seed)
-    nu = params.nu
-    theta_cum = np.cumsum(params.theta, axis=1)
-
     cap = config.max_events
     if cap is None:
-        cap = max(1000, int(np.ceil(50.0 * expected_event_count(params, T))))
-
-    t_list: list[float] = []
-    s_list: list[int] = []
-    parent_list: list[int] = []  # build-order position, -1 for immigrants
-    tok_list: list[np.ndarray] = []
-    cnt_list: list[np.ndarray] = []
-    cum_list: list[np.ndarray] = []  # parent-bag CDF for offspring token draws
-    inherited: list[int] = []
-
-    def _add_event(t: float, s: int, parent_pos: int):
-        L = _draw_length(rng, config.mean_text_length[s])
-        if parent_pos >= 0 and cum_list[parent_pos].size > 0:
-            inherit = rng.random(L) < params.gamma
-            k = int(inherit.sum())
-            toks = np.empty(L, dtype=np.int64)
-            if k:
-                pcum = cum_list[parent_pos]
-                pick = np.searchsorted(pcum, rng.random(k) * pcum[-1], side="right")
-                toks[:k] = tok_list[parent_pos][np.minimum(pick, pcum.size - 1)]
-            if L - k:
-                toks[k:] = _draw_tokens(rng, theta_cum[s], L - k)
-        else:
-            k = 0
-            toks = _draw_tokens(rng, theta_cum[s], L)
-        uniq, cnt = np.unique(toks, return_counts=True)
-        t_list.append(t)
-        s_list.append(s)
-        parent_list.append(parent_pos)
-        tok_list.append(uniq.astype(np.int32))
-        cnt_list.append(cnt.astype(np.float64))
-        cum_list.append(np.cumsum(cnt.astype(np.float64)))
-        inherited.append(k)
-        if len(t_list) > cap:
-            raise NumericalError(
-                f"cascade exceeded the event cap ({cap}); branching-ratio rows "
-                f"of A may be at or above 1 (spectral radius "
-                f"{np.max(np.abs(np.linalg.eigvals(params.A))):.3f})")
-
-    # Immigrants: a homogeneous Poisson count, then uniform times.
-    for s in range(S):
-        n_imm = rng.poisson(params.rho[s] * T)
-        times = rng.uniform(0.0, T, size=n_imm)
-        for t in times:
-            _add_event(float(t), s, -1)
-
-    # Offspring cascade, processed in insertion order.
-    idx = 0
-    while idx < len(t_list):
-        t_j = t_list[idx]
-        delta = T - t_j
-        if delta > 0:
-            pint = 1.0 - np.exp(-delta / nu)
-            means = params.A[:, s_list[idx]] * pint
-            counts = rng.poisson(means)
-            for s in range(S):
-                if counts[s]:
-                    dts = -nu * np.log1p(-rng.random(counts[s]) * pint)
-                    for dt in dts:
-                        _add_event(t_j + float(dt), s, idx)
-        idx += 1
-
-    n = len(t_list)
-    times = np.array(t_list)
+        cap = max(1000, int(np.ceil(50.0 * expected_event_count(params, config.T))))
+    times, sources, parent, L, u, gen_start = _draw_stream(config, cap)
+    n = times.size
     order = np.argsort(times, kind="stable")
     times = times[order]
     if n > 1 and np.any(np.diff(times) <= 0):
         raise NumericalError("duplicate timestamps generated; re-run with another seed")
 
+    raw, event, k = _resolve_marks(params, sources, parent, L, u, gen_start)
+    # runs of equal tokens within an event, then the events' runs in time order
+    key = event * params.V + raw
+    start = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+    run_count = np.diff(start, append=key.size)
+    run_start = np.concatenate([[0], np.cumsum(np.bincount(event[start], minlength=n))])
+    runs = ragged_arange(run_start[order], run_start[order + 1])
+    indptr = np.concatenate([[0], np.cumsum(np.diff(run_start)[order])])
+    events = EventSequence(times, sources[order], indptr, raw[start][runs].astype(np.int32),
+                           run_count[runs].astype(np.float64), config.T, params.S, params.V)
+
+    root = np.arange(n)
+    for a, b in zip(gen_start[1:-1], gen_start[2:]):
+        root[a:b] = root[parent[a:b]]
     pos_of_build = np.empty(n, dtype=np.int64)
     pos_of_build[order] = np.arange(n)
-    parent_build = np.array(parent_list, dtype=np.int64)
-    parent_sorted = np.where(parent_build[order] >= 0,
-                             pos_of_build[parent_build[order]] + 1, 0)
-
-    sources = np.array(s_list, dtype=np.int64)[order]
-    toks = [tok_list[b] for b in order]
-    cnts = [cnt_list[b] for b in order]
-    sizes = np.array([a.size for a in toks], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    tok_index = np.concatenate(toks) if n else np.empty(0, dtype=np.int32)
-    tok_count = np.concatenate(cnts) if n else np.empty(0, dtype=np.float64)
-    events = EventSequence(times, sources, indptr, tok_index, tok_count, T, S, V)
-
-    branching = BranchingStructure(parent_sorted)
-    root_pos = _root_positions(parent_sorted)
+    parent_sorted = np.where(parent[order] >= 0, pos_of_build[parent[order]] + 1, 0)
+    root_pos = pos_of_build[root[order]]
     truth = GroundTruth(
-        branching=branching,
-        roots=sources[root_pos],
+        branching=BranchingStructure(parent_sorted),
+        roots=events.sources[root_pos],
         root_event=root_pos + 1,
-        inherited_tokens=np.array(inherited, dtype=np.int64)[order],
+        inherited_tokens=k[order],
     )
     return events, truth
 

@@ -198,7 +198,7 @@ def test_bench_smoke(runner, tmp_path):
                               "--out", str(tmp_path / "bench.json")])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["schema"] == "bench-v5"
+    assert doc["schema"] == "bench-v6"
     assert [r["target"] for r in doc["rows"]] == [60, 120]
     assert all(r["pairs"] > 0 and r["triples"] >= 0 for r in doc["rows"])
     for r in doc["rows"]:
@@ -206,6 +206,7 @@ def test_bench_smoke(runner, tmp_path):
         assert min(phases) > 0
         assert r["sweep_seconds"] == pytest.approx(sum(phases))
         assert r["objective_seconds"] > 0
+        assert r["simulate_seconds"] > 0
         assert r["structure_mb"] > 0
         assert r["peak_rss_mb"] > 0
     assert "R^2" in res.output

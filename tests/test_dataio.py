@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rootsource import dataio
 from rootsource.dataio import (
     RawComment,
     ingest,
@@ -25,9 +26,11 @@ from rootsource.dataio import (
 from rootsource.errors import ValidationError
 from rootsource.fitting import update_eta
 from rootsource.metrics import evaluate_root_probabilities
+from rootsource.model import EventSequence
 from rootsource.rootprob import RootProbMatrix, root_probabilities
 from rootsource.simulate import make_synthetic_config, simulate
-from util import random_instance
+from util import (random_instance, reference_write_events, reference_write_rootprob,
+                  reference_write_truth)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,13 @@ def test_events_read_errors():
             head + '{"i": 1, "t": 1.0, "s": 1, "x": {}}\n{"i": 2, "t": 2.0}\n'))
     with pytest.raises(ValidationError, match="1-based"):
         read_events(io.StringIO(head + '{"i": 1, "t": 1.0, "s": 0, "x": {}}\n'))
+    # a token key that is no integer, a count that is no number, an "x"
+    # that is no object
+    for x in ('{"a": 1}', '{"1": "two"}', '[1, 2]'):
+        with pytest.raises(ValidationError, match="line 3: malformed event record"):
+            read_events(io.StringIO(
+                head + '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 2}}\n'
+                f'{{"i": 2, "t": 2.0, "s": 1, "x": {x}}}\n'))
 
 
 def test_truth_round_trip(sim):
@@ -292,3 +302,33 @@ def test_ingest_empty_inputs():
         ingest([])
     with pytest.raises(ValidationError, match="author filtering"):
         ingest([RawComment(t=1.0, author="a", text="x")], min_author_count=5)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_writers_match_record_by_record_writers(sim, monkeypatch, block):
+    if block is not None:  # rows formatted a few at a time
+        monkeypatch.setattr(dataio, "WRITE_BLOCK", block)
+    events, truth = sim
+    # times and probabilities whose repr takes an exponent, an empty mark,
+    # and a count beyond a single digit
+    odd = EventSequence([1e-7, 0.5, 2.0, 123456.789], [0, 1, 0, 1],
+                        [0, 2, 2, 3, 5], [0, 4, 1, 0, 7], [1.0, 12.0, 3.0, 1.0, 250.0],
+                        T=2e5, S=2, V=8)
+    r = np.array([[1.0, 0.0, 0.0], [5e-324, 1 - 5e-324, 0.0], [1e-300, 0.5, 0.5],
+                  [0.1, 0.2, 0.7]])
+    cases = [
+        (write_events, reference_write_events, events),
+        (write_events, reference_write_events, odd),
+        (write_events, reference_write_events, EventSequence([], [], [0], [], [], 1.0, 2, 3)),
+        (write_truth, reference_write_truth, truth),
+        (write_rootprob, reference_write_rootprob, root_probabilities(
+            events, make_synthetic_config(T=30.0, seed=0, S=3, V=50).params)),
+        (write_rootprob, reference_write_rootprob, RootProbMatrix(r, "full")),
+        (write_rootprob, reference_write_rootprob,
+         RootProbMatrix(np.empty((0, 2)), "temporal_only")),
+    ]
+    for write, reference, obj in cases:
+        got, want = io.StringIO(), io.StringIO()
+        write(obj, got)
+        reference(obj, want)
+        assert got.getvalue() == want.getvalue(), write.__name__

@@ -53,9 +53,10 @@ def test_sequence_validation():
         rs.EventSequence.from_events([rs.Event.make(1, 1.0, 0, {5: 1})], T=3.0, S=1, V=2)
     with pytest.raises(ValidationError):  # horizon must cover the last event
         rs.EventSequence.from_events(good, T=1.5, S=1, V=1)
-    with pytest.raises(ValidationError):  # fractional counts
-        rs.EventSequence.from_events(
-            [rs.Event.make(1, 1.0, 0, {0: 1.5})], T=3.0, S=1, V=1)
+    for count in (1.5, math.inf):  # fractional or infinite counts
+        with pytest.raises(ValidationError, match="finite integers"):
+            rs.EventSequence.from_events(
+                [rs.Event.make(1, 1.0, 0, {0: count})], T=3.0, S=1, V=1)
 
 
 def test_sequence_indexing_round_trip():

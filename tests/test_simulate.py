@@ -12,6 +12,7 @@ from rootsource.simulate import (
     simulate,
     trace_roots,
 )
+from util import reference_simulate
 
 
 def small_config(seed=0, **overrides):
@@ -136,8 +137,12 @@ def test_event_count_calibration_smoke():
 def test_cascade_cap_raises():
     cfg = small_config(seed=0, T=1000.0, max_events=40)
     cfg.params.rho[:] = 5.0
-    with pytest.raises(NumericalError):
-        simulate(cfg)
+    # a supercritical cascade passes the cap among the offspring
+    cascade = small_config(seed=0, T=100.0, max_events=300, A=np.full((2, 2), 0.7))
+    for config in (cfg, cascade):
+        for sampler in (simulate, reference_simulate):
+            with pytest.raises(NumericalError, match="event cap"):
+                sampler(config)
 
 
 def test_mean_text_lengths_track_targets():
@@ -166,3 +171,48 @@ def test_sim_config_validation():
         SimConfig(params=params, T=0.0, mean_text_length=3.0)
     with pytest.raises(ValidationError):
         SimConfig(params=params, T=1.0, mean_text_length=0.0)
+
+
+def assert_same_draw(config):
+    """simulate and the per-event reference agree array for array, dtypes too."""
+    events, truth = simulate(config)
+    want_events, want_truth = reference_simulate(config)
+    for got, want, names in (
+            (events, want_events, ("times", "sources", "tok_indptr", "tok_index", "tok_count")),
+            (truth, want_truth, ("roots", "root_event", "inherited_tokens"))):
+        for name in names:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    assert truth.branching.parent.dtype == want_truth.branching.parent.dtype
+    np.testing.assert_array_equal(truth.branching.parent, want_truth.branching.parent)
+    return events
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("overrides", [
+    {}, {"gamma": 0.0}, {"gamma": 1.0}, {"S": 1}, {"V": 3},
+    {"S": 3, "V": 7, "gamma": 0.9},
+    # only the diagonal of A excites; more targets than the scalar draws take
+    {"offdiag": 0.0}, {"S": 20, "V": 50, "offdiag": 0.02},
+])
+def test_simulate_matches_per_event_reference(seed, overrides):
+    events = assert_same_draw(make_synthetic_config(T=200.0, seed=seed, **overrides))
+    assert len(events) > 10
+
+
+def test_simulate_matches_reference_with_per_source_lengths():
+    # means below 10 take numpy's other Poisson sampler, and 0.4 rejects
+    # many zero lengths; long chains give many generations
+    params = make_synthetic_params(S=3, V=40, seed=5, diag=0.6, offdiag=0.15, gamma=0.6)
+    for seed in range(3):
+        config = SimConfig(params=params, T=150.0, seed=seed,
+                           mean_text_length=np.array([0.4, 3.0, 25.0]))
+        events = assert_same_draw(config)
+        assert np.any(events.lengths[events.sources == 0] == 1)
+
+
+def test_simulate_matches_reference_without_events():
+    config = small_config(seed=0, T=0.5)
+    config.params.rho[:] = 1e-9
+    assert len(assert_same_draw(config)) == 0

@@ -163,3 +163,162 @@ def reference_e_step(structure, params):
         logw_pair += np.log(params.A).ravel()[pair_cell]
     logw_pair += log_kernel
     return _normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
+
+
+def _reference_draw_length(rng, mean):
+    # Poisson truncated to >= 1; rejection is cheap for any positive mean.
+    L = int(rng.poisson(mean))
+    while L == 0:
+        L = int(rng.poisson(mean))
+    return L
+
+
+def _reference_draw_tokens(rng, cum, size):
+    toks = np.searchsorted(cum, rng.random(size), side="right")
+    return np.minimum(toks, cum.size - 1)
+
+
+def reference_simulate(config):
+    """The per-event simulator that the two-phase `simulate` replaced.
+
+    Draws each event's mark as the event is added, with one np.unique per
+    event; `simulate` must return the same arrays for every config.
+    """
+    from rootsource.errors import NumericalError
+    from rootsource.simulate import (BranchingStructure, GroundTruth, _root_positions,
+                                     expected_event_count)
+
+    params = config.params
+    S, V, T = params.S, params.V, config.T
+    rng = np.random.default_rng(config.seed)
+    nu = params.nu
+    theta_cum = np.cumsum(params.theta, axis=1)
+
+    cap = config.max_events
+    if cap is None:
+        cap = max(1000, int(np.ceil(50.0 * expected_event_count(params, T))))
+
+    t_list: list[float] = []
+    s_list: list[int] = []
+    parent_list: list[int] = []  # build-order position, -1 for immigrants
+    tok_list: list[np.ndarray] = []
+    cnt_list: list[np.ndarray] = []
+    cum_list: list[np.ndarray] = []  # parent-bag CDF for offspring token draws
+    inherited: list[int] = []
+
+    def _add_event(t: float, s: int, parent_pos: int):
+        L = _reference_draw_length(rng, config.mean_text_length[s])
+        if parent_pos >= 0 and cum_list[parent_pos].size > 0:
+            inherit = rng.random(L) < params.gamma
+            k = int(inherit.sum())
+            toks = np.empty(L, dtype=np.int64)
+            if k:
+                pcum = cum_list[parent_pos]
+                pick = np.searchsorted(pcum, rng.random(k) * pcum[-1], side="right")
+                toks[:k] = tok_list[parent_pos][np.minimum(pick, pcum.size - 1)]
+            if L - k:
+                toks[k:] = _reference_draw_tokens(rng, theta_cum[s], L - k)
+        else:
+            k = 0
+            toks = _reference_draw_tokens(rng, theta_cum[s], L)
+        uniq, cnt = np.unique(toks, return_counts=True)
+        t_list.append(t)
+        s_list.append(s)
+        parent_list.append(parent_pos)
+        tok_list.append(uniq.astype(np.int32))
+        cnt_list.append(cnt.astype(np.float64))
+        cum_list.append(np.cumsum(cnt.astype(np.float64)))
+        inherited.append(k)
+        if len(t_list) > cap:
+            raise NumericalError(
+                f"cascade exceeded the event cap ({cap}); branching-ratio rows "
+                f"of A may be at or above 1 (spectral radius "
+                f"{np.max(np.abs(np.linalg.eigvals(params.A))):.3f})")
+
+    # Immigrants: a homogeneous Poisson count, then uniform times.
+    for s in range(S):
+        n_imm = rng.poisson(params.rho[s] * T)
+        times = rng.uniform(0.0, T, size=n_imm)
+        for t in times:
+            _add_event(float(t), s, -1)
+
+    # Offspring cascade, processed in insertion order.
+    idx = 0
+    while idx < len(t_list):
+        t_j = t_list[idx]
+        delta = T - t_j
+        if delta > 0:
+            pint = 1.0 - np.exp(-delta / nu)
+            means = params.A[:, s_list[idx]] * pint
+            counts = rng.poisson(means)
+            for s in range(S):
+                if counts[s]:
+                    dts = -nu * np.log1p(-rng.random(counts[s]) * pint)
+                    for dt in dts:
+                        _add_event(t_j + float(dt), s, idx)
+        idx += 1
+
+    n = len(t_list)
+    times = np.array(t_list)
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    if n > 1 and np.any(np.diff(times) <= 0):
+        raise NumericalError("duplicate timestamps generated; re-run with another seed")
+
+    pos_of_build = np.empty(n, dtype=np.int64)
+    pos_of_build[order] = np.arange(n)
+    parent_build = np.array(parent_list, dtype=np.int64)
+    parent_sorted = np.where(parent_build[order] >= 0,
+                             pos_of_build[parent_build[order]] + 1, 0)
+
+    sources = np.array(s_list, dtype=np.int64)[order]
+    toks = [tok_list[b] for b in order]
+    cnts = [cnt_list[b] for b in order]
+    sizes = np.array([a.size for a in toks], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    tok_index = np.concatenate(toks) if n else np.empty(0, dtype=np.int32)
+    tok_count = np.concatenate(cnts) if n else np.empty(0, dtype=np.float64)
+    events = rs.EventSequence(times, sources, indptr, tok_index, tok_count, T, S, V)
+
+    branching = BranchingStructure(parent_sorted)
+    root_pos = _root_positions(parent_sorted)
+    truth = GroundTruth(
+        branching=branching,
+        roots=sources[root_pos],
+        root_event=root_pos + 1,
+        inherited_tokens=np.array(inherited, dtype=np.int64)[order],
+    )
+    return events, truth
+
+
+def reference_write_events(events, fp):
+    """The record-by-record events writer: one json.dumps per event."""
+    import json
+
+    fp.write(json.dumps({"schema": "events-v1", "T": events.T,
+                         "S": events.S, "V": events.V}) + "\n")
+    for e in events:
+        x = {str(int(v)): int(c) for v, c in zip(e.tokens, e.counts)}
+        fp.write(json.dumps({"i": e.index, "t": e.t, "s": e.s + 1, "x": x}) + "\n")
+
+
+def reference_write_truth(truth, fp):
+    """The record-by-record truth writer: one json.dumps per event."""
+    import json
+
+    fp.write(json.dumps({"schema": "truth-v1"}) + "\n")
+    parent = truth.branching.parent
+    for k in range(len(parent)):
+        fp.write(json.dumps({"i": k + 1, "parent": int(parent[k]),
+                             "root": int(truth.roots[k]) + 1}) + "\n")
+
+
+def reference_write_rootprob(rpm, fp):
+    """The row-by-row root-probability writer: repr per value."""
+    fp.write(f"# rootprob-v1 mode={rpm.mode}\n")
+    cols = ",".join(f"r_{s + 1}" for s in range(rpm.S))
+    fp.write(f"event_index,{cols},argmax_source\n")
+    arg = rpm.argmax_sources()
+    for k in range(rpm.n):
+        vals = ",".join(repr(float(v)) for v in rpm.r[k])
+        fp.write(f"{k + 1},{vals},{arg[k] + 1}\n")
