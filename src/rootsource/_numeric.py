@@ -1,4 +1,4 @@
-"""Segment reductions over ragged rows stored in flat arrays.
+"""Segment reductions over ragged rows stored in flat arrays, and xlogy.
 
 Rows are delimited by an indptr-style `row_start` array of length n+1;
 row k owns the flat slice row_start[k]:row_start[k+1].  Empty rows are
@@ -45,3 +45,17 @@ def ragged_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     return np.arange(total) - offsets + np.repeat(starts, counts)
+
+
+def xlogy(x, y) -> np.ndarray:
+    """x * log(y), and 0 where x == 0 unless y is NaN, so that 0 log 0 = 0.
+
+    Broadcasts like a ufunc, warns on nothing and returns a float64 array.
+    np.log may differ in the last bit from the C library's log.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(x * np.log(y))
+    np.copyto(out, 0.0, where=(x == 0) & ~np.isnan(y))
+    return out

@@ -7,13 +7,19 @@ overlap pairs and triples grow as n^2, and the sweep is reported as
 quadratic rather than held to a linear bar.  The one-time PairStructure
 build is timed separately from the per-sweep cost, and the fastest sweep is
 split into its E-step and its two M-steps.  The draw of each scale's input
-by `simulate` has its own column.
+by `simulate` has its own column.  The report also times the cold start: a
+fresh interpreter importing the command line, as every CLI command pays.
 """
 
 from __future__ import annotations
 
+import os
+import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 try:
     import resource
@@ -29,7 +35,7 @@ from .model import ModelParams
 from .rootprob import root_probabilities
 from .simulate import make_synthetic_config, simulate
 
-__all__ = ["BenchRow", "BenchReport", "run_bench", "linear_fit_r2"]
+__all__ = ["BenchRow", "BenchReport", "run_bench", "linear_fit_r2", "import_seconds"]
 
 
 @dataclass
@@ -55,13 +61,16 @@ class BenchReport:
     rows: list = field(default_factory=list)
     window: float | None = None
     sweeps: int = 0
+    import_seconds: float | None = None  # cold start, see import_seconds()
 
     def table(self) -> list:
         mode = "exact" if self.window is None else f"window={self.window:g}"
-        out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
-               f"{'target':>8} {'events':>8} {'sim[s]':>8} {'build[s]':>10} {'sweep[s]':>10} "
-               f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
-               f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}"]
+        out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)"]
+        if self.import_seconds is not None:
+            out.append(f"cold start (import rootsource.cli): {self.import_seconds:.3f} s")
+        out.append(f"{'target':>8} {'events':>8} {'sim[s]':>8} {'build[s]':>10} {'sweep[s]':>10} "
+                   f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
+                   f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}")
         for r in self.rows:
             rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
             out.append(f"{r.target:>8} {r.n:>8} {r.simulate_seconds:>8.3f} "
@@ -98,6 +107,24 @@ def linear_fit_r2(x, y):
     return float(a), float(b), r2
 
 
+def import_seconds(runs: int = 3) -> float:
+    """Median wall time of `runs` fresh interpreters, one after another, that
+    import rootsource.cli: interpreter start plus the package's imports.
+
+    Each child imports this copy of the package, whatever the working
+    directory or an installed copy.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import rootsource.cli"], env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
               seed: int = 0, rate: float = 2.5) -> BenchReport:
     """Simulate at each target size; time the draw, structure build, E/M sweeps, root pass.
@@ -118,11 +145,12 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     which never decreases) after the row.  Scales are target event counts;
     the synthetic setup has stationary rate 2.5 events per time unit, so
     T = n / rate.  Sweep timing excludes the one-time candidate-structure
-    build, matching how a long fit amortizes it.
+    build, matching how a long fit amortizes it.  The report's
+    import_seconds is the median of three cold starts, before any scale.
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be at least 1")
-    report = BenchReport(window=window, sweeps=sweeps)
+    report = BenchReport(window=window, sweeps=sweeps, import_seconds=import_seconds())
     for target in scales:
         if target <= 0:
             raise ValidationError("scales must be positive event counts")

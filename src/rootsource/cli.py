@@ -284,7 +284,9 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
     time excludes the build.  It runs at the last M-step's parameters, so it
     computes its E-step.  Each row also counts the candidate pairs and
     token-overlap triples, the MiB of the structure's arrays, and gives the
-    process's peak RSS so far.
+    process's peak RSS so far.  Before the scales, the cold start of a CLI
+    command (a fresh interpreter importing rootsource.cli) is timed as the
+    median of three.
     """
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
@@ -305,8 +307,8 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
         from dataclasses import asdict
         rows = [asdict(r) for r in report.rows]
         with open(out, "w") as fp:
-            json.dump({"schema": "bench-v6", "exact": exact,
-                       "sweeps": sweeps, "rows": rows}, fp, indent=2)
+            json.dump({"schema": "bench-v7", "exact": exact, "sweeps": sweeps,
+                       "import_seconds": report.import_seconds, "rows": rows}, fp, indent=2)
             fp.write("\n")
 
 

@@ -50,6 +50,22 @@ def _open(path_or_file, mode: str):
     return open(path_or_file, mode), True
 
 
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc: dict, key: str, convert, what: str):
+    """convert(doc[key]); a missing or unconvertible field is a ValidationError."""
+    try:
+        return convert(doc[key])
+    except KeyError:
+        raise ValidationError(f"{what}: missing field {key!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{what}: malformed field {key!r} ({err})") from err
+
+
 # Rows formatted at a time, so that no file's whole text is held in memory.
 WRITE_BLOCK = 1 << 14
 
@@ -106,9 +122,12 @@ def read_events(path_or_file) -> EventSequence:
             header = json.loads(header_line)
         except json.JSONDecodeError as err:
             raise ValidationError(f"line 1: malformed header ({err})") from err
+        _object(header, "line 1: header")
         if header.get("schema") != EVENTS_SCHEMA:
             raise ValidationError(
                 f"schema mismatch: expected {EVENTS_SCHEMA}, got {header.get('schema')!r}")
+        T, S, V = (_field(header, key, kind, "line 1: header")
+                   for key, kind in (("T", float), ("S", int), ("V", int)))
         times, sources, indptr, tok_i, tok_c = [], [], [0], [], []
         for lineno, line in enumerate(fp, start=2):
             if not line.strip():
@@ -131,8 +150,7 @@ def read_events(path_or_file) -> EventSequence:
         return EventSequence(
             np.array(times), np.array(sources, dtype=np.int64),
             np.array(indptr, dtype=np.int64),
-            np.array(tok_i, dtype=np.int32), np.array(tok_c),
-            T=float(header["T"]), S=int(header["S"]), V=int(header["V"]))
+            np.array(tok_i, dtype=np.int32), np.array(tok_c), T=T, S=S, V=V)
     finally:
         if owned:
             fp.close()
@@ -164,6 +182,7 @@ def read_truth(path_or_file) -> TruthInfo:
             header = json.loads(header_line) if header_line.strip() else {}
         except json.JSONDecodeError as err:
             raise ValidationError(f"line 1: malformed header ({err})") from err
+        _object(header, "line 1: header")
         if header.get("schema") != TRUTH_SCHEMA:
             raise ValidationError(
                 f"schema mismatch: expected {TRUTH_SCHEMA}, got {header.get('schema')!r}")
@@ -214,20 +233,27 @@ def read_params(path_or_file) -> ModelParams:
     finally:
         if owned:
             fp.close()
+    _object(doc, "params document")
     if doc.get("schema") != PARAMS_SCHEMA:
         raise ValidationError(
             f"schema mismatch: expected {PARAMS_SCHEMA}, got {doc.get('schema')!r}")
     # Older writers stored a constant base shape c, the factor on rho in the
     # base rate rho * c; it folds into rho, and c = 1 leaves rho bit for bit.
-    shape = doc.get("base_shape", {"kind": "constant", "c": 1.0})
+    shape = _object(doc.get("base_shape", {"kind": "constant", "c": 1.0}), "base_shape")
     if shape.get("kind") != "constant":
         raise ValidationError(f"unsupported base shape {shape.get('kind')!r}")
-    c = float(shape.get("c", 1.0))
+    c = _field(shape, "c", float, "base_shape") if "c" in shape else 1.0
     if not c > 0:
         raise ValidationError("constant shape must be positive")
-    return ModelParams(rho=np.asarray(doc["rho"], dtype=np.float64) * c,
-                       A=np.array(doc["A"]), theta=np.array(doc["theta"]),
-                       gamma=doc["gamma"], nu=doc["nu"])
+
+    def array(v):
+        return np.asarray(v, dtype=np.float64)
+
+    rho, A, theta, gamma, nu = (
+        _field(doc, key, kind, "params document")
+        for key, kind in (("rho", array), ("A", array), ("theta", array),
+                          ("gamma", float), ("nu", float)))
+    return ModelParams(rho=rho * c, A=A, theta=theta, gamma=gamma, nu=nu)
 
 
 # ------------------------------------------------------------------- eta ---

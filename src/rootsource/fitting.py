@@ -52,9 +52,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
-from ._numeric import ragged_arange, scatter_sum, segment_max, segment_sum
+from ._numeric import ragged_arange, scatter_sum, segment_max, segment_sum, xlogy
 from .errors import NumericalError, ValidationError
 from .model import EventSequence, ModelParams
 

@@ -212,21 +212,41 @@ class EventSequence:
         Returns (indptr, event_ids, counts, normalized_counts): for token v,
         the slice indptr[v]:indptr[v+1] lists the events containing v (sorted
         ascending), their raw counts, and their counts normalized by the
-        event's length.
+        event's length.  The entries are those of a CSC transpose of the
+        marks with sorted indices, bit for bit.
         """
         if self._postings is None:
-            from scipy import sparse
-
-            n = len(self)
-            mat = sparse.csr_matrix(
-                (self.tok_count, self.tok_index, self.tok_indptr), shape=(n, self.V))
-            csc = mat.tocsc()
-            csc.sort_indices()
-            ev = csc.indices.astype(np.int64)
-            cnt = csc.data.astype(np.float64)
+            n, V, tok, count = len(self), self.V, self.tok_index, self.tok_count
+            sizes = np.diff(self.tok_indptr)
+            # Entries by token, then by event.  Tokens are unique within an
+            # event and counts are positive integers, so one sort of the
+            # packed key (token, event, count) orders the entries and carries
+            # their events and counts along, with no gather.
+            top = float(count.max()) if count.size else 0.0
+            e_bits = max(n - 1, 0).bit_length()
+            c_bits = int(top).bit_length() if top < 2.0 ** 63 else 64
+            bits = V.bit_length() + e_bits + c_bits  # not V - 1: indptr[V] searches V
+            if bits <= 64:
+                kt = np.uint32 if bits <= 32 else np.uint64
+                key = tok.astype(kt) << kt(e_bits)
+                key |= np.repeat(np.arange(n, dtype=kt), sizes)
+                key <<= kt(c_bits)
+                key |= count.astype(kt)
+                key.sort()
+                indptr = np.searchsorted(key, np.arange(V + 1, dtype=kt) << kt(e_bits + c_bits))
+                cnt = (key & kt((1 << c_bits) - 1)).astype(np.float64)
+                key >>= kt(c_bits)
+                key &= kt((1 << e_bits) - 1)
+                ev = key.astype(np.int64)
+            else:  # counts too large to pack
+                event = np.repeat(np.arange(n), sizes)
+                order = np.lexsort((event, tok))
+                indptr = np.searchsorted(tok[order], np.arange(V + 1))
+                ev, cnt = event[order], count[order]
+            norm = self.lengths[ev].astype(np.float64, copy=False)
             with np.errstate(invalid="ignore"):
-                norm = cnt / self.lengths[ev]
-            self._postings = (csc.indptr.astype(np.int64), ev, cnt, norm)
+                np.divide(cnt, norm, out=norm)
+            self._postings = (indptr.astype(np.int64, copy=False), ev, cnt, norm)
         return self._postings
 
     def token_counts_by_source(self) -> np.ndarray:

@@ -198,7 +198,8 @@ def test_bench_smoke(runner, tmp_path):
                               "--out", str(tmp_path / "bench.json")])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["schema"] == "bench-v6"
+    assert doc["schema"] == "bench-v7"
+    assert doc["import_seconds"] > 0
     assert [r["target"] for r in doc["rows"]] == [60, 120]
     assert all(r["pairs"] > 0 and r["triples"] >= 0 for r in doc["rows"])
     for r in doc["rows"]:
@@ -210,6 +211,7 @@ def test_bench_smoke(runner, tmp_path):
         assert r["structure_mb"] > 0
         assert r["peak_rss_mb"] > 0
     assert "R^2" in res.output
+    assert "cold start (import rootsource.cli)" in res.output
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -219,6 +221,31 @@ def test_exit_code_validation_error(tmp_path, capsys):
         main(["fit", "--events", str(bad), "--nu", "1.0"])
     assert exc.value.code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, files, field", [
+    (["fit", "--events", "ev.jsonl", "--nu", "1.0"],
+     {"ev.jsonl": '{"schema": "events-v1", "S": 1, "V": 1}\n'}, "missing field 'T'"),
+    (["evaluate", "--rootprob", "r.csv", "--truth", "tr.jsonl"],
+     {"r.csv": "# rootprob-v1 mode=full\nevent_index,r_1,argmax_source\n1,1.0,1\n",
+      "tr.jsonl": '["truth-v1"]\n'}, "header must be a JSON object"),
+    (["root-prob", "--events", "ev.jsonl", "--params", "p.json"],
+     {"ev.jsonl": '{"schema": "events-v1", "T": 2.0, "S": 1, "V": 1}\n'
+                  '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 1}}\n',
+      "p.json": '{"schema": "params-v1", "rho": [0.5], "A": [[0.1]], "theta": [[1.0]], '
+                '"nu": 1.0}'}, "missing field 'gamma'"),
+], ids=["events-header", "truth-header", "params-field"])
+def test_exit_code_malformed_file_names_the_field(argv, files, field, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and field in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_pairs_beyond_memory(workdir, monkeypatch, capsys):
@@ -321,6 +348,34 @@ def test_installed_entry_point():
     assert "Usage: rootsource" in proc.stdout
     for cmd in SUBCOMMANDS:
         assert cmd in proc.stdout
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import rootsource as rs
+import rootsource.cli
+from rootsource.dataio import RawComment, ingest
+
+cfg = rs.make_synthetic_config(T=40.0, seed=3)
+events, truth = rs.simulate(cfg)
+for window, prior in ((10.0, None), (None, rs.PriorConfig.empirical_bayes(events))):
+    report = rs.fit(events, nu=10.0, window=window, prior=prior, max_iters=4)
+    rs.root_probabilities(events, report.params, window=window)
+    rs.root_probabilities_mark(events, report.params, window=window)
+    rs.elbo(events, report.params, report.eta, prior)
+ingest([RawComment(t=float(k), author="ab"[k % 2], text="one two three")
+        for k in range(12)], min_author_count=1)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_runs_without_importing_scipy():
+    # scipy's import costs each CLI command about a third of a second; the
+    # package must not load it on any path, the CLI's imports included
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True,
+                          text=True, env=_env_for_package())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("rootsource") is None,

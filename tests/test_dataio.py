@@ -90,6 +90,32 @@ def test_events_read_errors():
                 f'{{"i": 2, "t": 2.0, "s": 1, "x": {x}}}\n'))
 
 
+@pytest.mark.parametrize("field", ["T", "S", "V"])
+def test_events_header_missing_field(field):
+    header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}
+    del header[field]
+    with pytest.raises(ValidationError, match=f"line 1: header: missing field '{field}'"):
+        read_events(io.StringIO(json.dumps(header) + "\n"))
+
+
+@pytest.mark.parametrize("field, value", [("T", "abc"), ("S", "two"), ("V", None)])
+def test_events_header_malformed_field(field, value):
+    header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3, field: value}
+    with pytest.raises(ValidationError, match=f"line 1: header: malformed field '{field}'"):
+        read_events(io.StringIO(json.dumps(header) + "\n"))
+
+
+@pytest.mark.parametrize("header", ["[1, 2]", '"events-v1"', "3"])
+def test_events_header_not_an_object(header):
+    with pytest.raises(ValidationError, match="line 1: header must be a JSON object"):
+        read_events(io.StringIO(header + "\n"))
+
+
+def test_truth_header_not_an_object():
+    with pytest.raises(ValidationError, match="line 1: header must be a JSON object"):
+        read_truth(io.StringIO('["truth-v1"]\n{"i": 1, "parent": 0, "root": 1}\n'))
+
+
 def test_truth_round_trip(sim):
     events, truth = sim
     buf = io.StringIO()
@@ -123,6 +149,33 @@ def test_params_refuses_bad_documents():
         read_params(io.StringIO('{"schema": "params-v0"}'))
     with pytest.raises(ValidationError, match="malformed"):
         read_params(io.StringIO("{broken"))
+
+
+@pytest.mark.parametrize("doc", ["[]", '"params-v1"', "null"])
+def test_params_document_not_an_object(doc):
+    with pytest.raises(ValidationError, match="params document must be a JSON object"):
+        read_params(io.StringIO(doc))
+
+
+@pytest.mark.parametrize("field", ["rho", "A", "theta", "gamma", "nu"])
+def test_params_document_missing_field(field):
+    doc = {"schema": "params-v1", "rho": [0.1], "A": [[0.2]], "theta": [[1.0]],
+           "gamma": 0.3, "nu": 2.0}
+    read_params(io.StringIO(json.dumps(doc)))  # complete, it loads
+    del doc[field]
+    with pytest.raises(ValidationError, match=f"params document: missing field '{field}'"):
+        read_params(io.StringIO(json.dumps(doc)))
+
+
+def test_params_document_malformed_fields():
+    doc = {"schema": "params-v1", "rho": [0.1], "A": [[0.2]], "theta": [[1.0]],
+           "gamma": 0.3, "nu": 2.0}
+    for field, value in (("A", [[0.2], [0.1, 0.3]]), ("gamma", "high"), ("rho", {"a": 1})):
+        with pytest.raises(ValidationError, match=f"malformed field '{field}'"):
+            read_params(io.StringIO(json.dumps({**doc, field: value})))
+    for shape in ([1.0], {"kind": "constant", "c": "two"}):
+        with pytest.raises(ValidationError, match="base_shape"):
+            read_params(io.StringIO(json.dumps({**doc, "base_shape": shape})))
 
 
 def test_params_v1_base_shape_folds_into_rho():

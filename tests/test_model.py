@@ -5,7 +5,7 @@ import pytest
 
 import rootsource as rs
 from rootsource.errors import ValidationError
-from util import random_events, random_params
+from util import random_events, random_params, reference_token_postings
 
 
 def two_event_history():
@@ -198,6 +198,39 @@ def test_token_structures_match_dense():
         assert have == want
         assert np.all(np.diff(ev[sl]) > 0)
         np.testing.assert_allclose(norm[sl], cnt[sl] / events.lengths[ev[sl]])
+
+
+def _with(events, counts=None, V=None):
+    """The same events with scaled counts or a wider vocabulary."""
+    return rs.EventSequence(events.times, events.sources, events.tok_indptr,
+                            events.tok_index,
+                            events.tok_count if counts is None else counts,
+                            events.T, events.S, events.V if V is None else V)
+
+
+def _postings_cases():
+    rng = np.random.default_rng(5)
+    yield "random", random_events(rng, 60, 3, 12, max_len=6)
+    yield "random-long-marks", random_events(rng, 40, 2, 9, max_len=9)
+    yield "empty-marks", random_events(rng, 30, 2, 4, max_len=2)
+    yield "all-marks-empty", random_events(rng, 5, 2, 6, max_len=1)
+    yield "unused-tokens", random_events(rng, 20, 2, 400, max_len=4)
+    yield "single-event", random_events(rng, 1, 1, 5, max_len=5)
+    yield "no-vocabulary", random_events(rng, 7, 2, 0, max_len=1)
+    base = random_events(rng, 300, 3, 50, max_len=8)
+    yield "64-bit-key", _with(base, counts=base.tok_count * 1000.0, V=1 << 20)
+    yield "counts-too-large-to-pack", _with(base, counts=base.tok_count * 2.0 ** 50,
+                                            V=1 << 20)
+
+
+@pytest.mark.parametrize("events", [pytest.param(e, id=name) for name, e in _postings_cases()])
+def test_token_postings_match_a_csc_transpose(events):
+    got = events.token_postings()
+    want = reference_token_postings(events)
+    assert got[0].shape == (events.V + 1,)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
 
 
 def test_every_public_name_resolves():

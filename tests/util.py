@@ -46,6 +46,21 @@ def dense_eta(state):
     return out
 
 
+def reference_token_postings(events):
+    """EventSequence.token_postings by a CSC transpose of the CSR marks with
+    sorted indices: (indptr, event ids, counts, normalized counts)."""
+    from scipy import sparse
+
+    csc = sparse.csr_matrix((events.tok_count, events.tok_index, events.tok_indptr),
+                            shape=(len(events), events.V)).tocsc()
+    csc.sort_indices()
+    ev = csc.indices.astype(np.int64)
+    cnt = csc.data.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        norm = cnt / events.lengths[ev]
+    return csc.indptr.astype(np.int64), ev, cnt, norm
+
+
 def reference_pairs(structure):
     """(log_kernel, pair_cell, empty) per pair of a PairStructure: log kappa,
     the flat index s_i S + s_j of A and whether the parent's mark is empty,
