@@ -35,7 +35,7 @@ from .model import ModelParams
 from .rootprob import root_probabilities
 from .simulate import make_synthetic_config, simulate
 
-__all__ = ["BenchRow", "BenchReport", "run_bench", "linear_fit_r2", "import_seconds"]
+__all__ = ["BenchRow", "BenchReport", "run_bench", "linear_fit_r2"]
 
 
 @dataclass
@@ -58,16 +58,15 @@ class BenchRow:
 
 @dataclass
 class BenchReport:
+    import_seconds: float  # cold start, see _import_seconds()
     rows: list = field(default_factory=list)
     window: float | None = None
     sweeps: int = 0
-    import_seconds: float | None = None  # cold start, see import_seconds()
 
     def table(self) -> list:
         mode = "exact" if self.window is None else f"window={self.window:g}"
-        out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)"]
-        if self.import_seconds is not None:
-            out.append(f"cold start (import rootsource.cli): {self.import_seconds:.3f} s")
+        out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
+               f"cold start (import rootsource.cli): {self.import_seconds:.3f} s"]
         out.append(f"{'target':>8} {'events':>8} {'sim[s]':>8} {'build[s]':>10} {'sweep[s]':>10} "
                    f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
                    f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}")
@@ -107,8 +106,8 @@ def linear_fit_r2(x, y):
     return float(a), float(b), r2
 
 
-def import_seconds(runs: int = 3) -> float:
-    """Median wall time of `runs` fresh interpreters, one after another, that
+def _import_seconds() -> float:
+    """Median wall time of three fresh interpreters, one after another, that
     import rootsource.cli: interpreter start plus the package's imports.
 
     Each child imports this copy of the package, whatever the working
@@ -118,7 +117,7 @@ def import_seconds(runs: int = 3) -> float:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
     times = []
-    for _ in range(runs):
+    for _ in range(3):
         t0 = time.perf_counter()
         subprocess.run([sys.executable, "-c", "import rootsource.cli"], env=env, check=True)
         times.append(time.perf_counter() - t0)
@@ -150,7 +149,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be at least 1")
-    report = BenchReport(window=window, sweeps=sweeps, import_seconds=import_seconds())
+    report = BenchReport(window=window, sweeps=sweeps, import_seconds=_import_seconds())
     for target in scales:
         if target <= 0:
             raise ValidationError("scales must be positive event counts")

@@ -62,7 +62,7 @@ def _field(doc: dict, key: str, convert, what: str):
         return convert(doc[key])
     except KeyError:
         raise ValidationError(f"{what}: missing field {key!r}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValidationError(f"{what}: malformed field {key!r} ({err})") from err
 
 
@@ -137,7 +137,7 @@ def read_events(path_or_file) -> EventSequence:
                 t, s = float(rec["t"]), int(rec["s"])
                 items = sorted((int(v), float(c)) for v, c in rec.get("x", {}).items())
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                    ValueError) as err:
+                    ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed event record ({err})") from err
             if s < 1:
                 raise ValidationError(f"line {lineno}: source labels are 1-based in files")
@@ -147,10 +147,13 @@ def read_events(path_or_file) -> EventSequence:
                 tok_i.append(v)
                 tok_c.append(c)
             indptr.append(len(tok_i))
-        return EventSequence(
-            np.array(times), np.array(sources, dtype=np.int64),
-            np.array(indptr, dtype=np.int64),
-            np.array(tok_i, dtype=np.int32), np.array(tok_c), T=T, S=S, V=V)
+        try:
+            arrays = (np.array(times), np.array(sources, dtype=np.int64),
+                      np.array(indptr, dtype=np.int64),
+                      np.array(tok_i, dtype=np.int32), np.array(tok_c))
+        except OverflowError as err:
+            raise ValidationError(f"event record label out of range ({err})") from err
+        return EventSequence(*arrays, T=T, S=S, V=V)
     finally:
         if owned:
             fp.close()
@@ -194,10 +197,13 @@ def read_truth(path_or_file) -> TruthInfo:
                 rec = json.loads(line)
                 parent.append(int(rec["parent"]))
                 root.append(int(rec["root"]) - 1)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed truth record ({err})") from err
-        return TruthInfo(parent=np.array(parent, dtype=np.int64),
-                         root_sources=np.array(root, dtype=np.int64))
+        try:
+            return TruthInfo(parent=np.array(parent, dtype=np.int64),
+                             root_sources=np.array(root, dtype=np.int64))
+        except OverflowError as err:
+            raise ValidationError(f"truth record label out of range ({err})") from err
     finally:
         if owned:
             fp.close()

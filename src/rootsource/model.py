@@ -227,7 +227,7 @@ class EventSequence:
             c_bits = int(top).bit_length() if top < 2.0 ** 63 else 64
             bits = V.bit_length() + e_bits + c_bits  # not V - 1: indptr[V] searches V
             if bits <= 64:
-                kt = np.uint32 if bits <= 32 else np.uint64
+                kt = np.uint32 if bits <= 32 else np.uint64  # uint32 sorts in half the time
                 key = tok.astype(kt) << kt(e_bits)
                 key |= np.repeat(np.arange(n, dtype=kt), sizes)
                 key <<= kt(c_bits)

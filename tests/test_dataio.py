@@ -88,6 +88,18 @@ def test_events_read_errors():
             read_events(io.StringIO(
                 head + '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 2}}\n'
                 f'{{"i": 2, "t": 2.0, "s": 1, "x": {x}}}\n'))
+    # labels too large for an integer array
+    for s, x in (("Infinity", "{}"), ("1e30", "{}"), (str(10 ** 20), "{}"),
+                 ("1", '{"4294967296": 1}')):
+        with pytest.raises(ValidationError, match="event record"):
+            read_events(io.StringIO(head + f'{{"i": 1, "t": 1.0, "s": {s}, "x": {x}}}\n'))
+
+
+@pytest.mark.parametrize("record", ['{"i": 1, "parent": Infinity, "root": 1}',
+                                    '{"i": 1, "parent": 0, "root": 100000000000000000000}'])
+def test_truth_record_label_overflow(record):
+    with pytest.raises(ValidationError, match="truth record"):
+        read_truth(io.StringIO('{"schema": "truth-v1"}\n' + record + "\n"))
 
 
 @pytest.mark.parametrize("field", ["T", "S", "V"])
@@ -98,7 +110,8 @@ def test_events_header_missing_field(field):
         read_events(io.StringIO(json.dumps(header) + "\n"))
 
 
-@pytest.mark.parametrize("field, value", [("T", "abc"), ("S", "two"), ("V", None)])
+@pytest.mark.parametrize("field, value", [("T", "abc"), ("S", "two"), ("V", None),
+                                          ("S", float("inf"))])
 def test_events_header_malformed_field(field, value):
     header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3, field: value}
     with pytest.raises(ValidationError, match=f"line 1: header: malformed field '{field}'"):
