@@ -6,9 +6,11 @@ so wall time per sweep should fit a linear model in n; in exact mode the
 overlap pairs and triples grow as n^2, and the sweep is reported as
 quadratic rather than held to a linear bar.  The one-time PairStructure
 build is timed separately from the per-sweep cost, and the fastest sweep is
-split into its E-step and its two M-steps.  The draw of each scale's input
-by `simulate` has its own column.  The report also times the cold start: a
-fresh interpreter importing the command line, as every CLI command pays.
+split into its E-step and its two M-steps; the objective and the argmax
+threads (`mini_conversations`) on the last E-step are timed once each.  The
+draw of each scale's input by `simulate` has its own column.  The report
+also times the cold start: a fresh interpreter importing the command line,
+as every CLI command pays.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import ValidationError
 from .fitting import (PairStructure, PriorConfig, _default_init, elbo, update_eta,
                       update_rho_alpha, update_theta_gamma)
+from .metrics import mini_conversations
 from .model import ModelParams
 from .rootprob import root_probabilities
 from .simulate import make_synthetic_config, simulate
@@ -52,6 +55,7 @@ class BenchRow:
     rho_A_seconds: float
     theta_gamma_seconds: float
     objective_seconds: float
+    threads_seconds: float  # mini_conversations on the last E-step state
     structure_mb: float  # the PairStructure's own arrays after the sweeps, in MiB
     peak_rss_mb: float | None  # the process's peak RSS after this row
 
@@ -68,7 +72,8 @@ class BenchReport:
         out = [f"scaling benchmark ({mode}, {self.sweeps} sweeps per scale)",
                f"cold start (import rootsource.cli): {self.import_seconds:.3f} s"]
         out.append(f"{'target':>8} {'events':>8} {'sim[s]':>8} {'build[s]':>10} {'sweep[s]':>10} "
-                   f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'rootprob[s]':>12} "
+                   f"{'E[s]':>8} {'rhoA[s]':>8} {'thg[s]':>8} {'elbo[s]':>8} {'threads[s]':>10} "
+                   f"{'rootprob[s]':>12} "
                    f"{'pairs':>11} {'triples':>11} {'struct[MiB]':>11} {'RSS[MB]':>8}")
         for r in self.rows:
             rss = "-" if r.peak_rss_mb is None else f"{r.peak_rss_mb:.0f}"
@@ -76,7 +81,7 @@ class BenchReport:
                        f"{r.build_seconds:>10.3f} "
                        f"{r.sweep_seconds:>10.3f} {r.e_step_seconds:>8.3f} "
                        f"{r.rho_A_seconds:>8.3f} {r.theta_gamma_seconds:>8.3f} "
-                       f"{r.objective_seconds:>8.3f} "
+                       f"{r.objective_seconds:>8.3f} {r.threads_seconds:>10.4f} "
                        f"{r.rootprob_seconds:>12.3f} {r.pairs:>11} {r.triples:>11} "
                        f"{r.structure_mb:>11.1f} {rss:>8}")
         if not self.rows:
@@ -132,10 +137,11 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     ever adds time), and e_step_seconds, rho_A_seconds and
     theta_gamma_seconds are that sweep's E-step and M-steps.  objective_seconds
     times one `elbo` on the last sweep's state at its E-step's parameters,
-    outside the sweeps.  The root pass is the E-step posteriors + forward
-    substitution.  Like a root pass after `fit`, it reuses the live
-    PairStructure of the sweeps, so rootprob_seconds excludes the build,
-    which build_seconds times.  It runs at the parameters of the last
+    outside the sweeps, and threads_seconds one `mini_conversations` on that
+    state, which reads the E-step's terms, not per-pair posteriors.  The
+    root pass is the E-step posteriors + forward substitution.  Like a root
+    pass after `fit`, it reuses the live PairStructure of the sweeps, so
+    rootprob_seconds excludes the build, which build_seconds times.  It runs at the parameters of the last
     M-step, which no E-step has seen, so it computes its posteriors and
     builds them per pair: the path of a root pass that cannot reuse a fit's
     final E-step.  Each row also counts the layout's candidate pairs and
@@ -186,6 +192,9 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         t0 = time.perf_counter()
         elbo(events, e_params, state, prior)
         objective = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        mini_conversations(state, events)
+        threads = time.perf_counter() - t0
         del state  # the root pass below computes its own posteriors
 
         t0 = time.perf_counter()
@@ -203,5 +212,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
                                     e_step_seconds=e_step, rho_A_seconds=rho_a,
                                     theta_gamma_seconds=theta_gamma,
                                     objective_seconds=objective,
+                                    threads_seconds=threads,
                                     structure_mb=structure_mb, peak_rss_mb=rss))
     return report

@@ -18,7 +18,7 @@ from . import dataio
 from .baselines import running_window
 from .bench import run_bench
 from .errors import NumericalError, ValidationError
-from .fitting import PriorConfig, _default_init, fit, jitter_init
+from .fitting import PriorConfig, _default_init, _structure_for, fit, jitter_init
 from .metrics import evaluate_root_probabilities
 from .rootprob import (root_probabilities, root_probabilities_mark,
                        root_probabilities_temporal)
@@ -159,6 +159,9 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
     events = dataio.read_events(_in(events_in))
+    # the layout and its memory check before the S-sized prior; held here, so
+    # that fit finds and reuses it
+    layout = _structure_for(events, nu, window)
     if empirical_bayes:
         prior = PriorConfig.empirical_bayes(events, c=c)
     else:
@@ -307,7 +310,7 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
         from dataclasses import asdict
         rows = [asdict(r) for r in report.rows]
         with open(out, "w") as fp:
-            json.dump({"schema": "bench-v7", "exact": exact, "sweeps": sweeps,
+            json.dump({"schema": "bench-v8", "exact": exact, "sweeps": sweeps,
                        "import_seconds": report.import_seconds, "rows": rows}, fp, indent=2)
             fp.write("\n")
 

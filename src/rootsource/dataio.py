@@ -66,6 +66,13 @@ def _field(doc: dict, key: str, convert, what: str):
         raise ValidationError(f"{what}: malformed field {key!r} ({err})") from err
 
 
+def _integer(value, what: str = "value") -> int:
+    """int(value), refusing a float with a fraction, which int() would drop."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} is not an integer: {value!r}")
+    return int(value)
+
+
 # Rows formatted at a time, so that no file's whole text is held in memory.
 WRITE_BLOCK = 1 << 14
 
@@ -127,14 +134,16 @@ def read_events(path_or_file) -> EventSequence:
             raise ValidationError(
                 f"schema mismatch: expected {EVENTS_SCHEMA}, got {header.get('schema')!r}")
         T, S, V = (_field(header, key, kind, "line 1: header")
-                   for key, kind in (("T", float), ("S", int), ("V", int)))
+                   for key, kind in (("T", float), ("S", _integer), ("V", _integer)))
         times, sources, indptr, tok_i, tok_c = [], [], [0], [], []
         for lineno, line in enumerate(fp, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                t, s = float(rec["t"]), int(rec["s"])
+                t, s = float(rec["t"]), rec["s"]
+                if type(s) is not int:
+                    s = _integer(s, "field 's'")
                 items = sorted((int(v), float(c)) for v, c in rec.get("x", {}).items())
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
                     ValueError, OverflowError) as err:
@@ -195,8 +204,8 @@ def read_truth(path_or_file) -> TruthInfo:
                 continue
             try:
                 rec = json.loads(line)
-                parent.append(int(rec["parent"]))
-                root.append(int(rec["root"]) - 1)
+                parent.append(_integer(rec["parent"], "field 'parent'"))
+                root.append(_integer(rec["root"], "field 'root'") - 1)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed truth record ({err})") from err
         try:

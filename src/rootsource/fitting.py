@@ -161,6 +161,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _gib(nbytes: int) -> str:
+    """nbytes in GiB for a message: one decimal, or e-notation from 2^20 GiB
+    on, which Decimal formats however large the int."""
+    if nbytes < 2**50:
+        return f"{nbytes / 2**30:.1f}"
+    from decimal import Decimal
+    return f"{Decimal(nbytes) / 2**30:.2e}"
+
+
 def _check_memory(n: int, n_pairs: int, n_triples: int, S: int, V: int,
                   window: float | None, roots: bool = False) -> None:
     layout = n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + min(n_pairs, 2 * n * S) * CELL_BYTES
@@ -179,11 +188,11 @@ def _check_memory(n: int, n_pairs: int, n_triples: int, S: int, V: int,
         fixes.append(f"pass {hint} truncation window (--truncate-window) to limit the "
                      f"candidate parents")
     what = f" and the root probabilities of {n} events" if roots else ""
+    triples = f" and {n_triples} token-overlap triples" if n_triples else ""
     raise ValidationError(
-        f"{n_pairs} candidate parent pairs and {n_triples} token-overlap triples need "
-        f"about {layout / 2**30:.1f} GiB and the parameters of {S} sources and {V} tokens"
-        f"{what} {param / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical "
-        f"memory; " + "; ".join(fixes))
+        f"{n_pairs} candidate parent pairs{triples} need about {_gib(layout)} GiB and "
+        f"the parameters of {S} sources and {V} tokens{what} {_gib(param)} GiB, more "
+        f"than the {_gib(have)} GiB of physical memory; " + "; ".join(fixes))
 
 
 def _first_partners(events: EventSequence, lo: np.ndarray):
@@ -239,10 +248,11 @@ def _kernel_cells(events: EventSequence, nu: float, lo: np.ndarray):
     cell underflows however far back its events lie, and the in-window sum,
     E_m less the decayed state before the window, keeps E_m's last term.
 
-    Returns (cell_start, cell_key, cell_log), grouped by child: child i's
-    cells of non-empty-mark classes are cell_start[2i]:cell_start[2i+1] and
-    those of empty-mark classes cell_start[2i+1]:cell_start[2i+2], each in
-    class order; cell_key is s_i * S + the class's source.
+    Returns (cell_start, cell_key, cell_log, cell_last), grouped by child:
+    child i's cells of non-empty-mark classes are cell_start[2i]:cell_start[2i+1]
+    and those of empty-mark classes cell_start[2i+1]:cell_start[2i+2], each in
+    class order; cell_key is s_i * S + the class's source, and cell_last the
+    cell's latest event m.
     """
     times, S, n = events.times, events.S, len(events)
     q, cq, own = _class_states(events.sources + S * (events.lengths == 0), times, nu)
@@ -265,14 +275,24 @@ def _kernel_cells(events: EventSequence, nu: float, lo: np.ndarray):
     del b, early
     np.log(log, out=log)
     log -= (times[i] - tq[m]) / nu + math.log(nu)
+    last = q[m]
     del m
     # the children come in class order, so a stable sort keeps it per child
     seg = 2 * i + (c >= S)
     order = np.argsort(seg, kind="stable")
     cell_start = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=2 * n))])
     del seg
-    cell_key = events.sources[i] * S + c % S
-    return cell_start, cell_key[order], log[order]
+    # the key in place, then one gather at a time, each replacing its
+    # source: so storing cell_last raises the build's peak by nothing
+    c %= S
+    cell_key = events.sources[i]
+    cell_key *= S
+    cell_key += c
+    del i, c
+    cell_key = cell_key[order]
+    log = log[order]
+    last = last[order]
+    return cell_start, cell_key, log, last
 
 
 class PairStructure:
@@ -295,10 +315,11 @@ class PairStructure:
     is shared across sweeps, and later E-steps and root passes on the same
     events object with the same settings reuse it for as long as it is alive
     (see `_structure_for`).  It also remembers, weakly, the last E-step run
-    on it (see `_state_at`).  The pairs and triples are counted first; a
-    layout that would not fit in physical memory, with its cells at their
-    bound and the S x V and S x S parameter arrays, raises ValidationError
-    before anything triple- or parameter-sized is allocated.
+    on it (see `_state_at`).  The pairs and then the triples are counted
+    first; a layout that would not fit in physical memory, with its cells at
+    their bound and the S x V and S x S parameter arrays, raises
+    ValidationError before anything triple- or parameter-sized is allocated,
+    and pairs and parameters that alone do not fit before anything V-sized.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -320,6 +341,8 @@ class PairStructure:
             self.lo = np.searchsorted(times, times - window * nu, side="left")
         self.row_len = np.arange(n) - self.lo
         self.n_pairs = int(self.row_len.sum())
+        # the pairs and parameters, before the postings' V-long token index
+        _check_memory(n, self.n_pairs, 0, S, V, window)
         tok, first = _first_partners(events, self.lo)
         _check_memory(n, self.n_pairs, int((np.arange(first.size) - first).sum()), S, V, window)
         self.row_start = np.concatenate([[0], np.cumsum(self.row_len)])
@@ -462,7 +485,7 @@ class PairStructure:
 
     @cached_property
     def cells(self):
-        """(cell_start, cell_key, cell_log) of `_kernel_cells`."""
+        """(cell_start, cell_key, cell_log, cell_last) of `_kernel_cells`."""
         return _kernel_cells(self.events, self.nu, self.lo)
 
 
@@ -476,8 +499,8 @@ class VariationalState:
     S x S sums of eta per child and parent source) and eta_empty (each
     child's eta mass on parents with an empty mark), and builds eta_pair on
     first access.  A state built from given posteriors serves only the
-    readers of eta_pair (root passes, `mini_conversations`, `write_eta`);
-    the M-steps reject it.
+    readers of eta_pair (root passes, `write_eta`); the M-steps and
+    `mini_conversations`, which read the E-step's terms, reject it.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
@@ -701,7 +724,7 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
     excess = -np.expm1(-sigma)
     excess[np.repeat(factor[:, 0] == -np.inf, ov_len)] = 1.0
-    cell_start, cell_key, cell_log = structure.cells
+    cell_start, cell_key, cell_log, _ = structure.cells
     logw = log_a[cell_key]
     logw += cell_log
     logw_ov = log_a[structure.ov_cell]
@@ -756,9 +779,10 @@ def update_eta(events: EventSequence, params: ModelParams,
     return state
 
 
-def _require_e_step(state: VariationalState) -> None:
+def _require_e_step(state: VariationalState, what: str = "the M-steps") -> None:
     if not hasattr(state, "eta_cells"):
-        raise ValidationError("the M-steps need a state from update_eta, not given posteriors")
+        raise ValidationError(f"{what} need a state from update_eta or fit, "
+                              f"not given posteriors")
 
 
 def update_rho_alpha(events: EventSequence, state: VariationalState,
@@ -826,7 +850,7 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
         w *= xi
         del xi
         theta_num = counts - scatter_sum(st.tri_key, w, S * V).reshape(S, V)
-        gamma_num = float(np.sum(w, dtype=np.longdouble))
+        gamma_num = float(w.sum())
         # sum of eta_ij L_i over the pairs whose parent has a non-empty mark
         lengths = events.lengths
         gamma_den = float(lengths @ (1.0 - state.eta0) - state.eta_empty @ lengths)
@@ -911,7 +935,7 @@ def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | Non
     times, n = events.times, len(events)
     with np.errstate(divide="ignore"):
         log_a = np.log(A)
-    cell_start, cell_key, cell_log = structure.cells
+    cell_start, cell_key, cell_log, _ = structure.cells
     rows = cell_start[::2]
     x = log_a.ravel()[cell_key] + cell_log
     top = segment_max(x, rows)
@@ -975,7 +999,8 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     E-step, so the returned eta is the E-step at the returned parameters and
     elbo(events, params, eta) is the last trace value.  The sweeps never
     build per-pair posteriors, and the returned eta builds them once, here,
-    so a root pass or `mini_conversations` on the report finds them built.
+    so a root pass on the report finds them built; only root passes read
+    them (`mini_conversations` reads the E-step's terms).
     A windowed fit reports the largest and the mean share of an event's
     excitation intensity that the window dropped.  Raises NumericalError on
     a NaN objective with the iteration number.
@@ -984,12 +1009,12 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         raise ValidationError("cannot fit an empty event sequence")
     if tol <= 0 or max_iters < 1:
         raise ValidationError("tol must be positive and max_iters >= 1")
-    if prior is None:
-        prior = PriorConfig.maximum_likelihood(events.S)
     if init is None and nu is None:
         raise ValidationError("either init or nu must be given")
-    # the layout's memory check, before any S x V array is allocated
+    # the layout's memory check, before any S- or V-sized array is allocated
     structure = _structure_for(events, nu if init is None else init.nu, window)
+    if prior is None:
+        prior = PriorConfig.maximum_likelihood(events.S)
     params = _default_init(events, prior, nu) if init is None else init
 
     trace: list[float] = []
@@ -1023,7 +1048,7 @@ def fit(events: EventSequence, init: ModelParams | None = None,
             break
         params = new_params
 
-    state.eta_pair  # built once, here: root passes and mini_conversations read it
+    state.eta_pair  # built once, here: root passes read it
     dropped = _window_dropped(structure, params.A)
     return FitReport(params=params, eta=state, elbo_trace=np.array(trace),
                      iterations=len(trace), converged=converged,

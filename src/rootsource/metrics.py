@@ -9,7 +9,7 @@ import numpy as np
 
 from ._numeric import segment_max
 from .errors import ValidationError
-from .fitting import VariationalState, _row_blocks
+from .fitting import VariationalState, _require_e_step
 from .model import EventSequence
 from .rootprob import RootProbMatrix
 from .simulate import BranchingStructure, _root_positions
@@ -101,29 +101,55 @@ class MiniConversations:
 
 
 def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConversations:
-    """Group events into threads by the argmax of each variational posterior."""
+    """Group events into threads by the argmax of each variational posterior.
+
+    eta must come from `update_eta` or a fit: the parents are read from the
+    E-step's own terms, not from per-pair posteriors, so a state built from
+    given posteriors raises ValidationError.  Child i's candidates are its
+    overlap pairs (their eta_overlap) and, per kernel cell, the cell's latest
+    event m, valued as eta_pair values it, bit for bit.  Within a cell every
+    parent that shares no token with i has eta = C kappa(t_i - t_j), which
+    does not grow with the lag, so m bounds the others, and an overlap pair
+    is a candidate itself.  Ties follow np.argmax over (immigrant, parents
+    in time order): the immigrant when eta_i0 reaches the largest candidate,
+    else the earliest candidate that does.  It can differ from np.argmax
+    only on ties within rounding: two same-class events whose
+    (t_j - t_i) / nu round to the same value (times a few ulps apart),
+    where np.argmax takes the earlier and this m; and at gamma = 0, where
+    an overlap pair's mark term is 0, so its eta and its cell's value for
+    the same parent may differ in the last bit.
+    """
     n = len(eta)
     if n != len(events):
         raise ValidationError("state and events disagree on length")
-    # argmax over (immigrant, parents in time order), ties to the first: the
-    # immigrant when it reaches the row's largest pair posterior, else the
-    # earliest pair that does; compared in blocks of rows, so that no
-    # pair-length temporary is needed
+    _require_e_step(eta, "the argmax parents of mini_conversations")
     st = eta.structure
-    best = segment_max(eta.eta_pair, st.row_start)
-    parent = np.zeros(n, dtype=np.int64)  # 0 = immigrant, j -> event j
-    for a, b in _row_blocks(st.row_start):
-        rows = a + np.flatnonzero(eta.eta0[a:b] < best[a:b])
-        pa = st.row_start[a]
-        hits = pa + np.flatnonzero(eta.eta_pair[pa:st.row_start[b]]
-                                   == np.repeat(best[a:b], st.row_len[a:b]))
-        parent[rows] = st._parent(hits[np.searchsorted(hits, st.row_start[rows])], rows) + 1
-    branching = BranchingStructure(parent=parent)
-    members: dict[int, list[int]] = {}
-    for k, r in enumerate(_root_positions(parent).tolist()):
-        members.setdefault(r, []).append(k + 1)
-    convs = [members[r] for r in sorted(members)]
-    return MiniConversations(branching=branching, conversations=convs)
+    log_a, factor = eta._factors
+    cell_start, cell_key, _, cell_last = st.cells
+    # each cell's value, in eta_pair's own expression and operation order
+    seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
+    i = seg >> 1
+    v_cell = np.exp((log_a[cell_key] + st._log_kernel(i, cell_last)) + factor.ravel()[seg])
+    v_ov, ov_start = eta.eta_overlap, st.ov_row_start
+    best = np.maximum(segment_max(v_cell, cell_start[::2]), segment_max(v_ov, ov_start))
+    # the earliest candidate at the best value: the overlap pairs come in
+    # parent order per child, so the first hit of each child; the cells in
+    # class order, so the least m
+    first = np.full(n, n)
+    hit = np.flatnonzero(v_ov == np.repeat(best, st.ov_row_len))
+    child = np.searchsorted(ov_start, hit, side="right") - 1
+    lead = np.flatnonzero(np.diff(child, prepend=-1))
+    first[child[lead]] = st._parent(st.ov_pair[hit[lead]], child[lead])
+    hit = np.flatnonzero(v_cell == best[i])
+    np.minimum.at(first, i[hit], cell_last[hit])
+    parent = np.where(eta.eta0 < best, first + 1, 0)  # 0 = immigrant, j -> event j
+    root = _root_positions(parent)
+    # threads in root order, members in time order
+    order = np.argsort(root, kind="stable")
+    starts = np.flatnonzero(np.diff(root[order], prepend=-1)).tolist()
+    members = (order + 1).tolist()
+    convs = [members[a:b] for a, b in zip(starts, starts[1:] + [n])]
+    return MiniConversations(branching=BranchingStructure(parent=parent), conversations=convs)
 
 
 @dataclass

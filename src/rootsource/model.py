@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import scatter_sum
 from .errors import ValidationError
 
 __all__ = [
@@ -200,10 +201,10 @@ class EventSequence:
 
     @property
     def lengths(self) -> np.ndarray:
-        """Per-event total token counts L_i."""
+        """Per-event total token counts L_i, float64."""
         if not hasattr(self, "_lengths"):
             rows = np.repeat(np.arange(len(self)), np.diff(self.tok_indptr))
-            self._lengths = np.bincount(rows, weights=self.tok_count, minlength=len(self))
+            self._lengths = scatter_sum(rows, self.tok_count, len(self))
         return self._lengths
 
     def token_postings(self):
@@ -243,7 +244,7 @@ class EventSequence:
                 order = np.lexsort((event, tok))
                 indptr = np.searchsorted(tok[order], np.arange(V + 1))
                 ev, cnt = event[order], count[order]
-            norm = self.lengths[ev].astype(np.float64, copy=False)
+            norm = self.lengths[ev]
             with np.errstate(invalid="ignore"):
                 np.divide(cnt, norm, out=norm)
             self._postings = (indptr.astype(np.int64, copy=False), ev, cnt, norm)

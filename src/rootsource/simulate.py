@@ -109,14 +109,17 @@ def expected_event_count(params: ModelParams, T: float) -> float:
 
 
 def _root_positions(parent: np.ndarray) -> np.ndarray:
-    """0-based root event position per event; parents always precede children."""
-    n = parent.size
-    root = np.arange(n)
-    for k in range(n):
-        p = parent[k]
-        if p > 0:
-            root[k] = root[p - 1]
-    return root
+    """0-based root event position per event; parents always precede children.
+
+    Pointer jumping: from each event's parent (itself for a root), replace
+    every pointer by its target's until none moves, log2(depth) passes.
+    """
+    root = np.where(parent > 0, parent - 1, np.arange(parent.size))
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
 
 
 def trace_roots(branching: BranchingStructure, events: EventSequence) -> np.ndarray:

@@ -198,7 +198,7 @@ def test_bench_smoke(runner, tmp_path):
                               "--out", str(tmp_path / "bench.json")])
     assert res.exit_code == 0, res.output
     doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["schema"] == "bench-v7"
+    assert doc["schema"] == "bench-v8"
     assert doc["import_seconds"] > 0
     assert [r["target"] for r in doc["rows"]] == [60, 120]
     assert all(r["pairs"] > 0 and r["triples"] >= 0 for r in doc["rows"])
@@ -207,6 +207,7 @@ def test_bench_smoke(runner, tmp_path):
         assert min(phases) > 0
         assert r["sweep_seconds"] == pytest.approx(sum(phases))
         assert r["objective_seconds"] > 0
+        assert r["threads_seconds"] > 0
         assert r["simulate_seconds"] > 0
         assert r["structure_mb"] > 0
         assert r["peak_rss_mb"] > 0
@@ -257,6 +258,21 @@ def test_exit_code_pairs_beyond_memory(workdir, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "--truncate-window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prior", ["--ml", "--empirical-bayes"])
+def test_exit_code_sources_beyond_memory(prior, tmp_path, monkeypatch, capsys):
+    # a header's S of 10^30 reads fine; the memory guard refuses it before the
+    # prior allocates anything S-sized (numpy would raise a bare ValueError)
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 2**33)
+    ev = tmp_path / "ev.jsonl"
+    ev.write_text('{"schema": "events-v1", "T": 5.0, "S": %d, "V": 3}\n'
+                  '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 2}}\n'
+                  '{"i": 2, "t": 2.0, "s": 2, "x": {"0": 1, "1": 1}}\n' % 10**30)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--events", str(ev), "--nu", "1.0", prior, "--params-out", os.devnull])
+    assert exc.value.code == 2
+    assert "use fewer sources or tokens" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [

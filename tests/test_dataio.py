@@ -102,6 +102,36 @@ def test_truth_record_label_overflow(record):
         read_truth(io.StringIO('{"schema": "truth-v1"}\n' + record + "\n"))
 
 
+@pytest.mark.parametrize("field, value", [("S", 2.7), ("V", 3.9)])
+def test_events_header_fractional_count(field, value):
+    # int() would read 2.7 sources as 2
+    header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3, field: value}
+    with pytest.raises(ValidationError, match=f"line 1: header: malformed field '{field}' "
+                                              rf"\(value is not an integer: {value}\)"):
+        read_events(io.StringIO(json.dumps(header) + "\n"))
+
+
+def test_events_fractional_source_label():
+    head = '{"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}\n'
+    with pytest.raises(ValidationError, match=r"line 3: malformed event record "
+                                              r"\(field 's' is not an integer: 1.9\)"):
+        read_events(io.StringIO(head + '{"i": 1, "t": 1.0, "s": 1, "x": {}}\n'
+                                       '{"i": 2, "t": 2.0, "s": 1.9, "x": {}}\n'))
+    # integral values read as before, whatever their JSON type
+    events = read_events(io.StringIO('{"schema": "events-v1", "T": 5.0, "S": 2.0, "V": 3.0}\n'
+                                     '{"i": 1, "t": 1.0, "s": 2.0, "x": {"0": 1}}\n'))
+    assert (events.S, events.V) == (2, 3) and type(events.S) is int
+    assert events.sources.tolist() == [1]
+
+
+@pytest.mark.parametrize("record", ['{"i": 1, "parent": 0.5, "root": 1}',
+                                    '{"i": 1, "parent": 0, "root": 1.5}'])
+def test_truth_fractional_label(record):
+    with pytest.raises(ValidationError,
+                       match="line 2: malformed truth record .* is not an integer"):
+        read_truth(io.StringIO('{"schema": "truth-v1"}\n' + record + "\n"))
+
+
 @pytest.mark.parametrize("field", ["T", "S", "V"])
 def test_events_header_missing_field(field):
     header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}

@@ -31,8 +31,8 @@ from rootsource.fitting import (
     update_theta_gamma,
 )
 from rootsource.rootprob import enumerate_posteriors
-from util import (dense_eta, random_events, random_instance, random_params,
-                  reference_e_step, reference_pairs, reference_triples)
+from util import (covered_cells, dense_eta, random_events, random_instance,
+                  random_params, reference_e_step, reference_pairs, reference_triples)
 
 
 def brute_force_eta(events, params):
@@ -296,6 +296,22 @@ def test_pair_structure_fails_fast_beyond_physical_memory():
     assert PairStructure(events, nu=1.0, window=1.5).n_pairs == n - 1
 
 
+@pytest.mark.parametrize("field, size", [("S", 10**30), ("V", 10**30), ("S", 10**400)],
+                         ids=["S", "V", "S beyond float"])
+def test_fit_checks_memory_before_the_parameters(field, size, monkeypatch):
+    # S or V of 10^30 from an events header: fit raises the guard's error
+    # before any S- or V-sized array (numpy would raise a bare ValueError),
+    # and sizes beyond float range format in the message
+    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 2**33)
+    huge = {"S": 2, "V": 3, field: size}
+    events = rs.EventSequence(np.array([1.0, 2.0]), np.array([0, 1]), np.array([0, 1, 3]),
+                              np.array([0, 0, 1]), np.array([2.0, 1.0, 1.0]), T=5.0, **huge)
+    with pytest.raises(ValidationError, match="use fewer sources or tokens"):
+        fit(events, nu=1.0)
+    with pytest.raises(ValidationError, match="use fewer sources or tokens"):
+        fit(events, nu=1.0, window=2.0)
+
+
 def test_fail_fast_counts_token_overlap_triples(monkeypatch):
     # few tokens, long marks: more overlap triples than pairs; the kernel
     # cells are charged by their bound min(pairs, n 2S), n 2S for 3 sources
@@ -447,20 +463,6 @@ def test_update_eta_slow_path_degenerate_theta():
     assert min(compared.values()) >= 8, compared
 
 
-def _covered_cells(events, window, nu):
-    """(s, v) cells where every event of source s holding token v has an
-    earlier in-window event holding v, so a zero theta[s, v] leaves a parent."""
-    indptr, post_ev, _, _ = events.token_postings()
-    ok = np.ones((events.S, events.V), dtype=bool)
-    limit = np.inf if window is None else window * nu
-    for v in range(events.V):
-        P = post_ev[indptr[v]:indptr[v + 1]]
-        missed = np.ones(P.size, dtype=bool)
-        missed[1:] = np.diff(events.times[P]) > limit
-        ok[events.sources[P[missed]], v] = False
-    return ok
-
-
 @pytest.mark.parametrize("n, window", [(1000, None), (1800, 8.0)])
 def test_lean_e_step_matches_the_two_branch_reference(n, window):
     # the E-step from kernel cells and overlap pairs (per-child constant
@@ -471,7 +473,7 @@ def test_lean_e_step_matches_the_two_branch_reference(n, window):
     events = random_events(rng, n, 3, 6, T=n / 4.0, max_len=5)
     params = random_params(rng, 3, 6, nu=1.0)
     # one zero per source row at a token its events use, each one inherited
-    zero = (events.token_counts_by_source() > 0) & _covered_cells(events, window, params.nu)
+    zero = (events.token_counts_by_source() > 0) & covered_cells(events, window, params.nu)
     zero &= np.cumsum(zero, axis=1) <= 1
     zeroed = np.where(zero, 0.0, params.theta)
     zeroed /= zeroed.sum(axis=1, keepdims=True)
@@ -522,16 +524,21 @@ def _pair_kernel_sums(structure):
 
 def _cell_sums(structure):
     """The kernel cells as an n x 2S array of log sums, -inf where a child
-    has no cell of a class; checks each cell's key and that no child has two
-    cells of one class."""
+    has no cell of a class; checks each cell's key, that no child has two
+    cells of one class, and that its latest event is the class's last in the
+    child's window."""
     events = structure.events
     n, S = len(events), events.S
-    start, key, log = structure.cells
+    start, key, log, last = structure.cells
     seg = np.repeat(np.arange(2 * n), np.diff(start))  # 2 child + empty-mark class
     child = seg // 2
     np.testing.assert_array_equal(key // S, events.sources[child])
     cls = key % S + S * (seg % 2)
     assert np.unique(child * 2 * S + cls).size == key.size
+    event_cls = events.sources + S * (events.lengths == 0)
+    for i, c, m in zip(child.tolist(), cls.tolist(), last.tolist()):
+        assert structure.lo[i] <= m < i and event_cls[m] == c
+        assert not (event_cls[m + 1:i] == c).any()
     out = np.full((n, 2 * S), -np.inf)
     out[child, cls] = log
     return out
@@ -621,7 +628,9 @@ def test_m_steps_need_an_e_step_state():
     params = random_params(rng, 2, 4, nu=1.0)
     state = update_eta(events, params)
     given = VariationalState(state.structure, state.eta0, state.eta_pair, state.log_z)
-    assert rs.mini_conversations(given, events).branching.parent.size == 50
+    with pytest.raises(ValidationError,
+                       match="parents of mini_conversations need a state from update_eta"):
+        rs.mini_conversations(given, events)
     with pytest.raises(ValidationError, match="need a state from update_eta"):
         update_rho_alpha(events, given, PriorConfig.maximum_likelihood(2))
     with pytest.raises(ValidationError, match="need a state from update_eta"):

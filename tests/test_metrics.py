@@ -5,7 +5,7 @@ import pytest
 
 import rootsource as rs
 from rootsource.errors import ValidationError
-from rootsource.fitting import PairStructure, VariationalState, update_eta
+from rootsource.fitting import update_eta
 from rootsource.metrics import (
     evaluate_root_probabilities,
     identification_accuracy,
@@ -16,7 +16,7 @@ from rootsource.metrics import (
     true_root_log_probability,
 )
 from rootsource.rootprob import RootProbMatrix
-from util import random_events
+from util import covered_cells, random_events, random_params, reference_mini_conversations
 
 
 def mat(rows, mode="full"):
@@ -90,40 +90,85 @@ def test_mini_conversations_chain_and_singletons():
     assert mc.conversations == [[1, 2, 3], [4]]
 
 
+def _two_source_state(A, window=None):
+    # S = 2, V = 0, nu = 1, events at t = 1, 2, 3 of sources 0, 1, 0; rho = (1e-3, 1)
+    evs = [rs.Event.make(k + 1, float(k + 1), s, {}) for k, s in enumerate((0, 1, 0))]
+    events = rs.EventSequence.from_events(evs, T=4.0, S=2, V=0)
+    params = rs.ModelParams(rho=np.array([1e-3, 1.0]), A=np.asarray(A, dtype=float),
+                            theta=np.ones((2, 0)), gamma=0.0, nu=1.0)
+    return events, update_eta(events, params, window=window)
+
+
 def test_mini_conversations_ties_and_windowed_rows():
-    # argmax ties go to the immigrant, then to the earliest parent; rows 4 and
-    # 5 are windowed, their candidates starting at lo = 1 and lo = 2
-    evs = [rs.Event.make(k + 1, float(k + 1), 0, {}) for k in range(5)]
-    events = rs.EventSequence.from_events(evs, T=6.0, S=1, V=0)
-    structure = PairStructure(events, nu=1.0, window=2.5)
-    assert structure.lo.tolist() == [0, 0, 0, 1, 2]
-    eta0 = np.array([1.0, 0.5, 0.2, 0.2, 0.1])
-    eta_pair = np.array([0.5,        # row 2: immigrant ties parent 1
-                         0.4, 0.4,   # row 3: parents 1 and 2 tie
-                         0.4, 0.4,   # row 4: parents 2 and 3 tie
-                         0.3, 0.6])  # row 5: parent 4 wins
-    state = VariationalState(structure, eta0, eta_pair, np.zeros(5))
+    # exact ties of E-step posteriors: event 2's immigrant (rho = 1) ties
+    # parent 1 at lag 1 (A = e), and event 3's parents at lags 2 and 1 tie
+    # (A entries e^2 and e); the immigrant wins the first, the earlier
+    # parent the second
+    e = math.e
+    events, state = _two_source_state([[e * e, e], [e, 1e-3]])
+    row2, row3 = state.eta_vector(1), state.eta_vector(2)
+    assert row2[0] == row2[1] and row3[1] == row3[2] > row3[0]
     mc = mini_conversations(state, events)
-    assert mc.branching.parent.tolist() == [0, 0, 1, 2, 4]
-    assert mc.branching.parent.tolist() == [int(np.argmax(state.eta_vector(k)))
-                                            for k in range(5)]
-    assert mc.conversations == [[1, 3], [2, 4, 5]]
+    assert mc.branching.parent.tolist() == [0, 0, 1]
+    assert mc.conversations == [[1, 3], [2]]
+    # a window of 1.5 leaves event 3 only parent 2 (lo = 1)
+    events, state = _two_source_state([[e * e, e], [e, 1e-3]], window=1.5)
+    assert state.structure.lo.tolist() == [0, 0, 1]
+    row2 = state.eta_vector(1)
+    assert row2[0] == row2[1]
+    mc = mini_conversations(state, events)
+    assert mc.branching.parent.tolist() == [0, 0, 2]
+    assert mc.conversations == [[1], [2, 3]]
 
 
-@pytest.mark.parametrize("block", [1, 2, 5])
-def test_mini_conversations_in_row_blocks(block, monkeypatch):
-    # rows compared a few pairs at a time, some split across blocks, get
-    # np.argmax's parents; posteriors from three values make ties common
-    events = random_events(np.random.default_rng(19), 30, 2, 3)
-    structure = PairStructure(events, nu=1.0, window=3.0)
-    rng = np.random.default_rng(block)
-    eta0 = rng.choice([0.1, 0.2, 0.3], len(events))
-    state = VariationalState(structure, eta0, rng.choice([0.1, 0.2, 0.3], structure.n_pairs),
-                             np.zeros(len(events)))
-    monkeypatch.setattr("rootsource.fitting.PAIR_BLOCK", block)
+def _lattice_events(rng, n):
+    # integer times and log A, nu = 1, one token or none per event, theta = 1:
+    # every log weight is an integer, plus the same mark term on every
+    # overlap pair, so posteriors tie often, among overlap pairs too
+    evs = [rs.Event.make(k + 1, float(k + 1), int(s), {0: 1} if x else {})
+           for k, (s, x) in enumerate(rng.integers(0, 2, (n, 2)))]
+    events = rs.EventSequence.from_events(evs, T=n + 1.0, S=2, V=1)
+    params = rs.ModelParams(rho=np.exp(rng.integers(-2, 1, 2).astype(float)),
+                            A=np.exp(rng.integers(0, 3, (2, 2)).astype(float)),
+                            theta=np.ones((2, 1)), gamma=0.5, nu=1.0)
+    return events, params
+
+
+@pytest.mark.parametrize("window", [None, 3.0])
+@pytest.mark.parametrize("kind", ["live", "gamma = 1", "zero theta", "ties"])
+def test_mini_conversations_match_the_pair_scan(kind, window):
+    # parents and threads equal np.argmax over every pair of eta_pair, with
+    # empty marks, dead tokens (gamma 1, zeros in theta) and exact ties
+    rng = np.random.default_rng([61, len(kind)])
+    if kind == "ties":
+        events, params = _lattice_events(rng, 60)
+    else:
+        events = random_events(rng, 300, 3, 5, T=60.0, max_len=4)
+        params = random_params(rng, 3, 5, nu=1.0)
+        assert (events.lengths == 0).any()
+    theta, gamma = params.theta, params.gamma
+    if kind == "gamma = 1":
+        gamma = 1.0
+    elif kind == "zero theta":
+        # one zero per source row at a token its events use, each one inherited
+        zero = (events.token_counts_by_source() > 0) & covered_cells(events, window, params.nu)
+        zero &= np.cumsum(zero, axis=1) <= 1
+        assert zero.any()
+        theta = np.where(zero, 0.0, theta)
+        theta /= theta.sum(axis=1, keepdims=True)
+    params = rs.ModelParams(rho=params.rho, A=params.A, theta=theta, gamma=gamma, nu=params.nu)
+    state = update_eta(events, params, window=window)
+    if kind in ("gamma = 1", "zero theta"):  # some child has a dead token
+        assert np.isneginf(state._factors[1][:, 0]).any()
     mc = mini_conversations(state, events)
-    assert mc.branching.parent.tolist() == [int(np.argmax(state.eta_vector(k)))
-                                            for k in range(len(events))]
+    parent, conversations = reference_mini_conversations(state)
+    rows = [state.eta_vector(k) for k in range(len(events))]
+    assert parent.tolist() == [int(np.argmax(v)) for v in rows]
+    np.testing.assert_array_equal(mc.branching.parent, parent)
+    assert mc.conversations == conversations
+    assert (parent > 0).any() and (parent == 0).any()
+    if kind == "ties":
+        assert sum(np.sum(v == v.max()) > 1 for v in rows) >= 5
 
 
 def test_mini_conversations_all_immigrants():

@@ -71,6 +71,16 @@ def test_sequence_indexing_round_trip():
     np.testing.assert_array_equal(events.lengths, [2.0, 0.0])
 
 
+def test_lengths_are_float64_without_tokens():
+    # np.bincount with weights but no entries returns int64; lengths must not
+    evs = [rs.Event.make(1, 1.0, 0, {}), rs.Event.make(2, 2.0, 0, {})]
+    for events in (rs.EventSequence.from_events(evs, T=3.0, S=1, V=2),
+                   rs.EventSequence.from_events(evs[:0], T=3.0, S=1, V=2)):
+        assert events.lengths.dtype == np.float64
+        np.testing.assert_array_equal(events.lengths, np.zeros(len(events)))
+        assert events.token_postings()[3].dtype == np.float64
+
+
 def test_intensities_hand_values():
     events, params = two_event_history()
     k1 = math.exp(-2.0 / 2.0) / 2.0

@@ -37,6 +37,20 @@ def random_instance(rng, n_max=9, S_max=5, V_max=21):
     return events, random_params(rng, S, V)
 
 
+def covered_cells(events, window, nu):
+    """(s, v) cells where every event of source s holding token v has an
+    earlier in-window event holding v, so a zero theta[s, v] leaves a parent."""
+    indptr, post_ev, _, _ = events.token_postings()
+    ok = np.ones((events.S, events.V), dtype=bool)
+    limit = np.inf if window is None else window * nu
+    for v in range(events.V):
+        P = post_ev[indptr[v]:indptr[v + 1]]
+        missed = np.ones(P.size, dtype=bool)
+        missed[1:] = np.diff(events.times[P]) > limit
+        ok[events.sources[P[missed]], v] = False
+    return ok
+
+
 def dense_eta(state):
     """Materialize variational responsibilities as an (n, n+1) array."""
     n = len(state.structure.events)
@@ -337,3 +351,30 @@ def reference_write_rootprob(rpm, fp):
     for k in range(rpm.n):
         vals = ",".join(repr(float(v)) for v in rpm.r[k])
         fp.write(f"{k + 1},{vals},{arg[k] + 1}\n")
+
+
+def reference_mini_conversations(state):
+    """mini_conversations' (parent, conversations) by a scan of every pair of
+    eta_pair: np.argmax's ties over (immigrant, parents in time order), roots
+    followed event by event, threads grouped in a dict."""
+    from rootsource._numeric import segment_max
+    from rootsource.fitting import _row_blocks
+
+    st = state.structure
+    n = len(state)
+    best = segment_max(state.eta_pair, st.row_start)
+    parent = np.zeros(n, dtype=np.int64)
+    for a, b in _row_blocks(st.row_start):
+        rows = a + np.flatnonzero(state.eta0[a:b] < best[a:b])
+        pa = st.row_start[a]
+        hits = pa + np.flatnonzero(state.eta_pair[pa:st.row_start[b]]
+                                   == np.repeat(best[a:b], st.row_len[a:b]))
+        parent[rows] = st._parent(hits[np.searchsorted(hits, st.row_start[rows])], rows) + 1
+    root = np.arange(n)
+    for k in range(n):
+        if parent[k] > 0:
+            root[k] = root[parent[k] - 1]
+    members = {}
+    for k, r in enumerate(root.tolist()):
+        members.setdefault(r, []).append(k + 1)
+    return parent, [members[r] for r in sorted(members)]
