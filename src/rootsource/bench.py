@@ -137,8 +137,9 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     ever adds time), and e_step_seconds, rho_A_seconds and
     theta_gamma_seconds are that sweep's E-step and M-steps.  objective_seconds
     times one `elbo` on the last sweep's state at its E-step's parameters,
-    outside the sweeps, and threads_seconds one `mini_conversations` on that
-    state, which reads the E-step's terms, not per-pair posteriors.  The
+    outside the sweeps: the weights' terms there and the state's masses,
+    nothing per pair.  threads_seconds times one `mini_conversations` on
+    that state, which reads the E-step's terms, not per-pair posteriors.  The
     root pass is the E-step posteriors + forward substitution.  Like a root
     pass after `fit`, it reuses the live PairStructure of the sweeps, so
     rootprob_seconds excludes the build, which build_seconds times.  It runs at the parameters of the last
@@ -188,7 +189,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
                            if isinstance(v, np.ndarray)) / 2.0 ** 20
         e_step, rho_a, theta_gamma = fastest.tolist()
 
-        state.eta_pair  # built once per fit, as `fit` does: not the objective's cost
         t0 = time.perf_counter()
         elbo(events, e_params, state, prior)
         objective = time.perf_counter() - t0

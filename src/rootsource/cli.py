@@ -150,11 +150,10 @@ def simulate(ctx, config, T, S, V, rho, diag, offdiag, gamma, nu, mean_lengths,
 @click.option("--seed", type=int, default=None,
               help="Randomize the initial point (off by default).")
 @click.option("--params-out", default="-", show_default=True)
-@click.option("--eta-out", default=None, help="Posterior npz output path.")
 @click.option("--trace-out", default=None, help="ELBO trace CSV output path.")
 @click.pass_context
 def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
-            window, seed, params_out, eta_out, trace_out):
+            window, seed, params_out, trace_out):
     """Fit (rho, A, theta, gamma) by variational EM."""
     seed = _resolve_seed(ctx, seed)
     _echo_config(ctx)
@@ -179,8 +178,6 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
                    f"(mean {report.window_dropped_mean:.3g}) of an event's "
                    f"excitation intensity", err=True)
     dataio.write_params(report.params, _out(params_out))
-    if eta_out:
-        dataio.write_eta(report.eta, eta_out)
     if trace_out:
         with open(trace_out, "w") as fp:
             fp.write("iteration,elbo\n")

@@ -2,9 +2,8 @@
 
 File conventions: event streams are JSONL with a schema header line; model
 parameters and evaluation reports are JSON documents; root-probability
-matrices are CSV with a schema comment line; variational posteriors are npz
-archives.  All floats are written with full repr precision so round-trips
-are bit-exact.
+matrices are CSV with a schema comment line.  All floats are written with
+full repr precision so round-trips are bit-exact.
 
 Source labels are 1-based in every file format ("s", "root", the r_1..r_S
 CSV columns, argmax_source) and 0-based in memory; token indices are 0-based
@@ -15,7 +14,6 @@ event indices, matching the in-memory convention.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 
@@ -30,7 +28,6 @@ __all__ = [
     "write_events", "read_events",
     "write_truth", "read_truth", "TruthInfo",
     "write_params", "read_params",
-    "write_eta", "read_eta",
     "write_rootprob", "read_rootprob",
     "write_eval", "read_config",
     "RawComment", "Vocabulary", "tokenize", "ingest", "read_raw_comments",
@@ -39,7 +36,6 @@ __all__ = [
 EVENTS_SCHEMA = "events-v1"
 TRUTH_SCHEMA = "truth-v1"
 PARAMS_SCHEMA = "params-v1"
-ETA_SCHEMA = "eta-v1"
 ROOTPROB_SCHEMA = "rootprob-v1"
 EVAL_SCHEMA = "eval-v1"
 
@@ -67,10 +63,28 @@ def _field(doc: dict, key: str, convert, what: str):
 
 
 def _integer(value, what: str = "value") -> int:
-    """int(value), refusing a float with a fraction, which int() would drop."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a boolean, which int() would read as 0 or 1, and a
+    float with a fraction, which int() would drop."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{what} is not an integer: {value!r}")
     return int(value)
+
+
+def _real(value, what: str = "value") -> float:
+    """float(value), refusing a boolean, which float() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    return float(value)
+
+
+def _reals(value) -> np.ndarray:
+    """A float64 array of nested lists, refusing a boolean entry."""
+    def has_bool(v):
+        return isinstance(v, bool) or isinstance(v, list) and any(map(has_bool, v))
+
+    if has_bool(value):
+        raise ValueError("an entry is not a number: a boolean")
+    return np.asarray(value, dtype=np.float64)
 
 
 # Rows formatted at a time, so that no file's whole text is held in memory.
@@ -134,17 +148,23 @@ def read_events(path_or_file) -> EventSequence:
             raise ValidationError(
                 f"schema mismatch: expected {EVENTS_SCHEMA}, got {header.get('schema')!r}")
         T, S, V = (_field(header, key, kind, "line 1: header")
-                   for key, kind in (("T", float), ("S", _integer), ("V", _integer)))
+                   for key, kind in (("T", _real), ("S", _integer), ("V", _integer)))
         times, sources, indptr, tok_i, tok_c = [], [], [0], [], []
         for lineno, line in enumerate(fp, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                t, s = float(rec["t"]), rec["s"]
+                t, s, x = float(rec["t"]), rec["s"], rec.get("x", {})
                 if type(s) is not int:
                     s = _integer(s, "field 's'")
-                items = sorted((int(v), float(c)) for v, c in rec.get("x", {}).items())
+                items = sorted((int(v), float(c)) for v, c in x.items())
+                # float() reads a JSON boolean as 1 or 0; a line without the
+                # text true or false holds none, so it skips the check
+                if "true" in line or "false" in line:
+                    _real(rec["t"], "field 't'")
+                    for c in x.values():
+                        _real(c, "a count in field 'x'")
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
                     ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed event record ({err})") from err
@@ -257,43 +277,15 @@ def read_params(path_or_file) -> ModelParams:
     shape = _object(doc.get("base_shape", {"kind": "constant", "c": 1.0}), "base_shape")
     if shape.get("kind") != "constant":
         raise ValidationError(f"unsupported base shape {shape.get('kind')!r}")
-    c = _field(shape, "c", float, "base_shape") if "c" in shape else 1.0
+    c = _field(shape, "c", _real, "base_shape") if "c" in shape else 1.0
     if not c > 0:
         raise ValidationError("constant shape must be positive")
 
-    def array(v):
-        return np.asarray(v, dtype=np.float64)
-
     rho, A, theta, gamma, nu = (
         _field(doc, key, kind, "params document")
-        for key, kind in (("rho", array), ("A", array), ("theta", array),
-                          ("gamma", float), ("nu", float)))
+        for key, kind in (("rho", _reals), ("A", _reals), ("theta", _reals),
+                          ("gamma", _real), ("nu", _real)))
     return ModelParams(rho=rho * c, A=A, theta=theta, gamma=gamma, nu=nu)
-
-
-# ------------------------------------------------------------------- eta ---
-
-def write_eta(state, path_or_file) -> None:
-    """Sparse npz of the variational posteriors and their pair layout."""
-    st = state.structure
-    np.savez(path_or_file, schema=ETA_SCHEMA, nu=st.nu,
-             window=np.nan if st.window is None else st.window,
-             eta0=state.eta0, eta_pair=state.eta_pair, log_z=state.log_z,
-             pair_i=st.pair_i, pair_j=st.pair_j)
-
-
-def read_eta(path_or_file) -> dict:
-    with np.load(path_or_file, allow_pickle=False) as z:
-        if str(z["schema"]) != ETA_SCHEMA:
-            raise ValidationError(
-                f"schema mismatch: expected {ETA_SCHEMA}, got {z['schema']!r}")
-        window = float(z["window"])
-        return {
-            "nu": float(z["nu"]),
-            "window": None if math.isnan(window) else window,
-            "eta0": z["eta0"], "eta_pair": z["eta_pair"], "log_z": z["log_z"],
-            "pair_i": z["pair_i"], "pair_j": z["pair_j"],
-        }
 
 
 # -------------------------------------------------------------- rootprob ---
@@ -422,7 +414,7 @@ def read_raw_comments(path_or_file) -> list:
                 continue
             try:
                 rec = json.loads(line)
-                t = float(rec["t"])
+                t = _real(rec["t"], "field 't'")
                 author = str(rec["author"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
                 raise ValidationError(f"line {lineno}: malformed comment record ({err})") from err

@@ -35,11 +35,13 @@ mark, give every child's total over such parents, and only the pairs that
 share a token (the overlap pairs) add a correction.  The sums are stored
 sparsely, one cell per child and parent class with a candidate in the
 child's window, so there are at most min(pairs, n 2S) of them however many
-sources there are.  That E-step and both M-steps cost O(cells + overlap
-pairs + triples), and the per-pair posteriors are built only on demand
-(`VariationalState.eta_pair`).  `_weights` computes the terms of every
-weight; the E-step sums them over the cells, and `_expand` derives the pairs
-and writes them out for `eta_pair`, `elbo` and the sub-model root passes.
+sources there are.  `_weights` computes the terms of every weight and
+`_e_step` is the one normalizer: it sums them over the cells and the overlap
+pairs, for the full model and for the temporal- and mark-only root passes.
+The E-step, both M-steps and the objective cost O(cells + overlap pairs +
+triples): `elbo` reads the masses of the E-step's state and needs the terms
+at its own parameters only.  Per-pair posteriors are built only on demand
+(`VariationalState.eta_pair`), for the root passes' forward substitution.
 """
 
 from __future__ import annotations
@@ -490,30 +492,24 @@ class PairStructure:
 
 
 class VariationalState:
-    """Mean-field parent posteriors over the pair layout of a PairStructure.
+    """Mean-field parent posteriors from one E-step over a PairStructure.
 
-    eta0[k] is event k's immigrant probability; eta_pair is eta on the
-    structure's pairs; log_z holds the per-event log-normalizers of the
-    E-step that produced the state.  The E-step's state also carries the
-    M-steps' inputs eta_overlap (eta on the overlap pairs), eta_cells (the
-    S x S sums of eta per child and parent source) and eta_empty (each
-    child's eta mass on parents with an empty mark), and builds eta_pair on
-    first access.  A state built from given posteriors serves only the
-    readers of eta_pair (root passes, `write_eta`); the M-steps and
-    `mini_conversations`, which read the E-step's terms, reject it.
+    eta0[k] is event k's immigrant probability and log_z holds the per-event
+    log-normalizers.  The state carries the M-steps' and `elbo`'s inputs:
+    eta_overlap (eta on the overlap pairs), eta_cells (the S x S sums of eta
+    per child and parent source), eta_empty (each child's eta mass on parents
+    with an empty mark) and the mean log weight at its own parameters.
+    eta_pair, eta on every pair of the structure, is built on first access.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
     recomputing them (see `PairStructure._state_at`).
     """
 
-    def __init__(self, structure: PairStructure, eta0: np.ndarray,
-                 eta_pair: np.ndarray | None, log_z: np.ndarray):
+    def __init__(self, structure: PairStructure, eta0: np.ndarray, log_z: np.ndarray):
         self.structure = structure
         self.eta0 = eta0
         self.log_z = log_z
-        if eta_pair is not None:
-            self.eta_pair = eta_pair
 
     @cached_property
     def eta_pair(self) -> np.ndarray:
@@ -522,19 +518,12 @@ class VariationalState:
         st = self.structure
         eta = _expand(st, *self._factors)
         np.exp(eta, out=eta)
-        eta[st.ov_pair] = self.eta_overlap
+        if self.eta_overlap is not None:
+            eta[st.ov_pair] = self.eta_overlap
         return eta
 
     def __len__(self) -> int:
         return self.eta0.size
-
-    def eta_vector(self, k: int) -> np.ndarray:
-        """Dense eta_k = (immigrant, parent 1, ..., parent k) of length k+1."""
-        st = self.structure
-        out = np.zeros(k + 1)
-        out[0] = self.eta0[k]
-        out[st.lo[k] + 1:k + 1] = self.eta_pair[st.row_start[k]:st.row_start[k + 1]]
-        return out
 
 
 @dataclass
@@ -665,40 +654,6 @@ def _expand(structure: PairStructure, log_a: np.ndarray | None,
     return out
 
 
-def _log_weights(structure: PairStructure, params: ModelParams,
-                 use_time: bool = True, use_marks: bool = True):
-    """(logw_imm, logw_pair, c): `_weights`' terms expanded onto every pair,
-    for `elbo` and the temporal- and mark-only root passes."""
-    log_a, logw_imm, c, factor, sigma = _weights(structure, params, use_time, use_marks)
-    logw_pair = _expand(structure, log_a, factor)
-    if sigma is not None:
-        if log_a is not None:
-            sigma += log_a[structure.ov_cell]
-            sigma += structure.ov_log_kernel
-        logw_pair[structure.ov_pair] = sigma
-    return logw_imm, logw_pair, c
-
-
-def _normalize(structure: PairStructure, logw_imm: np.ndarray, logw_pair: np.ndarray,
-               c: np.ndarray):
-    """Per-event log-sum-exp normalization of the posterior weights.
-
-    Takes _log_weights' relative weights and constant; returns (eta0,
-    eta_pair, log_z).  eta_pair is logw_pair's buffer, normalized in place.
-    Raises NumericalError naming the first event whose components are all
-    -inf.
-    """
-    m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
-    _raise_if_dead(m)
-    wi = np.exp(logw_imm - m)
-    eta_pair = logw_pair
-    eta_pair -= np.repeat(m, structure.row_len)
-    np.exp(eta_pair, out=eta_pair)
-    z = wi + segment_sum(eta_pair, structure.row_start)
-    eta_pair /= np.repeat(z, structure.row_len)
-    return wi / z, eta_pair, m + np.log(z) + c
-
-
 def _raise_if_dead(m: np.ndarray) -> None:
     bad = ~np.isfinite(m)
     if np.any(bad):
@@ -708,7 +663,8 @@ def _raise_if_dead(m: np.ndarray) -> None:
             f"(degenerate theta or zero intensities)")
 
 
-def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
+def _e_step(structure: PairStructure, params: ModelParams,
+            use_time: bool = True, use_marks: bool = True) -> VariationalState:
     """The E-step of `update_eta`, from the kernel cells and the overlap pairs.
 
     Relative to c_i, child i's weights are: the immigrant rho f_imm; per
@@ -718,18 +674,40 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     over its cell's share (all of w_ij for a child with a dead token), where
     sigma_ij is the pair's log mark density.  No term is negative, so the
     normalizer sums without cancellation, with a per-child maximum taken out.
+
+    use_marks=False (the temporal pass) takes the same cells with no factor
+    and no overlap pairs.  use_time=False (the mark pass) gives every parent
+    that shares no token with child i the weight e^{factor[i, h]} whatever
+    its time, so each half's one cell holds its count of parents.  Only the
+    full model's state carries the M-steps' and `elbo`'s inputs.
     """
     n, S = len(structure.events), structure.events.S
-    log_a, logw_imm, c, factor, sigma = _weights(structure, params)
-    ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
-    excess = -np.expm1(-sigma)
-    excess[np.repeat(factor[:, 0] == -np.inf, ov_len)] = 1.0
-    cell_start, cell_key, cell_log, _ = structure.cells
-    logw = log_a[cell_key]
-    logw += cell_log
-    logw_ov = log_a[structure.ov_cell]
-    logw_ov += structure.ov_log_kernel
-    logw_ov += sigma
+    log_a, logw_imm, c, factor, sigma = _weights(structure, params, use_time, use_marks)
+    if use_time:
+        cell_start, cell_key, cell_log, _ = structure.cells
+        logw = log_a[cell_key]
+        logw += cell_log
+    else:
+        # one cell per half: its parents with a non-empty and an empty mark,
+        # from a prefix count of the empty marks
+        empty = np.concatenate([[0], np.cumsum(structure.events.lengths == 0)])
+        count = empty[:-1] - empty[structure.lo]
+        cell_start = np.arange(2 * n + 1)
+        with np.errstate(divide="ignore"):
+            logw = np.log(np.stack([structure.row_len - count, count], axis=1)).ravel()
+    if use_marks:
+        ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
+        excess = -np.expm1(-sigma)
+        excess[np.repeat(factor[:, 0] == -np.inf, ov_len)] = 1.0
+        if use_time:
+            logw_ov = log_a[structure.ov_cell]
+            logw_ov += structure.ov_log_kernel
+            logw_ov += sigma
+        else:
+            logw_ov = sigma.copy()
+    else:
+        ov_len, ov_start = np.zeros(n, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
+        excess = logw_ov = np.zeros(0)
 
     top = (segment_max(logw, cell_start).reshape(n, 2) + factor).max(axis=1)
     m = np.maximum(np.maximum(logw_imm, top), segment_max(logw_ov, ov_start))
@@ -748,12 +726,14 @@ def _e_step(structure: PairStructure, params: ModelParams) -> VariationalState:
     w /= np.repeat(z, np.diff(cell_start[::2]))
     log_zr = m + np.log(z)
 
-    state = VariationalState(structure, wi / z, None, log_zr + c)
-    state.eta_overlap = w_ov
-    cells = np.bincount(cell_key, weights=w, minlength=S * S)
-    cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
-    state.eta_cells = cells.reshape(S, S)
-    state.eta_empty = halves[:, 1] / z
+    state = VariationalState(structure, wi / z, log_zr + c)
+    state.eta_overlap = w_ov if use_marks else None
+    if use_time and use_marks:
+        cells = np.bincount(cell_key, weights=w, minlength=S * S)
+        cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
+        state.eta_cells = cells.reshape(S, S)
+        state.eta_empty = halves[:, 1] / z
+        state._mean_log_w = _mean_log_weight(state, log_a, logw_imm, c, factor, sigma)
     factor -= log_zr[:, None]
     state._factors = (log_a, factor)
     return state
@@ -779,12 +759,6 @@ def update_eta(events: EventSequence, params: ModelParams,
     return state
 
 
-def _require_e_step(state: VariationalState, what: str = "the M-steps") -> None:
-    if not hasattr(state, "eta_cells"):
-        raise ValidationError(f"{what} need a state from update_eta or fit, "
-                              f"not given posteriors")
-
-
 def update_rho_alpha(events: EventSequence, state: VariationalState,
                      prior: PriorConfig, diag: dict | None = None):
     """M-step for (rho, A): Gamma-posterior means given the responsibilities.
@@ -795,7 +769,6 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     Negative numerators (possible when a < 1) are clamped to a small floor and
     counted in diag["clamped"].
     """
-    _require_e_step(state)
     S = events.S
     rho_num = prior.a_rho - 1.0 + np.bincount(events.sources, weights=state.eta0,
                                               minlength=S)
@@ -824,7 +797,6 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
     density and carry no information about gamma, so they are excluded from
     its ratio.
     """
-    _require_e_step(state)
     theta_hat = np.asarray(current[0], dtype=np.float64)
     gamma_hat = float(current[1])
     st = state.structure
@@ -884,38 +856,76 @@ def _prior_terms(params: ModelParams, prior: PriorConfig | None) -> float:
     return t_rho + t_a
 
 
+def _mean_log_weight(state: VariationalState, log_a: np.ndarray, logw_imm: np.ndarray,
+                     c: np.ndarray, factor: np.ndarray, sigma: np.ndarray) -> float:
+    """sum_i sum_k eta_ik log w_ik less the kernels, at `_weights`' terms.
+
+    The state's masses weigh c, the immigrant, log A per S x S cell, the
+    empty-mark factor and sigma on the overlap pairs; a term with no mass
+    adds 0.  A parent with a non-empty mark that shares no token with its
+    child adds factor[i, 0], which is 0 wherever the state gives it mass
+    (`elbo` checks the children whose token is dead at other parameters).
+    """
+    def mean(mass, log_w):
+        with np.errstate(invalid="ignore"):
+            value = float(np.dot(mass, log_w))
+        if math.isnan(value):  # 0 * -inf: a term with no mass adds 0
+            value = float(np.dot(mass, np.where(mass > 0, log_w, 0.0)))
+        return value
+
+    return math.fsum([float(c.sum()), mean(state.eta0, logw_imm),
+                      mean(state.eta_cells.ravel(), log_a),
+                      mean(state.eta_empty, factor[:, 1]), mean(state.eta_overlap, sigma)])
+
+
+def _open_children(structure: PairStructure, log_a: np.ndarray) -> np.ndarray:
+    """Whether each child has a parent with a non-empty mark that shares no
+    token with it, where log_a[s_i S + s_j] > -inf: per child, such cells
+    hold more parents than overlap pairs."""
+    events, n, S = structure.events, len(structure.events), structure.events.S
+    cell_start, cell_key, _, cell_last = structure.cells
+    seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
+    keep = (seg % 2 == 0) & (log_a[cell_key] > -np.inf)
+    i, cls = seg[keep] // 2, cell_key[keep] % S
+    # the events by class (source, or S + source for an empty mark), then time
+    key = np.sort((events.sources + S * (events.lengths == 0)) * n + np.arange(n))
+    count = (np.searchsorted(key, cls * n + cell_last[keep], side="right")
+             - np.searchsorted(key, cls * n + structure.lo[i]))
+    shared = np.bincount(np.repeat(np.arange(n), structure.ov_row_len),
+                         weights=log_a[structure.ov_cell] > -np.inf, minlength=n)
+    return np.bincount(i, weights=count, minlength=n) > shared
+
+
 def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
          prior: PriorConfig | None = None) -> float:
     """Evaluate L~(Theta, eta) exactly (multinomial coefficient excluded).
 
-    Adds the Gamma log-prior terms when a prior is supplied.  The state must
-    have been built for the same events and kernel bandwidth.
+    eta is the state's E-step at parameters Theta0, where L~ equals sum_i
+    log z_i less the compensator.  At other parameters Theta it adds
+    sum_ik eta_ik (log w_ik(Theta) - log w_ik(Theta0)); the kernels cancel,
+    so this needs only the state's masses and `_weights`' terms at Theta,
+    nothing per pair.  At Theta0 it is fit's trace value bit for bit.  Adds
+    the Gamma log-prior terms when a prior is supplied.  The state must have
+    been built for the same events and kernel bandwidth.
     """
     if len(state) != len(events):
         raise ValidationError("state and events disagree on length")
     st = state.structure
     if st.nu != params.nu:
         raise ValidationError("state was built for a different kernel bandwidth")
-    logw_imm, logw_pair, c = _log_weights(st, params)
-    eta = state.eta_pair
-    with np.errstate(invalid="ignore"):
-        data_imm = np.where(state.eta0 > 0, state.eta0 * logw_imm, 0.0)
-        # eta log w in place, 0 where eta = 0 (w may be 0 there)
-        logw_pair *= eta
-        logw_pair[eta == 0.0] = 0.0
-    data_pair = float(np.sum(logw_pair, dtype=np.longdouble))
-    del logw_pair
-    data_c = c * (state.eta0 + segment_sum(eta, st.row_start))
-    entropy = -(float(np.sum(xlogy(state.eta0, state.eta0), dtype=np.longdouble))
-                + float(np.sum(xlogy(eta, eta), dtype=np.longdouble)))
+    log_a, logw_imm, c, factor, sigma = _weights(st, params)
     value = math.fsum([
         -_compensator_terms(st, params),
-        float(np.sum(data_imm, dtype=np.longdouble)),
-        data_pair,
-        float(np.sum(data_c, dtype=np.longdouble)),
-        entropy,
+        float(np.sum(state.log_z, dtype=np.longdouble)),
+        _mean_log_weight(state, log_a, logw_imm, c, factor, sigma),
+        -state._mean_log_w,
         _prior_terms(params, prior),
     ])
+    # a child whose token is dead at Theta but not at Theta0 gives weight 0
+    # to the parents with mass that share no token with it
+    fresh = (factor[:, 0] == -np.inf) & (state._factors[1][:, 0] > -np.inf)
+    if fresh.any() and (fresh & _open_children(st, state._factors[0])).any():
+        value = -math.inf
     if math.isnan(value):
         raise NumericalError("ELBO evaluated to NaN")
     return value
@@ -1048,7 +1058,7 @@ def fit(events: EventSequence, init: ModelParams | None = None,
             break
         params = new_params
 
-    state.eta_pair  # built once, here: root passes read it
+    state.eta_pair  # built once, here: the full root pass reads it
     dropped = _window_dropped(structure, params.A)
     return FitReport(params=params, eta=state, elbo_trace=np.array(trace),
                      iterations=len(trace), converged=converged,

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._numeric import segment_max
 from .errors import ValidationError
-from .fitting import VariationalState, _require_e_step
+from .fitting import VariationalState
 from .model import EventSequence
 from .rootprob import RootProbMatrix
 from .simulate import BranchingStructure, _root_positions
@@ -103,26 +103,24 @@ class MiniConversations:
 def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConversations:
     """Group events into threads by the argmax of each variational posterior.
 
-    eta must come from `update_eta` or a fit: the parents are read from the
-    E-step's own terms, not from per-pair posteriors, so a state built from
-    given posteriors raises ValidationError.  Child i's candidates are its
-    overlap pairs (their eta_overlap) and, per kernel cell, the cell's latest
-    event m, valued as eta_pair values it, bit for bit.  Within a cell every
-    parent that shares no token with i has eta = C kappa(t_i - t_j), which
-    does not grow with the lag, so m bounds the others, and an overlap pair
-    is a candidate itself.  Ties follow np.argmax over (immigrant, parents
-    in time order): the immigrant when eta_i0 reaches the largest candidate,
-    else the earliest candidate that does.  It can differ from np.argmax
-    only on ties within rounding: two same-class events whose
-    (t_j - t_i) / nu round to the same value (times a few ulps apart),
-    where np.argmax takes the earlier and this m; and at gamma = 0, where
-    an overlap pair's mark term is 0, so its eta and its cell's value for
-    the same parent may differ in the last bit.
+    eta comes from `update_eta` or a fit: the parents are read from the
+    E-step's own terms, not from per-pair posteriors.  Child i's candidates
+    are its overlap pairs (their eta_overlap) and, per kernel cell, the
+    cell's latest event m, valued as eta_pair values it, bit for bit.
+    Within a cell every parent that shares no token with i has eta =
+    C kappa(t_i - t_j), which does not grow with the lag, so m bounds the
+    others, and an overlap pair is a candidate itself.  Ties follow
+    np.argmax over (immigrant, parents in time order): the immigrant when
+    eta_i0 reaches the largest candidate, else the earliest candidate that
+    does.  It can differ from np.argmax only on ties within rounding: two
+    same-class events whose (t_j - t_i) / nu round to the same value (times
+    a few ulps apart), where np.argmax takes the earlier and this m; and at
+    gamma = 0, where an overlap pair's mark term is 0, so its eta and its
+    cell's value for the same parent may differ in the last bit.
     """
     n = len(eta)
     if n != len(events):
         raise ValidationError("state and events disagree on length")
-    _require_e_step(eta, "the argmax parents of mini_conversations")
     st = eta.structure
     log_a, factor = eta._factors
     cell_start, cell_key, _, cell_last = st.cells

@@ -13,22 +13,21 @@ sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
 2008).  Each pass takes the PairStructure of the same events and kernel
 settings that is still alive (a fit's, while its report is held) or builds
 one, gets the posteriors, and solves the system by forward substitution, row
-by row.  When the structure's last E-step is still alive and ran at
-parameters equal in value to the pass's (a fit's final state, while its
-report is held), the full pass reads its posteriors and runs only the
-forward substitution; otherwise it runs the same E-step as the fit
-(`fitting._e_step`, from the kernel cells and the overlap pairs) and builds
-its per-pair posteriors, so a reused and a recomputed pass agree bit for
-bit.  Every row of r sums to 1 because every row of eta does, so no row is
+by row.  All three passes get them from the E-step that fits use
+(`fitting._e_step`, from the kernel cells and the overlap pairs).  When the
+structure's last E-step is still alive and ran at parameters equal in value
+to the pass's (a fit's final state, while its report is held), the full pass
+reads its posteriors and runs only the forward substitution, so a reused and
+a recomputed pass agree bit for bit.  The temporal-only variant keeps just
+the intensity factors of the weights, with the kernel cells and no overlap
+pairs; the mark-only variant keeps just the densities, with the overlap pairs
+and, per child, one count of parents per mark half in place of the cells.
+Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 
-The temporal-only variant keeps just the intensity factors of the weights,
-the mark-only variant keeps just the densities; both expand the E-step's
-terms (`fitting._weights`) onto every pair with `_log_weights`, relative to
-a constant per child, which the normalization cancels.  `enumerate_oracle`
-recomputes r by brute force over all joint parent assignments (product over
-events of their candidate sets) and is the ground truth the solve is tested
-against.
+`enumerate_oracle` recomputes r by brute force over all joint parent
+assignments (product over events of their candidate sets) and is the ground
+truth the solve is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _check_memory, _e_step, _log_weights, _normalize, _structure_for
+from .fitting import _check_memory, _e_step, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
 
@@ -98,12 +97,10 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
     _check_memory(n, 0, 0, S, V, window, roots=True)
     st = _structure_for(events, params.nu, window)
     _check_memory(n, st.n_pairs, st.tri_pair.size, S, V, st.window, roots=True)
-    if use_time and use_marks:
-        # not update_eta: the structure's record of a fit's E-step stays
-        state = st._state_at(params) or _e_step(st, params)
-        eta0, eta_pair = state.eta0, state.eta_pair
-    else:
-        eta0, eta_pair, _ = _normalize(st, *_log_weights(st, params, use_time, use_marks))
+    # not update_eta: the structure's record of a fit's E-step stays
+    state = (use_time and use_marks and st._state_at(params)) or _e_step(
+        st, params, use_time, use_marks)
+    eta0, eta_pair = state.eta0, state.eta_pair
     row_start = st.row_start.tolist()
     lo = st.lo.tolist()
     sources = events.sources.tolist()

@@ -14,7 +14,6 @@ from click.testing import CliRunner
 import rootsource as rs
 from rootsource.cli import cli, main
 from rootsource.dataio import (
-    read_eta,
     read_events,
     read_params,
     read_rootprob,
@@ -41,8 +40,7 @@ def workdir(tmp_path_factory, runner):
     assert res.exit_code == 0, res.output
     res = runner.invoke(cli, [
         "fit", "--events", str(d / "ev.jsonl"), "--nu", "5.0",
-        "--params-out", str(d / "fit.json"), "--eta-out", str(d / "eta.npz"),
-        "--trace-out", str(d / "trace.csv"),
+        "--params-out", str(d / "fit.json"), "--trace-out", str(d / "trace.csv"),
     ])
     assert res.exit_code == 0, res.output
     return d
@@ -85,10 +83,6 @@ def test_fit_outputs(workdir):
     fitted = read_params(workdir / "fit.json")
     assert 0 < fitted.gamma < 1
     assert np.all(fitted.rho >= 0) and np.all(fitted.A >= 0)
-    eta = read_eta(workdir / "eta.npz")
-    assert eta["nu"] == 5.0 and eta["window"] is None
-    n = len(read_events(workdir / "ev.jsonl"))
-    assert eta["eta0"].shape == (n,)
     lines = (workdir / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,elbo"
     vals = [float(r.split(",")[1]) for r in lines[1:]]

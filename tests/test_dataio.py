@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from rootsource.dataio import (
     RawComment,
     ingest,
     read_config,
-    read_eta,
     read_events,
     read_params,
     read_raw_comments,
     read_rootprob,
     read_truth,
     tokenize,
-    write_eta,
     write_eval,
     write_events,
     write_params,
@@ -24,7 +23,6 @@ from rootsource.dataio import (
     write_truth,
 )
 from rootsource.errors import ValidationError
-from rootsource.fitting import update_eta
 from rootsource.metrics import evaluate_root_probabilities
 from rootsource.model import EventSequence
 from rootsource.rootprob import RootProbMatrix, root_probabilities
@@ -88,6 +86,14 @@ def test_events_read_errors():
             read_events(io.StringIO(
                 head + '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 2}}\n'
                 f'{{"i": 2, "t": 2.0, "s": 1, "x": {x}}}\n'))
+    # a JSON boolean, which int() and float() would read as 1
+    for record, what in (('"t": true, "s": 1, "x": {}', "field 't' is not a number: True"),
+                         ('"t": 1.0, "s": true, "x": {}', "field 's' is not an integer: True"),
+                         ('"t": 1.0, "s": 1, "x": {"0": true}',
+                          "a count in field 'x' is not a number: True")):
+        with pytest.raises(ValidationError,
+                           match=rf"line 2: malformed event record \({re.escape(what)}\)"):
+            read_events(io.StringIO(head + f'{{"i": 1, {record}}}\n'))
     # labels too large for an integer array
     for s, x in (("Infinity", "{}"), ("1e30", "{}"), (str(10 ** 20), "{}"),
                  ("1", '{"4294967296": 1}')):
@@ -125,7 +131,9 @@ def test_events_fractional_source_label():
 
 
 @pytest.mark.parametrize("record", ['{"i": 1, "parent": 0.5, "root": 1}',
-                                    '{"i": 1, "parent": 0, "root": 1.5}'])
+                                    '{"i": 1, "parent": 0, "root": 1.5}',
+                                    '{"i": 1, "parent": false, "root": 1}',
+                                    '{"i": 1, "parent": 0, "root": true}'])
 def test_truth_fractional_label(record):
     with pytest.raises(ValidationError,
                        match="line 2: malformed truth record .* is not an integer"):
@@ -141,7 +149,8 @@ def test_events_header_missing_field(field):
 
 
 @pytest.mark.parametrize("field, value", [("T", "abc"), ("S", "two"), ("V", None),
-                                          ("S", float("inf"))])
+                                          ("S", float("inf")), ("T", True), ("S", True),
+                                          ("V", False)])
 def test_events_header_malformed_field(field, value):
     header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3, field: value}
     with pytest.raises(ValidationError, match=f"line 1: header: malformed field '{field}'"):
@@ -213,10 +222,12 @@ def test_params_document_missing_field(field):
 def test_params_document_malformed_fields():
     doc = {"schema": "params-v1", "rho": [0.1], "A": [[0.2]], "theta": [[1.0]],
            "gamma": 0.3, "nu": 2.0}
-    for field, value in (("A", [[0.2], [0.1, 0.3]]), ("gamma", "high"), ("rho", {"a": 1})):
+    for field, value in (("A", [[0.2], [0.1, 0.3]]), ("gamma", "high"), ("rho", {"a": 1}),
+                         ("gamma", True), ("nu", True), ("rho", [True]),
+                         ("theta", [[0.5, False]])):
         with pytest.raises(ValidationError, match=f"malformed field '{field}'"):
             read_params(io.StringIO(json.dumps({**doc, field: value})))
-    for shape in ([1.0], {"kind": "constant", "c": "two"}):
+    for shape in ([1.0], {"kind": "constant", "c": "two"}, {"kind": "constant", "c": True}):
         with pytest.raises(ValidationError, match="base_shape"):
             read_params(io.StringIO(json.dumps({**doc, "base_shape": shape})))
 
@@ -245,25 +256,6 @@ def test_params_v1_base_shape_folds_into_rho():
     for bad in ({"kind": "linear", "c": 1.0}, {"kind": "constant", "c": 0.0}):
         with pytest.raises(ValidationError):
             read_with(bad)
-
-
-def test_eta_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    events, params = random_instance(rng)
-    state = update_eta(events, params, window=50.0)
-    path = tmp_path / "eta.npz"
-    write_eta(state, path)
-    back = read_eta(path)
-    np.testing.assert_array_equal(back["eta0"], state.eta0)
-    np.testing.assert_array_equal(back["eta_pair"], state.eta_pair)
-    np.testing.assert_array_equal(back["log_z"], state.log_z)
-    np.testing.assert_array_equal(back["pair_i"], state.structure.pair_i)
-    assert back["nu"] == params.nu and back["window"] == 50.0
-
-    exact = update_eta(events, params)
-    path2 = tmp_path / "eta_exact.npz"
-    write_eta(exact, path2)
-    assert read_eta(path2)["window"] is None
 
 
 def test_rootprob_round_trip(sim):
@@ -333,6 +325,8 @@ def test_read_raw_comments():
         read_raw_comments(io.StringIO("nope\n"))
     with pytest.raises(ValidationError, match="line 2"):
         read_raw_comments(io.StringIO('{"t": 1.0, "author": "a"}\n{"t": 2.0}\n'))
+    with pytest.raises(ValidationError, match="line 1: .*field 't' is not a number"):
+        read_raw_comments(io.StringIO('{"t": true, "author": "a"}\n'))
     with pytest.raises(ValidationError, match="nonempty"):
         read_raw_comments(io.StringIO('{"t": 1.0, "author": ""}\n'))
 

@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import re
+import tracemalloc
 import weakref
 from functools import cached_property
 
@@ -157,9 +158,10 @@ def _count_builds(monkeypatch):
 def _count_e_steps(monkeypatch):
     calls = []
 
-    def counting(structure, params):
-        calls.append(structure.events)
-        return _e_step(structure, params)
+    def counting(structure, params, *flags):
+        if all(flags):  # the full model's, not a sub-model pass's
+            calls.append(structure.events)
+        return _e_step(structure, params, *flags)
 
     monkeypatch.setattr("rootsource.rootprob._e_step", counting)
     return calls
@@ -177,8 +179,8 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
               rs.root_probabilities_mark)
     got = [f(events, params, window=20.0).r for f in passes]
     assert built == []
-    # the full pass reads the fit's final E-step; the other two take the
-    # per-pair weights of their sub-models
+    # the full pass reads the fit's final E-step; the other two run the
+    # E-steps of their sub-models
     assert e_steps == []
     twin = copy.deepcopy(events)
     for f, r in zip(passes, got):
@@ -621,22 +623,6 @@ def test_m_step_inputs_match_the_per_pair_posteriors(window):
                         minlength=len(events)), rtol=0, atol=1e-12)
 
 
-def test_m_steps_need_an_e_step_state():
-    # a state built from given posteriors serves the readers of eta_pair only
-    rng = np.random.default_rng(91)
-    events = random_events(rng, 50, 2, 4, T=20.0)
-    params = random_params(rng, 2, 4, nu=1.0)
-    state = update_eta(events, params)
-    given = VariationalState(state.structure, state.eta0, state.eta_pair, state.log_z)
-    with pytest.raises(ValidationError,
-                       match="parents of mini_conversations need a state from update_eta"):
-        rs.mini_conversations(given, events)
-    with pytest.raises(ValidationError, match="need a state from update_eta"):
-        update_rho_alpha(events, given, PriorConfig.maximum_likelihood(2))
-    with pytest.raises(ValidationError, match="need a state from update_eta"):
-        update_theta_gamma(events, given, (params.theta, params.gamma))
-
-
 @pytest.mark.parametrize("window", [None, 3.0])
 def test_many_sources_match_the_per_pair_reference(window):
     # 300 events of 40 sources: in exact mode 44 850 pairs and cells bounded
@@ -656,20 +642,23 @@ def test_many_sources_match_the_per_pair_reference(window):
     assert report.window_dropped_mean == pytest.approx(want.mean(), rel=1e-12)
 
 
-def test_sub_model_passes_build_no_kernel_states():
+def test_sub_model_passes_build_only_their_layouts():
+    # the temporal pass reads the kernel cells but no overlap layout, the
+    # mark pass the overlap pairs but no kernel cells
     rng = np.random.default_rng(103)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
-    live = PairStructure(events, params.nu, window=5.0)
-    lazy = ("ov_pair", "tri_ov", "ov_row_start", "ov_cell", "cells")
+    overlap = {"ov_pair", "tri_ov", "ov_row_start", "ov_cell", "ov_log_kernel"}
+    twin = copy.deepcopy(events)
+    temporal = PairStructure(events, params.nu, window=5.0)
+    mark = PairStructure(twin, params.nu, window=5.0)
     rs.root_probabilities_temporal(events, params, window=5.0)
-    assert not set(lazy) & set(vars(live))
-    # the mark pass reads sigma on the overlap pairs, but no kernel cells
-    rs.root_probabilities_mark(events, params, window=5.0)
-    assert {"ov_pair", "tri_ov"} <= set(vars(live))
-    assert "cells" not in vars(live)
+    assert "cells" in vars(temporal) and not overlap & set(vars(temporal))
+    rs.root_probabilities_mark(twin, params, window=5.0)
+    assert {"ov_pair", "tri_ov", "ov_row_start"} <= set(vars(mark))
+    assert not {"cells", "ov_cell", "ov_log_kernel"} & set(vars(mark))
     rs.root_probabilities(events, params, window=5.0)
-    assert set(lazy) <= set(vars(live))
+    assert overlap | {"cells"} <= set(vars(temporal))
 
 
 def test_structure_stores_no_per_pair_array():
@@ -950,8 +939,37 @@ def test_unconverged_fit_returns_the_eta_of_its_params(max_iters):
     want = update_eta(events, report.params, window=20.0)
     for name in ("eta0", "eta_pair", "log_z"):
         np.testing.assert_array_equal(getattr(report.eta, name), getattr(want, name))
-    assert elbo(events, report.params, report.eta) == pytest.approx(
-        report.elbo_trace[-1], rel=1e-12)
+    assert elbo(events, report.params, report.eta) == report.elbo_trace[-1]
+
+
+def test_converged_fit_returns_the_eta_of_its_params():
+    # a fit that stops on its tolerance: elbo at the returned parameters is
+    # the last trace value, term for term
+    events, _ = rs.simulate(rs.make_synthetic_config(T=400.0, seed=1))
+    report = fit(events, nu=10.0, window=20.0, tol=1e-5)
+    assert report.converged and 2 < report.iterations < 200
+    assert elbo(events, report.params, report.eta) == report.elbo_trace[-1]
+
+
+def test_elbo_allocates_nothing_per_pair():
+    # exact mode with fewer overlap pairs than pairs: elbo reads the state's
+    # masses and the terms at its parameters, at its own and at others
+    rng = np.random.default_rng(113)
+    events = random_events(rng, 600, 3, 400, T=60.0)
+    params = random_params(rng, 3, 400, gamma=0.4, nu=1.0)
+    state = update_eta(events, params)
+    st = state.structure
+    assert st.ov_pair.size < st.n_pairs // 10
+    other = rs.ModelParams(rho=2.0 * params.rho, A=params.A[::-1].copy(),
+                           theta=params.theta, gamma=0.7, nu=params.nu)
+    tracemalloc.start()
+    try:
+        elbo(events, params, state)
+        elbo(events, other, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < st.n_pairs * 8, (peak, st.n_pairs)
 
 
 def test_fit_huge_window_matches_exact():

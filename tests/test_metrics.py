@@ -16,7 +16,8 @@ from rootsource.metrics import (
     true_root_log_probability,
 )
 from rootsource.rootprob import RootProbMatrix
-from util import covered_cells, random_events, random_params, reference_mini_conversations
+from util import (covered_cells, eta_row, random_events, random_params,
+                  reference_mini_conversations)
 
 
 def mat(rows, mode="full"):
@@ -106,7 +107,7 @@ def test_mini_conversations_ties_and_windowed_rows():
     # parent the second
     e = math.e
     events, state = _two_source_state([[e * e, e], [e, 1e-3]])
-    row2, row3 = state.eta_vector(1), state.eta_vector(2)
+    row2, row3 = eta_row(state, 1), eta_row(state, 2)
     assert row2[0] == row2[1] and row3[1] == row3[2] > row3[0]
     mc = mini_conversations(state, events)
     assert mc.branching.parent.tolist() == [0, 0, 1]
@@ -114,7 +115,7 @@ def test_mini_conversations_ties_and_windowed_rows():
     # a window of 1.5 leaves event 3 only parent 2 (lo = 1)
     events, state = _two_source_state([[e * e, e], [e, 1e-3]], window=1.5)
     assert state.structure.lo.tolist() == [0, 0, 1]
-    row2 = state.eta_vector(1)
+    row2 = eta_row(state, 1)
     assert row2[0] == row2[1]
     mc = mini_conversations(state, events)
     assert mc.branching.parent.tolist() == [0, 0, 2]
@@ -162,7 +163,7 @@ def test_mini_conversations_match_the_pair_scan(kind, window):
         assert np.isneginf(state._factors[1][:, 0]).any()
     mc = mini_conversations(state, events)
     parent, conversations = reference_mini_conversations(state)
-    rows = [state.eta_vector(k) for k in range(len(events))]
+    rows = [eta_row(state, k) for k in range(len(events))]
     assert parent.tolist() == [int(np.argmax(v)) for v in rows]
     np.testing.assert_array_equal(mc.branching.parent, parent)
     assert mc.conversations == conversations

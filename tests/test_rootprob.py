@@ -399,11 +399,38 @@ def test_posteriors_match_enumeration_property(case):
     log_lik = math.fsum(state.log_z) - rs.compensator(params, events)
     assert log_lik == pytest.approx(log_marginal, abs=1e-10)
     assert rs.elbo(events, params, state) == pytest.approx(log_marginal, abs=1e-10)
-    # the objective at other parameters: sum eta W - sum eta log eta - compensator
     other = _other_params(params)
-    W = _choice_log_weights(events, other)
+    assert rs.elbo(events, other, state) == pytest.approx(
+        _dense_elbo(events, other, state), abs=1e-10)
+
+
+def _dense_elbo(events, params, state):
+    """The objective of the state's posteriors at params: sum eta W - sum eta
+    log eta - compensator, with W from the model densities."""
+    W = _choice_log_weights(events, params)
     eta = dense_eta(state)
     with np.errstate(invalid="ignore"):
         data = np.where(eta > 0, eta * W, 0.0).sum()
-    want = data - xlogy(eta, eta).sum() - rs.compensator(other, events)
-    assert rs.elbo(events, other, state) == pytest.approx(want, abs=1e-10)
+    return data - xlogy(eta, eta).sum() - rs.compensator(params, events)
+
+
+@pytest.mark.parametrize("marks, sources, zero, finite", [
+    (({0: 1}, {1: 1}), (0, 0), False, False),          # no shared token
+    (({0: 1}, {0: 1}), (0, 0), False, True),           # the parent shares it
+    (({0: 1}, {}, {0: 1}), (0, 0, 0), False, True),    # and one has an empty mark
+    (({0: 1}, {1: 1}), (1, 0), True, True),            # the parent has no mass
+])
+def test_elbo_where_a_child_gains_a_dead_token(marks, sources, zero, finite):
+    # gamma 0 -> 1 kills every token: the last child's parents with a
+    # non-empty mark and no shared token lose their weight, and the
+    # objective is -inf where they hold mass
+    evs = [rs.Event.make(k + 1, k + 1.0, s, x) for k, (s, x) in enumerate(zip(sources, marks))]
+    events = rs.EventSequence.from_events(evs, T=len(evs) + 1.0, S=2, V=2)
+    A = np.array([[0.5, 0.0 if zero else 0.5], [0.5, 0.5]])
+    params = rs.ModelParams(rho=np.array([0.5, 0.5]), A=A, theta=np.full((2, 2), 0.5),
+                            gamma=0.0, nu=1.0)
+    dead = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=1.0, nu=1.0)
+    state = rs.update_eta(events, params)
+    got, want = rs.elbo(events, dead, state), _dense_elbo(events, dead, state)
+    assert math.isfinite(want) == finite
+    assert got == pytest.approx(want, abs=1e-10)

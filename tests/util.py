@@ -51,12 +51,21 @@ def covered_cells(events, window, nu):
     return ok
 
 
+def eta_row(state, k):
+    """Dense eta_k = (immigrant, parent 1, ..., parent k) of length k+1."""
+    st = state.structure
+    out = np.zeros(k + 1)
+    out[0] = state.eta0[k]
+    out[st.lo[k] + 1:k + 1] = state.eta_pair[st.row_start[k]:st.row_start[k + 1]]
+    return out
+
+
 def dense_eta(state):
     """Materialize variational responsibilities as an (n, n+1) array."""
     n = len(state.structure.events)
     out = np.zeros((n, n + 1))
     for k in range(n):
-        out[k, : k + 1] = state.eta_vector(k)
+        out[k, : k + 1] = eta_row(state, k)
     return out
 
 
@@ -181,17 +190,36 @@ def reference_log_mark_densities(structure, params):
     return log_f_imm, log_f_pair
 
 
+def reference_normalize(structure, logw_imm, logw_pair, c):
+    """Per-event log-sum-exp normalization of per-pair log weights.
+
+    The per-pair normalizer that the E-step over kernel cells replaced:
+    takes log weights relative to a per-child constant c and returns (eta0,
+    eta_pair, log_z); eta_pair is logw_pair's buffer, normalized in place.
+    """
+    from rootsource._numeric import segment_max, segment_sum
+    from rootsource.fitting import _raise_if_dead
+
+    m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
+    _raise_if_dead(m)
+    wi = np.exp(logw_imm - m)
+    eta_pair = logw_pair
+    eta_pair -= np.repeat(m, structure.row_len)
+    np.exp(eta_pair, out=eta_pair)
+    z = wi + segment_sum(eta_pair, structure.row_start)
+    eta_pair /= np.repeat(z, structure.row_len)
+    return wi / z, eta_pair, m + np.log(z) + c
+
+
 def reference_e_step(structure, params):
     """(eta0, eta_pair, log_z) from the reference mark half, in absolute terms."""
-    from rootsource.fitting import _normalize
-
     logw_imm, logw_pair = reference_log_mark_densities(structure, params)
     log_kernel, pair_cell, _ = reference_pairs(structure)
     with np.errstate(divide="ignore"):
         logw_imm += np.log(params.rho)[structure.events.sources]
         logw_pair += np.log(params.A).ravel()[pair_cell]
     logw_pair += log_kernel
-    return _normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
+    return reference_normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
 
 
 def _reference_draw_length(rng, mean):
