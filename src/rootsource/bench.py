@@ -129,8 +129,11 @@ def _import_seconds() -> float:
     return statistics.median(times)
 
 
+RATE = 2.5  # the synthetic setup's stationary events per time unit
+
+
 def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
-              seed: int = 0, rate: float = 2.5) -> BenchReport:
+              seed: int = 0) -> BenchReport:
     """Simulate at each target size; time the draw, structure build, E/M sweeps, root pass.
 
     sweep_seconds is the fastest whole sweep (other work on the host only
@@ -150,7 +153,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     (structure_mb, in MiB), and records the process's peak RSS (ru_maxrss,
     which never decreases) after the row.  Scales are target event counts;
     the synthetic setup has stationary rate 2.5 events per time unit, so
-    T = n / rate.  Sweep timing excludes the one-time candidate-structure
+    T = n / RATE.  Sweep timing excludes the one-time candidate-structure
     build, matching how a long fit amortizes it.  The report's
     import_seconds is the median of three cold starts, before any scale.
     """
@@ -160,7 +163,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     for target in scales:
         if target <= 0:
             raise ValidationError("scales must be positive event counts")
-        cfg = make_synthetic_config(T=target / rate, seed=seed)
+        cfg = make_synthetic_config(T=target / RATE, seed=seed)
         t0 = time.perf_counter()
         events, _ = simulate(cfg)
         sim = time.perf_counter() - t0

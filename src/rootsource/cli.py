@@ -179,10 +179,7 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
                    f"excitation intensity", err=True)
     dataio.write_params(report.params, _out(params_out))
     if trace_out:
-        with open(trace_out, "w") as fp:
-            fp.write("iteration,elbo\n")
-            for k, v in enumerate(report.elbo_trace.tolist(), start=1):
-                fp.write(f"{k},{v!r}\n")
+        dataio.write_trace(report.elbo_trace, trace_out)
 
 
 @cli.command(name="root-prob")
@@ -303,13 +300,7 @@ def bench(ctx, config, scales, window, exact, sweeps, seed, out):
         else:
             click.echo(f"sweep time vs n: slope={a:.3e}s/event, R^2={r2:.4f}")
     if out:
-        import json
-        from dataclasses import asdict
-        rows = [asdict(r) for r in report.rows]
-        with open(out, "w") as fp:
-            json.dump({"schema": "bench-v8", "exact": exact, "sweeps": sweeps,
-                       "import_seconds": report.import_seconds, "rows": rows}, fp, indent=2)
-            fp.write("\n")
+        dataio.write_bench(report, out)
 
 
 def main(argv=None):

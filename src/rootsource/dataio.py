@@ -1,9 +1,12 @@
 """Serialization formats, flat config files, and raw-comment ingestion.
 
-File conventions: event streams are JSONL with a schema header line; model
-parameters and evaluation reports are JSON documents; root-probability
-matrices are CSV with a schema comment line.  All floats are written with
-full repr precision so round-trips are bit-exact.
+File conventions: event streams and truth sidecars are JSONL with a schema
+header line; model parameters, evaluation and bench reports are JSON
+documents; root-probability matrices are CSV with a schema comment line, and
+a fit's trace is CSV.  All floats are written with full repr precision so
+round-trips are bit-exact.  Every reader and writer takes a path, which it
+closes also on an error, or an open file, which it leaves open.  Malformed
+input, JSON's NaN and Infinity included, raises ValidationError.
 
 Source labels are 1-based in every file format ("s", "root", the r_1..r_S
 CSV columns, argmax_source) and 0-based in memory; token indices are 0-based
@@ -13,9 +16,11 @@ event indices, matching the in-memory convention.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +34,7 @@ __all__ = [
     "write_truth", "read_truth", "TruthInfo",
     "write_params", "read_params",
     "write_rootprob", "read_rootprob",
-    "write_eval", "read_config",
+    "write_eval", "write_trace", "write_bench", "read_config",
     "RawComment", "Vocabulary", "tokenize", "ingest", "read_raw_comments",
 ]
 
@@ -38,12 +43,14 @@ TRUTH_SCHEMA = "truth-v1"
 PARAMS_SCHEMA = "params-v1"
 ROOTPROB_SCHEMA = "rootprob-v1"
 EVAL_SCHEMA = "eval-v1"
+BENCH_SCHEMA = "bench-v8"
 
 
-def _open(path_or_file, mode: str):
+def _opened(path_or_file, mode: str):
+    """A context for a path, opened and closed on any exit, or for a file, left open."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode)
 
 
 def _object(doc, what: str) -> dict:
@@ -71,20 +78,45 @@ def _integer(value, what: str = "value") -> int:
 
 
 def _real(value, what: str = "value") -> float:
-    """float(value), refusing a boolean, which float() would read as 0 or 1."""
+    """float(value), refusing a boolean, which float() would read as 0 or 1,
+    and JSON's NaN and Infinity."""
     if isinstance(value, bool):
         raise ValueError(f"{what} is not a number: {value!r}")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return value
 
 
 def _reals(value) -> np.ndarray:
-    """A float64 array of nested lists, refusing a boolean entry."""
+    """A float64 array of nested lists, refusing a boolean, NaN or infinite entry."""
     def has_bool(v):
         return isinstance(v, bool) or isinstance(v, list) and any(map(has_bool, v))
 
     if has_bool(value):
         raise ValueError("an entry is not a number: a boolean")
-    return np.asarray(value, dtype=np.float64)
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError("an entry is not finite")
+    return array
+
+
+def _document(text: str, schema: str, what: str) -> dict:
+    """The JSON object in text, tagged with schema; what names it in errors."""
+    if not text.strip():
+        raise ValidationError(f"{what} is missing: the file is empty")
+    try:
+        doc = _object(json.loads(text), what)
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{what}: malformed JSON ({err})") from err
+    if doc.get("schema") != schema:
+        raise ValidationError(f"schema mismatch: expected {schema}, got {doc.get('schema')!r}")
+    return doc
+
+
+def _write_json(doc: dict, path_or_file, indent=None) -> None:
+    with _opened(path_or_file, "w") as fp:
+        json.dump(doc, fp, indent=indent)
+        fp.write("\n")
 
 
 # Rows formatted at a time, so that no file's whole text is held in memory.
@@ -99,14 +131,10 @@ def _write_lines(path_or_file, head: str, line: str, n: int, block) -> None:
     write for one record, so no per-record object is built and the bytes
     match a record-by-record writer exactly.
     """
-    fp, owned = _open(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fp:
         fp.write(head)
         for a in range(0, n, WRITE_BLOCK):
             fp.writelines(map(line.format, *block(a, min(a + WRITE_BLOCK, n))))
-    finally:
-        if owned:
-            fp.close()
 
 
 # ---------------------------------------------------------------- events ---
@@ -134,19 +162,8 @@ def write_events(events: EventSequence, path_or_file) -> None:
 
 
 def read_events(path_or_file) -> EventSequence:
-    fp, owned = _open(path_or_file, "r")
-    try:
-        header_line = fp.readline()
-        if not header_line.strip():
-            raise ValidationError("empty events file: missing schema header")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"line 1: malformed header ({err})") from err
-        _object(header, "line 1: header")
-        if header.get("schema") != EVENTS_SCHEMA:
-            raise ValidationError(
-                f"schema mismatch: expected {EVENTS_SCHEMA}, got {header.get('schema')!r}")
+    with _opened(path_or_file, "r") as fp:
+        header = _document(fp.readline(), EVENTS_SCHEMA, "line 1: header")
         T, S, V = (_field(header, key, kind, "line 1: header")
                    for key, kind in (("T", _real), ("S", _integer), ("V", _integer)))
         times, sources, indptr, tok_i, tok_c = [], [], [0], [], []
@@ -183,9 +200,6 @@ def read_events(path_or_file) -> EventSequence:
         except OverflowError as err:
             raise ValidationError(f"event record label out of range ({err})") from err
         return EventSequence(*arrays, T=T, S=S, V=V)
-    finally:
-        if owned:
-            fp.close()
 
 
 # ----------------------------------------------------------------- truth ---
@@ -207,17 +221,8 @@ def write_truth(truth: GroundTruth, path_or_file) -> None:
 
 
 def read_truth(path_or_file) -> TruthInfo:
-    fp, owned = _open(path_or_file, "r")
-    try:
-        header_line = fp.readline()
-        try:
-            header = json.loads(header_line) if header_line.strip() else {}
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"line 1: malformed header ({err})") from err
-        _object(header, "line 1: header")
-        if header.get("schema") != TRUTH_SCHEMA:
-            raise ValidationError(
-                f"schema mismatch: expected {TRUTH_SCHEMA}, got {header.get('schema')!r}")
+    with _opened(path_or_file, "r") as fp:
+        _document(fp.readline(), TRUTH_SCHEMA, "line 1: header")
         parent, root = [], []
         for lineno, line in enumerate(fp, start=2):
             if not line.strip():
@@ -233,45 +238,19 @@ def read_truth(path_or_file) -> TruthInfo:
                              root_sources=np.array(root, dtype=np.int64))
         except OverflowError as err:
             raise ValidationError(f"truth record label out of range ({err})") from err
-    finally:
-        if owned:
-            fp.close()
 
 
 # ---------------------------------------------------------------- params ---
 
 def write_params(params: ModelParams, path_or_file) -> None:
-    doc = {
-        "schema": PARAMS_SCHEMA,
-        "rho": params.rho.tolist(),
-        "A": params.A.tolist(),
-        "theta": params.theta.tolist(),
-        "gamma": params.gamma,
-        "nu": params.nu,
-    }
-    fp, owned = _open(path_or_file, "w")
-    try:
-        json.dump(doc, fp)
-        fp.write("\n")
-    finally:
-        if owned:
-            fp.close()
+    _write_json({"schema": PARAMS_SCHEMA, "rho": params.rho.tolist(), "A": params.A.tolist(),
+                 "theta": params.theta.tolist(), "gamma": params.gamma, "nu": params.nu},
+                path_or_file)
 
 
 def read_params(path_or_file) -> ModelParams:
-    fp, owned = _open(path_or_file, "r")
-    try:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"malformed params document ({err})") from err
-    finally:
-        if owned:
-            fp.close()
-    _object(doc, "params document")
-    if doc.get("schema") != PARAMS_SCHEMA:
-        raise ValidationError(
-            f"schema mismatch: expected {PARAMS_SCHEMA}, got {doc.get('schema')!r}")
+    with _opened(path_or_file, "r") as fp:
+        doc = _document(fp.read(), PARAMS_SCHEMA, "params document")
     # Older writers stored a constant base shape c, the factor on rho in the
     # base rate rho * c; it folds into rho, and c = 1 leaves rho bit for bit.
     shape = _object(doc.get("base_shape", {"kind": "constant", "c": 1.0}), "base_shape")
@@ -301,14 +280,10 @@ def write_rootprob(rpm: RootProbMatrix, path_or_file) -> None:
 
 
 def read_rootprob(path_or_file) -> RootProbMatrix:
-    fp, owned = _open(path_or_file, "r")
-    try:
-        head = fp.readline().strip()
-        m = re.match(rf"#\s*{ROOTPROB_SCHEMA}\s+mode=(\w+)", head)
+    with _opened(path_or_file, "r") as fp:
+        m = re.match(rf"#\s*{ROOTPROB_SCHEMA}\s+mode=(\w+)", fp.readline().strip())
         if not m:
-            raise ValidationError(
-                f"line 1: expected '# {ROOTPROB_SCHEMA} mode=...' comment")
-        mode = m.group(1)
+            raise ValidationError(f"line 1: expected '# {ROOTPROB_SCHEMA} mode=...' comment")
         header = fp.readline().strip().split(",")
         if header[:1] != ["event_index"] or header[-1:] != ["argmax_source"]:
             raise ValidationError("line 2: malformed column header")
@@ -324,34 +299,33 @@ def read_rootprob(path_or_file) -> RootProbMatrix:
                 rows.append([float(v) for v in parts[1:1 + S]])
             except ValueError as err:
                 raise ValidationError(f"line {lineno}: malformed value ({err})") from err
-        return RootProbMatrix(np.array(rows).reshape(len(rows), S), mode)
-    finally:
-        if owned:
-            fp.close()
+        return RootProbMatrix(np.array(rows).reshape(len(rows), S), m.group(1))
 
 
 # ------------------------------------------------------------ eval / cfg ---
 
 def write_eval(report, path_or_file) -> None:
-    doc = {
-        "schema": EVAL_SCHEMA,
-        "n_events": report.n_events,
-        "accuracy": report.accuracy,
-        "log_prob": report.log_prob,
-        "top_k": {str(k): v for k, v in report.top_k.items()},
-        "power": [float(v) for v in report.power],
-    }
+    doc = {"schema": EVAL_SCHEMA, "n_events": report.n_events, "accuracy": report.accuracy,
+           "log_prob": report.log_prob, "top_k": {str(k): v for k, v in report.top_k.items()},
+           "power": [float(v) for v in report.power]}
     if report.rse_A is not None:
         doc["rse_A"] = report.rse_A
     if report.rse_theta is not None:
         doc["rse_theta"] = [float(v) for v in report.rse_theta]
-    fp, owned = _open(path_or_file, "w")
-    try:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
-    finally:
-        if owned:
-            fp.close()
+    _write_json(doc, path_or_file, indent=2)
+
+
+def write_trace(elbo_trace, path_or_file) -> None:
+    """CSV of a fit's objective per sweep: iteration,elbo rows, 1-based."""
+    _write_lines(path_or_file, "iteration,elbo\n", "{},{!r}\n", len(elbo_trace),
+                 lambda a, b: (range(a + 1, b + 1), elbo_trace[a:b].tolist()))
+
+
+def write_bench(report, path_or_file) -> None:
+    """JSON of a `rootsource bench` report: its settings, cold start and rows."""
+    _write_json({"schema": BENCH_SCHEMA, "exact": report.window is None,
+                 "sweeps": report.sweeps, "import_seconds": report.import_seconds,
+                 "rows": [asdict(r) for r in report.rows]}, path_or_file, indent=2)
 
 
 def read_config(path) -> dict:
@@ -406,8 +380,7 @@ def tokenize(text: str) -> list:
 
 def read_raw_comments(path_or_file) -> list:
     """JSONL of {"t","author","text"} (or {"t","author","x":{token:count}})."""
-    fp, owned = _open(path_or_file, "r")
-    try:
+    with _opened(path_or_file, "r") as fp:
         out = []
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
@@ -416,16 +389,13 @@ def read_raw_comments(path_or_file) -> list:
                 rec = json.loads(line)
                 t = _real(rec["t"], "field 't'")
                 author = str(rec["author"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed comment record ({err})") from err
             if not author:
                 raise ValidationError(f"line {lineno}: author must be nonempty")
             out.append(RawComment(t=t, author=author, text=rec.get("text"),
                                   counts=rec.get("x")))
         return out
-    finally:
-        if owned:
-            fp.close()
 
 
 def ingest(raws, min_count: int = 2, min_author_count: int = 5,

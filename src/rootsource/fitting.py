@@ -325,9 +325,9 @@ class PairStructure:
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
-        if nu <= 0:
-            raise ValidationError("nu must be positive")
-        if window is not None and window <= 0:
+        if not 0 < nu < np.inf:
+            raise ValidationError("nu must be positive and finite")
+        if window is not None and not window > 0:
             raise ValidationError("truncation window must be positive")
         n = len(events)
         times = events.times
@@ -369,11 +369,6 @@ class PairStructure:
     def pair_i(self) -> np.ndarray:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
-
-    @property
-    def pair_j(self) -> np.ndarray:
-        """Parent index of every pair; rebuilt on each access, not stored."""
-        return self._parent(np.arange(self.n_pairs), slice(None))
 
     # The layout in one place.  A pair's child i is an index array, one entry
     # per pair, or a slice a:b that stands for all pairs of children a..b-1.

@@ -120,8 +120,7 @@ class EventSequence:
     EventSequence instead.
     """
 
-    def __init__(self, times, sources, tok_indptr, tok_index, tok_count, T, S, V,
-                 validate: bool = True):
+    def __init__(self, times, sources, tok_indptr, tok_index, tok_count, T, S, V):
         self.times = np.asarray(times, dtype=np.float64)
         self.sources = np.asarray(sources, dtype=np.int64)
         self.tok_indptr = np.asarray(tok_indptr, dtype=np.int64)
@@ -131,18 +130,17 @@ class EventSequence:
         self.S = int(S)
         self.V = int(V)
         self._postings = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = len(self.times)
         if len(self.sources) != n or len(self.tok_indptr) != n + 1:
             raise ValidationError("inconsistent array lengths in event sequence")
-        if self.T <= 0 or self.S < 1 or self.V < 0:
-            raise ValidationError("T must be positive, S >= 1, V >= 0")
+        if not 0 < self.T < np.inf or self.S < 1 or self.V < 0:
+            raise ValidationError("T must be positive and finite, S >= 1, V >= 0")
         if n == 0:
             return
-        if np.any(self.times <= 0) or np.any(self.times > self.T):
+        if not np.all((self.times > 0) & (self.times <= self.T)):
             raise ValidationError("event timestamps must lie in (0, T]")
         dt = np.diff(self.times)
         if np.any(dt <= 0):
@@ -287,13 +285,13 @@ class ModelParams:
 
     def validate(self):
         S = self.rho.shape[0]
-        if self.rho.ndim != 1 or np.any(self.rho < 0):
-            raise ValidationError("rho must be a nonnegative vector")
-        if self.A.shape != (S, S) or np.any(self.A < 0):
-            raise ValidationError("A must be a nonnegative S x S matrix")
+        if self.rho.ndim != 1 or not np.all((self.rho >= 0) & (self.rho < np.inf)):
+            raise ValidationError("rho must be a finite nonnegative vector")
+        if self.A.shape != (S, S) or not np.all((self.A >= 0) & (self.A < np.inf)):
+            raise ValidationError("A must be a finite nonnegative S x S matrix")
         if self.theta.ndim != 2 or self.theta.shape[0] != S:
             raise ValidationError("theta must have one row per source")
-        if np.any(self.theta < 0):
+        if not np.all(self.theta >= 0):  # also false for NaN; inf fails the row sums
             raise ValidationError("theta entries must be nonnegative")
         if self.theta.shape[1] > 0:
             rowsums = self.theta.sum(axis=1)
@@ -301,8 +299,8 @@ class ModelParams:
                 raise ValidationError("theta rows must sum to 1 within 1e-9")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValidationError("gamma must lie in [0, 1]")
-        if self.nu <= 0:
-            raise ValidationError("nu must be positive")
+        if not 0 < self.nu < np.inf:
+            raise ValidationError("nu must be positive and finite")
 
     @property
     def S(self) -> int:

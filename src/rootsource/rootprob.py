@@ -71,7 +71,7 @@ class RootProbMatrix:
         if self.r.ndim != 2:
             raise ValidationError("r must be a 2-d matrix")
         if self.r.size:
-            if np.any(self.r < 0) or np.any(self.r > 1):
+            if not np.all((self.r >= 0) & (self.r <= 1)):
                 raise ValidationError("root probabilities must lie in [0, 1]")
             if np.any(np.abs(self.r.sum(axis=1) - 1.0) > 1e-9):
                 raise ValidationError("root probability rows must sum to 1")

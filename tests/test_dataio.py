@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from rootsource import dataio
+from rootsource.bench import BenchReport, BenchRow
 from rootsource.dataio import (
     RawComment,
     ingest,
@@ -16,15 +18,17 @@ from rootsource.dataio import (
     read_rootprob,
     read_truth,
     tokenize,
+    write_bench,
     write_eval,
     write_events,
     write_params,
     write_rootprob,
+    write_trace,
     write_truth,
 )
 from rootsource.errors import ValidationError
-from rootsource.metrics import evaluate_root_probabilities
-from rootsource.model import EventSequence
+from rootsource.metrics import EvalReport, evaluate_root_probabilities
+from rootsource.model import EventSequence, ModelParams
 from rootsource.rootprob import RootProbMatrix, root_probabilities
 from rootsource.simulate import make_synthetic_config, simulate
 from util import (random_instance, reference_write_events, reference_write_rootprob,
@@ -99,6 +103,12 @@ def test_events_read_errors():
                  ("1", '{"4294967296": 1}')):
         with pytest.raises(ValidationError, match="event record"):
             read_events(io.StringIO(head + f'{{"i": 1, "t": 1.0, "s": {s}, "x": {x}}}\n'))
+    # a time that is no number, which every comparison passes
+    for t in ("NaN", "Infinity"):
+        with pytest.raises(ValidationError, match=r"event timestamps must lie in \(0, T\]"):
+            read_events(io.StringIO(head + "".join(
+                f'{{"i": {i}, "t": {v}, "s": 1, "x": {{}}}}\n'
+                for i, v in enumerate((1.0, t, 3.0), start=1))))
 
 
 @pytest.mark.parametrize("record", ['{"i": 1, "parent": Infinity, "root": 1}',
@@ -150,7 +160,8 @@ def test_events_header_missing_field(field):
 
 @pytest.mark.parametrize("field, value", [("T", "abc"), ("S", "two"), ("V", None),
                                           ("S", float("inf")), ("T", True), ("S", True),
-                                          ("V", False)])
+                                          ("V", False), ("T", float("nan")),
+                                          ("T", float("inf"))])
 def test_events_header_malformed_field(field, value):
     header = {"schema": "events-v1", "T": 5.0, "S": 2, "V": 3, field: value}
     with pytest.raises(ValidationError, match=f"line 1: header: malformed field '{field}'"):
@@ -224,7 +235,9 @@ def test_params_document_malformed_fields():
            "gamma": 0.3, "nu": 2.0}
     for field, value in (("A", [[0.2], [0.1, 0.3]]), ("gamma", "high"), ("rho", {"a": 1}),
                          ("gamma", True), ("nu", True), ("rho", [True]),
-                         ("theta", [[0.5, False]])):
+                         ("theta", [[0.5, False]]), ("rho", [math.nan]), ("rho", [math.inf]),
+                         ("A", [[math.nan]]), ("A", [[math.inf]]), ("theta", [[math.nan]]),
+                         ("theta", [[math.inf]]), ("nu", math.nan), ("nu", math.inf)):
         with pytest.raises(ValidationError, match=f"malformed field '{field}'"):
             read_params(io.StringIO(json.dumps({**doc, field: value})))
     for shape in ([1.0], {"kind": "constant", "c": "two"}, {"kind": "constant", "c": True}):
@@ -283,6 +296,9 @@ def test_rootprob_read_errors():
         read_rootprob(io.StringIO(good + "1,0.5\n"))
     with pytest.raises(ValidationError, match="line 3"):
         read_rootprob(io.StringIO(good + "1,0.5,oops,1\n"))
+    for row in ("1,nan,1.0,2\n", "1,0.5,inf,2\n"):
+        with pytest.raises(ValidationError, match=r"root probabilities must lie in \[0, 1\]"):
+            read_rootprob(io.StringIO(good + row))
 
 
 def test_eval_write(sim):
@@ -422,3 +438,125 @@ def test_writers_match_record_by_record_writers(sim, monkeypatch, block):
         write(obj, got)
         reference(obj, want)
         assert got.getvalue() == want.getvalue(), write.__name__
+
+
+def test_writers_keep_their_bytes():
+    # the exact text of the JSON documents and of a fit's trace
+    params = ModelParams(rho=[0.1, 2.5e-07], A=[[0.2, 0.0], [0.1, 0.3]],
+                         theta=[[0.5, 0.5], [1.0, 0.0]], gamma=0.3, nu=10.0)
+    report = EvalReport(accuracy=0.75, log_prob=-1.5, top_k={1: 0.75, 2: 1.0},
+                        power=np.array([1.25, 2.75]), n_events=4, rse_A=0.125,
+                        rse_theta=np.array([0.5, 1e-20]))
+    row = BenchRow(target=60, n=58, simulate_seconds=0.5, build_seconds=0.25,
+                   sweep_seconds=0.125, rootprob_seconds=1e-05, pairs=100, triples=7,
+                   e_step_seconds=0.0625, rho_A_seconds=0.03125, theta_gamma_seconds=0.03125,
+                   objective_seconds=0.01, threads_seconds=0.002, structure_mb=0.5,
+                   peak_rss_mb=None)
+    cases = [
+        (write_params, params,
+         '{"schema": "params-v1", "rho": [0.1, 2.5e-07], "A": [[0.2, 0.0], [0.1, 0.3]], '
+         '"theta": [[0.5, 0.5], [1.0, 0.0]], "gamma": 0.3, "nu": 10.0}\n'),
+        (write_eval, report,
+         '{\n  "schema": "eval-v1",\n  "n_events": 4,\n  "accuracy": 0.75,\n'
+         '  "log_prob": -1.5,\n  "top_k": {\n    "1": 0.75,\n    "2": 1.0\n  },\n'
+         '  "power": [\n    1.25,\n    2.75\n  ],\n  "rse_A": 0.125,\n'
+         '  "rse_theta": [\n    0.5,\n    1e-20\n  ]\n}\n'),
+        (write_trace, np.array([-3.5, -1.25, -1.0000000000000002]),
+         "iteration,elbo\n1,-3.5\n2,-1.25\n3,-1.0000000000000002\n"),
+        (write_trace, np.empty(0), "iteration,elbo\n"),
+    ]
+    for window, exact in ((None, "true"), (20.0, "false")):
+        cases.append((write_bench, BenchReport(import_seconds=0.3, rows=[row], window=window,
+                                               sweeps=2),
+                      f'{{\n  "schema": "bench-v8",\n  "exact": {exact},\n  "sweeps": 2,\n'
+                      '  "import_seconds": 0.3,\n  "rows": [\n    {\n'
+                      + "".join(f'      "{k}": {v},\n' for k, v in (
+                          ("target", 60), ("n", 58), ("simulate_seconds", 0.5),
+                          ("build_seconds", 0.25), ("sweep_seconds", 0.125),
+                          ("rootprob_seconds", "1e-05"), ("pairs", 100), ("triples", 7),
+                          ("e_step_seconds", 0.0625), ("rho_A_seconds", 0.03125),
+                          ("theta_gamma_seconds", 0.03125), ("objective_seconds", 0.01),
+                          ("threads_seconds", 0.002), ("structure_mb", 0.5)))
+                      + '      "peak_rss_mb": null\n    }\n  ]\n}\n'))
+    for write, obj, want in cases:
+        buf = io.StringIO()
+        write(obj, buf)
+        assert buf.getvalue() == want, write.__name__
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file that dataio opens by path, in order."""
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+    return handles
+
+
+# (a file that reads, a file whose third line or field is malformed)
+READ_CASES = {
+    read_events: ('{"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}\n'
+                  '{"i": 1, "t": 1.0, "s": 1, "x": {}}\n',
+                  '{"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}\n'
+                  '{"i": 1, "t": 1.0, "s": 1, "x": {}}\n{"i": 2, "t": 2.0}\n'),
+    read_truth: ('{"schema": "truth-v1"}\n{"i": 1, "parent": 0, "root": 1}\n',
+                 '{"schema": "truth-v1"}\n{"i": 1, "parent": 0, "root": 1}\n{"i": 2}\n'),
+    read_params: ('{"schema": "params-v1", "rho": [0.1], "A": [[0.2]], "theta": [[1.0]], '
+                  '"gamma": 0.3, "nu": 2.0}',
+                  '{"schema": "params-v1", "rho": [0.1], "A": [[0.2]], "theta": [[1.0]], '
+                  '"gamma": 0.3, "nu": "x"}'),
+    read_rootprob: ('# rootprob-v1 mode=full\nevent_index,r_1,argmax_source\n1,1.0,1\n',
+                    '# rootprob-v1 mode=full\nevent_index,r_1,argmax_source\n1,1.0,1\n2,x,1\n'),
+    read_raw_comments: ('{"t": 1.0, "author": "a"}\n', '{"t": 1.0, "author": "a"}\n{"t": 2}\n'),
+}
+
+
+@pytest.mark.parametrize("read", list(READ_CASES), ids=lambda read: read.__name__)
+def test_readers_close_only_what_they_open(read, opened, tmp_path):
+    good, bad = READ_CASES[read]
+    for text in (good, bad):
+        path = tmp_path / "file"
+        path.write_text(text)
+        given = io.StringIO(text)
+        if text is good:
+            read(path)
+            read(given)
+        else:
+            with pytest.raises(ValidationError):
+                read(path)
+            with pytest.raises(ValidationError):
+                read(given)
+        assert opened[-1].name == str(path) and opened[-1].closed
+        assert not given.closed
+    assert len(opened) == 2
+
+
+def test_writers_close_only_what_they_open(sim, opened, tmp_path, monkeypatch):
+    events, truth = sim
+    params = make_synthetic_config(T=30.0, seed=0, S=3, V=50).params
+    rpm = root_probabilities(events, params)
+    cases = [(write_events, events), (write_truth, truth), (write_params, params),
+             (write_rootprob, rpm), (write_eval, evaluate_root_probabilities(rpm, truth.roots)),
+             (write_trace, np.array([-2.0, -1.5])),
+             (write_bench, BenchReport(import_seconds=0.3, window=20.0, sweeps=1))]
+    for write, obj in cases:
+        given = io.StringIO()
+        write(obj, given)
+        assert not given.closed and given.getvalue()
+        path = tmp_path / write.__name__
+        write(obj, path)
+        assert opened[-1].name == str(path) and opened[-1].closed
+        assert path.read_text() == given.getvalue()
+    assert len(opened) == len(cases)
+
+    # a file written in blocks is closed when a block fails partway
+    monkeypatch.setattr(dataio, "WRITE_BLOCK", 1)
+    with pytest.raises(ZeroDivisionError):
+        dataio._write_lines(tmp_path / "partway", "head\n", "{}\n", 2,
+                            lambda a, b: ([1 / (1 - a)],))
+    assert opened[-1].closed
+    assert (tmp_path / "partway").read_text() == "head\n1.0\n"

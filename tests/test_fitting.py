@@ -32,7 +32,7 @@ from rootsource.fitting import (
     update_theta_gamma,
 )
 from rootsource.rootprob import enumerate_posteriors
-from util import (covered_cells, dense_eta, random_events, random_instance,
+from util import (covered_cells, dense_eta, pair_parents, random_events, random_instance,
                   random_params, reference_e_step, reference_pairs, reference_triples)
 
 
@@ -83,10 +83,11 @@ def test_pair_structure_layout():
     st = PairStructure(events, params.nu)
     n = len(events)
     assert st.n_pairs == n * (n - 1) // 2
+    parents = pair_parents(st)
     for k in range(n):
         sl = slice(st.row_start[k], st.row_start[k + 1])
         np.testing.assert_array_equal(st.pair_i[sl], k)
-        np.testing.assert_array_equal(st.pair_j[sl], np.arange(k))
+        np.testing.assert_array_equal(parents[sl], np.arange(k))
 
 
 def test_pair_structure_window_prunes_stale_pairs():
@@ -95,10 +96,12 @@ def test_pair_structure_window_prunes_stale_pairs():
     events = rs.EventSequence.from_events(evs, T=10.0, S=1, V=0)
     st = PairStructure(events, nu=1.0, window=3.0)
     # lag <= 3: (2,1), (4,3) survive; 8-2 = 6 and beyond are pruned
-    pairs = set(zip(st.pair_i.tolist(), st.pair_j.tolist()))
+    pairs = set(zip(st.pair_i.tolist(), pair_parents(st).tolist()))
     assert pairs == {(1, 0), (3, 2)}
-    with pytest.raises(ValidationError):
-        PairStructure(events, nu=1.0, window=0.0)
+    for nu, window in ((1.0, 0.0), (1.0, math.nan), (math.nan, 3.0), (math.inf, 3.0),
+                       (math.nan, None)):
+        with pytest.raises(ValidationError):
+            PairStructure(events, nu=nu, window=window)
 
 
 def _events(times, marks, S=1, V=4):
@@ -518,7 +521,7 @@ def _pair_kernel_sums(structure):
     events = structure.events
     S = events.S
     log_kernel, _, empty = reference_pairs(structure)
-    cls = events.sources[structure.pair_j] + S * empty
+    cls = events.sources[pair_parents(structure)] + S * empty
     out = np.zeros((len(events), 2 * S))
     np.add.at(out, (structure.pair_i, cls), np.exp(log_kernel))
     return out
@@ -672,9 +675,8 @@ def test_structure_stores_no_per_pair_array():
     assert {"ov_pair", "tri_ov", "ov_cell", "ov_log_kernel"} <= set(vars(st))
     sizes = {name: v.size for name, v in vars(st).items() if isinstance(v, np.ndarray)}
     assert st.n_pairs not in sizes.values(), sizes
-    for name in ("pair_i", "pair_j"):
-        assert isinstance(getattr(PairStructure, name), property)
-        assert getattr(st, name).size == st.n_pairs
+    assert isinstance(PairStructure.pair_i, property)
+    assert st.pair_i.size == st.n_pairs
 
 
 @pytest.mark.parametrize("window", [None, 2.0])

@@ -57,6 +57,11 @@ def test_sequence_validation():
         with pytest.raises(ValidationError, match="finite integers"):
             rs.EventSequence.from_events(
                 [rs.Event.make(1, 1.0, 0, {0: count})], T=3.0, S=1, V=1)
+    # NaN, which every comparison passes, and an infinite horizon
+    for times, T in (([1.0, math.nan, 3.0], 4.0), ([1.0, 2.0, 3.0], math.nan),
+                     ([1.0, 2.0, 3.0], math.inf)):
+        with pytest.raises(ValidationError, match="T"):
+            rs.EventSequence(times, [0, 0, 0], [0, 0, 0, 0], [], [], T=T, S=1, V=0)
 
 
 def test_sequence_indexing_round_trip():
@@ -185,6 +190,11 @@ def test_params_validation():
         rs.ModelParams(**{**ok, "gamma": 1.5})
     with pytest.raises(ValidationError):
         rs.ModelParams(**{**ok, "nu": 0.0})
+    for name, value in (("rho", [math.nan]), ("rho", [math.inf]), ("A", [[math.nan]]),
+                        ("A", [[math.inf]]), ("theta", [[math.nan]]), ("theta", [[math.inf]]),
+                        ("gamma", math.nan), ("nu", math.nan), ("nu", math.inf)):
+        with pytest.raises(ValidationError):
+            rs.ModelParams(**{**ok, name: value})
 
 
 def test_token_structures_match_dense():

@@ -29,6 +29,9 @@ def test_matrix_validation():
         RootProbMatrix(np.array([[0.3, 0.6]]))
     with pytest.raises(ValidationError):
         RootProbMatrix(np.array([[1.2, -0.2]]))
+    for row in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            RootProbMatrix(np.array([row]))
     with pytest.raises(ValidationError):
         RootProbMatrix(np.array([0.3, 0.7]))
     with pytest.raises(ValidationError):

@@ -84,13 +84,18 @@ def reference_token_postings(events):
     return csc.indptr.astype(np.int64), ev, cnt, norm
 
 
+def pair_parents(structure):
+    """The parent index of every pair of a PairStructure, in pair order."""
+    return structure._parent(np.arange(structure.n_pairs), slice(None))
+
+
 def reference_pairs(structure):
     """(log_kernel, pair_cell, empty) per pair of a PairStructure: log kappa,
     the flat index s_i S + s_j of A and whether the parent's mark is empty,
-    built from pair_i and pair_j by the formulas of the stored layout that
-    the implicit one replaced."""
+    built from each pair's child and parent by the formulas of the stored
+    layout that the implicit one replaced."""
     events, nu = structure.events, structure.nu
-    i, j = structure.pair_i, structure.pair_j
+    i, j = structure.pair_i, pair_parents(structure)
     log_kernel = -(events.times[i] - events.times[j]) / nu - np.log(nu)
     pair_cell = events.sources[i].astype(np.intp) * events.S + events.sources[j]
     return log_kernel, pair_cell, events.lengths[j] == 0
@@ -149,7 +154,7 @@ def reference_log_mark_densities(structure, params):
     n = len(events)
     key_nnz = structure.key_used[structure.key_at]
     lengths = events.lengths
-    mix_scale = np.where(lengths[structure.pair_j] > 0,
+    mix_scale = np.where(lengths[pair_parents(structure)] > 0,
                          np.repeat(lengths, structure.row_len), 0.0)
     theta = params.theta.ravel()
     with np.errstate(divide="ignore"):
