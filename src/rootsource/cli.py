@@ -195,7 +195,8 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
 def root_prob(ctx, config, events_in, params_in, mode, window, out):
     """Compute per-event root-source probabilities.
 
-    Uses the E-step posteriors + forward substitution.
+    Solves r_i = eta_i0 e_{s_i} + sum_j eta_ij r_j over the E-step posteriors,
+    a block of rows at a time.
     """
     _echo_config(ctx)
     events = dataio.read_events(_in(events_in))

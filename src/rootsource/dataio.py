@@ -166,9 +166,10 @@ def read_events(path_or_file) -> EventSequence:
         header = _document(fp.readline(), EVENTS_SCHEMA, "line 1: header")
         T, S, V = (_field(header, key, kind, "line 1: header")
                    for key, kind in (("T", _real), ("S", _integer), ("V", _integer)))
-        times, sources, indptr, tok_i, tok_c = [], [], [0], [], []
+        times, sources, indptr, tok_i, tok_c, blank = [], [], [0], [], [], []
         for lineno, line in enumerate(fp, start=2):
             if not line.strip():
+                blank.append(lineno)
                 continue
             try:
                 rec = json.loads(line)
@@ -199,6 +200,16 @@ def read_events(path_or_file) -> EventSequence:
                       np.array(tok_i, dtype=np.int32), np.array(tok_c))
         except OverflowError as err:
             raise ValidationError(f"event record label out of range ({err})") from err
+        bad = ~np.isfinite(arrays[0])
+        if bad.any():  # NaN and Infinity, which JSON readers accept
+            k = int(np.argmax(bad))
+            lineno = k + 2
+            for skipped in blank:  # the blank lines up to record k
+                if skipped > lineno:
+                    break
+                lineno += 1
+            raise ValidationError(f"line {lineno}: malformed event record "
+                                  f"(field 't' is not finite: {times[k]})")
         return EventSequence(*arrays, T=T, S=S, V=V)
 
 

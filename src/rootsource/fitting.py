@@ -18,7 +18,7 @@ The E-step is exact (all j < i pairs) by default.  An optional truncation
 window keeps only pairs with t_i - t_j <= window * nu; dropped pairs have
 kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  The pair layout (child i's parents are lo_i..i-1)
-and the token-overlap triples (i, j, v) are precomputed once per fit in a
+and the token-overlap triples (i, j, v) are built once per fit in a
 PairStructure and reused across sweeps, and by root passes on the same
 events while the fit's state is alive.  It also remembers its last E-step,
 weakly, so a full root pass at the fit's final parameters reads its posteriors.
@@ -40,8 +40,10 @@ sources there are.  `_weights` computes the terms of every weight and
 pairs, for the full model and for the temporal- and mark-only root passes.
 The E-step, both M-steps and the objective cost O(cells + overlap pairs +
 triples): `elbo` reads the masses of the E-step's state and needs the terms
-at its own parameters only.  Per-pair posteriors are built only on demand
-(`VariationalState.eta_pair`), for the root passes' forward substitution.
+at its own parameters only.  Nothing here builds per-pair posteriors: the
+root passes expand the E-step's terms a block of children at a time
+(`_eta_blocks`), and `VariationalState.eta_pair` copies those blocks into
+one array only when it is read.
 """
 
 from __future__ import annotations
@@ -128,32 +130,28 @@ _LIVE_LOCK = threading.Lock()
 
 # Peak bytes per candidate pair, token-overlap triple, kernel cell and
 # parameter entry (S V + S S) of a three-sweep fit (structure, E-steps with
-# the previous state alive, M-steps, the returned state's eta_pair).  The
-# overlap pairs are at most the triples and fit in TRIPLE_BYTES; the cells
-# are charged by their bound min(pairs, n 2S), and their build peaks at 56
-# to 66 B per cell (72 at S = 5).  Under tracemalloc 18 runs peaked at 45%
-# to 97% of the estimate: the synthetic defaults exact at n = 1 431 and
-# window 20 at n = 8 015, with their marks at initial gamma 0.3 and 1 and
-# redrawn over V = 2 to 128 tokens (0.2 to 10.6 triples per pair).  The
-# parameters (theta, (1 - gamma) theta, the token counts and the theta-step's
-# sums; A, its log and the cell sums) took 42 to 56 B per entry beyond that,
-# with S V or S S of 1 M to 10 M and 60 to 1 000 events.  Root passes with
-# few pairs and an n x S result of 10 M entries peaked at 9.2 to 9.8 B per
-# entry, all included (the result and a boolean check of it).
+# the previous state alive, M-steps).  The overlap pairs are at most the
+# triples and fit in TRIPLE_BYTES; the cells are charged by their bound
+# min(pairs, n 2S), and their build peaks at 56 to 66 B per cell (72 at
+# S = 5).  Under tracemalloc 18 runs peaked at 38% to 96% of the estimate
+# (45% to 97% while a fit also built per-pair posteriors): the synthetic
+# defaults exact at n = 1 431 and window 20 at n = 8 015, with their marks
+# at initial gamma 0.3 and 1 and redrawn over V = 2 to 128 tokens (0.2 to
+# 10.6 triples per pair).  The parameters (theta, (1 - gamma) theta, the
+# token counts and the theta-step's sums; A, its log and the cell sums)
+# took 42 to 56 B per entry beyond that, with S V or S S of 1 M to 10 M and
+# 60 to 1 000 events.  Root passes with few pairs and an n x S result of
+# 10 M entries peaked at 9.2 to 9.8 B per entry, all included (the result
+# and a boolean check of it).
 PAIR_BYTES = 40
 TRIPLE_BYTES = 58
 CELL_BYTES = 64
 PARAM_BYTES = 60
 ROOT_BYTES = 10
-# Pairs per block of the per-pair work, whose temporaries then stay in cache.
-PAIR_BLOCK = 1 << 16
-
-
-def _row_blocks(row_start: np.ndarray):
-    """(a, b) bounds of consecutive row ranges that hold about PAIR_BLOCK
-    pairs each, row_start[a]:row_start[b], and together every pair."""
-    rows = np.searchsorted(row_start, np.arange(0, row_start[-1], PAIR_BLOCK), "right") - 1
-    return zip(rows.tolist(), rows[1:].tolist() + [row_start.size - 1])
+# Children per block of the root passes' dense posteriors (`_eta_blocks`):
+# large enough that per-block numpy calls cost little, small enough that
+# the block's triangular solve stays cheap.
+ROOT_BLOCK = 64
 
 
 def _physical_memory() -> int | None:
@@ -309,9 +307,10 @@ class PairStructure:
     of each triple).  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
     of kappa over those candidates (see `_kernel_cells`); the E-step reads
-    the cells and the overlap pairs.  The overlap pairs and the cells are
-    built on first use: the temporal-only pass builds neither, the mark-only
-    pass only the overlap pairs.
+    the cells and the overlap pairs.  The triples, the overlap pairs and the
+    cells are built on first use: the temporal-only pass builds none of the
+    first two, the mark-only pass no cells.  n_triples counts the triples
+    before they are built.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -346,7 +345,8 @@ class PairStructure:
         # the pairs and parameters, before the postings' V-long token index
         _check_memory(n, self.n_pairs, 0, S, V, window)
         tok, first = _first_partners(events, self.lo)
-        _check_memory(n, self.n_pairs, int((np.arange(first.size) - first).sum()), S, V, window)
+        self.n_triples = int((np.arange(first.size) - first).sum())
+        _check_memory(n, self.n_pairs, self.n_triples, S, V, window)
         self.row_start = np.concatenate([[0], np.cumsum(self.row_len)])
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
 
@@ -360,7 +360,7 @@ class PairStructure:
         self.key_used = np.flatnonzero(used)
         self.key_at = (np.cumsum(used) - 1)[key]
 
-        self._build_triples(tok, first)
+        self._partners = (tok, first)  # until the triples are built
         self._last = None
         with _LIVE_LOCK:
             _LIVE.add(self)
@@ -370,28 +370,25 @@ class PairStructure:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
 
-    # The layout in one place.  A pair's child i is an index array, one entry
-    # per pair, or a slice a:b that stands for all pairs of children a..b-1.
-    def _per_pair(self, child_values: np.ndarray, i) -> np.ndarray:
-        return np.repeat(child_values, self.row_len[i]) if isinstance(i, slice) else child_values
-
-    def _parent(self, p: np.ndarray, i) -> np.ndarray:
+    # The layout in one place, for pairs given by child i and parent j (index
+    # arrays, one entry per pair) or by position p.
+    def _parent(self, p: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Parent of pair p of child i: p - row_start[i] + lo[i]."""
-        shift = self._per_pair(self.row_start[:-1][i] - self.lo[i], i)
+        shift = self.row_start[:-1][i] - self.lo[i]
         return np.subtract(p, shift, out=shift)
 
     def _pair(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Position of the pairs (i, j), the inverse of `_parent`."""
         return self.row_start[i] + (j - self.lo[i])
 
-    def _cell(self, i, j: np.ndarray) -> np.ndarray:
+    def _cell(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Kernel cell s_i S + s_j (the flat index of A[s_i, s_j]) of pairs (i, j)."""
-        return self._per_pair(self.events.sources[i] * self.events.S, i) + self.events.sources[j]
+        return self.events.sources[i] * self.events.S + self.events.sources[j]
 
-    def _log_kernel(self, i, j: np.ndarray) -> np.ndarray:
+    def _log_kernel(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu of pairs (i, j)."""
         t = self.events.times
-        return (t[j] - self._per_pair(t[i], i)) / self.nu - np.log(self.nu)
+        return (t[j] - t[i]) / self.nu - np.log(self.nu)
 
     def __getstate__(self):
         # a weak reference cannot be pickled, and a copy has no E-step of its own
@@ -422,10 +419,20 @@ class PairStructure:
             return state
         return None
 
-    def _build_triples(self, tok: np.ndarray, first: np.ndarray):
-        # one triple per posting pos and earlier posting in [first, pos)
+    def __getattr__(self, name: str):
+        # the triples, built on first use like the overlap pairs: the
+        # temporal-only pass reads none of them
+        if name.startswith("tri_") and "_partners" in self.__dict__:
+            self._build_triples()
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _build_triples(self) -> None:
+        """tri_pair, tri_key, tri_xiv and tri_xjv: one triple per posting pos
+        and earlier posting in [first, pos)."""
         events = self.events
         V = events.V
+        tok, first = self.__dict__.pop("_partners")
         _, post_ev, post_cnt, post_norm = events.token_postings()
         pos = np.arange(post_ev.size)
         child_sel = np.repeat(pos, pos - first)
@@ -493,8 +500,11 @@ class VariationalState:
     log-normalizers.  The state carries the M-steps' and `elbo`'s inputs:
     eta_overlap (eta on the overlap pairs), eta_cells (the S x S sums of eta
     per child and parent source), eta_empty (each child's eta mass on parents
-    with an empty mark) and the mean log weight at its own parameters.
-    eta_pair, eta on every pair of the structure, is built on first access.
+    with an empty mark) and the mean log weight at its own parameters, and
+    _factors, the terms from which `_eta_blocks` expands eta over blocks of
+    children for the root passes.  eta_pair, eta on every pair of the
+    structure, is built from those blocks on first access; nothing in the
+    package reads it.
 
     The arrays must not be mutated in place: while the state is alive, a full
     root pass at the parameters of its E-step reads them instead of
@@ -508,14 +518,15 @@ class VariationalState:
 
     @cached_property
     def eta_pair(self) -> np.ndarray:
-        """eta on every pair: `_factors` (log A flattened, the per-child factor
-        less log z) expanded, then the overlap pairs' own posteriors."""
+        """eta on every pair, in pair order, copied from `_eta_blocks` into
+        one array; no pass reads it."""
         st = self.structure
-        eta = _expand(st, *self._factors)
-        np.exp(eta, out=eta)
-        if self.eta_overlap is not None:
-            eta[st.ov_pair] = self.eta_overlap
-        return eta
+        out = np.empty(st.n_pairs)
+        for a, b, lo_a, D in _eta_blocks(self):
+            j = np.arange(lo_a, b)
+            keep = (j >= st.lo[a:b, None]) & (j < np.arange(a, b)[:, None])
+            out[st.row_start[a]:st.row_start[b]] = D.T[keep]
+        return out
 
     def __len__(self) -> int:
         return self.eta0.size
@@ -617,36 +628,96 @@ def _weights(structure: PairStructure, params: ModelParams,
     return log_a, logw_imm, c, factor, sigma
 
 
-def _expand(structure: PairStructure, log_a: np.ndarray | None,
-            factor: np.ndarray) -> np.ndarray:
-    """Per pair (i, j), log A[s_i, s_j] + log kappa(t_i - t_j) + factor[i, 0],
-    or + factor[i, 1] where j's mark is empty; log_a None leaves out the
-    first two.  Callers write the overlap pairs themselves."""
-    st = structure
-    dead = factor[:, 0].any()  # else column 0 is all 0, and adding it changes nothing
-    out = np.zeros(st.n_pairs)
-    # in blocks of rows, so that the per-pair temporaries stay in cache
-    for a, b in _row_blocks(st.row_start):
-        rows = slice(a, b)
-        part = out[st.row_start[a]:st.row_start[b]]
-        if log_a is not None:
-            j = st._parent(np.arange(st.row_start[a], st.row_start[b]), rows)
-            np.take(log_a, st._cell(rows, j), out=part, mode="clip")  # "raise" buffers out
-            part += st._log_kernel(rows, j)
-        if dead:
-            part += st._per_pair(factor[rows, 0], rows)
-    # the pairs whose parent has an empty mark, by parent: the children of
-    # parent e are e + 1 up to the last whose window reaches back to e
-    e = np.flatnonzero(st.events.lengths == 0)
-    stop = np.maximum(np.searchsorted(st.lo, e, side="right"), e + 1)
-    for a, b in _row_blocks(np.concatenate([[0], np.cumsum(stop - e - 1)])):
-        i = ragged_arange(e[a:b] + 1, stop[a:b])
-        j = np.repeat(e[a:b], stop[a:b] - e[a:b] - 1)
-        fill = factor[i, 1]
-        if log_a is not None:
-            fill = log_a[st._cell(i, j)] + st._log_kernel(i, j) + fill
-        out[st._pair(i, j)] = fill
-    return out
+def _log_kernel_a(state: "VariationalState", i, cell) -> np.ndarray:
+    """log A[cell] - (t_i / nu + log nu): child i's part of log eta_ij for a
+    parent j in kernel cell `cell` = s_i S + s_j.  Broadcasts.
+
+    The full and the temporal state's eta_ij is exp((this + t_j / nu) +
+    F[i, h_j]), F being the state's per-child factor (less log z) and h_j 1
+    for an empty mark, else 0; the mark-only state's is exp(F[i, h_j]).  The
+    exp is taken of the sum, so nothing overflows however long the sequence,
+    and F comes last, so that posteriors whose other terms are integers tie
+    exactly when their sums do.  The root passes and `mini_conversations`
+    both follow this order of operations, so that they agree bit for bit.
+    """
+    st = state.structure
+    return state._factors[0][cell] - (st.events.times[i] / st.nu + math.log(st.nu))
+
+
+def _eta_blocks(state: "VariationalState"):
+    """The state's eta over all pairs, ROOT_BLOCK children at a time.
+
+    Yields (a, b, lo_a, D) for children a <= i < b: D[j - lo_a, i - a] is
+    eta_ij for the parents lo_a <= j < b, 0 outside child i's window
+    lo_i <= j < i.  The next block overwrites D, so a reader uses or copies
+    it before asking for the next.  D holds a block of rows transposed, so
+    that its build gathers whole rows of the block's (S, b - a) table of
+    `_log_kernel_a`, one per parent by its source, and adds each child's
+    factor to whole rows; the overlap pairs then take their own posteriors.
+    The work per pass (t / nu, the empty marks, each overlap pair's position
+    within its block) is done once, and nothing pair-long is allocated.
+    """
+    st = state.structure
+    events, B = st.events, ROOT_BLOCK
+    n, S = len(events), events.S
+    sources, lo = events.sources, st.lo.tolist()
+    use_time = state._factors[0] is not None
+    f_mark, f_empty = state._factors[1].T
+    t_nu = events.times / st.nu
+    # the parents with an empty mark of block k: empty[e_lo[k]:e_hi[k]]
+    empty = np.flatnonzero(events.lengths == 0)
+    e_lo = np.searchsorted(empty, st.lo[::B]).tolist()
+    e_hi = np.searchsorted(empty, np.arange(B, n + B, B)).tolist()
+    ov = state.eta_overlap
+    if ov is not None:
+        ov_start = st.ov_row_start.tolist()
+        # j B + (i mod B) per overlap pair (i, j): its position within a
+        # full block, less lo_a B
+        shift = st.row_start[:-1] - st.lo
+        shift *= B
+        shift -= np.arange(n) % B
+        ov_at = st.ov_pair * B
+        ov_at -= np.repeat(shift, st.ov_row_len)
+        del shift
+    by_source = np.arange(S)[:, None]
+    lower = np.tril(np.ones((B, B), dtype=bool))
+    # one buffer for every block's D, which its reader is done with before
+    # the next block is built: no allocation, and no page faults, per block
+    buf = np.empty(max((min(a + B, n) - lo[a] for a in range(0, n, B)), default=0) * B)
+    for k, a in enumerate(range(0, n, B)):
+        b = min(a + B, n)
+        m, lo_a = b - a, lo[a]
+        D = buf[:(b - lo_a) * m].reshape(b - lo_a, m)
+        if use_time:
+            table = _log_kernel_a(state, slice(a, b), sources[a:b] * S + by_source)
+            np.take(table, sources[lo_a:b], axis=0, out=D, mode="clip")  # "raise" buffers out
+            D += t_nu[lo_a:b, None]
+        else:
+            D.fill(0.0)
+        if e_hi[k] > e_lo[k]:  # these parents take the other factor
+            hole = empty[e_lo[k]:e_hi[k]] - lo_a
+            base = D[hole]
+            base += f_empty[a:b]
+        D += f_mark[a:b]
+        if e_hi[k] > e_lo[k]:
+            D[hole] = base
+        with np.errstate(over="ignore"):  # at j >= i, zeroed below
+            np.exp(D, out=D)
+        # 0 outside child i's window: j >= i, and j < lo_i for the parents
+        # not in every child's window
+        np.copyto(D[a - lo_a:], 0.0, where=lower[:m, :m])
+        early = lo[b - 1] - lo_a
+        if early:
+            np.copyto(D[:early], 0.0, where=np.arange(lo_a, lo_a + early)[:, None] < st.lo[a:b])
+        if ov is not None:
+            s, e = ov_start[a], ov_start[b]
+            if m == B:
+                at = ov_at[s:e] - lo_a * B
+            else:
+                j, i = np.divmod(ov_at[s:e], B)
+                at = (j - lo_a) * m + i
+            D.ravel()[at] = ov[s:e]
+        yield a, b, lo_a, D
 
 
 def _raise_if_dead(m: np.ndarray) -> None:
@@ -740,12 +811,12 @@ def update_eta(events: EventSequence, params: ModelParams,
     """E-step: eta_i0 oc rho[s_i] f(x_i|t_i,s_i), eta_ij oc lambda_j(t_i) f(x_i|t_i,s_i,e_j).
 
     Runs in O(cells + overlap pairs + triples) from the structure's kernel
-    cells and overlap pairs, and the returned state's eta_pair is computed
-    on first access.  Normalization is done per event with the largest log
-    weight taken out; a component at -inf gets exactly zero weight.  Raises
-    NumericalError naming the first event whose components are all -inf.
-    The structure remembers the returned state for as long as it is alive,
-    so a full root pass at parameters of equal value reuses it.
+    cells and overlap pairs; nothing per pair is built.  Normalization is
+    done per event with the largest log weight taken out; a component at
+    -inf gets exactly zero weight.  Raises NumericalError naming the first
+    event whose components are all -inf.  The structure remembers the
+    returned state for as long as it is alive, so a full root pass at
+    parameters of equal value reuses it.
     """
     if structure is None:
         structure = _structure_for(events, params.nu, window)
@@ -1002,10 +1073,10 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     relative trace change below tol, or the parameters reach an exact fixed
     point.  A fit that reaches max_iters unconverged stops after that sweep's
     E-step, so the returned eta is the E-step at the returned parameters and
-    elbo(events, params, eta) is the last trace value.  The sweeps never
-    build per-pair posteriors, and the returned eta builds them once, here,
-    so a root pass on the report finds them built; only root passes read
-    them (`mini_conversations` reads the E-step's terms).
+    elbo(events, params, eta) is the last trace value.  Nothing builds
+    per-pair posteriors: a full root pass at the returned parameters reads
+    the returned eta's terms, a block of children at a time, and
+    `mini_conversations` reads them too.
     A windowed fit reports the largest and the mean share of an event's
     excitation intensity that the window dropped.  Raises NumericalError on
     a NaN objective with the iteration number.
@@ -1053,7 +1124,6 @@ def fit(events: EventSequence, init: ModelParams | None = None,
             break
         params = new_params
 
-    state.eta_pair  # built once, here: the full root pass reads it
     dropped = _window_dropped(structure, params.A)
     return FitReport(params=params, eta=state, elbo_trace=np.array(trace),
                      iterations=len(trace), converged=converged,

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._numeric import segment_max
 from .errors import ValidationError
-from .fitting import VariationalState
+from .fitting import VariationalState, _log_kernel_a
 from .model import EventSequence
 from .rootprob import RootProbMatrix
 from .simulate import BranchingStructure, _root_positions
@@ -106,15 +106,16 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     eta comes from `update_eta` or a fit: the parents are read from the
     E-step's own terms, not from per-pair posteriors.  Child i's candidates
     are its overlap pairs (their eta_overlap) and, per kernel cell, the
-    cell's latest event m, valued as eta_pair values it, bit for bit.
-    Within a cell every parent that shares no token with i has eta =
-    C kappa(t_i - t_j), which does not grow with the lag, so m bounds the
-    others, and an overlap pair is a candidate itself.  Ties follow
-    np.argmax over (immigrant, parents in time order): the immigrant when
-    eta_i0 reaches the largest candidate, else the earliest candidate that
-    does.  It can differ from np.argmax only on ties within rounding: two
-    same-class events whose (t_j - t_i) / nu round to the same value (times
-    a few ulps apart), where np.argmax takes the earlier and this m; and at
+    cell's latest event m, valued in the order of operations of
+    `fitting._log_kernel_a`, as the root passes (and eta_pair) value it,
+    bit for bit.  Within a cell every parent that shares no token with i
+    has eta = C kappa(t_i - t_j), which does not grow with the lag, so m
+    bounds the others, and an overlap pair is a candidate itself.  Ties
+    follow np.argmax over (immigrant, parents in time order): the immigrant
+    when eta_i0 reaches the largest candidate, else the earliest candidate
+    that does.  It can differ from np.argmax only on ties within rounding:
+    two same-class events whose t_j / nu round to the same value (times a
+    few ulps apart), where np.argmax takes the earlier and this m; and at
     gamma = 0, where an overlap pair's mark term is 0, so its eta and its
     cell's value for the same parent may differ in the last bit.
     """
@@ -122,12 +123,12 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     if n != len(events):
         raise ValidationError("state and events disagree on length")
     st = eta.structure
-    log_a, factor = eta._factors
     cell_start, cell_key, _, cell_last = st.cells
-    # each cell's value, in eta_pair's own expression and operation order
+    # each cell's value at its latest event, as the root passes value eta
     seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
     i = seg >> 1
-    v_cell = np.exp((log_a[cell_key] + st._log_kernel(i, cell_last)) + factor.ravel()[seg])
+    v_cell = np.exp((_log_kernel_a(eta, i, cell_key) + events.times[cell_last] / st.nu)
+                    + eta._factors[1].ravel()[seg])
     v_ov, ov_start = eta.eta_overlap, st.ov_row_start
     best = np.maximum(segment_max(v_cell, cell_start[::2]), segment_max(v_ov, ov_start))
     # the earliest candidate at the best value: the overlap pairs come in

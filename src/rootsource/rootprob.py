@@ -12,13 +12,16 @@ a unit lower-triangular system (I - H) R = diag(eta_0) onehot(s) in the
 sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
 2008).  Each pass takes the PairStructure of the same events and kernel
 settings that is still alive (a fit's, while its report is held) or builds
-one, gets the posteriors, and solves the system by forward substitution, row
-by row.  All three passes get them from the E-step that fits use
-(`fitting._e_step`, from the kernel cells and the overlap pairs).  When the
+one, gets the posteriors, and solves the system by block forward
+substitution.  All three passes get them from the E-step that fits use
+(`fitting._e_step`, from the kernel cells and the overlap pairs), expanded
+a block of children at a time (`fitting._eta_blocks`): each block's rows
+add the earlier rows' part in one matrix product, then solve their own unit
+lower-triangular block, and no per-pair array is built.  When the
 structure's last E-step is still alive and ran at parameters equal in value
 to the pass's (a fit's final state, while its report is held), the full pass
-reads its posteriors and runs only the forward substitution, so a reused and
-a recomputed pass agree bit for bit.  The temporal-only variant keeps just
+reads its terms and runs only the block substitution, so a reused and a
+recomputed pass agree bit for bit.  The temporal-only variant keeps just
 the intensity factors of the weights, with the kernel cells and no overlap
 pairs; the mark-only variant keeps just the densities, with the overlap pairs
 and, per child, one count of parents per mark half in place of the cells.
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _check_memory, _e_step, _structure_for
+from .fitting import _check_memory, _e_step, _eta_blocks, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
 
@@ -96,18 +99,18 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
     # the n x S result r before any layout is built, then with a reused layout
     _check_memory(n, 0, 0, S, V, window, roots=True)
     st = _structure_for(events, params.nu, window)
-    _check_memory(n, st.n_pairs, st.tri_pair.size, S, V, st.window, roots=True)
+    _check_memory(n, st.n_pairs, st.n_triples, S, V, st.window, roots=True)
     # not update_eta: the structure's record of a fit's E-step stays
     state = (use_time and use_marks and st._state_at(params)) or _e_step(
         st, params, use_time, use_marks)
-    eta0, eta_pair = state.eta0, state.eta_pair
-    row_start = st.row_start.tolist()
-    lo = st.lo.tolist()
-    sources = events.sources.tolist()
+    # r starts as eta_i0 e_{s_i}; each block adds its earlier parents' part,
+    # then solves (I - eta over its own rows and parents) r = that
     r = np.zeros((n, S))
-    for i in range(n):
-        r[i] = eta_pair[row_start[i]:row_start[i + 1]] @ r[lo[i]:i]
-        r[i, sources[i]] += eta0[i]
+    r[np.arange(n), events.sources] = state.eta0
+    for a, b, lo_a, D in _eta_blocks(state):
+        rhs = r[a:b]
+        rhs += D[:a - lo_a].T @ r[lo_a:a]
+        r[a:b] = np.linalg.solve((np.eye(b - a) - D[a - lo_a:]).T, rhs)
     # rounding can push a lone dominant entry to 1 + ulp
     return RootProbMatrix(np.clip(r, 0.0, 1.0, out=r), mode)
 

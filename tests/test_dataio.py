@@ -103,12 +103,19 @@ def test_events_read_errors():
                  ("1", '{"4294967296": 1}')):
         with pytest.raises(ValidationError, match="event record"):
             read_events(io.StringIO(head + f'{{"i": 1, "t": 1.0, "s": {s}, "x": {x}}}\n'))
-    # a time that is no number, which every comparison passes
-    for t in ("NaN", "Infinity"):
-        with pytest.raises(ValidationError, match=r"event timestamps must lie in \(0, T\]"):
-            read_events(io.StringIO(head + "".join(
-                f'{{"i": {i}, "t": {v}, "s": 1, "x": {{}}}}\n'
-                for i, v in enumerate((1.0, t, 3.0), start=1))))
+    # a time that is no number, which every comparison passes, named by its
+    # line also after blank lines
+    for t, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+        for gap, line in (("", 3), ("\n", 4), ("\n \n", 5)):
+            records = [f'{{"i": {i}, "t": {v}, "s": 1, "x": {{}}}}\n'
+                       for i, v in enumerate((1.0, t, 3.0, t), start=1)]
+            with pytest.raises(ValidationError, match=rf"line {line}: malformed event record "
+                                                      rf"\(field 't' is not finite: {shown}\)"):
+                read_events(io.StringIO(head + records[0] + gap + "".join(records[1:])))
+    # blank lines after the bad record do not move it
+    with pytest.raises(ValidationError, match="line 3: .* not finite"):
+        read_events(io.StringIO(head + '{"t": 1.0, "s": 1}\n{"t": NaN, "s": 1}\n\n\n'
+                                       '{"t": 3.0, "s": 1}\n'))
 
 
 @pytest.mark.parametrize("record", ['{"i": 1, "parent": Infinity, "root": 1}',

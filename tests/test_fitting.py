@@ -33,7 +33,8 @@ from rootsource.fitting import (
 )
 from rootsource.rootprob import enumerate_posteriors
 from util import (covered_cells, dense_eta, pair_parents, random_events, random_instance,
-                  random_params, reference_e_step, reference_pairs, reference_triples)
+                  random_params, reference_e_step, reference_pairs, reference_root_pass,
+                  reference_triples)
 
 
 def brute_force_eta(events, params):
@@ -664,6 +665,31 @@ def test_sub_model_passes_build_only_their_layouts():
     assert overlap | {"cells"} <= set(vars(temporal))
 
 
+def test_triples_are_built_on_first_use():
+    # a temporal pass reads no triple; the count the memory check used is
+    # kept, and a fit whose layout built its triples first returns the same
+    # parameters bit for bit
+    rng = np.random.default_rng(105)
+    events = random_events(rng, 200, 3, 6, T=40.0)
+    params = random_params(rng, 3, 6, nu=1.0)
+    triples = {"tri_pair", "tri_key", "tri_xiv", "tri_xjv"}
+    st = PairStructure(events, params.nu, window=5.0)
+    rs.root_probabilities_temporal(events, params, window=5.0)
+    assert not triples & set(vars(st))
+    assert st.tri_xiv.size == st.n_triples > 0
+    assert triples <= set(vars(st)) and "_partners" not in vars(st)
+    np.testing.assert_array_equal(st.tri_pair, reference_triples(st)[0])
+    del st
+    twin = copy.deepcopy(events)
+    eager = PairStructure(twin, params.nu, window=5.0)
+    eager.tri_key
+    lazy = fit(events, init=params, window=5.0, max_iters=4)
+    built = fit(twin, init=params, window=5.0, max_iters=4)
+    assert built.eta.structure is eager
+    for name in ("rho", "A", "theta", "gamma"):
+        np.testing.assert_array_equal(getattr(lazy.params, name), getattr(built.params, name))
+
+
 def test_structure_stores_no_per_pair_array():
     # fewer triples than pairs, so no overlap-pair array has a pair's length
     rng = np.random.default_rng(107)
@@ -681,9 +707,11 @@ def test_structure_stores_no_per_pair_array():
 
 @pytest.mark.parametrize("window", [None, 2.0])
 def test_expansion_does_not_depend_on_the_block_size(window, monkeypatch):
-    # rows expanded in blocks of about one, seven or PAIR_BLOCK pairs give
-    # the same eta_pair, elbo and temporal- and mark-only passes bit for
-    # bit; some marks are empty, and at gamma 1 every token is dead
+    # children expanded in blocks of one, seven or ROOT_BLOCK give the same
+    # eta_pair and elbo bit for bit, and temporal- and mark-only passes
+    # within 1e-12 of forward substitution row by row (a block's solve sums
+    # in its own order); some marks are empty, and at gamma 1 every token is
+    # dead
     rng = np.random.default_rng(109)
     events = random_events(rng, 60, 3, 6, T=15.0)
     assert (events.lengths == 0).any()
@@ -691,15 +719,18 @@ def test_expansion_does_not_depend_on_the_block_size(window, monkeypatch):
     got = {}
     for block in (None, 1, 7):
         if block is not None:
-            monkeypatch.setattr("rootsource.fitting.PAIR_BLOCK", block)
+            monkeypatch.setattr("rootsource.fitting.ROOT_BLOCK", block)
         for gamma in (0.3, 1.0):
             p = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=gamma,
                                nu=params.nu)
-            state = update_eta(events, p, PairStructure(events, p.nu, window=window))
-            got[block, gamma] = (
-                state.eta_pair, elbo(events, p, state),
-                rs.root_probabilities_temporal(events, p, window=window).r,
-                rs.root_probabilities_mark(events, p, window=window).r)
+            st = PairStructure(events, p.nu, window=window)
+            state = update_eta(events, p, st)
+            got[block, gamma] = (state.eta_pair, elbo(events, p, state))
+            for compute, flags in ((rs.root_probabilities_temporal, (True, False)),
+                                   (rs.root_probabilities_mark, (False, True))):
+                np.testing.assert_allclose(compute(events, p, window=window).r,
+                                           reference_root_pass(st, p, *flags), rtol=0,
+                                           atol=1e-12, err_msg=f"block {block}, gamma {gamma}")
     for (block, gamma), arrays in got.items():
         for a, b in zip(arrays, got[None, gamma]):
             np.testing.assert_array_equal(a, b, err_msg=f"block {block}, gamma {gamma}")
@@ -719,14 +750,19 @@ def _count_pair_posteriors(monkeypatch):
     return calls
 
 
-def test_fit_builds_the_per_pair_posteriors_once(monkeypatch):
+def test_no_fit_or_pass_builds_per_pair_posteriors(monkeypatch):
+    # fit, all three root passes (the full one on the fit's state) and the
+    # argmax threads read the E-step's terms; eta_pair is built only when read
     events, _ = rs.simulate(rs.make_synthetic_config(T=200.0, seed=3))
     built = _count_pair_posteriors(monkeypatch)
     report = fit(events, nu=10.0, window=20.0, max_iters=5)
     assert report.iterations == 5
-    assert built == [report.eta]
-    rs.root_probabilities(events, report.params, window=20.0)
+    for compute in (rs.root_probabilities, rs.root_probabilities_temporal,
+                    rs.root_probabilities_mark):
+        compute(events, report.params, window=20.0)
     rs.mini_conversations(report.eta, events)
+    assert built == [] and "eta_pair" not in vars(report.eta)
+    report.eta.eta_pair
     assert built == [report.eta]
 
 

@@ -20,7 +20,8 @@ from rootsource.rootprob import (
     root_probabilities_mark,
     root_probabilities_temporal,
 )
-from util import dense_eta, random_events, random_instance, random_params
+from rootsource.fitting import ROOT_BLOCK, PairStructure
+from util import dense_eta, random_events, random_instance, random_params, reference_root_pass
 
 
 def test_matrix_validation():
@@ -437,3 +438,81 @@ def test_elbo_where_a_child_gains_a_dead_token(marks, sources, zero, finite):
     got, want = rs.elbo(events, dead, state), _dense_elbo(events, dead, state)
     assert math.isfinite(want) == finite
     assert got == pytest.approx(want, abs=1e-10)
+
+
+_PASSES = ((root_probabilities, True, True), (root_probabilities_temporal, True, False),
+           (root_probabilities_mark, False, True))
+
+
+def _check_block_pass(events, params, window):
+    """Each pass against forward substitution, row by row, over the reference
+    per-pair posteriors, within 1e-12; both raise on a dead child.  Returns
+    how many passes ran."""
+    st = PairStructure(events, params.nu, window=window)
+    ran = 0
+    for compute, use_time, use_marks in _PASSES:
+        try:
+            want = reference_root_pass(st, params, use_time, use_marks)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                compute(events, params, window=window)
+            continue
+        got = compute(events, params, window=window).r
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                   err_msg=f"{compute.__name__}, window {window}")
+        ran += 1
+    return ran
+
+
+def _variants(events, params):
+    """The parameters as drawn, at gamma = 1 (every token dead) and with a
+    reachable zero in theta."""
+    yield params
+    yield rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=1.0,
+                         nu=params.nu)
+    yield _zero_theta(events, params)
+
+
+@pytest.mark.parametrize("window", [None, 1.5, 30.0])
+@pytest.mark.parametrize("size", ["below", "equal", "above"])
+def test_block_pass_matches_row_by_row(size, window):
+    # fewer children than one block, exactly one, and a partial last block;
+    # empty marks, a window shorter than one block (1.5: about 8 events) and
+    # longer, and one source as well as three
+    n = {"below": ROOT_BLOCK - 24, "equal": ROOT_BLOCK, "above": 2 * ROOT_BLOCK + 22}[size]
+    rng = np.random.default_rng([71, n])
+    ran = 0
+    for S in (1, 3):
+        events = random_events(rng, n, S, 6, T=n / 5.0)
+        assert (events.lengths == 0).any()
+        lo = PairStructure(events, 1.0, window=window).lo
+        if window == 1.5:  # some block's last child starts its window inside the block
+            assert any(lo[min(a + ROOT_BLOCK, n) - 1] > a for a in range(0, n, ROOT_BLOCK))
+        for params in _variants(events, random_params(rng, S, 6, nu=1.0)):
+            ran += _check_block_pass(events, params, window)
+    assert ran >= 12
+
+
+@pytest.mark.parametrize("window", [None, 1000.0])
+def test_block_pass_across_a_quiet_gap(window):
+    # 800 nu of silence inside one block: the parents after the gap lie more
+    # than 700 nu after the children before it, where exp overflows, and the
+    # children after it see their earlier parents only below exp underflow
+    rng = np.random.default_rng(73)
+    times = np.concatenate([np.cumsum(rng.uniform(0.1, 0.5, 20)),
+                            800.0 + np.cumsum(rng.uniform(0.1, 0.5, 20))])
+    evs = [rs.Event.make(k + 1, float(t), int(rng.integers(0, 2)),
+                         {int(v): 1 for v in rng.integers(0, 4, int(rng.integers(0, 3)))})
+           for k, t in enumerate(times)]
+    events = rs.EventSequence.from_events(evs, T=times[-1] + 1.0, S=2, V=4)
+    assert len(events) < ROOT_BLOCK
+    # base rates so low that the children after the gap give the parents
+    # before it a posterior of about e^-110, which no exp of a lag reaches
+    drawn = random_params(rng, 2, 4, gamma=0.4, nu=1.0)
+    params = rs.ModelParams(rho=np.full(2, 1e-300), A=drawn.A, theta=drawn.theta,
+                            gamma=drawn.gamma, nu=drawn.nu)
+    state = rs.update_eta(events, params, window=window)
+    assert 0.0 < state.eta_pair[state.structure.row_start[20]] < 1e-40
+    with np.errstate(over="raise", invalid="raise"):
+        assert _check_block_pass(events, params, window) == 3
+        assert _check_block_pass(events, _zero_theta(events, params), window) >= 1

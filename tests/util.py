@@ -86,7 +86,7 @@ def reference_token_postings(events):
 
 def pair_parents(structure):
     """The parent index of every pair of a PairStructure, in pair order."""
-    return structure._parent(np.arange(structure.n_pairs), slice(None))
+    return structure._parent(np.arange(structure.n_pairs), structure.pair_i)
 
 
 def reference_pairs(structure):
@@ -216,15 +216,36 @@ def reference_normalize(structure, logw_imm, logw_pair, c):
     return wi / z, eta_pair, m + np.log(z) + c
 
 
-def reference_e_step(structure, params):
-    """(eta0, eta_pair, log_z) from the reference mark half, in absolute terms."""
-    logw_imm, logw_pair = reference_log_mark_densities(structure, params)
-    log_kernel, pair_cell, _ = reference_pairs(structure)
-    with np.errstate(divide="ignore"):
-        logw_imm += np.log(params.rho)[structure.events.sources]
-        logw_pair += np.log(params.A).ravel()[pair_cell]
-    logw_pair += log_kernel
-    return reference_normalize(structure, logw_imm, logw_pair, np.zeros(len(structure.events)))
+def reference_e_step(structure, params, use_time=True, use_marks=True):
+    """(eta0, eta_pair, log_z) from the reference mark half, in absolute terms.
+
+    use_time=False leaves out rho and A kappa, use_marks=False the marks:
+    the weights of the mark-only and the temporal-only root passes.
+    """
+    n = len(structure.events)
+    if use_marks:
+        logw_imm, logw_pair = reference_log_mark_densities(structure, params)
+    else:
+        logw_imm, logw_pair = np.zeros(n), np.zeros(structure.n_pairs)
+    if use_time:
+        log_kernel, pair_cell, _ = reference_pairs(structure)
+        with np.errstate(divide="ignore"):
+            logw_imm += np.log(params.rho)[structure.events.sources]
+            logw_pair += np.log(params.A).ravel()[pair_cell]
+        logw_pair += log_kernel
+    return reference_normalize(structure, logw_imm, logw_pair, np.zeros(n))
+
+
+def reference_root_pass(structure, params, use_time=True, use_marks=True):
+    """Root probabilities by forward substitution, row by row, over the
+    reference E-step's per-pair posteriors."""
+    eta0, eta_pair, _ = reference_e_step(structure, params, use_time, use_marks)
+    events, row_start, lo = structure.events, structure.row_start, structure.lo
+    r = np.zeros((len(events), events.S))
+    for i in range(len(events)):
+        r[i] = eta_pair[row_start[i]:row_start[i + 1]] @ r[lo[i]:i]
+        r[i, events.sources[i]] += eta0[i]
+    return r
 
 
 def _reference_draw_length(rng, mean):
@@ -391,13 +412,14 @@ def reference_mini_conversations(state):
     eta_pair: np.argmax's ties over (immigrant, parents in time order), roots
     followed event by event, threads grouped in a dict."""
     from rootsource._numeric import segment_max
-    from rootsource.fitting import _row_blocks
 
     st = state.structure
     n = len(state)
     best = segment_max(state.eta_pair, st.row_start)
     parent = np.zeros(n, dtype=np.int64)
-    for a, b in _row_blocks(st.row_start):
+    # rows in blocks of about 2^16 pairs
+    cut = np.searchsorted(st.row_start, np.arange(0, st.n_pairs, 1 << 16), "right") - 1
+    for a, b in zip(cut.tolist(), cut[1:].tolist() + [n]):
         rows = a + np.flatnonzero(state.eta0[a:b] < best[a:b])
         pa = st.row_start[a]
         hits = pa + np.flatnonzero(state.eta_pair[pa:st.row_start[b]]
