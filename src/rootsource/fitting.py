@@ -44,6 +44,14 @@ at its own parameters only.  Nothing here builds per-pair posteriors: the
 root passes expand the E-step's terms a block of children at a time
 (`_eta_blocks`), and `VariationalState.eta_pair` copies those blocks into
 one array only when it is read.
+
+Every sweep reads the triples twice through their overlap pair (tri_ov):
+the E-step sums sigma per overlap pair and the (theta, gamma) step gathers
+eta per triple.  The triples are laid out child-major (by child, then
+token, then parent), so both reads stay inside one child's overlap pairs
+instead of jumping across the whole overlap array as a token-major layout
+does; both take the triple's ratio g xt / ((1 - g) theta) from one S x V
+table (`_ratio_table`).
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import ragged_arange, scatter_sum, segment_max, segment_sum, xlogy
+from ._numeric import ragged_ranges, scatter_sum, segment_max, segment_sum, xlogy
 from .errors import NumericalError, ValidationError
 from .model import EventSequence, ModelParams
 
@@ -196,19 +204,23 @@ def _check_memory(n: int, n_pairs: int, n_triples: int, S: int, V: int,
 
 
 def _first_partners(events: EventSequence, lo: np.ndarray):
-    """Token of every posting and the position of its first in-window partner.
+    """Each mark entry's first in-window partner and own position in the postings.
 
     Postings are sorted by (token, event), so the composite key tok * n + event
-    is ascending and child i's in-window partners for token v are the postings
-    keyed tok * n + [lo_i, i), just before i: posting p has p - first[p]
-    token-overlap triples.
+    is ascending and the in-window partners of posting p, of event i, are the
+    postings keyed tok * n + [lo_i, i), just before p.  Returns (first, pos)
+    per mark entry, in event order: entry k has the partners [first[k],
+    pos[k]), one token-overlap triple each.
     """
     n = len(events)
     indptr, post_ev, _, _ = events.token_postings()
-    tok = np.repeat(np.arange(events.V, dtype=np.int64), np.diff(indptr))
-    base = tok * n
-    first = np.searchsorted(base + post_ev, base + lo[post_ev], side="left")
-    return tok, first
+    key = np.repeat(np.arange(events.V, dtype=np.int64) * n, np.diff(indptr))
+    start = key + lo[post_ev]
+    key += post_ev
+    pos = events.posting_positions()
+    # one search per posting, whose keys ascend as the postings do, then the
+    # entries' gather: several times faster than a search per entry
+    return np.searchsorted(key, start, side="left")[pos], pos
 
 
 def _class_states(cls: np.ndarray, times: np.ndarray, nu: float):
@@ -261,8 +273,7 @@ def _kernel_cells(events: EventSequence, nu: float, lo: np.ndarray):
     # their window, and so a cell
     hi = np.searchsorted(lo, q, side="right") - 1
     stop = np.minimum(hi, np.append(np.where(cq[1:] == cq[:-1], q[1:], n), n))
-    i = ragged_arange(q + 1, stop + 1)
-    m = np.repeat(np.arange(q.size), stop - q)
+    m, i = ragged_ranges(q + 1, stop + 1)
     c = cq[m]
     # the latest class event before i's window, from the ascending composite
     # key class * n + event
@@ -302,7 +313,9 @@ class PairStructure:
     given) are laid out flat, nothing stored per pair: child i's parents are
     lo[i]..i-1, at row_start[i]:row_start[i+1].  Token-overlap triples
     (i, j, v) with x_{i,v} > 0 and x_{j,v} > 0 drive the mark-mixture
-    corrections and the theta/gamma updates; the distinct (i, j) among them
+    corrections and the theta/gamma updates, child-major: grouped by child
+    i, then token v, then parent j, so that a sweep's reads through tri_ov
+    stay inside one child's overlap pairs.  The distinct (i, j) among them
     are the overlap pairs (ov_*, in pair order, with tri_ov the overlap pair
     of each triple).  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
@@ -344,8 +357,8 @@ class PairStructure:
         self.n_pairs = int(self.row_len.sum())
         # the pairs and parameters, before the postings' V-long token index
         _check_memory(n, self.n_pairs, 0, S, V, window)
-        tok, first = _first_partners(events, self.lo)
-        self.n_triples = int((np.arange(first.size) - first).sum())
+        partners = _first_partners(events, self.lo)
+        self.n_triples = int((partners[1] - partners[0]).sum())
         _check_memory(n, self.n_pairs, self.n_triples, S, V, window)
         self.row_start = np.concatenate([[0], np.cumsum(self.row_len)])
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
@@ -360,7 +373,7 @@ class PairStructure:
         self.key_used = np.flatnonzero(used)
         self.key_at = (np.cumsum(used) - 1)[key]
 
-        self._partners = (tok, first)  # until the triples are built
+        self._partners = partners  # until the triples are built
         self._last = None
         with _LIVE_LOCK:
             _LIVE.add(self)
@@ -376,10 +389,6 @@ class PairStructure:
         """Parent of pair p of child i: p - row_start[i] + lo[i]."""
         shift = self.row_start[:-1][i] - self.lo[i]
         return np.subtract(p, shift, out=shift)
-
-    def _pair(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Position of the pairs (i, j), the inverse of `_parent`."""
-        return self.row_start[i] + (j - self.lo[i])
 
     def _cell(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Kernel cell s_i S + s_j (the flat index of A[s_i, s_j]) of pairs (i, j)."""
@@ -398,11 +407,11 @@ class PairStructure:
         """Record state as the E-step on this layout at params' values.
 
         The state is held weakly, so it lives only as long as its users keep
-        it; the parameters are copied, so later changes to params' arrays do
-        not move the record.
+        it; it keeps copies of the parameters, so later changes to params'
+        arrays do not move the record, and `elbo` can find its terms.
         """
-        self._last = (weakref.ref(state), params.rho.copy(), params.A.copy(),
-                      params.theta.copy(), params.gamma)
+        state._at = (params.rho.copy(), params.A.copy(), params.theta.copy(), params.gamma)
+        self._last = weakref.ref(state)
 
     def _state_at(self, params: ModelParams) -> "VariationalState | None":
         """The remembered E-step, if it is alive and ran at params' values, else None.
@@ -410,11 +419,11 @@ class PairStructure:
         The values are compared, not the objects: a fit that stops at an exact
         fixed point returns new parameters equal to those of its last E-step.
         """
-        if self._last is None:
+        state = None if self._last is None else self._last()
+        if state is None:
             return None
-        ref, rho, A, theta, gamma = self._last
-        state = ref()
-        if (state is not None and gamma == params.gamma and np.array_equal(rho, params.rho)
+        rho, A, theta, gamma = state._at
+        if (gamma == params.gamma and np.array_equal(rho, params.rho)
                 and np.array_equal(A, params.A) and np.array_equal(theta, params.theta)):
             return state
         return None
@@ -428,20 +437,22 @@ class PairStructure:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _build_triples(self) -> None:
-        """tri_pair, tri_key, tri_xiv and tri_xjv: one triple per posting pos
-        and earlier posting in [first, pos)."""
-        events = self.events
-        V = events.V
-        tok, first = self.__dict__.pop("_partners")
-        _, post_ev, post_cnt, post_norm = events.token_postings()
-        pos = np.arange(post_ev.size)
-        child_sel = np.repeat(pos, pos - first)
-        j_sel = ragged_arange(first, pos)
-        i_ev = post_ev[child_sel]
-        self.tri_pair = self._pair(i_ev, post_ev[j_sel])
-        self.tri_key = events.sources[i_ev] * V + tok[child_sel]
-        self.tri_xiv = post_cnt[child_sel]
+        """tri_pair, tri_key, tri_xiv and tri_xjv: one triple per mark entry
+        and in-window partner, grouped by child, then token, then parent.
+
+        The mark entries come event by event, so each child's triples are
+        contiguous and each sweep's reads through tri_ov stay inside that
+        child's overlap pairs.  Everything of the child's side is an entry's,
+        repeated over its partners.
+        """
+        _, post_ev, _, post_norm = self.events.token_postings()
+        entry, j_sel = ragged_ranges(*self.__dict__.pop("_partners"))
         self.tri_xjv = post_norm[j_sel]
+        self.tri_pair = post_ev[j_sel]
+        del j_sel
+        self.tri_pair += (self.row_start[:-1] - self.lo)[self.nnz_row][entry]
+        self.tri_key = self.key_used[self.key_at][entry]
+        self.tri_xiv = self.events.tok_count[entry]
 
     @cached_property
     def ov_pair(self) -> np.ndarray:
@@ -500,9 +511,10 @@ class VariationalState:
     log-normalizers.  The state carries the M-steps' and `elbo`'s inputs:
     eta_overlap (eta on the overlap pairs), eta_cells (the S x S sums of eta
     per child and parent source), eta_empty (each child's eta mass on parents
-    with an empty mark) and the mean log weight at its own parameters, and
-    _factors, the terms from which `_eta_blocks` expands eta over blocks of
-    children for the root passes.  eta_pair, eta on every pair of the
+    with an empty mark), a copy of its own parameters (from `update_eta`)
+    and, once `elbo` asks, the mean log weight at them; and _factors, the
+    terms from which `_eta_blocks` expands eta over blocks of children for
+    the root passes.  eta_pair, eta on every pair of the
     structure, is built from those blocks on first access; nothing in the
     package reads it.
 
@@ -527,6 +539,14 @@ class VariationalState:
             keep = (j >= st.lo[a:b, None]) & (j < np.arange(a, b)[:, None])
             out[st.row_start[a]:st.row_start[b]] = D.T[keep]
         return out
+
+    @cached_property
+    def _mean_log_w(self) -> float:
+        """The mean log weight at the parameters of the state's E-step, for
+        `elbo`; from the copies that `PairStructure._remember` made."""
+        rho, A, theta, gamma = self._at
+        params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=self.structure.nu)
+        return _mean_log_weight(self, *_weights(self.structure, params))
 
     def __len__(self) -> int:
         return self.eta0.size
@@ -557,6 +577,15 @@ def _structure_for(events, nu, window):
         if live.events is events and live.nu == nu and live.window == window:
             return live
     return PairStructure(events, nu, window=window)
+
+
+def _ratio_table(own: np.ndarray, g: float) -> np.ndarray:
+    """(1 - g) theta / g per (source, token), from own = (1 - g) theta: a
+    triple's ratio g xt_jv / ((1 - g) theta[s_i, v]) is xt_jv over its
+    entry.  The E-step's sigma and the theta-step's xi both gather it, one
+    pass fewer each than forming the ratio from theta; inf at g = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return own / g
 
 
 def _weights(structure: PairStructure, params: ModelParams,
@@ -599,15 +628,14 @@ def _weights(structure: PairStructure, params: ModelParams,
     log_f_imm -= c
     factor[:, 1] = log_f_imm
 
-    tri_own = own[structure.tri_key]
     has_dead = dead.any()
     if has_dead:
-        tri_dead = tri_own == 0.0
+        tri_dead = own[structure.tri_key] == 0.0
         n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = g * structure.tri_xjv
-        term /= tri_own
-        del tri_own
+        # the ratio g xt / ((1 - g) theta) is xt over the table's entry
+        term = _ratio_table(own, g)[structure.tri_key]
+        np.divide(structure.tri_xjv, term, out=term)
         np.log1p(term, out=term)
         if has_dead:
             at_dead = structure.tri_xjv[tri_dead]
@@ -764,7 +792,9 @@ def _e_step(structure: PairStructure, params: ModelParams,
     if use_marks:
         ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
         excess = -np.expm1(-sigma)
-        excess[np.repeat(factor[:, 0] == -np.inf, ov_len)] = 1.0
+        dead = factor[:, 0] == -np.inf
+        if dead.any():
+            excess[np.repeat(dead, ov_len)] = 1.0
         if use_time:
             logw_ov = log_a[structure.ov_cell]
             logw_ov += structure.ov_log_kernel
@@ -799,7 +829,6 @@ def _e_step(structure: PairStructure, params: ModelParams,
         cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
         state.eta_cells = cells.reshape(S, S)
         state.eta_empty = halves[:, 1] / z
-        state._mean_log_w = _mean_log_weight(state, log_a, logw_imm, c, factor, sigma)
     factor -= log_zr[:, None]
     state._factors = (log_a, factor)
     return state
@@ -874,15 +903,12 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
         theta_num = counts.copy()
         gamma_new = 0.0
     else:
-        g = gamma_hat
-        # xi, then the weights eta_ij x_iv xi, in place: at most three
-        # triple-length buffers at a time
-        gx = g * st.tri_xjv
-        xi = theta_hat.ravel()[st.tri_key]
-        xi *= 1.0 - g
-        xi += gx
-        np.divide(gx, xi, out=xi)
-        del gx
+        # xi = xt / (table + xt), 1 at a dead token, then the weights
+        # eta_ij x_iv xi, in place: at most three triple-length buffers at a
+        # time
+        xi = _ratio_table((1.0 - gamma_hat) * theta_hat.ravel(), gamma_hat)[st.tri_key]
+        xi += st.tri_xjv
+        np.divide(st.tri_xjv, xi, out=xi)
         w = state.eta_overlap[st.tri_ov]
         w *= st.tri_xiv
         w *= xi
@@ -970,7 +996,8 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     log z_i less the compensator.  At other parameters Theta it adds
     sum_ik eta_ik (log w_ik(Theta) - log w_ik(Theta0)); the kernels cancel,
     so this needs only the state's masses and `_weights`' terms at Theta,
-    nothing per pair.  At Theta0 it is fit's trace value bit for bit.  Adds
+    and, on the state's first call, at Theta0; nothing per pair.  At Theta0
+    it is fit's trace value bit for bit.  Adds
     the Gamma log-prior terms when a prior is supplied.  The state must have
     been built for the same events and kernel bandwidth.
     """
@@ -979,12 +1006,13 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     st = state.structure
     if st.nu != params.nu:
         raise ValidationError("state was built for a different kernel bandwidth")
+    own = state._mean_log_w  # first, so that its terms are gone before those at Theta
     log_a, logw_imm, c, factor, sigma = _weights(st, params)
     value = math.fsum([
         -_compensator_terms(st, params),
         float(np.sum(state.log_z, dtype=np.longdouble)),
         _mean_log_weight(state, log_a, logw_imm, c, factor, sigma),
-        -state._mean_log_w,
+        -own,
         _prior_terms(params, prior),
     ])
     # a child whose token is dead at Theta but not at Theta0 gives weight 0

@@ -212,41 +212,44 @@ class EventSequence:
         the slice indptr[v]:indptr[v+1] lists the events containing v (sorted
         ascending), their raw counts, and their counts normalized by the
         event's length.  The entries are those of a CSC transpose of the
-        marks with sorted indices, bit for bit.
+        marks with sorted indices, bit for bit.  `posting_positions` inverts
+        the order.
         """
         if self._postings is None:
             n, V, tok, count = len(self), self.V, self.tok_index, self.tok_count
-            sizes = np.diff(self.tok_indptr)
+            nnz = tok.size
             # Entries by token, then by event.  Tokens are unique within an
-            # event and counts are positive integers, so one sort of the
-            # packed key (token, event, count) orders the entries and carries
-            # their events and counts along, with no gather.
-            top = float(count.max()) if count.size else 0.0
-            e_bits = max(n - 1, 0).bit_length()
-            c_bits = int(top).bit_length() if top < 2.0 ** 63 else 64
-            bits = V.bit_length() + e_bits + c_bits  # not V - 1: indptr[V] searches V
-            if bits <= 64:
-                kt = np.uint32 if bits <= 32 else np.uint64  # uint32 sorts in half the time
-                key = tok.astype(kt) << kt(e_bits)
-                key |= np.repeat(np.arange(n, dtype=kt), sizes)
-                key <<= kt(c_bits)
-                key |= count.astype(kt)
-                key.sort()
-                indptr = np.searchsorted(key, np.arange(V + 1, dtype=kt) << kt(e_bits + c_bits))
-                cnt = (key & kt((1 << c_bits) - 1)).astype(np.float64)
-                key >>= kt(c_bits)
-                key &= kt((1 << e_bits) - 1)
-                ev = key.astype(np.int64)
-            else:  # counts too large to pack
-                event = np.repeat(np.arange(n), sizes)
-                order = np.lexsort((event, tok))
-                indptr = np.searchsorted(tok[order], np.arange(V + 1))
-                ev, cnt = event[order], count[order]
+            # event and the entries are stored event by event, so one sort of
+            # the packed key (token, entry) orders them; the entry gives each
+            # posting its event and count, and each entry its posting.
+            e_bits = max(nnz - 1, 0).bit_length()
+            bits = V.bit_length() + e_bits  # not V - 1: indptr[V] searches V
+            if bits > 64:
+                raise ValidationError(f"{V} tokens and {nnz} mark entries are too many to "
+                                      f"index together in 64 bits")
+            kt = np.uint32 if bits <= 32 else np.uint64  # uint32 sorts in half the time
+            key = tok.astype(kt) << kt(e_bits)
+            key |= np.arange(nnz, dtype=kt)
+            key.sort()
+            indptr = np.searchsorted(key, np.arange(V + 1, dtype=kt) << kt(e_bits))
+            key &= kt((1 << e_bits) - 1)
+            entry = key.astype(np.intp)
+            del key
+            ev = np.repeat(np.arange(n), np.diff(self.tok_indptr))[entry]
+            cnt = count[entry]
             norm = self.lengths[ev]
             with np.errstate(invalid="ignore"):
                 np.divide(cnt, norm, out=norm)
-            self._postings = (indptr.astype(np.int64, copy=False), ev, cnt, norm)
-        return self._postings
+            at = np.empty(nnz, dtype=np.intp)
+            at[entry] = np.arange(nnz)
+            self._postings = (indptr.astype(np.int64, copy=False), ev, cnt, norm, at)
+        return self._postings[:4]
+
+    def posting_positions(self) -> np.ndarray:
+        """Each mark entry's position in `token_postings`: entry k (in
+        tok_index order) is posting posting_positions()[k]."""
+        self.token_postings()
+        return self._postings[4]
 
     def token_counts_by_source(self) -> np.ndarray:
         """Dense (S, V) matrix of total token counts per source."""

@@ -136,6 +136,9 @@ def test_build_triples_matches_per_token_loop(case):
         np.testing.assert_array_equal(got, ref, err_msg=name)
     if case in ("exact", "windowed"):
         assert st.tri_pair.size > 0
+    # child-major: the triples of one child are contiguous
+    tri_child = np.searchsorted(st.row_start, st.tri_pair, side="right") - 1
+    assert np.all(np.diff(tri_child) >= 0)
     # the overlap pairs: the distinct pairs among the triples, grouped by child
     np.testing.assert_array_equal(st.ov_pair, np.unique(st.tri_pair))
     np.testing.assert_array_equal(st.ov_pair[st.tri_ov], st.tri_pair)

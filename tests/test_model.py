@@ -238,12 +238,15 @@ def _postings_cases():
     yield "single-event", random_events(rng, 1, 1, 5, max_len=5)
     yield "no-vocabulary", random_events(rng, 7, 2, 0, max_len=1)
     base = random_events(rng, 300, 3, 50, max_len=8)
-    yield "64-bit-key", _with(base, counts=base.tok_count * 1000.0, V=1 << 20)
+    yield "64-bit-key", _with(base, counts=base.tok_count * 1000.0, V=1 << 22)
     yield "counts-too-large-to-pack", _with(base, counts=base.tok_count * 2.0 ** 50,
                                             V=1 << 20)
 
 
-@pytest.mark.parametrize("events", [pytest.param(e, id=name) for name, e in _postings_cases()])
+POSTINGS_CASES = [pytest.param(e, id=name) for name, e in _postings_cases()]
+
+
+@pytest.mark.parametrize("events", POSTINGS_CASES)
 def test_token_postings_match_a_csc_transpose(events):
     got = events.token_postings()
     want = reference_token_postings(events)
@@ -251,6 +254,37 @@ def test_token_postings_match_a_csc_transpose(events):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("events", POSTINGS_CASES)
+def test_posting_positions_invert_the_postings(events):
+    # mark entry k is the posting at its position: same event, token and count
+    indptr, ev, cnt, _ = events.token_postings()
+    at = events.posting_positions()
+    assert at.shape == events.tok_index.shape
+    np.testing.assert_array_equal(
+        ev[at], np.repeat(np.arange(len(events)), np.diff(events.tok_indptr)))
+    np.testing.assert_array_equal(
+        np.repeat(np.arange(events.V), np.diff(indptr))[at], events.tok_index)
+    np.testing.assert_array_equal(cnt[at], events.tok_count)
+
+
+def test_postings_cases_reach_both_key_widths():
+    # the sort key packs (token, mark entry) into V.bit_length() plus the
+    # entry bits: one case needs 64 bits, the others fit in 32
+    bits = {p.id: p.values[0].V.bit_length() + max(p.values[0].tok_index.size - 1, 0).bit_length()
+            for p in POSTINGS_CASES}
+    assert 32 < bits.pop("64-bit-key") <= 64
+    assert max(bits.values()) <= 32
+
+
+def test_token_postings_refuse_keys_over_64_bits():
+    # 63 token bits and 2 entry bits; V + 1 offsets that large could not be
+    # allocated anyway, so the postings raise before anything V-sized
+    events = rs.EventSequence([1.0, 2.0], [0, 0], [0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0],
+                              3.0, 1, 1 << 62)
+    with pytest.raises(ValidationError, match="64 bits"):
+        events.token_postings()
 
 
 def test_every_public_name_resolves():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rootsource._numeric import xlogy
+from rootsource._numeric import ragged_arange, ragged_ranges, xlogy
 
 INF, NAN = np.inf, np.nan
 
@@ -68,3 +68,12 @@ def test_xlogy_scalars_and_no_warnings():
         assert xlogy(2.0, 0.0) == -INF
         assert np.isnan(xlogy(1.0, -1.0))
         assert xlogy(3, 1) == 0.0
+
+
+@pytest.mark.parametrize("starts, stops", [([3, 0, 5, 2], [5, 0, 4, 4]), ([], []), ([1, 1], [1, 0])])
+def test_ragged_ranges_match_a_loop(starts, stops):
+    owner, values = ragged_ranges(np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64))
+    want = [(k, v) for k, (a, b) in enumerate(zip(starts, stops)) for v in range(a, b)]
+    assert owner.tolist() == [k for k, _ in want] and values.tolist() == [v for _, v in want]
+    assert owner.dtype == values.dtype == np.int64
+    np.testing.assert_array_equal(values, ragged_arange(starts, stops))
