@@ -35,22 +35,9 @@ def segment_max(values: np.ndarray, row_start: np.ndarray,
     return out
 
 
-def ragged_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(starts[k], stops[k]) for all k."""
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    counts = np.maximum(stops - starts, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total) - offsets + np.repeat(starts, counts)
-
-
 def ragged_ranges(starts: np.ndarray, stops: np.ndarray):
     """(owner, values): for each k in turn, arange(starts[k], stops[k]) in
-    values and k in owner, concatenated; one repeat, where ragged_arange
-    and a repeat of the owners take two."""
+    values and k in owner, concatenated; int64, with one repeat."""
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
     owner = np.repeat(np.arange(counts.size), counts)

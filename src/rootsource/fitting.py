@@ -50,8 +50,8 @@ the E-step sums sigma per overlap pair and the (theta, gamma) step gathers
 eta per triple.  The triples are laid out child-major (by child, then
 token, then parent), so both reads stay inside one child's overlap pairs
 instead of jumping across the whole overlap array as a token-major layout
-does; both take the triple's ratio g xt / ((1 - g) theta) from one S x V
-table (`_ratio_table`).
+does; both take the triple's ratio g xt / ((1 - g) theta) as xt over an
+S x V table, (1 - g) theta / g, gathered by the triple's key.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _first_partners(events: EventSequence, lo: np.ndarray):
     pos[k]), one token-overlap triple each.
     """
     n = len(events)
-    indptr, post_ev, _, _ = events.token_postings()
+    indptr, post_ev, _ = events.token_postings()
     key = np.repeat(np.arange(events.V, dtype=np.int64) * n, np.diff(indptr))
     start = key + lo[post_ev]
     key += post_ev
@@ -364,7 +364,7 @@ class PairStructure:
         self.kint = 1.0 - np.exp(-(events.T - times) / nu)
 
         self.counts_by_source = events.token_counts_by_source()
-        self.nnz_row = np.repeat(np.arange(n), np.diff(events.tok_indptr))
+        self.nnz_row = events.entry_event
         # the distinct (source, token) keys of the marks, and each mark
         # entry's among them: the E-step takes logs of theta only there
         key = events.sources[self.nnz_row] * V + events.tok_index
@@ -445,7 +445,7 @@ class PairStructure:
         child's overlap pairs.  Everything of the child's side is an entry's,
         repeated over its partners.
         """
-        _, post_ev, _, post_norm = self.events.token_postings()
+        _, post_ev, post_norm = self.events.token_postings()
         entry, j_sel = ragged_ranges(*self.__dict__.pop("_partners"))
         self.tri_xjv = post_norm[j_sel]
         self.tri_pair = post_ev[j_sel]
@@ -579,15 +579,6 @@ def _structure_for(events, nu, window):
     return PairStructure(events, nu, window=window)
 
 
-def _ratio_table(own: np.ndarray, g: float) -> np.ndarray:
-    """(1 - g) theta / g per (source, token), from own = (1 - g) theta: a
-    triple's ratio g xt_jv / ((1 - g) theta[s_i, v]) is xt_jv over its
-    entry.  The E-step's sigma and the theta-step's xi both gather it, one
-    pass fewer each than forming the ratio from theta; inf at g = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return own / g
-
-
 def _weights(structure: PairStructure, params: ModelParams,
              use_time: bool = True, use_marks: bool = True):
     """The terms of the log posterior weights, relative to a per-child constant.
@@ -633,8 +624,9 @@ def _weights(structure: PairStructure, params: ModelParams,
         tri_dead = own[structure.tri_key] == 0.0
         n_dead = np.bincount(structure.nnz_row[dead], minlength=n).astype(np.int32)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the ratio g xt / ((1 - g) theta) is xt over the table's entry
-        term = _ratio_table(own, g)[structure.tri_key]
+        # the ratio g xt / ((1 - g) theta) is xt over (1 - g) theta / g, a
+        # gather from one S x V table (inf at g = 0)
+        term = (own / g)[structure.tri_key]
         np.divide(structure.tri_xjv, term, out=term)
         np.log1p(term, out=term)
         if has_dead:
@@ -903,10 +895,10 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
         theta_num = counts.copy()
         gamma_new = 0.0
     else:
-        # xi = xt / (table + xt), 1 at a dead token, then the weights
-        # eta_ij x_iv xi, in place: at most three triple-length buffers at a
-        # time
-        xi = _ratio_table((1.0 - gamma_hat) * theta_hat.ravel(), gamma_hat)[st.tri_key]
+        # xi = xt / ((1 - g) theta / g + xt), 1 at a dead token, then the
+        # weights eta_ij x_iv xi, in place: at most three triple-length
+        # buffers at a time
+        xi = ((1.0 - gamma_hat) * theta_hat.ravel() / gamma_hat)[st.tri_key]
         xi += st.tri_xjv
         np.divide(st.tri_xjv, xi, out=xi)
         w = state.eta_overlap[st.tri_ov]

@@ -198,25 +198,31 @@ class EventSequence:
         return (self[k] for k in range(len(self)))
 
     @property
+    def entry_event(self) -> np.ndarray:
+        """The event of each mark entry (in tok_index order), int64."""
+        if not hasattr(self, "_entry_event"):
+            self._entry_event = np.repeat(np.arange(len(self)), np.diff(self.tok_indptr))
+        return self._entry_event
+
+    @property
     def lengths(self) -> np.ndarray:
         """Per-event total token counts L_i, float64."""
         if not hasattr(self, "_lengths"):
-            rows = np.repeat(np.arange(len(self)), np.diff(self.tok_indptr))
-            self._lengths = scatter_sum(rows, self.tok_count, len(self))
+            self._lengths = scatter_sum(self.entry_event, self.tok_count, len(self))
         return self._lengths
 
     def token_postings(self):
         """Column-oriented view of the marks: per token, which events use it.
 
-        Returns (indptr, event_ids, counts, normalized_counts): for token v,
-        the slice indptr[v]:indptr[v+1] lists the events containing v (sorted
-        ascending), their raw counts, and their counts normalized by the
-        event's length.  The entries are those of a CSC transpose of the
-        marks with sorted indices, bit for bit.  `posting_positions` inverts
-        the order.
+        Returns (indptr, event_ids, normalized_counts): for token v, the
+        slice indptr[v]:indptr[v+1] lists the events containing v (sorted
+        ascending) and their counts normalized by the event's length.  The
+        entries are those of a CSC transpose of the marks with sorted
+        indices, bit for bit.  `posting_positions` inverts the order; the
+        raw counts are tok_count, each at its entry's posting.
         """
         if self._postings is None:
-            n, V, tok, count = len(self), self.V, self.tok_index, self.tok_count
+            V, tok = self.V, self.tok_index
             nnz = tok.size
             # Entries by token, then by event.  Tokens are unique within an
             # event and the entries are stored event by event, so one sort of
@@ -235,21 +241,20 @@ class EventSequence:
             key &= kt((1 << e_bits) - 1)
             entry = key.astype(np.intp)
             del key
-            ev = np.repeat(np.arange(n), np.diff(self.tok_indptr))[entry]
-            cnt = count[entry]
+            ev = self.entry_event[entry]
             norm = self.lengths[ev]
             with np.errstate(invalid="ignore"):
-                np.divide(cnt, norm, out=norm)
+                np.divide(self.tok_count[entry], norm, out=norm)
             at = np.empty(nnz, dtype=np.intp)
             at[entry] = np.arange(nnz)
-            self._postings = (indptr.astype(np.int64, copy=False), ev, cnt, norm, at)
-        return self._postings[:4]
+            self._postings = (indptr.astype(np.int64, copy=False), ev, norm, at)
+        return self._postings[:3]
 
     def posting_positions(self) -> np.ndarray:
         """Each mark entry's position in `token_postings`: entry k (in
         tok_index order) is posting posting_positions()[k]."""
         self.token_postings()
-        return self._postings[4]
+        return self._postings[3]
 
     def token_counts_by_source(self) -> np.ndarray:
         """Dense (S, V) matrix of total token counts per source."""

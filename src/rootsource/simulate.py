@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import ragged_arange
+from ._numeric import ragged_ranges
 from .errors import NumericalError, ValidationError
 from .model import EventSequence, ModelParams
 
@@ -257,26 +257,27 @@ def _resolve_marks(params: ModelParams, sources, parent, L, u, gen_start):
     rstart = rbound[:-1]
     event = np.repeat(np.arange(n), L)
 
-    tested = u[ragged_arange(ustart[child], ustart[child] + L[child])] < params.gamma
+    tested = u[ragged_ranges(ustart[child], ustart[child] + L[child])[1]] < params.gamma
     ends = np.concatenate([[0], np.cumsum(tested)])[np.cumsum(L[child])]
     k = np.zeros(n, dtype=np.int64)
     k[child] = np.diff(ends, prepend=0)
 
     raw = np.empty(rbound[-1], dtype=np.int64)
     first = ustart + np.where(child, L + k, 0)
-    draw_u = u[ragged_arange(first, first + L - k)]
-    draw_at = ragged_arange(rstart + k, rstart + L)
-    by_source = np.argsort(sources[event[draw_at]], kind="stable")
-    bounds = np.searchsorted(sources[event[draw_at[by_source]]], np.arange(S + 1))
+    draw_u = u[ragged_ranges(first, first + L - k)[1]]
+    draw_ev, draw_at = ragged_ranges(rstart + k, rstart + L)
+    draw_s = sources[draw_ev]
+    by_source = np.argsort(draw_s, kind="stable")
+    bounds = np.searchsorted(draw_s[by_source], np.arange(S + 1))
     theta_cum = np.cumsum(params.theta, axis=1)
     for s in range(S):
         sel = by_source[bounds[s]:bounds[s + 1]]
         raw[draw_at[sel]] = np.minimum(
             np.searchsorted(theta_cum[s], draw_u[sel], side="right"), V - 1)
 
-    pick_at = ragged_arange(rstart, rstart + k)
-    p = parent[event[pick_at]]
-    pick_u = u[ragged_arange(ustart + L, ustart + L + k)]
+    pick_ev, pick_at = ragged_ranges(rstart, rstart + k)
+    p = parent[pick_ev]
+    pick_u = u[ragged_ranges(ustart + L, ustart + L + k)[1]]
     pick_from = rstart[p] + np.minimum(np.floor(pick_u * L[p]).astype(np.int64), L[p] - 1)
     pick_bounds = np.searchsorted(pick_at, rbound[gen_start])
     for g in range(gen_start.size - 1):
@@ -314,7 +315,7 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
     start = np.flatnonzero(np.diff(key, prepend=-1) != 0)
     run_count = np.diff(start, append=key.size)
     run_start = np.concatenate([[0], np.cumsum(np.bincount(event[start], minlength=n))])
-    runs = ragged_arange(run_start[order], run_start[order + 1])
+    runs = ragged_ranges(run_start[order], run_start[order + 1])[1]
     indptr = np.concatenate([[0], np.cumsum(np.diff(run_start)[order])])
     events = EventSequence(times, sources[order], indptr, raw[start][runs].astype(np.int32),
                            run_count[runs].astype(np.float64), config.T, params.S, params.V)

@@ -83,7 +83,7 @@ def test_lengths_are_float64_without_tokens():
                    rs.EventSequence.from_events(evs[:0], T=3.0, S=1, V=2)):
         assert events.lengths.dtype == np.float64
         np.testing.assert_array_equal(events.lengths, np.zeros(len(events)))
-        assert events.token_postings()[3].dtype == np.float64
+        assert events.token_postings()[2].dtype == np.float64
 
 
 def test_intensities_hand_values():
@@ -205,8 +205,10 @@ def test_token_structures_match_dense():
     for e in events:
         dense[e.s, e.tokens] += e.counts
     np.testing.assert_array_equal(counts, dense)
-    indptr, ev, cnt, norm = events.token_postings()
+    indptr, ev, norm = events.token_postings()
     assert indptr.shape == (events.V + 1,)
+    cnt = np.empty_like(norm)
+    cnt[events.posting_positions()] = events.tok_count
     for v in range(7):
         sl = slice(indptr[v], indptr[v + 1])
         have = dict(zip(ev[sl].tolist(), cnt[sl].tolist()))
@@ -250,6 +252,7 @@ POSTINGS_CASES = [pytest.param(e, id=name) for name, e in _postings_cases()]
 def test_token_postings_match_a_csc_transpose(events):
     got = events.token_postings()
     want = reference_token_postings(events)
+    assert len(got) == len(want)
     assert got[0].shape == (events.V + 1,)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
@@ -258,15 +261,16 @@ def test_token_postings_match_a_csc_transpose(events):
 
 @pytest.mark.parametrize("events", POSTINGS_CASES)
 def test_posting_positions_invert_the_postings(events):
-    # mark entry k is the posting at its position: same event, token and count
-    indptr, ev, cnt, _ = events.token_postings()
+    # mark entry k is the posting at its position: same event, token and
+    # count (normalized by the event's length)
+    indptr, ev, norm = events.token_postings()
     at = events.posting_positions()
     assert at.shape == events.tok_index.shape
-    np.testing.assert_array_equal(
-        ev[at], np.repeat(np.arange(len(events)), np.diff(events.tok_indptr)))
+    rows = np.repeat(np.arange(len(events)), np.diff(events.tok_indptr))
+    np.testing.assert_array_equal(ev[at], rows)
     np.testing.assert_array_equal(
         np.repeat(np.arange(events.V), np.diff(indptr))[at], events.tok_index)
-    np.testing.assert_array_equal(cnt[at], events.tok_count)
+    np.testing.assert_array_equal(norm[at], events.tok_count / events.lengths[rows])
 
 
 def test_postings_cases_reach_both_key_widths():

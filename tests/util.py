@@ -40,7 +40,7 @@ def random_instance(rng, n_max=9, S_max=5, V_max=21):
 def covered_cells(events, window, nu):
     """(s, v) cells where every event of source s holding token v has an
     earlier in-window event holding v, so a zero theta[s, v] leaves a parent."""
-    indptr, post_ev, _, _ = events.token_postings()
+    indptr, post_ev, _ = events.token_postings()
     ok = np.ones((events.S, events.V), dtype=bool)
     limit = np.inf if window is None else window * nu
     for v in range(events.V):
@@ -71,7 +71,7 @@ def dense_eta(state):
 
 def reference_token_postings(events):
     """EventSequence.token_postings by a CSC transpose of the CSR marks with
-    sorted indices: (indptr, event ids, counts, normalized counts)."""
+    sorted indices: (indptr, event ids, normalized counts)."""
     from scipy import sparse
 
     csc = sparse.csr_matrix((events.tok_count, events.tok_index, events.tok_indptr),
@@ -81,7 +81,7 @@ def reference_token_postings(events):
     cnt = csc.data.astype(np.float64)
     with np.errstate(invalid="ignore"):
         norm = cnt / events.lengths[ev]
-    return csc.indptr.astype(np.int64), ev, cnt, norm
+    return csc.indptr.astype(np.int64), ev, norm
 
 
 def pair_parents(structure):
