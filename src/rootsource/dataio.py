@@ -8,6 +8,14 @@ round-trips are bit-exact.  Every reader and writer takes a path, which it
 closes also on an error, or an open file, which it leaves open.  Malformed
 input, JSON's NaN and Infinity included, raises ValidationError.
 
+The readers work a column at a time.  The JSONL readers decode each line
+once, as one JSON value (`_records`); `read_events` only gathers each
+record's fields into lists, converting each distinct token key once, then
+checks types and converts every column in bulk, and `read_rootprob` parses
+all rows in one numpy call.  An error names the line of the first record at
+fault in the column that failed, also for the faults that only
+EventSequence finds (it reports the event, which the reader maps to a line).
+
 Source labels are 1-based in every file format ("s", "root", the r_1..r_S
 CSV columns, argmax_source) and 0-based in memory; token indices are 0-based
 everywhere.  Parent references use 0 as the immigrant sentinel with 1-based
@@ -100,6 +108,37 @@ def _reals(value) -> np.ndarray:
     return array
 
 
+def _json_number(kind, what: str):
+    """A check of one value: kind(value, what), refusing first any value that
+    is not a JSON number, such as a string, which kind would read."""
+    noun = "an integer" if kind is _integer else "a number"
+
+    def check(value):
+        if type(value) not in (int, float):
+            raise ValueError(f"{what} is not {noun}: {value!r}")
+        return kind(value, what)
+    return check
+
+
+class _Ints(dict):
+    """int(key) for each key looked up, computed once per distinct key."""
+
+    def __missing__(self, key):
+        self[key] = value = int(key)
+        return value
+
+
+def _floats(values: list):
+    """values as a float64 array when each is a finite JSON number, else None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.fromiter(values, np.float64, len(values))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
 def _document(text: str, schema: str, what: str) -> dict:
     """The JSON object in text, tagged with schema; what names it in errors."""
     if not text.strip():
@@ -111,6 +150,28 @@ def _document(text: str, schema: str, what: str) -> dict:
     if doc.get("schema") != schema:
         raise ValidationError(f"schema mismatch: expected {schema}, got {doc.get('schema')!r}")
     return doc
+
+
+def _records(fp, what: str, start: int = 2):
+    """(line number, value) for each non-blank line of a JSONL file, whose
+    next line is line start (2, after a header).
+
+    Each line holds exactly one JSON value, as json.loads reads it: JSON
+    whitespace may surround it, and nothing else.  what names the records in
+    errors.
+    """
+    decode = json.JSONDecoder().raw_decode
+    for lineno, line in enumerate(fp, start=start):
+        if line.isspace():
+            continue
+        text = line.strip(" \t\n\r")  # JSON's whitespace
+        try:
+            value, end = decode(text)
+            if end < len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"line {lineno}: malformed {what} record ({err})") from err
+        yield lineno, value
 
 
 def _write_json(doc: dict, path_or_file, indent=None) -> None:
@@ -162,55 +223,78 @@ def write_events(events: EventSequence, path_or_file) -> None:
 
 
 def read_events(path_or_file) -> EventSequence:
+    """An events-v1 file; an error names the line of the first record at fault."""
     with _opened(path_or_file, "r") as fp:
         header = _document(fp.readline(), EVENTS_SCHEMA, "line 1: header")
         T, S, V = (_field(header, key, kind, "line 1: header")
                    for key, kind in (("T", _real), ("S", _integer), ("V", _integer)))
-        times, sources, indptr, tok_i, tok_c, blank = [], [], [0], [], [], []
-        for lineno, line in enumerate(fp, start=2):
-            if not line.strip():
-                blank.append(lineno)
-                continue
+        # One pass over the records gathers their columns, converting each
+        # distinct token key once; the checks and other conversions below run
+        # a column at a time.
+        lines, t, s, tokens, counts, sizes = [], [], [], [], [], []
+        token = _Ints().__getitem__
+        for lineno, rec in _records(fp, "event"):
             try:
-                rec = json.loads(line)
-                t, s, x = float(rec["t"]), rec["s"], rec.get("x", {})
-                if type(s) is not int:
-                    s = _integer(s, "field 's'")
-                items = sorted((int(v), float(c)) for v, c in x.items())
-                # float() reads a JSON boolean as 1 or 0; a line without the
-                # text true or false holds none, so it skips the check
-                if "true" in line or "false" in line:
-                    _real(rec["t"], "field 't'")
-                    for c in x.values():
-                        _real(c, "a count in field 'x'")
-            except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                    ValueError, OverflowError) as err:
+                t.append(rec["t"])
+                s.append(rec["s"])
+                x = rec.get("x", {})
+                tokens.extend(map(token, x))
+                counts.extend(x.values())
+            except (KeyError, TypeError, ValueError, AttributeError) as err:
                 raise ValidationError(f"line {lineno}: malformed event record ({err})") from err
-            if s < 1:
-                raise ValidationError(f"line {lineno}: source labels are 1-based in files")
-            times.append(t)
-            sources.append(s - 1)
-            for v, c in items:
-                tok_i.append(v)
-                tok_c.append(c)
-            indptr.append(len(tok_i))
+            sizes.append(len(x))
+            lines.append(lineno)
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+
+    def fault(values, check, entries=False, message="malformed event record"):
+        """The error for the first of values (one per record, or per mark entry)
+        that check refuses, naming that record's line."""
+        for k, value in enumerate(values):
+            try:
+                check(value)
+            except (TypeError, ValueError, OverflowError) as err:
+                if entries:
+                    k = int(np.searchsorted(indptr, k, side="right")) - 1
+                return ValidationError(f"line {lines[k]}: {message} ({err})")
+        raise AssertionError("a column check failed on no value")
+
+    def labels(values, dtype, entries=False):
         try:
-            arrays = (np.array(times), np.array(sources, dtype=np.int64),
-                      np.array(indptr, dtype=np.int64),
-                      np.array(tok_i, dtype=np.int32), np.array(tok_c))
+            return np.fromiter(values, dtype, len(values))
         except OverflowError as err:
-            raise ValidationError(f"event record label out of range ({err})") from err
-        bad = ~np.isfinite(arrays[0])
-        if bad.any():  # NaN and Infinity, which JSON readers accept
-            k = int(np.argmax(bad))
-            lineno = k + 2
-            for skipped in blank:  # the blank lines up to record k
-                if skipped > lineno:
-                    break
-                lineno += 1
-            raise ValidationError(f"line {lineno}: malformed event record "
-                                  f"(field 't' is not finite: {times[k]})")
-        return EventSequence(*arrays, T=T, S=S, V=V)
+            raise fault(values, lambda v: np.array(v, dtype=dtype), entries,
+                        "event record label out of range") from err
+
+    times = _floats(t)
+    if times is None:
+        raise fault(t, _json_number(_real, "field 't'"))
+    tok_count = _floats(counts)
+    if tok_count is None:
+        raise fault(counts, _json_number(_real, "a count in field 'x'"), entries=True)
+    if not set(map(type, s)) <= {int}:  # integral floats such as 2.0 are labels too
+        label = _json_number(_integer, "field 's'")
+        try:
+            s = list(map(label, s))
+        except (TypeError, ValueError) as err:
+            raise fault(s, label) from err
+    sources = labels(s, np.int64)
+    if (sources < 1).any():
+        raise ValidationError(f"line {lines[int(np.argmax(sources < 1))]}: "
+                              "source labels are 1-based in files")
+    sources -= 1
+    tok_index = labels(tokens, np.int32, entries=True)
+    # an entry below the one before it is in order only at an event's start
+    down = np.flatnonzero(tok_index[1:] < tok_index[:-1]) + 1
+    if np.any(indptr[np.searchsorted(indptr, down)] != down):
+        order = np.lexsort((tok_index, np.repeat(np.arange(len(sizes)), sizes)))
+        tok_index, tok_count = tok_index[order], tok_count[order]
+    try:
+        return EventSequence(times, sources, indptr, tok_index, tok_count, T=T, S=S, V=V)
+    except ValidationError as err:
+        if err.event is None:
+            raise
+        raise ValidationError(f"line {lines[err.event]}: {err}", event=err.event) from None
 
 
 # ----------------------------------------------------------------- truth ---
@@ -235,14 +319,11 @@ def read_truth(path_or_file) -> TruthInfo:
     with _opened(path_or_file, "r") as fp:
         _document(fp.readline(), TRUTH_SCHEMA, "line 1: header")
         parent, root = [], []
-        for lineno, line in enumerate(fp, start=2):
-            if not line.strip():
-                continue
+        for lineno, rec in _records(fp, "truth"):
             try:
-                rec = json.loads(line)
                 parent.append(_integer(rec["parent"], "field 'parent'"))
                 root.append(_integer(rec["root"], "field 'root'") - 1)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed truth record ({err})") from err
         try:
             return TruthInfo(parent=np.array(parent, dtype=np.int64),
@@ -299,18 +380,34 @@ def read_rootprob(path_or_file) -> RootProbMatrix:
         if header[:1] != ["event_index"] or header[-1:] != ["argmax_source"]:
             raise ValidationError("line 2: malformed column header")
         S = len(header) - 2
-        rows = []
-        for lineno, line in enumerate(fp, start=3):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != S + 2:
-                raise ValidationError(f"line {lineno}: expected {S + 2} columns")
-            try:
-                rows.append([float(v) for v in parts[1:1 + S]])
-            except ValueError as err:
-                raise ValidationError(f"line {lineno}: malformed value ({err})") from err
-        return RootProbMatrix(np.array(rows).reshape(len(rows), S), m.group(1))
+        lines = fp.readlines()
+    # One parse of every row, all S + 2 columns, so that a row with a column
+    # too few or too many is refused; a fault is then looked up line by line.
+    rows = [line for line in lines if not line.isspace()]
+    try:
+        r = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
+             else np.empty((0, S + 2)))
+    except ValueError as err:
+        raise _rootprob_fault(lines, S) from err
+    if r.shape[1] != S + 2:
+        raise _rootprob_fault(lines, S)
+    return RootProbMatrix(np.ascontiguousarray(r[:, 1:S + 1]), m.group(1))
+
+
+def _rootprob_fault(lines: list, S: int) -> ValidationError:
+    """The error for the first of lines, those after the column header, that
+    holds a value that is no number or has not S + 2 columns; each line is
+    parsed as the bulk parse reads it."""
+    for lineno, line in enumerate(lines, start=3):
+        if line.isspace():
+            continue
+        try:
+            row = np.loadtxt([line], delimiter=",", comments=None, ndmin=2)
+        except ValueError as err:
+            return ValidationError(f"line {lineno}: malformed value ({err})")
+        if row.shape[1] != S + 2:
+            return ValidationError(f"line {lineno}: expected {S + 2} columns")
+    raise AssertionError("the rows failed to parse, but no single row does")
 
 
 # ------------------------------------------------------------ eval / cfg ---
@@ -393,14 +490,11 @@ def read_raw_comments(path_or_file) -> list:
     """JSONL of {"t","author","text"} (or {"t","author","x":{token:count}})."""
     with _opened(path_or_file, "r") as fp:
         out = []
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
+        for lineno, rec in _records(fp, "comment", start=1):
             try:
-                rec = json.loads(line)
                 t = _real(rec["t"], "field 't'")
                 author = str(rec["author"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"line {lineno}: malformed comment record ({err})") from err
             if not author:
                 raise ValidationError(f"line {lineno}: author must be nonempty")

@@ -140,32 +140,39 @@ class EventSequence:
             raise ValidationError("T must be positive and finite, S >= 1, V >= 0")
         if n == 0:
             return
-        if not np.all((self.times > 0) & (self.times <= self.T)):
-            raise ValidationError("event timestamps must lie in (0, T]")
+
+        def refuse(bad, message, entries=False):
+            """Raise message for the first True of bad, over events or mark entries."""
+            if bad.any():
+                k = int(np.argmax(bad))
+                if entries:
+                    k = int(np.searchsorted(self.tok_indptr, k, side="right")) - 1
+                raise ValidationError(message, event=k)
+
+        refuse(~((self.times > 0) & (self.times <= self.T)),
+               "event timestamps must lie in (0, T]")
         dt = np.diff(self.times)
         if np.any(dt <= 0):
             k = int(np.argmax(dt <= 0))
             raise ValidationError(
                 f"timestamps must be strictly increasing; tie or inversion at events "
-                f"{k + 1} and {k + 2}")
-        if np.any(self.sources < 0) or np.any(self.sources >= self.S):
-            raise ValidationError("source labels out of range")
+                f"{k + 1} and {k + 2}", event=k + 1)
+        refuse((self.sources < 0) | (self.sources >= self.S), "source labels out of range")
         if self.tok_index.size:
-            if np.any(self.tok_index < 0) or np.any(self.tok_index >= self.V):
-                raise ValidationError("token indices out of range")
-            if np.any(self.tok_count <= 0):
-                raise ValidationError("stored token counts must be positive")
-            if not np.all(np.isfinite(self.tok_count)
-                          & (self.tok_count == np.floor(self.tok_count))):
-                raise ValidationError("token counts must be finite integers")
+            refuse((self.tok_index < 0) | (self.tok_index >= self.V),
+                   "token indices out of range", entries=True)
+            refuse(self.tok_count <= 0, "stored token counts must be positive", entries=True)
+            refuse(~(np.isfinite(self.tok_count) & (self.tok_count == np.floor(self.tok_count))),
+                   "token counts must be finite integers", entries=True)
         if self.tok_index.size > 1:
             d = np.diff(self.tok_index.astype(np.int64))
             row_break = np.zeros(d.size, dtype=bool)
             starts = self.tok_indptr[1:-1]
             starts = starts[(starts > 0) & (starts < self.tok_index.size)]
             row_break[starts - 1] = True
-            if np.any((d <= 0) & ~row_break):
-                raise ValidationError("token indices not sorted/unique within an event")
+            # entry k + 1 is the one out of order
+            refuse(np.concatenate(([False], (d <= 0) & ~row_break)),
+                   "token indices not sorted/unique within an event", entries=True)
 
     @classmethod
     def from_events(cls, events, T, S=None, V=None) -> "EventSequence":
@@ -258,11 +265,10 @@ class EventSequence:
 
     def token_counts_by_source(self) -> np.ndarray:
         """Dense (S, V) matrix of total token counts per source."""
-        out = np.zeros((self.S, self.V))
-        if self.tok_index.size:
-            rows = np.repeat(self.sources, np.diff(self.tok_indptr))
-            np.add.at(out, (rows, self.tok_index), self.tok_count)
-        return out
+        cell = self.sources[self.entry_event] * self.V + self.tok_index
+        out = np.bincount(cell, weights=self.tok_count, minlength=self.S * self.V)
+        # without entries, bincount returns integer zeros
+        return out.astype(np.float64, copy=False).reshape(self.S, self.V)
 
 
 @dataclass

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootsource import dataio
 from rootsource.bench import BenchReport, BenchRow
@@ -31,7 +33,8 @@ from rootsource.metrics import EvalReport, evaluate_root_probabilities
 from rootsource.model import EventSequence, ModelParams
 from rootsource.rootprob import RootProbMatrix, root_probabilities
 from rootsource.simulate import make_synthetic_config, simulate
-from util import (random_instance, reference_write_events, reference_write_rootprob,
+from util import (random_instance, reference_read_events, reference_read_rootprob,
+                  reference_read_truth, reference_write_events, reference_write_rootprob,
                   reference_write_truth)
 
 
@@ -116,6 +119,135 @@ def test_events_read_errors():
     with pytest.raises(ValidationError, match="line 3: .* not finite"):
         read_events(io.StringIO(head + '{"t": 1.0, "s": 1}\n{"t": NaN, "s": 1}\n\n\n'
                                        '{"t": 3.0, "s": 1}\n'))
+
+
+def _same_events(got, want):
+    """Bit for bit, dtypes included."""
+    assert (got.T, got.S, got.V) == (want.T, want.S, want.V)
+    assert type(got.S) is type(want.S) and type(got.V) is type(want.V)
+    for name in ("times", "sources", "tok_indptr", "tok_index", "tok_count"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+_BLANK = st.sampled_from(["", " ", "\t", " \t  "])
+
+
+@st.composite
+def _event_files(draw):
+    """The text of an events file as other writers may lay it out: one source
+    or no vocabulary, empty or missing marks, integral times and labels, counts
+    written as 2.0, keys in any order, unknown keys, whitespace around and
+    inside records, blank lines, CRLF endings, no newline at the end."""
+    S, V, T = draw(st.integers(1, 3)), draw(st.integers(0, 5)), 20.0
+    times = sorted(draw(st.lists(st.floats(1e-3, T), unique=True, max_size=8)))
+    lines = [json.dumps({"schema": "events-v1", "T": T, "S": S, "V": V})]
+    lines += [draw(_BLANK) for _ in range(draw(st.integers(0, 2)))]
+    for k, t in enumerate(times):
+        tokens = draw(st.lists(st.integers(0, V - 1), unique=True, max_size=4)) if V else []
+        x = {str(v): draw(st.sampled_from([1, 2, 12, 2.0, 3.0])) for v in tokens}
+        s = draw(st.integers(1, S))
+        fields = {"t": int(t) if t.is_integer() and draw(st.booleans()) else t,
+                  "s": float(s) if draw(st.booleans()) else s}
+        if x or draw(st.booleans()):
+            fields["x"] = x
+        if draw(st.booleans()):
+            fields["i"] = k + 1
+        if draw(st.booleans()):
+            fields["note"] = draw(st.sampled_from(["true", [1, {"a": None}], False, "x y"]))
+        order = draw(st.permutations(list(fields)))
+        sep = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " : ")]))
+        lines.append(draw(_BLANK) + json.dumps({key: fields[key] for key in order},
+                                               separators=sep) + draw(_BLANK))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK))
+    lines += [draw(_BLANK) for _ in range(draw(st.integers(0, 2)))]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_event_files())
+def test_events_reader_matches_the_record_by_record_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    path.write_bytes(text.encode())
+    with open(path) as fp:
+        _same_events(read_events(path), reference_read_events(fp))
+    _same_events(read_events(io.StringIO(text)), reference_read_events(io.StringIO(text)))
+
+
+HEAD = '{"schema": "events-v1", "T": 5.0, "S": 2, "V": 3}\n'
+
+
+@pytest.mark.parametrize("body", [
+    '{"t": 1.0, "s": 1,\n "x": {}}\n',                       # a record over two lines
+    '{"t": 1.0, "s": 1} {"t": 2.0, "s": 1}\n',               # two records on one line
+    '{"t": 1.0, "s": 1}, \n',                                # text after a record
+    '{"t": 1.0, "s": 1} x\n',
+    '{"t": 1.0, "s": 1}\x0c\n',                             # whitespace, but not JSON's
+    '\x0b{"t": 1.0, "s": 1}\n',
+    # two valid records, were the lines joined into one JSON array
+    '{"t": 1, "s": 1, "x": {}}, {"t": 2, "s": 1, "x": {}, "y": [{}\n{}]}\n',
+])
+def test_events_reader_refuses_what_is_not_one_record_a_line(body):
+    text = HEAD + '{"t": 0.5, "s": 1}\n\n' + body
+    with pytest.raises(ValidationError) as want:
+        reference_read_events(io.StringIO(text))
+    assert str(want.value).startswith("line 4: malformed event record")
+    with pytest.raises(ValidationError, match="^line 4: malformed event record"):
+        read_events(io.StringIO(text))
+
+
+@pytest.mark.parametrize("record, message", [
+    ('"s": 1, "x": {"1": 1, "01": 2}', "token indices not sorted/unique within an event"),
+    ('"s": 1, "x": {"0": 1, "3": 1}', "token indices out of range"),
+    ('"s": 3', "source labels out of range"),
+    ('"s": 1, "x": {"0": 0}', "stored token counts must be positive"),
+    ('"s": 1, "x": {"0": -2}', "stored token counts must be positive"),
+    ('"s": 1, "x": {"0": 1.5}', "token counts must be finite integers"),
+    ('"t": 6.0, "s": 1', "event timestamps must lie in (0, T]"),
+    ('"t": -1.0, "s": 1', "event timestamps must lie in (0, T]"),
+    ('"t": 0.5, "s": 1', "timestamps must be strictly increasing; tie or inversion at "
+                         "events 1 and 2"),
+    ('"t": 1.0, "s": 1', "timestamps must be strictly increasing; tie or inversion at "
+                         "events 1 and 2"),
+])
+def test_events_record_faults_name_their_line(record, message):
+    # faults that only EventSequence sees, in the second record (line 4)
+    if '"t"' not in record:
+        record = '"t": 2.0, ' + record
+    text = HEAD + '{"t": 1.0, "s": 1, "x": {"0": 1}}\n\n' + f'{{{record}}}\n{{"t": 4.0, "s": 2}}\n'
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'line 4: {message}')}$") as err:
+        read_events(io.StringIO(text))
+    assert err.value.event == 1
+
+
+def test_events_reader_names_the_first_fault_of_a_column():
+    # the second record in fault is named, after blank lines and good records
+    good = '{"t": 1.0, "s": 1, "x": {"0": 1}}\n'
+    for bad, what in (('{"t": "2", "s": 1}', r"field 't' is not a number: '2'"),
+                      ('{"t": 2.0, "s": "1"}', r"field 's' is not an integer: '1'"),
+                      ('{"t": 2.0, "s": 1.5}', r"field 's' is not an integer: 1.5"),
+                      ('{"t": 2.0, "s": 1, "x": {"1": "2"}}',
+                       r"a count in field 'x' is not a number: '2'"),
+                      ('{"t": 2.0, "s": 1, "x": {"1": NaN}}',
+                       r"a count in field 'x' is not finite: nan"),
+                      ('{"t": 2.0, "s": 1, "x": {"1": 1e999}}',
+                       r"a count in field 'x' is not finite: inf"),
+                      ('{"t": 2.0, "s": 1, "x": {"1": %d}}' % 10 ** 400,
+                       "int too large to convert to float"),
+                      ('{"t": 2.0, "s": 1, "x": {"x1": 1}}',
+                       "invalid literal for int() with base 10: 'x1'")):
+        text = HEAD + good + "\n \n" + bad + "\n" + bad + "\n"
+        with pytest.raises(ValidationError,
+                           match=rf"^line 5: malformed event record \({re.escape(what)}\)$"):
+            read_events(io.StringIO(text))
+    for bad in ('{"t": 2.0, "s": 100000000000000000000}',
+                '{"t": 2.0, "s": 1, "x": {"0": 1, "4294967296": 1}}'):
+        with pytest.raises(ValidationError, match="^line 5: event record label out of range"):
+            read_events(io.StringIO(HEAD + good + "\n \n" + bad + "\n"))
 
 
 @pytest.mark.parametrize("record", ['{"i": 1, "parent": Infinity, "root": 1}',
@@ -306,6 +438,77 @@ def test_rootprob_read_errors():
     for row in ("1,nan,1.0,2\n", "1,0.5,inf,2\n"):
         with pytest.raises(ValidationError, match=r"root probabilities must lie in \[0, 1\]"):
             read_rootprob(io.StringIO(good + row))
+
+
+def _laid_out(draw, lines):
+    """lines with blank lines among them, CRLF or LF endings, and maybe no
+    newline at the end."""
+    out = []
+    for line in lines:
+        out.append(line)
+        if draw(st.integers(0, 3)) == 0:
+            out.append(draw(_BLANK))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in out)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@st.composite
+def _rootprob_files(draw):
+    S, n = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    values = st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 0.1, 0.7, 1 / 3, 1 - 2 ** -53])
+    rows = []
+    for k in range(n):
+        r = np.array(draw(st.lists(values, min_size=S, max_size=S)))
+        r = r / r.sum() if r.sum() > 0 else np.eye(S)[0]
+        pad = draw(_BLANK)
+        rows.append(f"{k + 1}," + ",".join(pad + repr(float(v)) for v in r)
+                    + f",{int(np.argmax(r)) + 1}")
+    head = ["# rootprob-v1 mode=" + draw(st.sampled_from(["full", "mark_only"])),
+            "event_index," + ",".join(f"r_{s + 1}" for s in range(S)) + ",argmax_source"]
+    return "\n".join(head) + "\n" + _laid_out(draw, rows)
+
+
+@st.composite
+def _truth_files(draw):
+    n = draw(st.integers(0, 6))
+    rows = [json.dumps({"i": k + 1, "parent": draw(st.integers(0, k)),
+                        "root": draw(st.sampled_from([1, 2, 3.0]))}) for k in range(n)]
+    return '{"schema": "truth-v1"}\n' + _laid_out(draw, rows)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_rootprob_files(), _truth_files())
+def test_rootprob_and_truth_readers_match_the_row_by_row_readers(tmp_path_factory, rp_text,
+                                                                 truth_text):
+    where = tmp_path_factory.mktemp("files")
+    for text, read, reference, fields in (
+            (rp_text, read_rootprob, reference_read_rootprob, ("r", "mode")),
+            (truth_text, read_truth, reference_read_truth, ("parent", "root_sources"))):
+        path = where / read.__name__
+        path.write_bytes(text.encode())
+        with open(path) as fp:
+            pairs = [(read(path), reference(fp)),
+                     (read(io.StringIO(text)), reference(io.StringIO(text)))]
+        for got, want in pairs:
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                if name == "mode":
+                    assert a == b
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                    assert a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.5,0.5,1\n\n2,1_0,0.0,1\n", "line 5: malformed value"),   # float() would read it
+    ("1,0.5,0.5,1\n2,0.5,0.5\n", "line 4: expected 4 columns"),
+    ("1,0.5,0.5,1,7\n2,0.5,0.5,1,7\n", "line 3: expected 4 columns"),
+    ("1,0.5,0.5,1\n \n2,0.5,0.5,x\n", "line 5: malformed value"),  # argmax_source too
+])
+def test_rootprob_faults_name_their_line(rows, message):
+    text = "# rootprob-v1 mode=full\nevent_index,r_1,r_2,argmax_source\n" + rows
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        read_rootprob(io.StringIO(text))
 
 
 def test_eval_write(sim):

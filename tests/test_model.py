@@ -64,6 +64,25 @@ def test_sequence_validation():
             rs.EventSequence(times, [0, 0, 0], [0, 0, 0, 0], [], [], T=T, S=1, V=0)
 
 
+def test_sequence_validation_names_the_first_event_at_fault():
+    def refused(times=(1.0, 2.0, 3.0), sources=(0, 0, 0), indptr=(0, 1, 3, 4),
+                index=(0, 0, 1, 1), count=(1.0, 1.0, 1.0, 1.0), T=4.0):
+        with pytest.raises(ValidationError) as err:
+            rs.EventSequence(times, sources, indptr, index, count, T=T, S=2, V=2)
+        return err.value.event
+
+    assert refused(times=(1.0, 5.0, 6.0)) == 1            # outside (0, T]
+    assert refused(times=(1.0, 3.0, 2.0)) == 2            # out of order
+    assert refused(sources=(0, 2, 2)) == 1                # source out of range
+    assert refused(index=(0, 0, 2, 1)) == 1               # token out of range
+    assert refused(count=(1.0, 1.0, 0.0, 1.0)) == 1       # count not positive
+    assert refused(count=(1.0, 1.0, 1.0, 2.5)) == 2       # count not an integer
+    assert refused(index=(0, 1, 0, 1)) == 1               # tokens out of order
+    assert refused(index=(0, 1, 1, 1)) == 1               # a token twice
+    assert refused(sources=(0, 0)) is None                # no single event at fault
+    assert refused(T=0.0) is None
+
+
 def test_sequence_indexing_round_trip():
     events, _ = two_event_history()
     assert len(events) == 2
@@ -257,6 +276,18 @@ def test_token_postings_match_a_csc_transpose(events):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("events", [p for p in POSTINGS_CASES if p.values[0].V <= 1000])
+def test_token_counts_by_source_match_a_scatter_add(events):
+    want = np.zeros((events.S, events.V))
+    np.add.at(want, (np.repeat(events.sources, np.diff(events.tok_indptr)), events.tok_index),
+              events.tok_count)
+    empty = rs.EventSequence([], [], [0], [], [], events.T, events.S, events.V)
+    for sequence, counts in ((events, want), (empty, np.zeros_like(want))):
+        got = sequence.token_counts_by_source()
+        assert got.dtype == np.float64 and got.shape == (events.S, events.V)
+        assert got.tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("events", POSTINGS_CASES)

@@ -397,6 +397,114 @@ def reference_write_rootprob(rpm, fp):
         fp.write(f"{k + 1},{vals},{arg[k] + 1}\n")
 
 
+def reference_read_events(fp):
+    """The record-by-record events reader: one json.loads per line, and
+    int() and float() per mark entry."""
+    import json
+
+    from rootsource.dataio import _document, _field, _integer, _real
+    from rootsource.errors import ValidationError
+
+    header = _document(fp.readline(), "events-v1", "line 1: header")
+    T, S, V = (_field(header, key, kind, "line 1: header")
+               for key, kind in (("T", _real), ("S", _integer), ("V", _integer)))
+    times, sources, indptr, tok_i, tok_c, blank = [], [], [0], [], [], []
+    for lineno, line in enumerate(fp, start=2):
+        if not line.strip():
+            blank.append(lineno)
+            continue
+        try:
+            rec = json.loads(line)
+            t, s, x = float(rec["t"]), rec["s"], rec.get("x", {})
+            if type(s) is not int:
+                s = _integer(s, "field 's'")
+            items = sorted((int(v), float(c)) for v, c in x.items())
+            if "true" in line or "false" in line:
+                _real(rec["t"], "field 't'")
+                for c in x.values():
+                    _real(c, "a count in field 'x'")
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                ValueError, OverflowError) as err:
+            raise ValidationError(f"line {lineno}: malformed event record ({err})") from err
+        if s < 1:
+            raise ValidationError(f"line {lineno}: source labels are 1-based in files")
+        times.append(t)
+        sources.append(s - 1)
+        for v, c in items:
+            tok_i.append(v)
+            tok_c.append(c)
+        indptr.append(len(tok_i))
+    try:
+        arrays = (np.array(times), np.array(sources, dtype=np.int64),
+                  np.array(indptr, dtype=np.int64),
+                  np.array(tok_i, dtype=np.int32), np.array(tok_c))
+    except OverflowError as err:
+        raise ValidationError(f"event record label out of range ({err})") from err
+    bad = ~np.isfinite(arrays[0])
+    if bad.any():
+        k = int(np.argmax(bad))
+        lineno = k + 2
+        for skipped in blank:
+            if skipped > lineno:
+                break
+            lineno += 1
+        raise ValidationError(f"line {lineno}: malformed event record "
+                              f"(field 't' is not finite: {times[k]})")
+    return rs.EventSequence(*arrays, T=T, S=S, V=V)
+
+
+def reference_read_truth(fp):
+    """The record-by-record truth reader: one json.loads per line."""
+    import json
+
+    from rootsource.dataio import TruthInfo, _document, _integer
+    from rootsource.errors import ValidationError
+
+    _document(fp.readline(), "truth-v1", "line 1: header")
+    parent, root = [], []
+    for lineno, line in enumerate(fp, start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            parent.append(_integer(rec["parent"], "field 'parent'"))
+            root.append(_integer(rec["root"], "field 'root'") - 1)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as err:
+            raise ValidationError(f"line {lineno}: malformed truth record ({err})") from err
+    try:
+        return TruthInfo(parent=np.array(parent, dtype=np.int64),
+                         root_sources=np.array(root, dtype=np.int64))
+    except OverflowError as err:
+        raise ValidationError(f"truth record label out of range ({err})") from err
+
+
+def reference_read_rootprob(fp):
+    """The row-by-row root-probability reader: float() per value."""
+    import re
+
+    from rootsource.errors import ValidationError
+
+    m = re.match(r"#\s*rootprob-v1\s+mode=(\w+)", fp.readline().strip())
+    if not m:
+        raise ValidationError("line 1: expected '# rootprob-v1 mode=...' comment")
+    header = fp.readline().strip().split(",")
+    if header[:1] != ["event_index"] or header[-1:] != ["argmax_source"]:
+        raise ValidationError("line 2: malformed column header")
+    S = len(header) - 2
+    rows = []
+    for lineno, line in enumerate(fp, start=3):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != S + 2:
+            raise ValidationError(f"line {lineno}: expected {S + 2} columns")
+        try:
+            rows.append([float(v) for v in parts[1:1 + S]])
+        except ValueError as err:
+            raise ValidationError(f"line {lineno}: malformed value ({err})") from err
+    return rs.RootProbMatrix(np.array(rows).reshape(len(rows), S), m.group(1))
+
+
 def reference_mini_conversations(state):
     """mini_conversations' (parent, conversations) by a scan of every pair of
     eta_pair: np.argmax's ties over (immigrant, parents in time order), roots
