@@ -5,7 +5,8 @@ min(pairs, n 2S) cells: with a truncation window all three grow as n * w,
 so wall time per sweep should fit a linear model in n; in exact mode the
 overlap pairs and triples grow as n^2, and the sweep is reported as
 quadratic rather than held to a linear bar.  The one-time PairStructure
-build is timed separately from the per-sweep cost, and the fastest sweep is
+build, with the triples and overlap pairs that a fit builds in its first
+E-step, is timed separately from the per-sweep cost, and the fastest sweep is
 split into its E-step and its two M-steps; the objective and the argmax
 threads (`mini_conversations`) on the last E-step are timed once each.  The
 draw of each scale's input by `simulate` has its own column.  The report
@@ -155,9 +156,10 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     which never decreases) after the row.  Scales are target event counts;
     the synthetic setup has stationary rate 2.5 events per time unit, so
     T = n / RATE.  Sweep timing excludes the one-time candidate-structure
-    build (with its token-overlap triples, which a fit builds in its first
-    E-step), matching how a long fit amortizes it.  The report's
-    import_seconds is the median of three cold starts, before any scale.
+    build (with its token-overlap triples and overlap pairs, which a fit
+    builds in its first E-step), matching how a long fit amortizes it.  The
+    report's import_seconds is the median of three cold starts, before any
+    scale.
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be at least 1")
@@ -174,7 +176,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
         t0 = time.perf_counter()
         structure = PairStructure(events, params.nu, window=window)
-        structure.tri_pair  # built on first use, in a fit by its first E-step
+        structure.tri_pair  # with the overlap pairs, built by a fit's first E-step
         build = time.perf_counter() - t0
 
         phases = np.zeros((sweeps, 3))

@@ -6,7 +6,8 @@ documents; root-probability matrices are CSV with a schema comment line, and
 a fit's trace is CSV.  All floats are written with full repr precision so
 round-trips are bit-exact.  Every reader and writer takes a path, which it
 closes also on an error, or an open file, which it leaves open.  Malformed
-input, JSON's NaN and Infinity included, raises ValidationError.
+input, JSON's NaN and Infinity included, raises ValidationError, and so does
+a number written as a JSON string, in any field of any file.
 
 The readers work a column at a time.  The JSONL readers decode each line
 once, as one JSON value (`_records`); `read_events` only gathers each
@@ -78,17 +79,19 @@ def _field(doc: dict, key: str, convert, what: str):
 
 
 def _integer(value, what: str = "value") -> int:
-    """int(value), refusing a boolean, which int() would read as 0 or 1, and a
-    float with a fraction, which int() would drop."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """int(value), refusing any value that is not a JSON number, such as a
+    string or a boolean, which int() would read, and a float with a
+    fraction, which int() would drop."""
+    if type(value) not in (int, float) or type(value) is float and not value.is_integer():
         raise ValueError(f"{what} is not an integer: {value!r}")
     return int(value)
 
 
 def _real(value, what: str = "value") -> float:
-    """float(value), refusing a boolean, which float() would read as 0 or 1,
-    and JSON's NaN and Infinity."""
-    if isinstance(value, bool):
+    """float(value), refusing any value that is not a JSON number, such as a
+    string or a boolean, which float() would read, and JSON's NaN and
+    Infinity."""
+    if type(value) not in (int, float):
         raise ValueError(f"{what} is not a number: {value!r}")
     if not math.isfinite(value := float(value)):
         raise ValueError(f"{what} is not finite: {value!r}")
@@ -96,28 +99,17 @@ def _real(value, what: str = "value") -> float:
 
 
 def _reals(value) -> np.ndarray:
-    """A float64 array of nested lists, refusing a boolean, NaN or infinite entry."""
-    def has_bool(v):
-        return isinstance(v, bool) or isinstance(v, list) and any(map(has_bool, v))
+    """A float64 array of nested lists, refusing an entry that is not a JSON
+    number (as `_real`), NaN or infinite."""
+    def numbers(v):
+        return all(map(numbers, v)) if type(v) is list else type(v) in (int, float)
 
-    if has_bool(value):
-        raise ValueError("an entry is not a number: a boolean")
+    if not numbers(value):
+        raise ValueError("an entry is not a number")
     array = np.asarray(value, dtype=np.float64)
     if not np.isfinite(array).all():
         raise ValueError("an entry is not finite")
     return array
-
-
-def _json_number(kind, what: str):
-    """A check of one value: kind(value, what), refusing first any value that
-    is not a JSON number, such as a string, which kind would read."""
-    noun = "an integer" if kind is _integer else "a number"
-
-    def check(value):
-        if type(value) not in (int, float):
-            raise ValueError(f"{what} is not {noun}: {value!r}")
-        return kind(value, what)
-    return check
 
 
 class _Ints(dict):
@@ -268,16 +260,15 @@ def read_events(path_or_file) -> EventSequence:
 
     times = _floats(t)
     if times is None:
-        raise fault(t, _json_number(_real, "field 't'"))
+        raise fault(t, lambda v: _real(v, "field 't'"))
     tok_count = _floats(counts)
     if tok_count is None:
-        raise fault(counts, _json_number(_real, "a count in field 'x'"), entries=True)
+        raise fault(counts, lambda v: _real(v, "a count in field 'x'"), entries=True)
     if not set(map(type, s)) <= {int}:  # integral floats such as 2.0 are labels too
-        label = _json_number(_integer, "field 's'")
         try:
-            s = list(map(label, s))
-        except (TypeError, ValueError) as err:
-            raise fault(s, label) from err
+            s = [_integer(v, "field 's'") for v in s]
+        except ValueError as err:
+            raise fault(s, lambda v: _integer(v, "field 's'")) from err
     sources = labels(s, np.int64)
     if (sources < 1).any():
         raise ValidationError(f"line {lines[int(np.argmax(sources < 1))]}: "
@@ -494,12 +485,14 @@ def read_raw_comments(path_or_file) -> list:
             try:
                 t = _real(rec["t"], "field 't'")
                 author = str(rec["author"])
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
+                counts = rec.get("x")
+                if counts is not None:
+                    counts = {v: _integer(c, "a count in field 'x'") for v, c in counts.items()}
+            except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as err:
                 raise ValidationError(f"line {lineno}: malformed comment record ({err})") from err
             if not author:
                 raise ValidationError(f"line {lineno}: author must be nonempty")
-            out.append(RawComment(t=t, author=author, text=rec.get("text"),
-                                  counts=rec.get("x")))
+            out.append(RawComment(t=t, author=author, text=rec.get("text"), counts=counts))
         return out
 
 

@@ -20,8 +20,11 @@ kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  The pair layout (child i's parents are lo_i..i-1)
 and the token-overlap triples (i, j, v) are built once per fit in a
 PairStructure and reused across sweeps, and by root passes on the same
-events while the fit's state is alive.  It also remembers its last E-step,
-weakly, so a full root pass at the fit's final parameters reads its posteriors.
+events while the fit's state is alive.  It builds three parts on first use,
+each whole: the triples with their overlap pairs, the overlap pairs' kernel
+terms, and the kernel cells, so that a temporal- or mark-only root pass
+builds only what it reads.  It also remembers its last E-step, weakly, so a
+full root pass at the fit's final parameters reads its posteriors.
 
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
@@ -135,6 +138,12 @@ class PriorConfig:
 # registration in one thread from changing the set while another iterates it.
 _LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
 _LIVE_LOCK = threading.Lock()
+
+# The builder of each lazy PairStructure attribute; it sets the attribute's
+# whole part (see PairStructure).
+_LAZY = {**dict.fromkeys(("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_pair", "tri_ov",
+                          "ov_row_start", "ov_row_len"), "_build_overlaps"),
+         **dict.fromkeys(("ov_cell", "ov_log_kernel"), "_ov_terms")}
 
 # Peak bytes per candidate pair, token-overlap triple, kernel cell and
 # parameter entry (S V + S S) of a three-sweep fit (structure, E-steps with
@@ -320,10 +329,13 @@ class PairStructure:
     of each triple).  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
     of kappa over those candidates (see `_kernel_cells`); the E-step reads
-    the cells and the overlap pairs.  The triples, the overlap pairs and the
-    cells are built on first use: the temporal-only pass builds none of the
-    first two, the mark-only pass no cells.  n_triples counts the triples
-    before they are built.
+    the cells and the overlap pairs.  Three parts are built on first use,
+    each whole, by the first read of any of its names: the triples with the
+    overlap pairs (`_build_overlaps`), since every E-step that reads one
+    reads all; the overlap pairs' cells and log kernels (`_ov_terms`); and
+    cells.  The last two are kept apart from the first because the mark-only
+    pass reads neither, and the temporal-only pass reads only cells.
+    n_triples counts the triples before they are built.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -390,15 +402,6 @@ class PairStructure:
         shift = self.row_start[:-1][i] - self.lo[i]
         return np.subtract(p, shift, out=shift)
 
-    def _cell(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Kernel cell s_i S + s_j (the flat index of A[s_i, s_j]) of pairs (i, j)."""
-        return self.events.sources[i] * self.events.S + self.events.sources[j]
-
-    def _log_kernel(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu of pairs (i, j)."""
-        t = self.events.times
-        return (t[j] - t[i]) / self.nu - np.log(self.nu)
-
     def __getstate__(self):
         # a weak reference cannot be pickled, and a copy has no E-step of its own
         return {**self.__dict__, "_last": None}
@@ -429,21 +432,24 @@ class PairStructure:
         return None
 
     def __getattr__(self, name: str):
-        # the triples, built on first use like the overlap pairs: the
-        # temporal-only pass reads none of them
-        if name.startswith("tri_") and "_partners" in self.__dict__:
-            self._build_triples()
-            return getattr(self, name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # called only for a name not yet set: a lazy part's name builds its
+        # whole part, and on a copy not yet filled in the build's first read
+        # of events fails here rather than recursing
+        build = _LAZY.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        getattr(self, build)()
+        return self.__dict__[name]
 
-    def _build_triples(self) -> None:
-        """tri_pair, tri_key, tri_xiv and tri_xjv: one triple per mark entry
-        and in-window partner, grouped by child, then token, then parent.
+    def _build_overlaps(self) -> None:
+        """tri_*: one triple per mark entry and in-window partner, grouped by
+        child, then token, then parent; and ov_*: the distinct pairs among
+        them, the overlap pairs, in pair order, with tri_ov each triple's.
 
         The mark entries come event by event, so each child's triples are
         contiguous and each sweep's reads through tri_ov stay inside that
-        child's overlap pairs.  Everything of the child's side is an entry's,
-        repeated over its partners.
+        child's overlap pairs, ov_row_start[i]:ov_row_start[i+1].  Everything
+        of the child's side is an entry's, repeated over its partners.
         """
         _, post_ev, post_norm = self.events.token_postings()
         entry, j_sel = ragged_ranges(*self.__dict__.pop("_partners"))
@@ -453,50 +459,28 @@ class PairStructure:
         self.tri_pair += (self.row_start[:-1] - self.lo)[self.nnz_row][entry]
         self.tri_key = self.key_used[self.key_at][entry]
         self.tri_xiv = self.events.tok_count[entry]
-
-    @cached_property
-    def ov_pair(self) -> np.ndarray:
-        """The distinct pairs among the triples (overlap pairs), in pair order."""
+        del entry
         shared = np.zeros(self.n_pairs, dtype=bool)
         shared[self.tri_pair] = True
-        return np.flatnonzero(shared)
-
-    @cached_property
-    def tri_ov(self) -> np.ndarray:
-        """The overlap pair of each triple."""
+        self.ov_pair = ov = np.flatnonzero(shared)
+        del shared
         # a pair-length map to overlap positions: a gather, where a search of
         # ov_pair per triple costs several times as much
-        ov = self.ov_pair
         at = np.empty(self.n_pairs, dtype=np.int32 if ov.size < 2**31 else np.intp)
         at[ov] = np.arange(ov.size)
-        return at[self.tri_pair].astype(np.intp)
-
-    @cached_property
-    def ov_row_start(self) -> np.ndarray:
-        """Child i's overlap pairs are ov_row_start[i]:ov_row_start[i+1]."""
-        return np.searchsorted(self.ov_pair, self.row_start)
-
-    @cached_property
-    def ov_row_len(self) -> np.ndarray:
-        return np.diff(self.ov_row_start)
+        self.tri_ov = at[self.tri_pair].astype(np.intp)
+        self.ov_row_start = np.searchsorted(ov, self.row_start)
+        self.ov_row_len = np.diff(self.ov_row_start)
 
     def _ov_terms(self) -> None:
-        """Set ov_cell and ov_log_kernel from one (child, parent) pass over
-        the overlap pairs; every reader of one reads the other."""
+        """ov_cell and ov_log_kernel, from one (child i, parent j) pass over
+        the overlap pairs: the kernel cell s_i S + s_j (the flat index of
+        A[s_i, s_j]) and log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu."""
         i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
         j = self._parent(self.ov_pair, i)
-        self.ov_cell = self._cell(i, j)
-        self.ov_log_kernel = self._log_kernel(i, j)
-
-    @cached_property
-    def ov_cell(self) -> np.ndarray:
-        self._ov_terms()
-        return self.ov_cell
-
-    @cached_property
-    def ov_log_kernel(self) -> np.ndarray:
-        self._ov_terms()
-        return self.ov_log_kernel
+        sources, t = self.events.sources, self.events.times
+        self.ov_cell = sources[i] * self.events.S + sources[j]
+        self.ov_log_kernel = (t[j] - t[i]) / self.nu - np.log(self.nu)
 
     @cached_property
     def cells(self):

@@ -138,6 +138,12 @@ class EventSequence:
             raise ValidationError("inconsistent array lengths in event sequence")
         if not 0 < self.T < np.inf or self.S < 1 or self.V < 0:
             raise ValidationError("T must be positive and finite, S >= 1, V >= 0")
+        ptr = self.tok_indptr
+        if ptr[0] != 0 or np.any(ptr[1:] < ptr[:-1]):
+            raise ValidationError("tok_indptr must start at 0 and never decrease")
+        if not ptr[-1] == self.tok_index.size == self.tok_count.size:
+            raise ValidationError("tok_indptr must end at the number of mark entries, "
+                                  "with one token index and one count each")
         if n == 0:
             return
 

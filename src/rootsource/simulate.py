@@ -320,13 +320,10 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
     events = EventSequence(times, sources[order], indptr, raw[start][runs].astype(np.int32),
                            run_count[runs].astype(np.float64), config.T, params.S, params.V)
 
-    root = np.arange(n)
-    for a, b in zip(gen_start[1:-1], gen_start[2:]):
-        root[a:b] = root[parent[a:b]]
     pos_of_build = np.empty(n, dtype=np.int64)
     pos_of_build[order] = np.arange(n)
     parent_sorted = np.where(parent[order] >= 0, pos_of_build[parent[order]] + 1, 0)
-    root_pos = pos_of_build[root[order]]
+    root_pos = _root_positions(parent_sorted)
     truth = GroundTruth(
         branching=BranchingStructure(parent_sorted),
         roots=events.sources[root_pos],

@@ -384,6 +384,56 @@ def test_params_document_malformed_fields():
             read_params(io.StringIO(json.dumps({**doc, "base_shape": shape})))
 
 
+def _params_text(**fields):
+    doc = {"rho": "[0.1]", "A": "[[0.2]]", "theta": "[[1.0]]", "gamma": "0.3", "nu": "10",
+           **fields}
+    return '{"schema": "params-v1", ' + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+
+
+_TRUTH = '{"schema": "truth-v1"}\n{"i": 1, "parent": 0, "root": 1}\n'
+
+
+# (reader, a file with %s for the value of one numeric field, a value that
+# reads, the start of the error when each number in it is a JSON string);
+# event records are checked in test_events_reader_names_the_first_fault_of_a_column
+STRING_NUMBER_CASES = [
+    (read_events, '{"schema": "events-v1", "T": %s, "S": 2, "V": 3}\n', "5.0",
+     "line 1: header: malformed field 'T'"),
+    (read_events, '{"schema": "events-v1", "T": 5.0, "S": %s, "V": 3}\n', "2",
+     "line 1: header: malformed field 'S'"),
+    (read_events, '{"schema": "events-v1", "T": 5.0, "S": 2, "V": %s}\n', "3",
+     "line 1: header: malformed field 'V'"),
+    (read_truth, _TRUTH + '{"i": 2, "parent": %s, "root": 1}\n', "0",
+     "line 3: malformed truth record (field 'parent'"),
+    (read_truth, _TRUTH + '{"i": 2, "parent": 1, "root": %s}\n', "1",
+     "line 3: malformed truth record (field 'root'"),
+    (read_raw_comments, '{"t": 1.0, "author": "a"}\n{"t": %s, "author": "a"}\n', "3.5",
+     "line 2: malformed comment record (field 't'"),
+    (read_raw_comments, '{"t": 1.0, "author": "a"}\n{"t": 2.0, "author": "a", "x": {"hi": %s}}\n',
+     "3", "line 2: malformed comment record (a count in field 'x'"),
+    (read_params, _params_text(rho="%s"), "[0.1]", "params document: malformed field 'rho'"),
+    (read_params, _params_text(A="%s"), "[[0.2]]", "params document: malformed field 'A'"),
+    (read_params, _params_text(theta="%s"), "[[0.5, 0.5]]",
+     "params document: malformed field 'theta'"),
+    (read_params, _params_text(gamma="%s"), "0.3", "params document: malformed field 'gamma'"),
+    (read_params, _params_text(nu="%s"), "10", "params document: malformed field 'nu'"),
+    (read_params, _params_text(base_shape='{"kind": "constant", "c": %s}'), "2",
+     "base_shape: malformed field 'c'"),
+]
+
+
+@pytest.mark.parametrize("read, text, value, match", STRING_NUMBER_CASES,
+                         ids=[read.__name__ + ":" + re.findall(r"'(\w+)'", match)[-1]
+                              for read, _, _, match in STRING_NUMBER_CASES])
+def test_readers_refuse_numbers_written_as_strings(read, text, value, match):
+    # every number in every file must be a JSON number, which a string is not
+    # even when float() or int() would read it
+    read(io.StringIO(text % value))
+    quoted = json.dumps(json.loads(value, parse_int=str, parse_float=str))
+    with pytest.raises(ValidationError, match=f"^{re.escape(match)}"):
+        read(io.StringIO(text % quoted))
+
+
 def test_params_v1_base_shape_folds_into_rho():
     # params-v1 files from older writers carry a constant base shape c; the
     # base rate was rho * c
@@ -553,6 +603,9 @@ def test_read_raw_comments():
         read_raw_comments(io.StringIO('{"t": 1.0, "author": "a"}\n{"t": 2.0}\n'))
     with pytest.raises(ValidationError, match="line 1: .*field 't' is not a number"):
         read_raw_comments(io.StringIO('{"t": true, "author": "a"}\n'))
+    for x in ('{"hi": 2.7}', '{"hi": true}', '["hi"]'):  # ingest would read 2, 1, or fail
+        with pytest.raises(ValidationError, match="^line 1: malformed comment record"):
+            read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "x": %s}\n' % x))
     with pytest.raises(ValidationError, match="nonempty"):
         read_raw_comments(io.StringIO('{"t": 1.0, "author": ""}\n'))
 

@@ -668,6 +668,10 @@ def test_sub_model_passes_build_only_their_layouts():
     assert overlap | {"cells"} <= set(vars(temporal))
 
 
+FIRST_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_pair", "tri_ov",
+              "ov_row_start", "ov_row_len")
+
+
 def test_triples_are_built_on_first_use():
     # a temporal pass reads no triple; the count the memory check used is
     # kept, and a fit whose layout built its triples first returns the same
@@ -682,7 +686,15 @@ def test_triples_are_built_on_first_use():
     assert st.tri_xiv.size == st.n_triples > 0
     assert triples <= set(vars(st)) and "_partners" not in vars(st)
     np.testing.assert_array_equal(st.tri_pair, reference_triples(st)[0])
-    del st
+    # any one name of the triples and overlap pairs builds that whole part,
+    # and not the overlap pairs' cells and kernels
+    for name in FIRST_PART:
+        one = PairStructure(events, params.nu, window=5.0)
+        getattr(one, name)
+        assert set(FIRST_PART) <= set(vars(one)), name
+        assert not {"ov_cell", "ov_log_kernel"} & set(vars(one)), name
+        np.testing.assert_array_equal(getattr(one, name), getattr(st, name))
+    del st, one
     twin = copy.deepcopy(events)
     eager = PairStructure(twin, params.nu, window=5.0)
     eager.tri_key
@@ -691,6 +703,29 @@ def test_triples_are_built_on_first_use():
     assert built.eta.structure is eager
     for name in ("rho", "A", "theta", "gamma"):
         np.testing.assert_array_equal(getattr(lazy.params, name), getattr(built.params, name))
+
+
+def test_unbuilt_structure_copies_build_lazily():
+    # a copy of a layout with no lazy part built builds each part on first
+    # use, to the original's arrays; an instance with nothing set raises
+    # AttributeError for a lazy name instead of recursing
+    rng = np.random.default_rng(106)
+    events = random_events(rng, 200, 3, 6, T=40.0)
+    st = PairStructure(events, 1.0, window=5.0)
+    lazy = FIRST_PART + ("ov_cell", "ov_log_kernel")
+    twins = (copy.deepcopy(st), pickle.loads(pickle.dumps(st)))
+    for twin in twins:
+        assert not set(lazy) & set(vars(twin)) and "_partners" in vars(twin)
+        twin.ov_cell
+        assert set(lazy) <= set(vars(twin))
+    for name in lazy:
+        want = getattr(st, name)
+        for twin in twins:
+            got = getattr(twin, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    with pytest.raises(AttributeError, match="events"):
+        PairStructure.__new__(PairStructure).ov_cell
 
 
 def test_structure_stores_no_per_pair_array():

@@ -83,6 +83,19 @@ def test_sequence_validation_names_the_first_event_at_fault():
     assert refused(T=0.0) is None
 
 
+@pytest.mark.parametrize("indptr, count, message", [
+    ([0, 5], [1.0], "tok_indptr must end at the number of mark entries"),  # beyond them
+    ([0, 1], [1.0, 1.0], "tok_indptr must end at the number of mark entries"),  # a count more
+    ([1, 1], [1.0], "tok_indptr must start at 0"),  # the entry in no event
+    ([0, 1, 0, 1], [1.0], "tok_indptr must start at 0 and never decrease"),
+])
+def test_sequence_validation_checks_the_mark_layout(indptr, count, message):
+    n = len(indptr) - 1
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        rs.EventSequence(np.arange(1.0, n + 1.0), [0] * n, indptr, [0], count,
+                         T=n + 1.0, S=1, V=1)
+
+
 def test_sequence_indexing_round_trip():
     events, _ = two_event_history()
     assert len(events) == 2
