@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import re
 from dataclasses import asdict, dataclass
 
@@ -446,12 +447,43 @@ def read_config(path) -> dict:
 
 @dataclass
 class RawComment:
-    """One raw record: timestamp, author, and either text or token counts."""
+    """One raw record: timestamp, author, and either text or token counts.
+
+    t is a finite real number (a numpy scalar too, but not a bool or a
+    string), kept as a float; author a nonempty str; text a str or None; and
+    counts None or a dict whose counts are integers or integral floats,
+    refused otherwise, as in every file (`_integer`).  Anything else raises
+    ValidationError naming the field.
+    """
 
     t: float
     author: str
     text: str | None = None
     counts: dict | None = None  # pre-tokenized {token: count}; bypasses tokenizer
+
+    def __post_init__(self):
+        t = self.t
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise ValidationError(f"field 't' is not a number: {t!r}")
+        try:
+            self.t = float(t)
+        except OverflowError:  # an int beyond the floats
+            self.t = math.inf
+        if not math.isfinite(self.t):
+            raise ValidationError(f"field 't' is not finite: {self.t!r}")
+        if not isinstance(self.author, str) or not self.author:
+            raise ValidationError(f"field 'author' must be a nonempty string, got {self.author!r}")
+        if self.text is not None and not isinstance(self.text, str):
+            raise ValidationError(f"field 'text' must be a string or None, got {self.text!r}")
+        if self.counts is not None:  # field 'x' of a comments file
+            if not isinstance(self.counts, dict):
+                raise ValidationError(
+                    f"field 'x' (counts) must map tokens to counts, got {self.counts!r}")
+            try:
+                self.counts = {v: _integer(c, "a count in field 'x' (counts)")
+                               for v, c in self.counts.items()}
+            except ValueError as err:
+                raise ValidationError(str(err)) from None
 
 
 @dataclass
@@ -478,21 +510,20 @@ def tokenize(text: str) -> list:
 
 
 def read_raw_comments(path_or_file) -> list:
-    """JSONL of {"t","author","text"} (or {"t","author","x":{token:count}})."""
+    """JSONL of {"t","author","text"} (or {"t","author","x":{token:count}}).
+
+    Each record is checked by `RawComment`, whose error gets the line."""
     with _opened(path_or_file, "r") as fp:
         out = []
         for lineno, rec in _records(fp, "comment", start=1):
             try:
-                t = _real(rec["t"], "field 't'")
-                author = str(rec["author"])
-                counts = rec.get("x")
-                if counts is not None:
-                    counts = {v: _integer(c, "a count in field 'x'") for v, c in counts.items()}
-            except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as err:
+                rec = _object(rec, "a comment record")
+                for key in ("t", "author"):
+                    if key not in rec:
+                        raise ValidationError(f"missing field {key!r}")
+                out.append(RawComment(rec["t"], rec["author"], rec.get("text"), rec.get("x")))
+            except ValidationError as err:
                 raise ValidationError(f"line {lineno}: malformed comment record ({err})") from err
-            if not author:
-                raise ValidationError(f"line {lineno}: author must be nonempty")
-            out.append(RawComment(t=t, author=author, text=rec.get("text"), counts=counts))
         return out
 
 
@@ -526,7 +557,7 @@ def ingest(raws, min_count: int = 2, min_author_count: int = 5,
     counts: dict[str, int] = {}
     for c in kept:
         if c.counts is not None:
-            bag = {str(t): int(v) for t, v in c.counts.items()}
+            bag = {str(t): v for t, v in c.counts.items()}
         else:
             bag = {}
             for t in tokenize(c.text or ""):

@@ -23,8 +23,10 @@ PairStructure and reused across sweeps, and by root passes on the same
 events while the fit's state is alive.  It builds three parts on first use,
 each whole: the triples with their overlap pairs, the overlap pairs' kernel
 terms, and the kernel cells, so that a temporal- or mark-only root pass
-builds only what it reads.  It also remembers its last E-step, weakly, so a
-full root pass at the fit's final parameters reads its posteriors.
+builds only what it reads.  An overlap pair is stored as its parent event,
+grouped by child, which is all that its readers need.  It also remembers
+its last E-step, weakly, so a full root pass at the fit's final parameters
+reads its posteriors.
 
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
@@ -141,7 +143,7 @@ _LIVE_LOCK = threading.Lock()
 
 # The builder of each lazy PairStructure attribute; it sets the attribute's
 # whole part (see PairStructure).
-_LAZY = {**dict.fromkeys(("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_pair", "tri_ov",
+_LAZY = {**dict.fromkeys(("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_parent", "tri_ov",
                           "ov_row_start", "ov_row_len"), "_build_overlaps"),
          **dict.fromkeys(("ov_cell", "ov_log_kernel"), "_ov_terms")}
 
@@ -325,8 +327,11 @@ class PairStructure:
     corrections and the theta/gamma updates, child-major: grouped by child
     i, then token v, then parent j, so that a sweep's reads through tri_ov
     stay inside one child's overlap pairs.  The distinct (i, j) among them
-    are the overlap pairs (ov_*, in pair order, with tri_ov the overlap pair
-    of each triple).  cells holds, per child and parent class (source, empty
+    are the overlap pairs (ov_*): child i's are ov_row_start[i]:
+    ov_row_start[i+1], and ov_parent holds their parents j in ascending
+    order; tri_ov is the overlap pair of each triple.  tri_pair, each
+    triple's position in the pair order, is the build's key for the
+    distinct pairs.  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
     of kappa over those candidates (see `_kernel_cells`); the E-step reads
     the cells and the overlap pairs.  Three parts are built on first use,
@@ -395,13 +400,6 @@ class PairStructure:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
 
-    # The layout in one place, for pairs given by child i and parent j (index
-    # arrays, one entry per pair) or by position p.
-    def _parent(self, p: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Parent of pair p of child i: p - row_start[i] + lo[i]."""
-        shift = self.row_start[:-1][i] - self.lo[i]
-        return np.subtract(p, shift, out=shift)
-
     def __getstate__(self):
         # a weak reference cannot be pickled, and a copy has no E-step of its own
         return {**self.__dict__, "_last": None}
@@ -444,7 +442,8 @@ class PairStructure:
     def _build_overlaps(self) -> None:
         """tri_*: one triple per mark entry and in-window partner, grouped by
         child, then token, then parent; and ov_*: the distinct pairs among
-        them, the overlap pairs, in pair order, with tri_ov each triple's.
+        them, the overlap pairs, by child and their parents ov_parent in
+        ascending order, with tri_ov each triple's.
 
         The mark entries come event by event, so each child's triples are
         contiguous and each sweep's reads through tri_ov stay inside that
@@ -462,22 +461,25 @@ class PairStructure:
         del entry
         shared = np.zeros(self.n_pairs, dtype=bool)
         shared[self.tri_pair] = True
-        self.ov_pair = ov = np.flatnonzero(shared)
+        ov = np.flatnonzero(shared)
         del shared
         # a pair-length map to overlap positions: a gather, where a search of
-        # ov_pair per triple costs several times as much
+        # the overlap pairs per triple costs several times as much
         at = np.empty(self.n_pairs, dtype=np.int32 if ov.size < 2**31 else np.intp)
         at[ov] = np.arange(ov.size)
         self.tri_ov = at[self.tri_pair].astype(np.intp)
         self.ov_row_start = np.searchsorted(ov, self.row_start)
         self.ov_row_len = np.diff(self.ov_row_start)
+        # each position less its child's row_start - lo: the parent
+        ov -= np.repeat(self.row_start[:-1] - self.lo, self.ov_row_len)
+        self.ov_parent = ov
 
     def _ov_terms(self) -> None:
         """ov_cell and ov_log_kernel, from one (child i, parent j) pass over
         the overlap pairs: the kernel cell s_i S + s_j (the flat index of
         A[s_i, s_j]) and log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu."""
         i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
-        j = self._parent(self.ov_pair, i)
+        j = self.ov_parent
         sources, t = self.events.sources, self.events.times
         self.ov_cell = sources[i] * self.events.S + sources[j]
         self.ov_log_kernel = (t[j] - t[i]) / self.nu - np.log(self.nu)
@@ -579,8 +581,13 @@ def _weights(structure: PairStructure, params: ModelParams,
     for a dead token), -inf when they miss one of the child's dead tokens.
     use_time=False leaves out rho and A kappa (log_a None), use_marks=False
     the marks (c and factor 0, sigma None: no overlap layout is built).
+    Parameters whose S or V differ from the events' raise ValidationError.
     """
     events = structure.events
+    if params.S != events.S or params.V != events.V:
+        raise ValidationError(
+            f"parameters of S x V = {params.S} x {params.V} do not match the events' "
+            f"S x V = {events.S} x {events.V}")
     n = len(events)
     with np.errstate(divide="ignore"):
         log_rho = np.log(params.rho)
@@ -619,7 +626,7 @@ def _weights(structure: PairStructure, params: ModelParams,
             term[tri_dead] = np.log(at_dead, out=at_dead)
             del at_dead
     term *= structure.tri_xiv
-    n_ov = structure.ov_pair.size
+    n_ov = structure.ov_parent.size
     sigma = scatter_sum(structure.tri_ov, term, n_ov)
     del term
     if has_dead:
@@ -653,13 +660,16 @@ def _eta_blocks(state: "VariationalState"):
 
     Yields (a, b, lo_a, D) for children a <= i < b: D[j - lo_a, i - a] is
     eta_ij for the parents lo_a <= j < b, 0 outside child i's window
-    lo_i <= j < i.  The next block overwrites D, so a reader uses or copies
-    it before asking for the next.  D holds a block of rows transposed, so
-    that its build gathers whole rows of the block's (S, b - a) table of
-    `_log_kernel_a`, one per parent by its source, and adds each child's
-    factor to whole rows; the overlap pairs then take their own posteriors.
-    The work per pass (t / nu, the empty marks, each overlap pair's position
-    within its block) is done once, and nothing pair-long is allocated.
+    lo_i <= j < i.  Every block is laid on one B-wide buffer, and D is a
+    view of its first b - a columns (fewer than B only in the last block),
+    so every block places its overlap pairs alike; the next block
+    overwrites D, so a reader uses or copies it before asking for the next.
+    D holds a block of rows transposed, so that its build gathers whole rows
+    of the block's (S, b - a) table of `_log_kernel_a`, one per parent by
+    its source, and adds each child's factor to whole rows; the overlap
+    pairs then take their own posteriors.  The work per pass (t / nu, the
+    empty marks, each overlap pair's place j B + i mod B in the buffer) is
+    done once, and nothing pair-long is allocated.
     """
     st = state.structure
     events, B = st.events, ROOT_BLOCK
@@ -675,23 +685,21 @@ def _eta_blocks(state: "VariationalState"):
     ov = state.eta_overlap
     if ov is not None:
         ov_start = st.ov_row_start.tolist()
-        # j B + (i mod B) per overlap pair (i, j): its position within a
-        # full block, less lo_a B
-        shift = st.row_start[:-1] - st.lo
-        shift *= B
-        shift -= np.arange(n) % B
-        ov_at = st.ov_pair * B
-        ov_at -= np.repeat(shift, st.ov_row_len)
-        del shift
+        # j B + (i mod B) per overlap pair (i, j): lo_a B past its place in
+        # its block's B-wide buffer
+        ov_at = st.ov_parent * B
+        ov_at += np.repeat(np.arange(n) % B, st.ov_row_len)
     by_source = np.arange(S)[:, None]
     lower = np.tril(np.ones((B, B), dtype=bool))
-    # one buffer for every block's D, which its reader is done with before
-    # the next block is built: no allocation, and no page faults, per block
+    # one B-wide buffer for every block's D, which its reader is done with
+    # before the next block is built: no allocation, and no page faults, per
+    # block; the last block, of m < B children, is its first m columns
     buf = np.empty(max((min(a + B, n) - lo[a] for a in range(0, n, B)), default=0) * B)
     for k, a in enumerate(range(0, n, B)):
         b = min(a + B, n)
         m, lo_a = b - a, lo[a]
-        D = buf[:(b - lo_a) * m].reshape(b - lo_a, m)
+        full = buf[:(b - lo_a) * B].reshape(b - lo_a, B)
+        D = full[:, :m]
         if use_time:
             table = _log_kernel_a(state, slice(a, b), sources[a:b] * S + by_source)
             np.take(table, sources[lo_a:b], axis=0, out=D, mode="clip")  # "raise" buffers out
@@ -715,12 +723,7 @@ def _eta_blocks(state: "VariationalState"):
             np.copyto(D[:early], 0.0, where=np.arange(lo_a, lo_a + early)[:, None] < st.lo[a:b])
         if ov is not None:
             s, e = ov_start[a], ov_start[b]
-            if m == B:
-                at = ov_at[s:e] - lo_a * B
-            else:
-                j, i = np.divmod(ov_at[s:e], B)
-                at = (j - lo_a) * m + i
-            D.ravel()[at] = ov[s:e]
+            full.ravel()[ov_at[s:e] - lo_a * B] = ov[s:e]
         yield a, b, lo_a, D
 
 

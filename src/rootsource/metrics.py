@@ -138,7 +138,7 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     hit = np.flatnonzero(v_ov == np.repeat(best, st.ov_row_len))
     child = np.searchsorted(ov_start, hit, side="right") - 1
     lead = np.flatnonzero(np.diff(child, prepend=-1))
-    first[child[lead]] = st._parent(st.ov_pair[hit[lead]], child[lead])
+    first[child[lead]] = st.ov_parent[hit[lead]]
     hit = np.flatnonzero(v_cell == best[i])
     np.minimum.at(first, i[hit], cell_last[hit])
     parent = np.where(eta.eta0 < best, first + 1, 0)  # 0 = immigrant, j -> event j

@@ -86,8 +86,14 @@ class SimConfig:
         self.T = float(self.T)
         if self.T <= 0:
             raise ValidationError("T must be positive")
-        means = np.broadcast_to(np.asarray(self.mean_text_length, dtype=np.float64),
-                                (self.params.S,)).copy()
+        S = self.params.S
+        if S < 1:
+            raise ValidationError(f"S must be at least 1, got {S}")
+        means = np.asarray(self.mean_text_length, dtype=np.float64)
+        if means.ndim > 1 or means.size not in (1, S):
+            raise ValidationError(f"{means.size} mean text lengths given for {S} sources; "
+                                  f"give one, or one per source")
+        means = np.broadcast_to(means, (S,)).copy()
         if np.any(means <= 0):
             raise ValidationError("mean text lengths must be positive")
         self.mean_text_length = means

@@ -281,6 +281,19 @@ def test_exit_code_malformed_comma_list(argv, flag, capsys):
     assert f"error: {flag} must be a comma list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--S", "0"], "S must be at least 1, got 0"),
+    (["--mean-lengths", "1,2"], "2 mean text lengths given for 5 sources"),
+], ids=["no sources", "mean lengths"])
+def test_exit_code_simulate_config(argv, message, capsys):
+    # both crashed inside numpy with a traceback, and exit code 1
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--T", "5", "--events", os.devnull] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--no-such-flag"])

@@ -608,6 +608,44 @@ def test_read_raw_comments():
             read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "x": %s}\n' % x))
     with pytest.raises(ValidationError, match="nonempty"):
         read_raw_comments(io.StringIO('{"t": 1.0, "author": ""}\n'))
+    # RawComment checks every field; the reader adds the line
+    for rec, field in [('{"t": 1.0, "author": null}', "field 'author'"),
+                       ('{"t": 1.0, "author": 7}', "field 'author'"),
+                       ('{"t": 1.0, "author": "a", "text": 5}', "field 'text'"),
+                       ('{"t": NaN, "author": "a"}', "field 't' is not finite"),
+                       ('{"t": 1%s, "author": "a"}' % ("0" * 400), "field 't' is not finite"),
+                       ('{"t": 1.0, "author": "a", "x": {"hi": "3"}}', "field 'x'")]:
+        with pytest.raises(ValidationError, match=r"^line 2: malformed comment record \(.*"
+                           + re.escape(field)):
+            read_raw_comments(io.StringIO('{"t": 1.0, "author": "a"}\n' + rec + "\n"))
+
+
+def test_raw_comment_checks_its_fields():
+    # one rule for comments from a file and from Python: ingest read an
+    # author None as "None", a count 2.7 as 2 and "3" as 3, took a text 5
+    # to a bare AttributeError and a NaN time to an error about T
+    for kwargs, field in [(dict(author=None), "field 'author'"),
+                          (dict(author=7), "field 'author'"),
+                          (dict(author=""), "field 'author'"),
+                          (dict(text=5), "field 'text'"),
+                          (dict(t=math.nan), "field 't' is not finite"),
+                          (dict(t=-math.inf), "field 't' is not finite"),
+                          (dict(t=10**400), "field 't' is not finite"),
+                          (dict(t=True), "field 't' is not a number"),
+                          (dict(t="3"), "field 't' is not a number"),
+                          (dict(counts={"hi": 2.7}), "a count in field 'x'"),
+                          (dict(counts={"hi": "3"}), "a count in field 'x'"),
+                          (dict(counts={"hi": True}), "a count in field 'x'"),
+                          (dict(counts=["hi"]), "field 'x'")]:
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            RawComment(**{"t": 1.0, "author": "a", **kwargs})
+    # numpy scalars and integral floats read as numbers and counts
+    raws = [RawComment(t=np.float32(0.5), author="a", counts={"hi": 2.0}),
+            RawComment(t=np.int64(1), author="a", counts={"hi": 3}, text=None)]
+    assert [r.t for r in raws] == [0.5, 1.0] and type(raws[1].t) is float
+    assert raws[0].counts == {"hi": 2} and type(raws[0].counts["hi"]) is int
+    events, _, _ = ingest(raws, min_count=1, min_author_count=1)
+    np.testing.assert_array_equal(events.tok_count, [2, 3])
 
 
 def raw_stream():

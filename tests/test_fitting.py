@@ -32,9 +32,9 @@ from rootsource.fitting import (
     update_theta_gamma,
 )
 from rootsource.rootprob import enumerate_posteriors
-from util import (covered_cells, dense_eta, pair_parents, random_events, random_instance,
-                  random_params, reference_e_step, reference_pairs, reference_root_pass,
-                  reference_triples)
+from util import (covered_cells, dense_eta, ov_pairs, pair_parents, random_events,
+                  random_instance, random_params, reference_e_step, reference_pairs,
+                  reference_root_pass, reference_triples)
 
 
 def brute_force_eta(events, params):
@@ -140,14 +140,19 @@ def test_build_triples_matches_per_token_loop(case):
     tri_child = np.searchsorted(st.row_start, st.tri_pair, side="right") - 1
     assert np.all(np.diff(tri_child) >= 0)
     # the overlap pairs: the distinct pairs among the triples, grouped by child
-    np.testing.assert_array_equal(st.ov_pair, np.unique(st.tri_pair))
-    np.testing.assert_array_equal(st.ov_pair[st.tri_ov], st.tri_pair)
-    child = np.searchsorted(st.row_start, st.ov_pair, side="right") - 1
+    ov_pair = ov_pairs(st)
+    np.testing.assert_array_equal(ov_pair, np.unique(st.tri_pair))
+    np.testing.assert_array_equal(ov_pair[st.tri_ov], st.tri_pair)
+    child = np.searchsorted(st.row_start, ov_pair, side="right") - 1
     np.testing.assert_array_equal(st.ov_row_len, np.bincount(child, minlength=len(st.events)))
     np.testing.assert_array_equal(st.ov_row_start[1:], np.cumsum(st.ov_row_len))
+    # stored as their parents, ascending within each child
+    assert st.ov_parent.dtype == np.int64
+    np.testing.assert_array_equal(st.ov_parent, pair_parents(st)[ov_pair])
+    assert np.all(np.diff(st.ov_parent)[np.diff(child) == 0] > 0)
     log_kernel, pair_cell, _ = reference_pairs(st)
-    np.testing.assert_array_equal(st.ov_cell, pair_cell[st.ov_pair])
-    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[st.ov_pair])
+    np.testing.assert_array_equal(st.ov_cell, pair_cell[ov_pair])
+    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[ov_pair])
 
 
 def _count_builds(monkeypatch):
@@ -619,7 +624,7 @@ def test_m_step_inputs_match_the_per_pair_posteriors(window):
                            nu=params.nu)
         state = update_eta(events, p, structure)
         eta = state.eta_pair
-        np.testing.assert_array_equal(state.eta_overlap, eta[structure.ov_pair])
+        np.testing.assert_array_equal(state.eta_overlap, eta[ov_pairs(structure)])
         np.testing.assert_allclose(
             state.eta_cells,
             np.bincount(pair_cell, weights=eta, minlength=S * S).reshape(S, S),
@@ -655,20 +660,20 @@ def test_sub_model_passes_build_only_their_layouts():
     rng = np.random.default_rng(103)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
-    overlap = {"ov_pair", "tri_ov", "ov_row_start", "ov_cell", "ov_log_kernel"}
+    overlap = {"ov_parent", "tri_ov", "ov_row_start", "ov_cell", "ov_log_kernel"}
     twin = copy.deepcopy(events)
     temporal = PairStructure(events, params.nu, window=5.0)
     mark = PairStructure(twin, params.nu, window=5.0)
     rs.root_probabilities_temporal(events, params, window=5.0)
     assert "cells" in vars(temporal) and not overlap & set(vars(temporal))
     rs.root_probabilities_mark(twin, params, window=5.0)
-    assert {"ov_pair", "tri_ov", "ov_row_start"} <= set(vars(mark))
+    assert {"ov_parent", "tri_ov", "ov_row_start"} <= set(vars(mark))
     assert not {"cells", "ov_cell", "ov_log_kernel"} & set(vars(mark))
     rs.root_probabilities(events, params, window=5.0)
     assert overlap | {"cells"} <= set(vars(temporal))
 
 
-FIRST_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_pair", "tri_ov",
+FIRST_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_parent", "tri_ov",
               "ov_row_start", "ov_row_len")
 
 
@@ -736,7 +741,7 @@ def test_structure_stores_no_per_pair_array():
     rs.root_probabilities_mark(events, report.params)
     st = report.eta.structure
     assert st.tri_pair.size < st.n_pairs and st.cells[0][-1] < st.n_pairs
-    assert {"ov_pair", "tri_ov", "ov_cell", "ov_log_kernel"} <= set(vars(st))
+    assert {"ov_parent", "tri_ov", "ov_cell", "ov_log_kernel"} <= set(vars(st))
     sizes = {name: v.size for name, v in vars(st).items() if isinstance(v, np.ndarray)}
     assert st.n_pairs not in sizes.values(), sizes
     assert isinstance(PairStructure.pair_i, property)
@@ -1035,7 +1040,7 @@ def test_elbo_allocates_nothing_per_pair():
     params = random_params(rng, 3, 400, gamma=0.4, nu=1.0)
     state = update_eta(events, params)
     st = state.structure
-    assert st.ov_pair.size < st.n_pairs // 10
+    assert st.ov_parent.size < st.n_pairs // 10
     other = rs.ModelParams(rho=2.0 * params.rho, A=params.A[::-1].copy(),
                            theta=params.theta, gamma=0.7, nu=params.nu)
     tracemalloc.start()
@@ -1046,6 +1051,38 @@ def test_elbo_allocates_nothing_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < st.n_pairs * 8, (peak, st.n_pairs)
+
+
+@pytest.mark.parametrize("S, V", [(2, 6), (4, 6), (3, 5), (3, 12)],
+                         ids=["fewer sources", "more sources", "fewer tokens", "more tokens"])
+def test_parameters_of_other_sources_or_tokens_are_refused(S, V, tmp_path, capsys):
+    # every E-step, root pass and elbo goes through _weights, which refuses
+    # parameters whose S or V differ from the events': larger ones were read
+    # without a word, smaller ones raised a bare IndexError
+    from rootsource.cli import main
+    from rootsource.dataio import write_events, write_params
+
+    rng = np.random.default_rng(115)
+    events = random_events(rng, 60, 3, 6, T=15.0)
+    state = update_eta(events, random_params(rng, 3, 6, nu=1.0))
+    other = random_params(rng, S, V, nu=1.0)
+    match = re.escape(f"S x V = {S} x {V} do not match the events' S x V = 3 x 6")
+    for call in (lambda: rs.root_probabilities(events, other),
+                 lambda: rs.root_probabilities_temporal(events, other),
+                 lambda: rs.root_probabilities_mark(events, other),
+                 lambda: fit(events, init=other, max_iters=2),
+                 lambda: update_eta(events, other),
+                 lambda: elbo(events, other, state)):
+        with pytest.raises(ValidationError, match=match):
+            call()
+    write_events(events, tmp_path / "ev.jsonl")
+    write_params(other, tmp_path / "p.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["root-prob", "--events", str(tmp_path / "ev.jsonl"),
+              "--params", str(tmp_path / "p.json"), "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "do not match the events'" in err and "Traceback" not in err
 
 
 def test_fit_huge_window_matches_exact():

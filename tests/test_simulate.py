@@ -171,6 +171,14 @@ def test_sim_config_validation():
         SimConfig(params=params, T=0.0, mean_text_length=3.0)
     with pytest.raises(ValidationError):
         SimConfig(params=params, T=1.0, mean_text_length=0.0)
+    # no sources, and a mean-length list neither one long nor one per source
+    with pytest.raises(ValidationError, match="S must be at least 1, got 0"):
+        SimConfig(params=make_synthetic_params(S=0, V=5), T=1.0, mean_text_length=3.0)
+    for means in ([], [1.0, 2.0, 3.0], [[3.0]]):
+        with pytest.raises(ValidationError, match=r"^\d+ mean text lengths given for 2 sources"):
+            SimConfig(params=params, T=1.0, mean_text_length=means)
+    for means in ([4.0], [4.0, 5.0]):
+        assert SimConfig(params=params, T=1.0, mean_text_length=means).mean_text_length.size == 2
 
 
 def assert_same_draw(config):

@@ -85,8 +85,17 @@ def reference_token_postings(events):
 
 
 def pair_parents(structure):
-    """The parent index of every pair of a PairStructure, in pair order."""
-    return structure._parent(np.arange(structure.n_pairs), structure.pair_i)
+    """The parent index of every pair of a PairStructure, in pair order:
+    pair p of child i is parent p - row_start[i] + lo[i]."""
+    shift = structure.row_start[:-1] - structure.lo
+    return np.arange(structure.n_pairs) - np.repeat(shift, structure.row_len)
+
+
+def ov_pairs(structure):
+    """The position in pair order of every overlap pair of a PairStructure,
+    rebuilt from its child and its parent ov_parent: row_start[i] + j - lo[i]."""
+    child = np.repeat(np.arange(len(structure.events)), structure.ov_row_len)
+    return structure.row_start[child] + structure.ov_parent - structure.lo[child]
 
 
 def reference_pairs(structure):
@@ -522,7 +531,8 @@ def reference_mini_conversations(state):
         pa = st.row_start[a]
         hits = pa + np.flatnonzero(state.eta_pair[pa:st.row_start[b]]
                                    == np.repeat(best[a:b], st.row_len[a:b]))
-        parent[rows] = st._parent(hits[np.searchsorted(hits, st.row_start[rows])], rows) + 1
+        first = hits[np.searchsorted(hits, st.row_start[rows])]
+        parent[rows] = first - st.row_start[rows] + st.lo[rows] + 1
     root = np.arange(n)
     for k in range(n):
         if parent[k] > 0:
