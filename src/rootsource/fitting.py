@@ -24,9 +24,10 @@ events while the fit's state is alive.  It builds three parts on first use,
 each whole: the triples with their overlap pairs, the overlap pairs' kernel
 terms, and the kernel cells, so that a temporal- or mark-only root pass
 builds only what it reads.  An overlap pair is stored as its parent event,
-grouped by child, which is all that its readers need.  It also remembers
-its last E-step, weakly, so a full root pass at the fit's final parameters
-reads its posteriors.
+grouped by child, which is all that its readers need.  Two weak tables keyed
+by (id(events), nu, window) find the live layout (`_LIVE`) and the last
+`update_eta` state on it (`_LAST`), so a full root pass at the fit's final
+parameters reads its posteriors; each access is one lookup, with no lock.
 
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -133,13 +133,15 @@ class PriorConfig:
                    a_alpha=shapes, b_alpha=events.T / (1.0 - c), c=c)
 
 
-# Every PairStructure still in use somewhere, held weakly: a layout lives
-# exactly as long as its users keep it, and can be shared until then.  It is
-# found only through the identical events object, so callers holding
-# different sequences never see each other's layouts.  The lock keeps a
-# registration in one thread from changing the set while another iterates it.
-_LIVE: "weakref.WeakSet[PairStructure]" = weakref.WeakSet()
-_LIVE_LOCK = threading.Lock()
+# Two tables keyed by (id(events), nu, window), both holding their values
+# weakly, so a layout or a state lives exactly as long as its users keep it:
+# _LIVE the PairStructure built last for the key, _LAST the state of the last
+# `update_eta` on such a layout.  A value holds its events, so no other
+# object can take that id while the entry exists, and callers holding
+# different sequences never see each other's entries.  Every access is one
+# get or one set, with no iteration, so neither table needs a lock.
+_LIVE: "weakref.WeakValueDictionary[tuple, PairStructure]" = weakref.WeakValueDictionary()
+_LAST: "weakref.WeakValueDictionary[tuple, VariationalState]" = weakref.WeakValueDictionary()
 
 # The builder of each lazy PairStructure attribute; it sets the attribute's
 # whole part (see PairStructure).
@@ -344,9 +346,11 @@ class PairStructure:
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
-    events object with the same settings reuse it for as long as it is alive
-    (see `_structure_for`).  It also remembers, weakly, the last E-step run
-    on it (see `_state_at`).  The pairs and then the triples are counted
+    events object with the same settings reuse it for as long as it is alive:
+    `__init__` enters it in `_LIVE` under that key (see `_structure_for`),
+    and `update_eta` its last state in `_LAST` (see `_state_at`).  A deep
+    copy or a pickle holds a copy of its events, so it finds neither entry.
+    The pairs and then the triples are counted
     first; a layout that would not fit in physical memory, with its cells at
     their bound and the S x V and S x S parameter arrays, raises
     ValidationError before anything triple- or parameter-sized is allocated,
@@ -391,43 +395,12 @@ class PairStructure:
         self.key_at = (np.cumsum(used) - 1)[key]
 
         self._partners = partners  # until the triples are built
-        self._last = None
-        with _LIVE_LOCK:
-            _LIVE.add(self)
+        _LIVE[_key(events, nu, window)] = self
 
     @property
     def pair_i(self) -> np.ndarray:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
-
-    def __getstate__(self):
-        # a weak reference cannot be pickled, and a copy has no E-step of its own
-        return {**self.__dict__, "_last": None}
-
-    def _remember(self, state: "VariationalState", params: ModelParams) -> None:
-        """Record state as the E-step on this layout at params' values.
-
-        The state is held weakly, so it lives only as long as its users keep
-        it; it keeps copies of the parameters, so later changes to params'
-        arrays do not move the record, and `elbo` can find its terms.
-        """
-        state._at = (params.rho.copy(), params.A.copy(), params.theta.copy(), params.gamma)
-        self._last = weakref.ref(state)
-
-    def _state_at(self, params: ModelParams) -> "VariationalState | None":
-        """The remembered E-step, if it is alive and ran at params' values, else None.
-
-        The values are compared, not the objects: a fit that stops at an exact
-        fixed point returns new parameters equal to those of its last E-step.
-        """
-        state = None if self._last is None else self._last()
-        if state is None:
-            return None
-        rho, A, theta, gamma = state._at
-        if (gamma == params.gamma and np.array_equal(rho, params.rho)
-                and np.array_equal(A, params.A) and np.array_equal(theta, params.theta)):
-            return state
-        return None
 
     def __getattr__(self, name: str):
         # called only for a name not yet set: a lazy part's name builds its
@@ -504,9 +477,10 @@ class VariationalState:
     structure, is built from those blocks on first access; nothing in the
     package reads it.
 
-    The arrays must not be mutated in place: while the state is alive, a full
+    The arrays must not be mutated in place: while the state is alive and
+    `_LAST` holds it as the last `update_eta` on its layout's key, a full
     root pass at the parameters of its E-step reads them instead of
-    recomputing them (see `PairStructure._state_at`).
+    recomputing them (see `_state_at`).
     """
 
     def __init__(self, structure: PairStructure, eta0: np.ndarray, log_z: np.ndarray):
@@ -529,7 +503,7 @@ class VariationalState:
     @cached_property
     def _mean_log_w(self) -> float:
         """The mean log weight at the parameters of the state's E-step, for
-        `elbo`; from the copies that `PairStructure._remember` made."""
+        `elbo`; from the copies that `update_eta` made (`_at`)."""
         rho, A, theta, gamma = self._at
         params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=self.structure.nu)
         return _mean_log_weight(self, *_weights(self.structure, params))
@@ -554,15 +528,31 @@ class FitReport:
     window_dropped_mean: float | None = None
 
 
+def _key(events, nu, window) -> tuple:
+    return id(events), float(nu), None if window is None else float(window)
+
+
 def _structure_for(events, nu, window):
-    """A live PairStructure for these events and kernel settings, else a new one."""
-    window = None if window is None else float(window)
-    with _LIVE_LOCK:
-        alive = list(_LIVE)
-    for live in alive:
-        if live.events is events and live.nu == nu and live.window == window:
-            return live
-    return PairStructure(events, nu, window=window)
+    """The live PairStructure built last for these events and kernel settings,
+    else a new one."""
+    return _LIVE.get(_key(events, nu, window)) or PairStructure(events, nu, window=window)
+
+
+def _state_at(structure: PairStructure, params: ModelParams) -> "VariationalState | None":
+    """The last `update_eta` state on a layout of structure's events and
+    settings, if it is alive and ran at params' values, else None.
+
+    The values are compared, not the objects: a fit that stops at an exact
+    fixed point returns new parameters equal to those of its last E-step.
+    """
+    state = _LAST.get(_key(structure.events, structure.nu, structure.window))
+    if state is None:
+        return None
+    rho, A, theta, gamma = state._at
+    if (gamma == params.gamma and np.array_equal(rho, params.rho)
+            and np.array_equal(A, params.A) and np.array_equal(theta, params.theta)):
+        return state
+    return None
 
 
 def _weights(structure: PairStructure, params: ModelParams,
@@ -822,14 +812,16 @@ def update_eta(events: EventSequence, params: ModelParams,
     cells and overlap pairs; nothing per pair is built.  Normalization is
     done per event with the largest log weight taken out; a component at
     -inf gets exactly zero weight.  Raises NumericalError naming the first
-    event whose components are all -inf.  The structure remembers the
-    returned state for as long as it is alive, so a full root pass at
-    parameters of equal value reuses it.
+    event whose components are all -inf.  The returned state keeps copies of
+    params' rho, A, theta and gamma, so later changes to params' arrays do
+    not move it, and is recorded in `_LAST` for as long as it is alive, so a
+    full root pass at parameters of equal value reuses it (`_state_at`).
     """
     if structure is None:
         structure = _structure_for(events, params.nu, window)
     state = _e_step(structure, params)
-    structure._remember(state, params)
+    state._at = (params.rho.copy(), params.A.copy(), params.theta.copy(), params.gamma)
+    _LAST[_key(structure.events, structure.nu, structure.window)] = state
     return state
 
 

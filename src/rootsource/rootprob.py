@@ -17,9 +17,10 @@ substitution.  All three passes get them from the E-step that fits use
 (`fitting._e_step`, from the kernel cells and the overlap pairs), expanded
 a block of children at a time (`fitting._eta_blocks`): each block's rows
 add the earlier rows' part in one matrix product, then solve their own unit
-lower-triangular block, and no per-pair array is built.  When the
-structure's last E-step is still alive and ran at parameters equal in value
-to the pass's (a fit's final state, while its report is held), the full pass
+lower-triangular block, and no per-pair array is built.  When the last
+`update_eta` state for the same events and settings is still alive and ran
+at parameters equal in value to the pass's (a fit's final state, while its
+report is held; `fitting._state_at`), the full pass
 reads its terms and runs only the block substitution, so a reused and a
 recomputed pass agree bit for bit.  The temporal-only variant keeps just
 the intensity factors of the weights, with the kernel cells and no overlap
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _check_memory, _e_step, _eta_blocks, _structure_for
+from .fitting import _check_memory, _e_step, _eta_blocks, _state_at, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
 
@@ -100,8 +101,8 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
     _check_memory(n, 0, 0, S, V, window, roots=True)
     st = _structure_for(events, params.nu, window)
     _check_memory(n, st.n_pairs, st.n_triples, S, V, st.window, roots=True)
-    # not update_eta: the structure's record of a fit's E-step stays
-    state = (use_time and use_marks and st._state_at(params)) or _e_step(
+    # not update_eta: the record of a fit's E-step in `_LAST` stays
+    state = (use_time and use_marks and _state_at(st, params)) or _e_step(
         st, params, use_time, use_marks)
     # r starts as eta_i0 e_{s_i}; each block adds its earlier parents' part,
     # then solves (I - eta over its own rows and parents) r = that

@@ -18,10 +18,13 @@ from rootsource.fitting import (
     PARAM_BYTES,
     ROOT_BYTES,
     TRIPLE_BYTES,
+    _LAST,
+    _LIVE,
     PairStructure,
     VariationalState,
     _e_step,
     _physical_memory,
+    _state_at,
     _structure_for,
     PriorConfig,
     elbo,
@@ -212,7 +215,7 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
                                   rs.root_probabilities(twin, moved, window=20.0).r)
     assert len(e_steps) == 2
     # a recomputing pass leaves the structure's record of the fit's E-step
-    assert live._state_at(params) is report.eta
+    assert _state_at(live, params) is report.eta
 
     # the structure holds the E-step weakly: once the report is dropped, the
     # pass recomputes, though the layout itself is still alive
@@ -231,6 +234,43 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
                              events.V)
     direct = PairStructure(other, params.nu, window=20.0)
     assert _structure_for(other, params.nu, 20.0) is direct
+
+
+def test_layout_built_after_a_fit_is_found_with_the_fit_state(monkeypatch):
+    # a layout built directly for the fit's events and settings replaces the
+    # fit's in _LIVE; the fit's E-step is still the last for that key, so the
+    # full pass at the fit's parameters reads it on the new layout
+    cfg = rs.make_synthetic_config(T=40.0, seed=5)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=3)
+    want = rs.root_probabilities(copy.deepcopy(events), report.params, window=20.0).r
+    direct = PairStructure(events, report.params.nu, window=20.0)
+    assert direct is not report.eta.structure
+    assert _structure_for(events, report.params.nu, 20.0) is direct
+    assert _state_at(direct, report.params) is report.eta
+    built = _count_builds(monkeypatch)
+    e_steps = _count_e_steps(monkeypatch)
+    np.testing.assert_array_equal(
+        rs.root_probabilities(events, report.params, window=20.0).r, want)
+    assert built == [] and e_steps == []
+
+
+def test_parameters_changed_in_place_are_not_reused(monkeypatch):
+    # update_eta keeps copies of the parameters: swapping two columns of the
+    # fit's theta in place moves them away from the recorded E-step's, so the
+    # next full pass recomputes, as on events with no record
+    cfg = rs.make_synthetic_config(T=40.0, seed=8)
+    events, _ = rs.simulate(cfg)
+    report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=3)
+    theta = report.params.theta
+    a, b = np.argsort(theta[0])[[0, -1]]
+    theta[:, [a, b]] = theta[:, [b, a]]
+    e_steps = _count_e_steps(monkeypatch)
+    got = rs.root_probabilities(events, report.params, window=20.0).r
+    assert len(e_steps) == 1 and e_steps[0] is events
+    twin = copy.deepcopy(events)
+    np.testing.assert_array_equal(rs.root_probabilities(twin, report.params, window=20.0).r, got)
+    assert _state_at(report.eta.structure, report.params) is None
 
 
 def test_changed_settings_build_a_new_structure():
@@ -260,9 +300,13 @@ def test_dropped_fit_releases_its_structure(monkeypatch):
     events, _ = rs.simulate(cfg)
     report = fit(events, nu=cfg.params.nu, window=20.0, max_iters=2)
     params, gone = report.params, weakref.ref(report.eta.structure)
+    key = (id(events), params.nu, 20.0)
+    assert _LIVE[key] is gone() and _LAST[key] is report.eta
     del report
     gc.collect()
     assert gone() is None
+    # neither table keeps an entry for the events once the fit is dropped
+    assert [k for k in (*_LIVE.keys(), *_LAST.keys()) if k[0] == id(events)] == []
     built = _count_builds(monkeypatch)
     rs.root_probabilities(events, params, window=20.0)
     assert len(built) == 1
@@ -275,8 +319,8 @@ def test_fit_report_pickles_and_copies():
     for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
         np.testing.assert_array_equal(twin.eta.eta_pair, report.eta.eta_pair)
         # a copied layout remembers no E-step, so it never hands out the original's
-        assert twin.eta.structure._state_at(twin.params) is None
-    assert report.eta.structure._state_at(report.params) is report.eta
+        assert _state_at(twin.eta.structure, twin.params) is None
+    assert _state_at(report.eta.structure, report.params) is report.eta
 
 
 def test_event_sequence_copies_after_a_fit():
