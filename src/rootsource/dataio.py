@@ -447,13 +447,14 @@ def read_config(path) -> dict:
 
 @dataclass
 class RawComment:
-    """One raw record: timestamp, author, and either text or token counts.
+    """One raw record: timestamp, author, and exactly one of text and token counts.
 
     t is a finite real number (a numpy scalar too, but not a bool or a
     string), kept as a float; author a nonempty str; text a str or None; and
     counts None or a dict whose counts are integers or integral floats,
     refused otherwise, as in every file (`_integer`).  Anything else raises
-    ValidationError naming the field.
+    ValidationError naming the field; so does a comment with neither text
+    nor counts (an empty one has text ""), or with both.
     """
 
     t: float
@@ -484,6 +485,10 @@ class RawComment:
                                for v, c in self.counts.items()}
             except ValueError as err:
                 raise ValidationError(str(err)) from None
+        if (self.text is None) == (self.counts is None):
+            given = "neither" if self.text is None else "both"
+            raise ValidationError(f"a comment carries exactly one of fields 'text' and 'x' "
+                                  f"(counts), not {given}")
 
 
 @dataclass
@@ -510,9 +515,10 @@ def tokenize(text: str) -> list:
 
 
 def read_raw_comments(path_or_file) -> list:
-    """JSONL of {"t","author","text"} (or {"t","author","x":{token:count}}).
+    """JSONL of {"t","author","text"} or {"t","author","x":{token:count}}.
 
-    Each record is checked by `RawComment`, whose error gets the line."""
+    Each record is checked by `RawComment`, whose error gets the line; it
+    carries exactly one of "text" and "x".  Other fields are ignored."""
     with _opened(path_or_file, "r") as fp:
         out = []
         for lineno, rec in _records(fp, "comment", start=1):

@@ -151,21 +151,25 @@ _LAZY = {**dict.fromkeys(("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_paren
 
 # Peak bytes per candidate pair, token-overlap triple, kernel cell and
 # parameter entry (S V + S S) of a three-sweep fit (structure, E-steps with
-# the previous state alive, M-steps).  The overlap pairs are at most the
-# triples and fit in TRIPLE_BYTES; the cells are charged by their bound
-# min(pairs, n 2S), and their build peaks at 56 to 66 B per cell (72 at
-# S = 5).  Under tracemalloc 18 runs peaked at 38% to 96% of the estimate
-# (45% to 97% while a fit also built per-pair posteriors): the synthetic
-# defaults exact at n = 1 431 and window 20 at n = 8 015, with their marks
-# at initial gamma 0.3 and 1 and redrawn over V = 2 to 128 tokens (0.2 to
-# 10.6 triples per pair).  The parameters (theta, (1 - gamma) theta, the
+# the previous state alive, M-steps).  Nothing per pair outlives the build
+# of the overlap pairs, whose pair-length int32 map is the pairs' charge:
+# exact fits with one-token marks over V = 5 000 (n = 2 695 and 5 956,
+# 3.6 M and 17.7 M pairs, 0.7 k and 3.5 k triples) peaked at 4.1 to 4.3 B
+# per pair, everything included.  The overlap pairs are at most the triples
+# and fit in TRIPLE_BYTES; the cells are charged by their bound min(pairs,
+# n 2S), and their build peaks at 56 to 66 B per cell (72 at S = 5).  Under
+# tracemalloc 18 runs needed at most 73.7 B per triple beyond the other
+# terms and peaked at 79% to 99.7% of the estimate: the synthetic defaults
+# exact at n = 1 542 and window 20 at n = 9 861, with their marks at
+# initial gamma 0.3 and 1 and redrawn over V = 2 to 128 tokens (0.2 to 10.6
+# triples per pair).  The parameters (theta, (1 - gamma) theta, the
 # token counts and the theta-step's sums; A, its log and the cell sums)
 # took 42 to 56 B per entry beyond that, with S V or S S of 1 M to 10 M and
 # 60 to 1 000 events.  Root passes with few pairs and an n x S result of
 # 10 M entries peaked at 9.2 to 9.8 B per entry, all included (the result
 # and a boolean check of it).
-PAIR_BYTES = 40
-TRIPLE_BYTES = 58
+PAIR_BYTES = 5
+TRIPLE_BYTES = 74
 CELL_BYTES = 64
 PARAM_BYTES = 60
 ROOT_BYTES = 10
@@ -812,17 +816,33 @@ def update_eta(events: EventSequence, params: ModelParams,
     cells and overlap pairs; nothing per pair is built.  Normalization is
     done per event with the largest log weight taken out; a component at
     -inf gets exactly zero weight.  Raises NumericalError naming the first
-    event whose components are all -inf.  The returned state keeps copies of
+    event whose components are all -inf, and ValidationError, naming both
+    values, when the structure was built for another events object, for a
+    nu other than params.nu, or for a window other than one that is given.
+    The returned state keeps copies of
     params' rho, A, theta and gamma, so later changes to params' arrays do
     not move it, and is recorded in `_LAST` for as long as it is alive, so a
     full root pass at parameters of equal value reuses it (`_state_at`).
     """
     if structure is None:
         structure = _structure_for(events, params.nu, window)
+    _check_built_for(structure, events)
+    if structure.nu != params.nu:
+        raise ValidationError(f"the structure was built for nu = {structure.nu}, "
+                              f"the parameters have nu = {params.nu}")
+    if window is not None and structure.window != window:
+        raise ValidationError(f"the structure was built for window {structure.window}, "
+                              f"not the given {window}")
     state = _e_step(structure, params)
     state._at = (params.rho.copy(), params.A.copy(), params.theta.copy(), params.gamma)
     _LAST[_key(structure.events, structure.nu, structure.window)] = state
     return state
+
+
+def _check_built_for(structure: PairStructure, events: EventSequence, what="structure") -> None:
+    if structure.events is not events:
+        raise ValidationError(f"the {what} was built for another events object "
+                              f"({len(structure.events)} events, not the given {len(events)})")
 
 
 def update_rho_alpha(events: EventSequence, state: VariationalState,
@@ -833,8 +853,10 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     A[s, s'] = (a_alpha[s] - 1 + sum eta_ij over child source s, parent source s')
                / (b_alpha + sum_{i: s_i=s'} (1 - e^{-(T - t_i)/nu})).
     Negative numerators (possible when a < 1) are clamped to a small floor and
-    counted in diag["clamped"].
+    counted in diag["clamped"].  A state built on another events object
+    raises ValidationError.
     """
+    _check_built_for(state.structure, events, "state")
     S = events.S
     rho_num = prior.a_rho - 1.0 + np.bincount(events.sources, weights=state.eta0,
                                               minlength=S)
@@ -861,11 +883,13 @@ def update_theta_gamma(events: EventSequence, state: VariationalState, current):
     x_{i,v} (1 - sum_j eta_ij xi), and gamma = sum eta_ij x_{i,v} xi / sum
     eta_ij x_{i,v}.  Pairs whose parent has an empty mark use the immigrant
     density and carry no information about gamma, so they are excluded from
-    its ratio.
+    its ratio.  A state built on another events object raises
+    ValidationError.
     """
+    st = state.structure
+    _check_built_for(st, events, "state")
     theta_hat = np.asarray(current[0], dtype=np.float64)
     gamma_hat = float(current[1])
-    st = state.structure
     S, V = events.S, events.V
     counts = st.counts_by_source
     if gamma_hat == 0.0:

@@ -407,9 +407,11 @@ STRING_NUMBER_CASES = [
      "line 3: malformed truth record (field 'parent'"),
     (read_truth, _TRUTH + '{"i": 2, "parent": 1, "root": %s}\n', "1",
      "line 3: malformed truth record (field 'root'"),
-    (read_raw_comments, '{"t": 1.0, "author": "a"}\n{"t": %s, "author": "a"}\n', "3.5",
+    (read_raw_comments, '{"t": 1.0, "author": "a", "text": ""}\n'
+     '{"t": %s, "author": "a", "text": ""}\n', "3.5",
      "line 2: malformed comment record (field 't'"),
-    (read_raw_comments, '{"t": 1.0, "author": "a"}\n{"t": 2.0, "author": "a", "x": {"hi": %s}}\n',
+    (read_raw_comments, '{"t": 1.0, "author": "a", "text": ""}\n'
+     '{"t": 2.0, "author": "a", "x": {"hi": %s}}\n',
      "3", "line 2: malformed comment record (a count in field 'x'"),
     (read_params, _params_text(rho="%s"), "[0.1]", "params document: malformed field 'rho'"),
     (read_params, _params_text(A="%s"), "[[0.2]]", "params document: malformed field 'A'"),
@@ -600,7 +602,7 @@ def test_read_raw_comments():
     with pytest.raises(ValidationError, match="line 1"):
         read_raw_comments(io.StringIO("nope\n"))
     with pytest.raises(ValidationError, match="line 2"):
-        read_raw_comments(io.StringIO('{"t": 1.0, "author": "a"}\n{"t": 2.0}\n'))
+        read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "text": ""}\n{"t": 2.0}\n'))
     with pytest.raises(ValidationError, match="line 1: .*field 't' is not a number"):
         read_raw_comments(io.StringIO('{"t": true, "author": "a"}\n'))
     for x in ('{"hi": 2.7}', '{"hi": true}', '["hi"]'):  # ingest would read 2, 1, or fail
@@ -617,7 +619,17 @@ def test_read_raw_comments():
                        ('{"t": 1.0, "author": "a", "x": {"hi": "3"}}', "field 'x'")]:
         with pytest.raises(ValidationError, match=r"^line 2: malformed comment record \(.*"
                            + re.escape(field)):
-            read_raw_comments(io.StringIO('{"t": 1.0, "author": "a"}\n' + rec + "\n"))
+            read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "text": ""}\n' + rec + "\n"))
+    # exactly one of "text" and "x": a misspelled field read as an empty
+    # mark, and a text beside counts was dropped; unknown fields are ignored
+    for rec, given in [('{"t": 2.0, "author": "a", "txt": "hello there"}', "not neither"),
+                       ('{"t": 2.0, "author": "a", "text": "hello", "x": {"b": 1}}', "not both")]:
+        with pytest.raises(ValidationError, match=r"^line 2: malformed comment record \(a "
+                           r"comment carries exactly one of fields 'text' and 'x' \(counts\), "
+                           + given):
+            read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "text": ""}\n' + rec + "\n"))
+    raws = read_raw_comments(io.StringIO('{"t": 1.0, "author": "a", "text": "", "id": 7}\n'))
+    assert raws[0].text == "" and raws[0].counts is None
 
 
 def test_raw_comment_checks_its_fields():
@@ -636,7 +648,13 @@ def test_raw_comment_checks_its_fields():
                           (dict(counts={"hi": 2.7}), "a count in field 'x'"),
                           (dict(counts={"hi": "3"}), "a count in field 'x'"),
                           (dict(counts={"hi": True}), "a count in field 'x'"),
-                          (dict(counts=["hi"]), "field 'x'")]:
+                          (dict(counts=["hi"]), "field 'x'"),
+                          (dict(), "exactly one of fields 'text' and 'x' (counts), not neither"),
+                          (dict(text="hi", counts={"hi": 1}), "exactly one of fields 'text' "
+                                                              "and 'x' (counts), not both"),
+                          # a field's own fault comes before the exactly-one rule, here
+                          # and in the cases above that have neither field
+                          (dict(text=5, counts={"hi": 1}), "field 'text'")]:
         with pytest.raises(ValidationError, match=re.escape(field)):
             RawComment(**{"t": 1.0, "author": "a", **kwargs})
     # numpy scalars and integral floats read as numbers and counts
@@ -812,7 +830,8 @@ READ_CASES = {
                   '"gamma": 0.3, "nu": "x"}'),
     read_rootprob: ('# rootprob-v1 mode=full\nevent_index,r_1,argmax_source\n1,1.0,1\n',
                     '# rootprob-v1 mode=full\nevent_index,r_1,argmax_source\n1,1.0,1\n2,x,1\n'),
-    read_raw_comments: ('{"t": 1.0, "author": "a"}\n', '{"t": 1.0, "author": "a"}\n{"t": 2}\n'),
+    read_raw_comments: ('{"t": 1.0, "author": "a", "text": ""}\n',
+                        '{"t": 1.0, "author": "a", "text": ""}\n{"t": 2}\n'),
 }
 
 

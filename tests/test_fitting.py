@@ -22,6 +22,7 @@ from rootsource.fitting import (
     _LIVE,
     PairStructure,
     VariationalState,
+    _default_init,
     _e_step,
     _physical_memory,
     _state_at,
@@ -1033,6 +1034,49 @@ def test_elbo_validates_state():
     if len(other_events) != len(events):
         with pytest.raises(ValidationError):
             elbo(other_events, params, update_eta(events, params))
+
+
+@pytest.fixture(scope="module")
+def two_draws():
+    # a window-20 layout at nu = 10 of one draw, its E-step, and another draw
+    draws = [rs.simulate(rs.make_synthetic_config(T=60.0, seed=seed))[0] for seed in (3, 4)]
+    params = _default_init(draws[0], PriorConfig.maximum_likelihood(draws[0].S), 10.0)
+    layout = PairStructure(draws[0], 10.0, window=20.0)
+    return draws, params, layout, update_eta(draws[0], params, layout, window=20.0)
+
+
+def _with_nu(params, nu):
+    return rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta,
+                          gamma=params.gamma, nu=nu)
+
+
+# (call on two_draws' (events, other events, params, layout, state), what
+# the error names): a layout or state of other settings is refused
+MISMATCH_CASES = {
+    "update_eta, other events": (lambda e, o, p, st, s: update_eta(o, p, st),
+                                 r"another events object \(\d+ events, not the given \d+\)"),
+    "update_eta, other nu": (lambda e, o, p, st, s: update_eta(e, _with_nu(p, 5.0), st),
+                             r"nu = 10\.0, the parameters have nu = 5\.0"),
+    "update_eta, other window": (lambda e, o, p, st, s: update_eta(e, p, st, window=1.0),
+                                 r"window 20\.0, not the given 1\.0"),
+    "update_rho_alpha, other events": (
+        lambda e, o, p, st, s: update_rho_alpha(o, s, PriorConfig.maximum_likelihood(o.S)),
+        "state was built for another events object"),
+    "update_theta_gamma, other events": (
+        lambda e, o, p, st, s: update_theta_gamma(o, s, (p.theta, p.gamma)),
+        "state was built for another events object"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCH_CASES))
+def test_block_updates_refuse_other_settings(case, two_draws):
+    (events, other), params, layout, state = two_draws
+    assert len(events) != len(other)
+    call, match = MISMATCH_CASES[case]
+    with pytest.raises(ValidationError, match=match):
+        call(events, other, params, layout, state)
+    # the matching call runs
+    update_eta(events, params, layout, window=20)
 
 
 def test_fit_single_event_trivial():
