@@ -139,7 +139,8 @@ class PriorConfig:
 # `update_eta` on such a layout.  A value holds its events, so no other
 # object can take that id while the entry exists, and callers holding
 # different sequences never see each other's entries.  Every access is one
-# get or one set, with no iteration, so neither table needs a lock.
+# get or one set, with no iteration, so neither table needs a lock; threads
+# that miss the same key at once each build a layout, and the last is kept.
 _LIVE: "weakref.WeakValueDictionary[tuple, PairStructure]" = weakref.WeakValueDictionary()
 _LAST: "weakref.WeakValueDictionary[tuple, VariationalState]" = weakref.WeakValueDictionary()
 
@@ -354,11 +355,11 @@ class PairStructure:
     `__init__` enters it in `_LIVE` under that key (see `_structure_for`),
     and `update_eta` its last state in `_LAST` (see `_state_at`).  A deep
     copy or a pickle holds a copy of its events, so it finds neither entry.
-    The pairs and then the triples are counted
-    first; a layout that would not fit in physical memory, with its cells at
-    their bound and the S x V and S x S parameter arrays, raises
-    ValidationError before anything triple- or parameter-sized is allocated,
-    and pairs and parameters that alone do not fit before anything V-sized.
+    The pairs and then the triples are counted first; a layout that would
+    not fit in physical memory, with its cells at their bound and the S x V
+    and S x S parameter arrays, raises ValidationError before anything
+    triple- or parameter-sized is allocated, and pairs and parameters that
+    alone do not fit before anything V-sized.
     """
 
     def __init__(self, events: EventSequence, nu: float, window: float | None = None):
@@ -819,10 +820,10 @@ def update_eta(events: EventSequence, params: ModelParams,
     event whose components are all -inf, and ValidationError, naming both
     values, when the structure was built for another events object, for a
     nu other than params.nu, or for a window other than one that is given.
-    The returned state keeps copies of
-    params' rho, A, theta and gamma, so later changes to params' arrays do
-    not move it, and is recorded in `_LAST` for as long as it is alive, so a
-    full root pass at parameters of equal value reuses it (`_state_at`).
+    The returned state keeps copies of params' rho, A, theta and gamma, so
+    later changes to params' arrays do not move it, and is recorded in
+    `_LAST` for as long as it is alive, so a full root pass at parameters of
+    equal value reuses it (`_state_at`).
     """
     if structure is None:
         structure = _structure_for(events, params.nu, window)

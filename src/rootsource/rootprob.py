@@ -20,12 +20,12 @@ add the earlier rows' part in one matrix product, then solve their own unit
 lower-triangular block, and no per-pair array is built.  When the last
 `update_eta` state for the same events and settings is still alive and ran
 at parameters equal in value to the pass's (a fit's final state, while its
-report is held; `fitting._state_at`), the full pass
-reads its terms and runs only the block substitution, so a reused and a
-recomputed pass agree bit for bit.  The temporal-only variant keeps just
-the intensity factors of the weights, with the kernel cells and no overlap
-pairs; the mark-only variant keeps just the densities, with the overlap pairs
-and, per child, one count of parents per mark half in place of the cells.
+report is held; `fitting._state_at`), the full pass reads its terms and
+runs only the block substitution, so a reused and a recomputed pass agree
+bit for bit.  The temporal-only variant keeps just the intensity factors of
+the weights, with the kernel cells and no overlap pairs; the mark-only
+variant keeps just the densities, with the overlap pairs and, per child,
+one count of parents per mark half in place of the cells.
 Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 

@@ -3,6 +3,8 @@ import gc
 import math
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 from functools import cached_property
@@ -272,6 +274,46 @@ def test_parameters_changed_in_place_are_not_reused(monkeypatch):
     twin = copy.deepcopy(events)
     np.testing.assert_array_equal(rs.root_probabilities(twin, report.params, window=20.0).r, got)
     assert _state_at(report.eta.structure, report.params) is None
+
+
+def test_threads_share_the_tables_without_a_lock():
+    # more threads than cores fit and attribute at once, two per events
+    # object, while the tables gain and lose entries; each result must be
+    # the one a lone thread gets
+    draws = [rs.simulate(rs.make_synthetic_config(T=30.0, seed=seed))[0] for seed in (1, 2, 3)]
+    want = []
+    for events in draws:
+        report = fit(events, nu=10.0, window=20.0, max_iters=2)
+        want.append(rs.root_probabilities(events, report.params, window=20.0).r)
+    got, errors = {}, []
+
+    def work(k):
+        try:
+            events = draws[k % 3]
+            for _ in range(3):
+                report = fit(events, nu=10.0, window=20.0, max_iters=2)
+                got.setdefault(k, []).append(
+                    rs.root_probabilities(events, report.params, window=20.0).r)
+                del report
+                gc.collect()
+        except Exception as err:  # reported below, with the thread's index
+            errors.append((k, err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for k in range(6):
+        assert len(got[k]) == 3
+        for r in got[k]:
+            np.testing.assert_array_equal(r, want[k % 3])
 
 
 def test_changed_settings_build_a_new_structure():
