@@ -25,10 +25,10 @@ def scatter_sum(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
     return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-def segment_max(values: np.ndarray, row_start: np.ndarray,
-                empty: float = -np.inf) -> np.ndarray:
+def segment_max(values: np.ndarray, row_start: np.ndarray) -> np.ndarray:
+    """The maximum of each row, -inf for an empty row."""
     counts = np.diff(row_start)
-    out = np.full(counts.size, empty, dtype=np.float64)
+    out = np.full(counts.size, -np.inf)
     nz = counts > 0
     if values.size and nz.any():
         out[nz] = np.maximum.reduceat(values, row_start[:-1][nz])

@@ -62,6 +62,7 @@ S x V table, (1 - g) theta / g, gathered by the triple's key.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import weakref
@@ -475,8 +476,9 @@ class VariationalState:
     log-normalizers.  The state carries the M-steps' and `elbo`'s inputs:
     eta_overlap (eta on the overlap pairs), eta_cells (the S x S sums of eta
     per child and parent source), eta_empty (each child's eta mass on parents
-    with an empty mark), a copy of its own parameters (from `update_eta`)
-    and, once `elbo` asks, the mean log weight at them; and _factors, the
+    with an empty mark), _at, a `ModelParams` copy of its own parameters
+    (set by `update_eta`, whose `_weights` gate they passed), and, once
+    `elbo` asks, the mean log weight at them; and _factors, the
     terms from which `_eta_blocks` expands eta over blocks of children for
     the root passes.  eta_pair, eta on every pair of the
     structure, is built from those blocks on first access; nothing in the
@@ -508,10 +510,8 @@ class VariationalState:
     @cached_property
     def _mean_log_w(self) -> float:
         """The mean log weight at the parameters of the state's E-step, for
-        `elbo`; from the copies that `update_eta` made (`_at`)."""
-        rho, A, theta, gamma = self._at
-        params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=self.structure.nu)
-        return _mean_log_weight(self, *_weights(self.structure, params))
+        `elbo`; from the copy that `update_eta` made (`_at`)."""
+        return _mean_log_weight(self, *_weights(self.structure, self._at))
 
     def __len__(self) -> int:
         return self.eta0.size
@@ -547,17 +547,18 @@ def _state_at(structure: PairStructure, params: ModelParams) -> "VariationalStat
     """The last `update_eta` state on a layout of structure's events and
     settings, if it is alive and ran at params' values, else None.
 
-    The values are compared, not the objects: a fit that stops at an exact
-    fixed point returns new parameters equal to those of its last E-step.
+    The values are compared (`_same`), not the objects: a fit that stops at
+    an exact fixed point returns new parameters equal to those of its last
+    E-step.
     """
     state = _LAST.get(_key(structure.events, structure.nu, structure.window))
-    if state is None:
-        return None
-    rho, A, theta, gamma = state._at
-    if (gamma == params.gamma and np.array_equal(rho, params.rho)
-            and np.array_equal(A, params.A) and np.array_equal(theta, params.theta)):
-        return state
-    return None
+    return state if state is not None and _same(state._at, params) else None
+
+
+def _same(p: ModelParams, q: ModelParams) -> bool:
+    """Whether p and q hold equal rho, A, theta and gamma, by value."""
+    return (p.gamma == q.gamma and np.array_equal(p.rho, q.rho)
+            and np.array_equal(p.A, q.A) and np.array_equal(p.theta, q.theta))
 
 
 def _weights(structure: PairStructure, params: ModelParams,
@@ -576,13 +577,18 @@ def _weights(structure: PairStructure, params: ModelParams,
     for a dead token), -inf when they miss one of the child's dead tokens.
     use_time=False leaves out rho and A kappa (log_a None), use_marks=False
     the marks (c and factor 0, sigma None: no overlap layout is built).
-    Parameters whose S or V differ from the events' raise ValidationError.
+    Parameters whose S or V differ from the events', or whose nu differs
+    from the structure's, raise ValidationError naming both values: every
+    E-step, root pass and `elbo` passes this gate.
     """
     events = structure.events
     if params.S != events.S or params.V != events.V:
         raise ValidationError(
             f"parameters of S x V = {params.S} x {params.V} do not match the events' "
             f"S x V = {events.S} x {events.V}")
+    if params.nu != structure.nu:
+        raise ValidationError(f"the structure was built for nu = {structure.nu}, "
+                              f"the parameters have nu = {params.nu}")
     n = len(events)
     with np.errstate(divide="ignore"):
         log_rho = np.log(params.rho)
@@ -819,25 +825,31 @@ def update_eta(events: EventSequence, params: ModelParams,
     -inf gets exactly zero weight.  Raises NumericalError naming the first
     event whose components are all -inf, and ValidationError, naming both
     values, when the structure was built for another events object, for a
-    nu other than params.nu, or for a window other than one that is given.
-    The returned state keeps copies of params' rho, A, theta and gamma, so
-    later changes to params' arrays do not move it, and is recorded in
-    `_LAST` for as long as it is alive, so a full root pass at parameters of
-    equal value reuses it (`_state_at`).
+    window other than one that is given, or (`_weights`' gate) for a nu
+    other than params.nu.  The returned state keeps a deep copy of params
+    (`_at`), so later changes to params' arrays do not move it, and is
+    recorded in `_LAST` for as long as it is alive, so a full root pass at
+    parameters of equal value reuses it (`_state_at`).
     """
     if structure is None:
         structure = _structure_for(events, params.nu, window)
     _check_built_for(structure, events)
-    if structure.nu != params.nu:
-        raise ValidationError(f"the structure was built for nu = {structure.nu}, "
-                              f"the parameters have nu = {params.nu}")
     if window is not None and structure.window != window:
         raise ValidationError(f"the structure was built for window {structure.window}, "
                               f"not the given {window}")
     state = _e_step(structure, params)
-    state._at = (params.rho.copy(), params.A.copy(), params.theta.copy(), params.gamma)
+    state._at = copy.deepcopy(params)
     _LAST[_key(structure.events, structure.nu, structure.window)] = state
     return state
+
+
+def _check_prior(prior: PriorConfig, S: int) -> None:
+    """Prior shapes a_rho and a_alpha each hold one value, shared by the
+    sources, or S, one per source; any other length raises ValidationError."""
+    for name in ("a_rho", "a_alpha"):
+        size = getattr(prior, name).size
+        if size not in (1, S):
+            raise ValidationError(f"prior {name} has length {size}, not 1 or S = {S}")
 
 
 def _check_built_for(structure: PairStructure, events: EventSequence, what="structure") -> None:
@@ -854,11 +866,12 @@ def update_rho_alpha(events: EventSequence, state: VariationalState,
     A[s, s'] = (a_alpha[s] - 1 + sum eta_ij over child source s, parent source s')
                / (b_alpha + sum_{i: s_i=s'} (1 - e^{-(T - t_i)/nu})).
     Negative numerators (possible when a < 1) are clamped to a small floor and
-    counted in diag["clamped"].  A state built on another events object
-    raises ValidationError.
+    counted in diag["clamped"].  A state built on another events object, or
+    prior shapes of a length other than 1 or S, raise ValidationError.
     """
     _check_built_for(state.structure, events, "state")
     S = events.S
+    _check_prior(prior, S)
     rho_num = prior.a_rho - 1.0 + np.bincount(events.sources, weights=state.eta0,
                                               minlength=S)
     a_num = state.eta_cells + (prior.a_alpha - 1.0)[:, None]
@@ -936,6 +949,7 @@ def _compensator_terms(structure: PairStructure, params: ModelParams) -> float:
 def _prior_terms(params: ModelParams, prior: PriorConfig | None) -> float:
     if prior is None:
         return 0.0
+    _check_prior(prior, params.S)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_rho = float(np.sum(xlogy(prior.a_rho - 1.0, params.rho))
                       - prior.b_rho * params.rho.sum())
@@ -994,14 +1008,13 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     so this needs only the state's masses and `_weights`' terms at Theta,
     and, on the state's first call, at Theta0; nothing per pair.  At Theta0
     it is fit's trace value bit for bit.  Adds
-    the Gamma log-prior terms when a prior is supplied.  The state must have
-    been built for the same events and kernel bandwidth.
+    the Gamma log-prior terms when a prior is supplied.  A state built on
+    another events object, even one of the same length, raises
+    ValidationError, as do parameters of another nu, S or V (`_weights`) and
+    prior shapes of a length other than 1 or S.
     """
-    if len(state) != len(events):
-        raise ValidationError("state and events disagree on length")
     st = state.structure
-    if st.nu != params.nu:
-        raise ValidationError("state was built for a different kernel bandwidth")
+    _check_built_for(st, events, "state")
     own = state._mean_log_w  # first, so that its terms are gone before those at Theta
     log_a, logw_imm, c, factor, sigma = _weights(st, params)
     value = math.fsum([
@@ -1062,10 +1075,11 @@ def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | Non
 
 def _default_init(events: EventSequence, prior: PriorConfig, nu: float) -> ModelParams:
     S, V = events.S, events.V
+    _check_prior(prior, S)
     counts = events.token_counts_by_source() + 1.0  # add-one smoothing
     theta = counts / counts.sum(axis=1, keepdims=True) if V else counts
     if prior.c is not None:
-        rho = prior.a_rho / prior.b_rho
+        rho = np.broadcast_to(prior.a_rho / prior.b_rho, S).copy()
         A = np.broadcast_to((prior.a_alpha / prior.b_alpha)[:, None], (S, S)).copy()
     else:
         c = 0.1
@@ -1103,7 +1117,9 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     `mini_conversations` reads them too.
     A windowed fit reports the largest and the mean share of an event's
     excitation intensity that the window dropped.  Raises NumericalError on
-    a NaN objective with the iteration number.
+    a NaN objective with the iteration number, and ValidationError, naming
+    both values, when both init and nu are given and nu differs from
+    init.nu.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")
@@ -1111,6 +1127,9 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         raise ValidationError("tol must be positive and max_iters >= 1")
     if init is None and nu is None:
         raise ValidationError("either init or nu must be given")
+    if init is not None and nu is not None and nu != init.nu:
+        raise ValidationError(f"nu = {nu} conflicts with the initial parameters' "
+                              f"nu = {init.nu}")
     # the layout's memory check, before any S- or V-sized array is allocated
     structure = _structure_for(events, nu if init is None else init.nu, window)
     if prior is None:
@@ -1139,14 +1158,10 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         rho, A = update_rho_alpha(events, state, prior, diag)
         theta, gamma = update_theta_gamma(events, state, (params.theta, params.gamma))
         new_params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma, nu=params.nu)
-        if (np.array_equal(new_params.rho, params.rho)
-                and np.array_equal(new_params.A, params.A)
-                and np.array_equal(new_params.theta, params.theta)
-                and new_params.gamma == params.gamma):
-            params = new_params
-            converged = True
-            break
+        converged = _same(new_params, params)
         params = new_params
+        if converged:
+            break
 
     dropped = _window_dropped(structure, params.A)
     return FitReport(params=params, eta=state, elbo_trace=np.array(trace),

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._numeric import segment_max
 from .errors import ValidationError
-from .fitting import VariationalState, _log_kernel_a
+from .fitting import VariationalState, _check_built_for, _log_kernel_a
 from .model import EventSequence
 from .rootprob import RootProbMatrix
 from .simulate import BranchingStructure, _root_positions
@@ -117,12 +117,13 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     two same-class events whose t_j / nu round to the same value (times a
     few ulps apart), where np.argmax takes the earlier and this m; and at
     gamma = 0, where an overlap pair's mark term is 0, so its eta and its
-    cell's value for the same parent may differ in the last bit.
+    cell's value for the same parent may differ in the last bit.  A state
+    built on another events object, even one of the same length, raises
+    ValidationError.
     """
-    n = len(eta)
-    if n != len(events):
-        raise ValidationError("state and events disagree on length")
     st = eta.structure
+    _check_built_for(st, events, "state")
+    n = len(eta)
     cell_start, cell_key, _, cell_last = st.cells
     # each cell's value at its latest event, as the root passes value eta
     seg = np.repeat(np.arange(2 * n), np.diff(cell_start))

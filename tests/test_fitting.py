@@ -1092,6 +1092,14 @@ def _with_nu(params, nu):
                           gamma=params.gamma, nu=nu)
 
 
+def _prefix(events, m):
+    """The first m events of a sequence, as a new sequence over its [0, T]."""
+    ip = events.tok_indptr
+    return rs.EventSequence(events.times[:m], events.sources[:m], ip[:m + 1],
+                            events.tok_index[:ip[m]], events.tok_count[:ip[m]],
+                            events.T, events.S, events.V)
+
+
 # (call on two_draws' (events, other events, params, layout, state), what
 # the error names): a layout or state of other settings is refused
 MISMATCH_CASES = {
@@ -1107,6 +1115,15 @@ MISMATCH_CASES = {
     "update_theta_gamma, other events": (
         lambda e, o, p, st, s: update_theta_gamma(o, s, (p.theta, p.gamma)),
         "state was built for another events object"),
+    # a sequence of the same length is another sequence all the same
+    "elbo, same-length other events": (
+        lambda e, o, p, st, s: elbo(_prefix(o, len(e)), p, s),
+        r"state was built for another events object \((\d+) events, not the given \1\)"),
+    "mini_conversations, same-length other events": (
+        lambda e, o, p, st, s: rs.mini_conversations(s, _prefix(o, len(e))),
+        r"state was built for another events object \((\d+) events, not the given \1\)"),
+    "elbo, other nu": (lambda e, o, p, st, s: elbo(e, _with_nu(p, 5.0), s),
+                       r"nu = 10\.0, the parameters have nu = 5\.0"),
 }
 
 
@@ -1119,6 +1136,51 @@ def test_block_updates_refuse_other_settings(case, two_draws):
         call(events, other, params, layout, state)
     # the matching call runs
     update_eta(events, params, layout, window=20)
+
+
+def test_fit_refuses_a_nu_other_than_the_initial_parameters(two_draws):
+    (events, _), params, _, _ = two_draws
+    with pytest.raises(ValidationError, match=r"nu = 2\.5 conflicts with the initial "
+                                              r"parameters' nu = 10\.0"):
+        fit(events, init=params, nu=2.5, window=20.0, max_iters=2)
+    # an equal nu, as `rootsource fit` passes it, fits as init alone does
+    np.testing.assert_array_equal(
+        fit(events, init=params, nu=10.0, window=20.0, max_iters=2).elbo_trace,
+        fit(events, init=params, window=20.0, max_iters=2).elbo_trace)
+
+
+def _prior(length, which, c=None):
+    """Gamma shapes 2 for both kinds, `which` of them `length` long and the
+    other one long; rates 1."""
+    a = {"a_rho": np.full(1, 2.0), "a_alpha": np.full(1, 2.0)}
+    a[which] = np.full(length, 2.0)
+    return PriorConfig(b_rho=1.0, b_alpha=1.0, c=c, **a)
+
+
+# a call with a prior, on two_draws' (events, params, state)
+PRIOR_CALLS = {
+    "fit": lambda e, p, s, prior: fit(e, nu=10.0, prior=prior, window=20.0,
+                                      max_iters=3).elbo_trace,
+    "fit, empirical Bayes": lambda e, p, s, prior: fit(
+        e, nu=10.0, prior=PriorConfig(prior.a_rho, 1.0, prior.a_alpha, 1.0, c=0.1),
+        window=20.0, max_iters=3).elbo_trace,
+    "update_rho_alpha": lambda e, p, s, prior: np.concatenate(
+        [x.ravel() for x in update_rho_alpha(e, s, prior)]),
+    "elbo": lambda e, p, s, prior: elbo(e, p, s, prior),
+}
+
+
+@pytest.mark.parametrize("which", ["a_rho", "a_alpha"])
+@pytest.mark.parametrize("call", list(PRIOR_CALLS))
+def test_prior_shapes_are_one_or_one_per_source(call, which, two_draws):
+    (events, _), params, _, state = two_draws
+    S = events.S
+    assert S == 5
+    with pytest.raises(ValidationError, match=f"prior {which} has length 3, not 1 or S = 5"):
+        PRIOR_CALLS[call](events, params, state, _prior(3, which))
+    # one shape is shared by every source: the same values as S equal ones
+    np.testing.assert_array_equal(PRIOR_CALLS[call](events, params, state, _prior(1, which)),
+                                  PRIOR_CALLS[call](events, params, state, _prior(S, which)))
 
 
 def test_fit_single_event_trivial():
