@@ -5,8 +5,8 @@ min(pairs, n 2S) cells: with a truncation window all three grow as n * w,
 so wall time per sweep should fit a linear model in n; in exact mode the
 overlap pairs and triples grow as n^2, and the sweep is reported as
 quadratic rather than held to a linear bar.  The one-time PairStructure
-build, with the triples and overlap pairs that a fit builds in its first
-E-step, is timed separately from the per-sweep cost, and the fastest sweep is
+build, with its triples and overlap pairs, is timed separately from the
+per-sweep cost, and the fastest sweep is
 split into its E-step and its two M-steps; the objective and the argmax
 threads (`mini_conversations`) on the last E-step are timed once each.  The
 draw of each scale's input by `simulate` has its own column.  The report
@@ -17,8 +17,6 @@ as every CLI command pays.
 from __future__ import annotations
 
 import os
-import statistics
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -117,8 +115,12 @@ def _import_seconds() -> float:
     import rootsource.cli: interpreter start plus the package's imports.
 
     Each child imports this copy of the package, whatever the working
-    directory or an installed copy.
+    directory or an installed copy.  subprocess and statistics are imported
+    here, their only user, so that `import rootsource` loads neither.
     """
+    import statistics
+    import subprocess
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
@@ -156,8 +158,8 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     which never decreases) after the row.  Scales are target event counts;
     the synthetic setup has stationary rate 2.5 events per time unit, so
     T = n / RATE.  Sweep timing excludes the one-time candidate-structure
-    build (with its token-overlap triples and overlap pairs, which a fit
-    builds in its first E-step), matching how a long fit amortizes it.  The
+    build (with its token-overlap triples and overlap pairs, all built when
+    the layout is made), matching how a long fit amortizes it.  The
     report's import_seconds is the median of three cold starts, before any
     scale.
     """
@@ -176,7 +178,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
         t0 = time.perf_counter()
         structure = PairStructure(events, params.nu, window=window)
-        structure.tri_pair  # with the overlap pairs, built by a fit's first E-step
         build = time.perf_counter() - t0
 
         phases = np.zeros((sweeps, 3))

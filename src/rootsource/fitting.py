@@ -20,14 +20,14 @@ kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  The pair layout (child i's parents are lo_i..i-1)
 and the token-overlap triples (i, j, v) are built once per fit in a
 PairStructure and reused across sweeps, and by root passes on the same
-events while the fit's state is alive.  It builds three parts on first use,
-each whole: the triples with their overlap pairs, the overlap pairs' kernel
-terms, and the kernel cells, so that a temporal- or mark-only root pass
-builds only what it reads.  An overlap pair is stored as its parent event,
-grouped by child, which is all that its readers need.  Two weak tables keyed
-by (id(events), nu, window) find the live layout (`_LIVE`) and the last
-`update_eta` state on it (`_LAST`), so a full root pass at the fit's final
-parameters reads its posteriors; each access is one lookup, with no lock.
+events while the fit's state is alive.  It builds the triples, their overlap
+pairs and those pairs' kernel terms on construction, and the kernel cells on
+first use, which the mark-only root pass never reads.  An overlap pair is
+stored as its parent event, grouped by child, which is all that its readers
+need.  Two weak tables keyed by (id(events), nu, window) find the live
+layout (`_LIVE`) and the last `update_eta` state on it (`_LAST`), so a full
+root pass at the fit's final parameters reads its posteriors; each access
+is one lookup, with no lock.
 
 The E-step's log weights leave out c_i = sum over child i's live tokens of
 x log((1 - gamma) theta), a constant all components of child i share: the
@@ -43,7 +43,8 @@ sparsely, one cell per child and parent class with a candidate in the
 child's window, so there are at most min(pairs, n 2S) of them however many
 sources there are.  `_weights` computes the terms of every weight and
 `_e_step` is the one normalizer: it sums them over the cells and the overlap
-pairs, for the full model and for the temporal- and mark-only root passes.
+pairs, for the full model and for the mark-only root pass; the temporal-only
+pass is the full model on the events without their marks.
 The E-step, both M-steps and the objective cost O(cells + overlap pairs +
 triples): `elbo` reads the masses of the E-step's state and needs the terms
 at its own parameters only.  Nothing here builds per-pair posteriors: the
@@ -99,7 +100,8 @@ class PriorConfig:
     Maximum-likelihood mode is the improper prior a=1, b=0, under which the
     rho/A updates coincide with the ML closed forms.  Empirical-Bayes mode
     sets a_rho[s] = a_alpha[s] = N_s, b_rho = T/c, b_alpha = T/(1-c) from an
-    expected immigrant proportion c.
+    expected immigrant proportion c.  A shape array of more than one
+    dimension raises ValidationError naming it and its shape.
     """
 
     a_rho: np.ndarray
@@ -113,6 +115,10 @@ class PriorConfig:
         self.a_alpha = np.atleast_1d(np.asarray(self.a_alpha, dtype=np.float64))
         self.b_rho = float(self.b_rho)
         self.b_alpha = float(self.b_alpha)
+        for name in ("a_rho", "a_alpha"):
+            shape = getattr(self, name).shape
+            if len(shape) != 1:
+                raise ValidationError(f"prior {name} must be 1-D, not of shape {shape}")
         if np.any(self.a_rho <= 0) or np.any(self.a_alpha <= 0):
             raise ValidationError("prior shapes must be positive")
         if self.b_rho < 0 or self.b_alpha < 0:
@@ -144,12 +150,6 @@ class PriorConfig:
 # that miss the same key at once each build a layout, and the last is kept.
 _LIVE: "weakref.WeakValueDictionary[tuple, PairStructure]" = weakref.WeakValueDictionary()
 _LAST: "weakref.WeakValueDictionary[tuple, VariationalState]" = weakref.WeakValueDictionary()
-
-# The builder of each lazy PairStructure attribute; it sets the attribute's
-# whole part (see PairStructure).
-_LAZY = {**dict.fromkeys(("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_parent", "tri_ov",
-                          "ov_row_start", "ov_row_len"), "_build_overlaps"),
-         **dict.fromkeys(("ov_cell", "ov_log_kernel"), "_ov_terms")}
 
 # Peak bytes per candidate pair, token-overlap triple, kernel cell and
 # parameter entry (S V + S S) of a three-sweep fit (structure, E-steps with
@@ -342,12 +342,9 @@ class PairStructure:
     distinct pairs.  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
     of kappa over those candidates (see `_kernel_cells`); the E-step reads
-    the cells and the overlap pairs.  Three parts are built on first use,
-    each whole, by the first read of any of its names: the triples with the
-    overlap pairs (`_build_overlaps`), since every E-step that reads one
-    reads all; the overlap pairs' cells and log kernels (`_ov_terms`); and
-    cells.  The last two are kept apart from the first because the mark-only
-    pass reads neither, and the temporal-only pass reads only cells.
+    the cells and the overlap pairs.  `__init__` builds the triples, the
+    overlap pairs and their kernel cells and log kernels (`_build_overlaps`);
+    cells is built on first use, since the mark-only pass does not read it.
     n_triples counts the triples before they are built.
 
     Everything here depends only on events, nu and window, so one instance
@@ -355,7 +352,8 @@ class PairStructure:
     events object with the same settings reuse it for as long as it is alive:
     `__init__` enters it in `_LIVE` under that key (see `_structure_for`),
     and `update_eta` its last state in `_LAST` (see `_state_at`).  A deep
-    copy or a pickle holds a copy of its events, so it finds neither entry.
+    copy or a pickle holds every array and a copy of its events, so it finds
+    neither entry.
     The pairs and then the triples are counted first; a layout that would
     not fit in physical memory, with its cells at their bound and the S x V
     and S x S parameter arrays, raises ValidationError before anything
@@ -400,7 +398,7 @@ class PairStructure:
         self.key_used = np.flatnonzero(used)
         self.key_at = (np.cumsum(used) - 1)[key]
 
-        self._partners = partners  # until the triples are built
+        self._build_overlaps(partners)
         _LIVE[_key(events, nu, window)] = self
 
     @property
@@ -408,21 +406,13 @@ class PairStructure:
         """Child index of every pair; rebuilt on each access, not stored."""
         return np.repeat(np.arange(len(self.events)), self.row_len)
 
-    def __getattr__(self, name: str):
-        # called only for a name not yet set: a lazy part's name builds its
-        # whole part, and on a copy not yet filled in the build's first read
-        # of events fails here rather than recursing
-        build = _LAZY.get(name)
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        getattr(self, build)()
-        return self.__dict__[name]
-
-    def _build_overlaps(self) -> None:
-        """tri_*: one triple per mark entry and in-window partner, grouped by
-        child, then token, then parent; and ov_*: the distinct pairs among
-        them, the overlap pairs, by child and their parents ov_parent in
-        ascending order, with tri_ov each triple's.
+    def _build_overlaps(self, partners) -> None:
+        """tri_*: one triple per mark entry and in-window partner (partners
+        from `_first_partners`), grouped by child, then token, then parent;
+        and ov_*: the distinct pairs among them, the overlap pairs, by child
+        and their parents ov_parent in ascending order, with tri_ov each
+        triple's, each pair's kernel cell s_i S + s_j (the flat index of
+        A[s_i, s_j]) and its log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu.
 
         The mark entries come event by event, so each child's triples are
         contiguous and each sweep's reads through tri_ov stay inside that
@@ -430,7 +420,7 @@ class PairStructure:
         of the child's side is an entry's, repeated over its partners.
         """
         _, post_ev, post_norm = self.events.token_postings()
-        entry, j_sel = ragged_ranges(*self.__dict__.pop("_partners"))
+        entry, j_sel = ragged_ranges(*partners)
         self.tri_xjv = post_norm[j_sel]
         self.tri_pair = post_ev[j_sel]
         del j_sel
@@ -447,21 +437,16 @@ class PairStructure:
         at = np.empty(self.n_pairs, dtype=np.int32 if ov.size < 2**31 else np.intp)
         at[ov] = np.arange(ov.size)
         self.tri_ov = at[self.tri_pair].astype(np.intp)
+        del at
         self.ov_row_start = np.searchsorted(ov, self.row_start)
         self.ov_row_len = np.diff(self.ov_row_start)
         # each position less its child's row_start - lo: the parent
-        ov -= np.repeat(self.row_start[:-1] - self.lo, self.ov_row_len)
-        self.ov_parent = ov
-
-    def _ov_terms(self) -> None:
-        """ov_cell and ov_log_kernel, from one (child i, parent j) pass over
-        the overlap pairs: the kernel cell s_i S + s_j (the flat index of
-        A[s_i, s_j]) and log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu."""
         i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
-        j = self.ov_parent
+        ov -= (self.row_start[:-1] - self.lo)[i]
+        self.ov_parent = ov
         sources, t = self.events.sources, self.events.times
-        self.ov_cell = sources[i] * self.events.S + sources[j]
-        self.ov_log_kernel = (t[j] - t[i]) / self.nu - np.log(self.nu)
+        self.ov_cell = sources[i] * self.events.S + sources[ov]
+        self.ov_log_kernel = (t[ov] - t[i]) / self.nu - np.log(self.nu)
 
     @cached_property
     def cells(self):
@@ -561,8 +546,7 @@ def _same(p: ModelParams, q: ModelParams) -> bool:
             and np.array_equal(p.A, q.A) and np.array_equal(p.theta, q.theta))
 
 
-def _weights(structure: PairStructure, params: ModelParams,
-             use_time: bool = True, use_marks: bool = True):
+def _weights(structure: PairStructure, params: ModelParams, use_time: bool = True):
     """The terms of the log posterior weights, relative to a per-child constant.
 
     Returns (log_a, logw_imm, c, factor, sigma).  c_i sums x log((1 - g)
@@ -575,8 +559,8 @@ def _weights(structure: PairStructure, params: ModelParams,
     its mark is empty.  An overlap pair has sigma + log_a[ov_cell] + ov_log_kernel:
     sigma sums x log1p(g xt / ((1 - g) theta)) over its triples (x log(g xt)
     for a dead token), -inf when they miss one of the child's dead tokens.
-    use_time=False leaves out rho and A kappa (log_a None), use_marks=False
-    the marks (c and factor 0, sigma None: no overlap layout is built).
+    use_time=False leaves out rho and A kappa (log_a None).  On events with
+    no marks c and factor are 0 and sigma is empty: the temporal-only terms.
     Parameters whose S or V differ from the events', or whose nu differs
     from the structure's, raise ValidationError naming both values: every
     E-step, root pass and `elbo` passes this gate.
@@ -594,8 +578,6 @@ def _weights(structure: PairStructure, params: ModelParams,
         log_rho = np.log(params.rho)
         log_a = np.log(params.A).ravel() if use_time else None
     factor = np.zeros((n, 2))
-    if not use_marks:
-        return log_a, log_rho[events.sources], np.zeros(n), factor, None
     used, at = structure.key_used, structure.key_at
     theta = params.theta.ravel()
     g = params.gamma
@@ -644,9 +626,10 @@ def _log_kernel_a(state: "VariationalState", i, cell) -> np.ndarray:
     """log A[cell] - (t_i / nu + log nu): child i's part of log eta_ij for a
     parent j in kernel cell `cell` = s_i S + s_j.  Broadcasts.
 
-    The full and the temporal state's eta_ij is exp((this + t_j / nu) +
-    F[i, h_j]), F being the state's per-child factor (less log z) and h_j 1
-    for an empty mark, else 0; the mark-only state's is exp(F[i, h_j]).  The
+    The full state's eta_ij is exp((this + t_j / nu) + F[i, h_j]), F being
+    the state's per-child factor (less log z) and h_j 1 for an empty mark,
+    else 0; the mark-only state's is exp(F[i, h_j]).  The temporal-only
+    state is a full state on events without marks.  The
     exp is taken of the sum, so nothing overflows however long the sequence,
     and F comes last, so that posteriors whose other terms are integers tie
     exactly when their sums do.  The root passes and `mini_conversations`
@@ -679,17 +662,16 @@ def _eta_blocks(state: "VariationalState"):
     use_time = state._factors[0] is not None
     f_mark, f_empty = state._factors[1].T
     t_nu = events.times / st.nu
-    # the parents with an empty mark of block k: empty[e_lo[k]:e_hi[k]]
-    empty = np.flatnonzero(events.lengths == 0)
+    # the parents with an empty mark of block k, empty[e_lo[k]:e_hi[k]],
+    # when some child weighs them otherwise
+    empty = np.flatnonzero((events.lengths == 0) & (f_mark != f_empty).any())
     e_lo = np.searchsorted(empty, st.lo[::B]).tolist()
     e_hi = np.searchsorted(empty, np.arange(B, n + B, B)).tolist()
-    ov = state.eta_overlap
-    if ov is not None:
-        ov_start = st.ov_row_start.tolist()
-        # j B + (i mod B) per overlap pair (i, j): lo_a B past its place in
-        # its block's B-wide buffer
-        ov_at = st.ov_parent * B
-        ov_at += np.repeat(np.arange(n) % B, st.ov_row_len)
+    ov, ov_start = state.eta_overlap, st.ov_row_start.tolist()
+    # j B + (i mod B) per overlap pair (i, j): lo_a B past its place in its
+    # block's B-wide buffer
+    ov_at = st.ov_parent * B
+    ov_at += np.repeat(np.arange(n) % B, st.ov_row_len)
     by_source = np.arange(S)[:, None]
     lower = np.tril(np.ones((B, B), dtype=bool))
     # one B-wide buffer for every block's D, which its reader is done with
@@ -722,9 +704,8 @@ def _eta_blocks(state: "VariationalState"):
         early = lo[b - 1] - lo_a
         if early:
             np.copyto(D[:early], 0.0, where=np.arange(lo_a, lo_a + early)[:, None] < st.lo[a:b])
-        if ov is not None:
-            s, e = ov_start[a], ov_start[b]
-            full.ravel()[ov_at[s:e] - lo_a * B] = ov[s:e]
+        s, e = ov_start[a], ov_start[b]
+        full.ravel()[ov_at[s:e] - lo_a * B] = ov[s:e]
         yield a, b, lo_a, D
 
 
@@ -738,7 +719,7 @@ def _raise_if_dead(m: np.ndarray) -> None:
 
 
 def _e_step(structure: PairStructure, params: ModelParams,
-            use_time: bool = True, use_marks: bool = True) -> VariationalState:
+            use_time: bool = True) -> VariationalState:
     """The E-step of `update_eta`, from the kernel cells and the overlap pairs.
 
     Relative to c_i, child i's weights are: the immigrant rho f_imm; per
@@ -749,18 +730,26 @@ def _e_step(structure: PairStructure, params: ModelParams,
     sigma_ij is the pair's log mark density.  No term is negative, so the
     normalizer sums without cancellation, with a per-child maximum taken out.
 
-    use_marks=False (the temporal pass) takes the same cells with no factor
-    and no overlap pairs.  use_time=False (the mark pass) gives every parent
-    that shares no token with child i the weight e^{factor[i, h]} whatever
-    its time, so each half's one cell holds its count of parents.  Only the
-    full model's state carries the M-steps' and `elbo`'s inputs.
+    The temporal pass runs this on events without marks, where every mark
+    density is 1.  use_time=False (the mark pass) gives every parent that
+    shares no token with child i the weight e^{factor[i, h]} whatever its
+    time, so each half's one cell holds its count of parents; its state
+    lacks eta_cells and eta_empty, which only the M-steps and `elbo` read.
     """
     n, S = len(structure.events), structure.events.S
-    log_a, logw_imm, c, factor, sigma = _weights(structure, params, use_time, use_marks)
+    log_a, logw_imm, c, factor, sigma = _weights(structure, params, use_time)
+    ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
+    excess = -np.expm1(-sigma)
+    dead = factor[:, 0] == -np.inf
+    if dead.any():
+        excess[np.repeat(dead, ov_len)] = 1.0
     if use_time:
         cell_start, cell_key, cell_log, _ = structure.cells
         logw = log_a[cell_key]
         logw += cell_log
+        logw_ov = log_a[structure.ov_cell]
+        logw_ov += structure.ov_log_kernel
+        logw_ov += sigma
     else:
         # one cell per half: its parents with a non-empty and an empty mark,
         # from a prefix count of the empty marks
@@ -769,21 +758,7 @@ def _e_step(structure: PairStructure, params: ModelParams,
         cell_start = np.arange(2 * n + 1)
         with np.errstate(divide="ignore"):
             logw = np.log(np.stack([structure.row_len - count, count], axis=1)).ravel()
-    if use_marks:
-        ov_len, ov_start = structure.ov_row_len, structure.ov_row_start
-        excess = -np.expm1(-sigma)
-        dead = factor[:, 0] == -np.inf
-        if dead.any():
-            excess[np.repeat(dead, ov_len)] = 1.0
-        if use_time:
-            logw_ov = log_a[structure.ov_cell]
-            logw_ov += structure.ov_log_kernel
-            logw_ov += sigma
-        else:
-            logw_ov = sigma.copy()
-    else:
-        ov_len, ov_start = np.zeros(n, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
-        excess = logw_ov = np.zeros(0)
+        logw_ov = sigma  # not read again
 
     top = (segment_max(logw, cell_start).reshape(n, 2) + factor).max(axis=1)
     m = np.maximum(np.maximum(logw_imm, top), segment_max(logw_ov, ov_start))
@@ -803,8 +778,8 @@ def _e_step(structure: PairStructure, params: ModelParams,
     log_zr = m + np.log(z)
 
     state = VariationalState(structure, wi / z, log_zr + c)
-    state.eta_overlap = w_ov if use_marks else None
-    if use_time and use_marks:
+    state.eta_overlap = w_ov
+    if use_time:
         cells = np.bincount(cell_key, weights=w, minlength=S * S)
         cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
         state.eta_cells = cells.reshape(S, S)

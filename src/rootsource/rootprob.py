@@ -22,10 +22,11 @@ lower-triangular block, and no per-pair array is built.  When the last
 at parameters equal in value to the pass's (a fit's final state, while its
 report is held; `fitting._state_at`), the full pass reads its terms and
 runs only the block substitution, so a reused and a recomputed pass agree
-bit for bit.  The temporal-only variant keeps just the intensity factors of
-the weights, with the kernel cells and no overlap pairs; the mark-only
-variant keeps just the densities, with the overlap pairs and, per child,
-one count of parents per mark half in place of the cells.
+bit for bit.  The temporal-only variant is the full pass on a copy of the
+events without marks, where every mark density is 1: it builds that copy's
+layout, which holds no overlap pairs; the mark-only variant keeps just the
+densities, with the overlap pairs and, per child, one count of parents per
+mark half in place of the cells.
 Every row of r sums to 1 because every row of eta does, so no row is
 renormalized.
 
@@ -94,7 +95,7 @@ class RootProbMatrix:
 
 
 def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
-               use_marks: bool, mode: str, window: float | None) -> RootProbMatrix:
+               mode: str, window: float | None) -> RootProbMatrix:
     params.validate()
     n, S, V = len(events), events.S, events.V
     # the n x S result r before any layout is built, then with a reused layout
@@ -102,8 +103,7 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
     st = _structure_for(events, params.nu, window)
     _check_memory(n, st.n_pairs, st.n_triples, S, V, st.window, roots=True)
     # not update_eta: the record of a fit's E-step in `_LAST` stays
-    state = (use_time and use_marks and _state_at(st, params)) or _e_step(
-        st, params, use_time, use_marks)
+    state = (use_time and _state_at(st, params)) or _e_step(st, params, use_time)
     # r starts as eta_i0 e_{s_i}; each block adds its earlier parents' part,
     # then solves (I - eta over its own rows and parents) r = that
     r = np.zeros((n, S))
@@ -119,19 +119,22 @@ def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
 def root_probabilities(events: EventSequence, params: ModelParams,
                        window: float | None = None) -> RootProbMatrix:
     """Full-model root probabilities (intensity and mark factors)."""
-    return _root_pass(events, params, True, True, "full", window)
+    return _root_pass(events, params, True, "full", window)
 
 
 def root_probabilities_temporal(events: EventSequence, params: ModelParams,
                                 window: float | None = None) -> RootProbMatrix:
-    """Sub-model variant using intensity factors only."""
-    return _root_pass(events, params, True, False, "temporal_only", window)
+    """Sub-model variant using intensity factors only: the full model on the
+    events with their marks removed, where every mark density is 1."""
+    view = EventSequence(events.times, events.sources, np.zeros(len(events) + 1, dtype=np.int64),
+                         [], [], events.T, events.S, events.V)
+    return _root_pass(view, params, True, "temporal_only", window)
 
 
 def root_probabilities_mark(events: EventSequence, params: ModelParams,
                             window: float | None = None) -> RootProbMatrix:
     """Sub-model variant using mark densities only."""
-    return _root_pass(events, params, False, True, "mark_only", window)
+    return _root_pass(events, params, False, "mark_only", window)
 
 
 ORACLE_CAP = 12

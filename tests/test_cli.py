@@ -401,6 +401,25 @@ def test_package_runs_without_importing_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+LAZY_MODULES_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import rootsource
+print(sorted(m for m in ("subprocess", "statistics", "fractions", "decimal")
+             if m in sys.modules and m not in before))
+"""
+
+
+def test_package_import_loads_no_subprocess_or_statistics():
+    # only the benchmark's cold-start timer uses them, and they cost every
+    # CLI command and every benchmark child several milliseconds after numpy
+    proc = subprocess.run([sys.executable, "-c", LAZY_MODULES_SCRIPT], capture_output=True,
+                          text=True, env=_env_for_package())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(shutil.which("rootsource") is None,
                     reason="rootsource console script not installed")
 def test_console_script_on_path():

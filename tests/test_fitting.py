@@ -162,27 +162,40 @@ def test_build_triples_matches_per_token_loop(case):
 
 
 def _count_builds(monkeypatch):
+    """Records the events of every PairStructure built, not the layout."""
     built = []
     init = PairStructure.__init__
 
     def counting(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(weakref.ref(self))
+        built.append((self.events, self.n_triples))
 
     monkeypatch.setattr(PairStructure, "__init__", counting)
     return built
 
 
 def _count_e_steps(monkeypatch):
+    """Records the events of every root pass's E-step of the full model: the
+    full pass's, on the given events, and the temporal pass's, on a copy of
+    them without marks (see `_mark_free`); not the mark pass's."""
     calls = []
 
     def counting(structure, params, *flags):
-        if all(flags):  # the full model's, not a sub-model pass's
+        if all(flags):
             calls.append(structure.events)
         return _e_step(structure, params, *flags)
 
     monkeypatch.setattr("rootsource.rootprob._e_step", counting)
     return calls
+
+
+def _mark_free(view, events) -> bool:
+    """Whether view is another EventSequence of events' times, sources, T, S
+    and V, with no marks."""
+    return (view is not events and view.tok_index.size == 0 and not view.tok_indptr.any()
+            and np.array_equal(view.times, events.times)
+            and np.array_equal(view.sources, events.sources)
+            and (view.T, view.S, view.V) == (events.T, events.S, events.V))
 
 
 def test_root_pass_reuses_the_live_structure(monkeypatch):
@@ -196,15 +209,23 @@ def test_root_pass_reuses_the_live_structure(monkeypatch):
     passes = (rs.root_probabilities, rs.root_probabilities_temporal,
               rs.root_probabilities_mark)
     got = [f(events, params, window=20.0).r for f in passes]
-    assert built == []
-    # the full pass reads the fit's final E-step; the other two run the
-    # E-steps of their sub-models
-    assert e_steps == []
+    # the full and the mark pass reuse the fit's layout; the temporal pass
+    # builds one layout, of its events without marks, with no triples
+    assert len(built) == 1
+    view, n_triples = built[0]
+    assert _mark_free(view, events) and n_triples == 0
+    # the full pass reads the fit's final E-step; the temporal pass runs the
+    # full model's E-step on that copy, and the mark pass its own
+    assert len(e_steps) == 1 and e_steps[0] is view
     twin = copy.deepcopy(events)
+    del built[:], e_steps[:]
     for f, r in zip(passes, got):
         np.testing.assert_array_equal(f(twin, params, window=20.0).r, r)
-    assert len(built) == 3  # the twin has no live structure to reuse
-    assert len(e_steps) == 1 and e_steps[0] is twin
+    # the twin has no live structure to reuse
+    (full, k_full), (temporal, k_temporal), (mark, k_mark) = built
+    assert full is twin and mark is twin and k_full == k_mark > 0
+    assert _mark_free(temporal, twin) and k_temporal == 0
+    assert len(e_steps) == 2 and e_steps[0] is twin and e_steps[1] is temporal
 
     # parameters equal in value reuse the E-step too; a changed gamma does not
     equal = rs.ModelParams(rho=params.rho.copy(), A=params.A.copy(),
@@ -741,83 +762,73 @@ def test_many_sources_match_the_per_pair_reference(window):
     assert report.window_dropped_mean == pytest.approx(want.mean(), rel=1e-12)
 
 
-def test_sub_model_passes_build_only_their_layouts():
-    # the temporal pass reads the kernel cells but no overlap layout, the
-    # mark pass the overlap pairs but no kernel cells
+OVERLAP_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "tri_ov", "ov_parent",
+                "ov_row_start", "ov_row_len", "ov_cell", "ov_log_kernel")
+
+
+def test_sub_model_passes_build_only_their_layouts(monkeypatch):
+    # the temporal pass builds the layout of its events without marks, which
+    # holds no triples or overlap pairs; the mark pass reads the overlap
+    # pairs but builds no kernel cells
     rng = np.random.default_rng(103)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
-    overlap = {"ov_parent", "tri_ov", "ov_row_start", "ov_cell", "ov_log_kernel"}
-    twin = copy.deepcopy(events)
-    temporal = PairStructure(events, params.nu, window=5.0)
-    mark = PairStructure(twin, params.nu, window=5.0)
+    live = PairStructure(events, params.nu, window=5.0)
+    layouts = []
+    init = PairStructure.__init__
+
+    def keeping(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        layouts.append(self)
+
+    monkeypatch.setattr(PairStructure, "__init__", keeping)
     rs.root_probabilities_temporal(events, params, window=5.0)
-    assert "cells" in vars(temporal) and not overlap & set(vars(temporal))
-    rs.root_probabilities_mark(twin, params, window=5.0)
-    assert {"ov_parent", "tri_ov", "ov_row_start"} <= set(vars(mark))
-    assert not {"cells", "ov_cell", "ov_log_kernel"} & set(vars(mark))
+    (temporal,) = layouts
+    assert _mark_free(temporal.events, events) and temporal.n_triples == 0
+    assert "cells" in vars(temporal)
+    for name in OVERLAP_PART:
+        if not name.startswith("ov_row"):
+            assert vars(temporal)[name].size == 0, name
+    np.testing.assert_array_equal(temporal.ov_row_start, np.zeros(len(events) + 1))
+    rs.root_probabilities_mark(events, params, window=5.0)
+    assert len(layouts) == 1 and live.n_triples > 0 and "cells" not in vars(live)
     rs.root_probabilities(events, params, window=5.0)
-    assert overlap | {"cells"} <= set(vars(temporal))
+    assert len(layouts) == 1 and "cells" in vars(live)
 
 
-FIRST_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "ov_parent", "tri_ov",
-              "ov_row_start", "ov_row_len")
-
-
-def test_triples_are_built_on_first_use():
-    # a temporal pass reads no triple; the count the memory check used is
-    # kept, and a fit whose layout built its triples first returns the same
-    # parameters bit for bit
+def test_structure_holds_its_overlap_layout_from_construction():
+    # a new layout holds every triple and overlap-pair array, equal to the
+    # per-token references, and its kernel cells only once read; a deep copy
+    # and a pickle hold equal arrays of equal dtypes; and a fit on a layout
+    # built beforehand returns the same parameters bit for bit
     rng = np.random.default_rng(105)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
-    triples = {"tri_pair", "tri_key", "tri_xiv", "tri_xjv"}
     st = PairStructure(events, params.nu, window=5.0)
-    rs.root_probabilities_temporal(events, params, window=5.0)
-    assert not triples & set(vars(st))
+    assert set(OVERLAP_PART) <= set(vars(st)) and "cells" not in vars(st)
     assert st.tri_xiv.size == st.n_triples > 0
-    assert triples <= set(vars(st)) and "_partners" not in vars(st)
-    np.testing.assert_array_equal(st.tri_pair, reference_triples(st)[0])
-    # any one name of the triples and overlap pairs builds that whole part,
-    # and not the overlap pairs' cells and kernels
-    for name in FIRST_PART:
-        one = PairStructure(events, params.nu, window=5.0)
-        getattr(one, name)
-        assert set(FIRST_PART) <= set(vars(one)), name
-        assert not {"ov_cell", "ov_log_kernel"} & set(vars(one)), name
-        np.testing.assert_array_equal(getattr(one, name), getattr(st, name))
-    del st, one
-    twin = copy.deepcopy(events)
-    eager = PairStructure(twin, params.nu, window=5.0)
-    eager.tri_key
-    lazy = fit(events, init=params, window=5.0, max_iters=4)
-    built = fit(twin, init=params, window=5.0, max_iters=4)
-    assert built.eta.structure is eager
-    for name in ("rho", "A", "theta", "gamma"):
-        np.testing.assert_array_equal(getattr(lazy.params, name), getattr(built.params, name))
-
-
-def test_unbuilt_structure_copies_build_lazily():
-    # a copy of a layout with no lazy part built builds each part on first
-    # use, to the original's arrays; an instance with nothing set raises
-    # AttributeError for a lazy name instead of recursing
-    rng = np.random.default_rng(106)
-    events = random_events(rng, 200, 3, 6, T=40.0)
-    st = PairStructure(events, 1.0, window=5.0)
-    lazy = FIRST_PART + ("ov_cell", "ov_log_kernel")
-    twins = (copy.deepcopy(st), pickle.loads(pickle.dumps(st)))
-    for twin in twins:
-        assert not set(lazy) & set(vars(twin)) and "_partners" in vars(twin)
-        twin.ov_cell
-        assert set(lazy) <= set(vars(twin))
-    for name in lazy:
-        want = getattr(st, name)
-        for twin in twins:
-            got = getattr(twin, name)
+    for name, ref in zip(("tri_pair", "tri_key", "tri_xiv", "tri_xjv"), reference_triples(st)):
+        assert st.__dict__[name].dtype == ref.dtype, name
+        np.testing.assert_array_equal(st.__dict__[name], ref, err_msg=name)
+    ov_pair = ov_pairs(st)
+    np.testing.assert_array_equal(ov_pair, np.unique(st.tri_pair))
+    np.testing.assert_array_equal(ov_pair[st.tri_ov], st.tri_pair)
+    log_kernel, pair_cell, _ = reference_pairs(st)
+    np.testing.assert_array_equal(st.ov_cell, pair_cell[ov_pair])
+    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[ov_pair])
+    for twin in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
+        for name in OVERLAP_PART:
+            got, want = vars(twin)[name], vars(st)[name]
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
-    with pytest.raises(AttributeError, match="events"):
-        PairStructure.__new__(PairStructure).ov_cell
+    del st, twin
+    twin = copy.deepcopy(events)
+    prebuilt = PairStructure(twin, params.nu, window=5.0)
+    fresh = fit(events, init=params, window=5.0, max_iters=4)
+    built = fit(twin, init=params, window=5.0, max_iters=4)
+    assert built.eta.structure is prebuilt
+    for name in ("rho", "A", "theta", "gamma"):
+        np.testing.assert_array_equal(getattr(fresh.params, name), getattr(built.params, name))
 
 
 def test_structure_stores_no_per_pair_array():
@@ -1150,8 +1161,8 @@ def test_fit_refuses_a_nu_other_than_the_initial_parameters(two_draws):
 
 
 def _prior(length, which, c=None):
-    """Gamma shapes 2 for both kinds, `which` of them `length` long and the
-    other one long; rates 1."""
+    """Gamma shapes 2 for both kinds, `which` of them `length` long (or of
+    that shape) and the other one long; rates 1."""
     a = {"a_rho": np.full(1, 2.0), "a_alpha": np.full(1, 2.0)}
     a[which] = np.full(length, 2.0)
     return PriorConfig(b_rho=1.0, b_alpha=1.0, c=c, **a)
@@ -1176,6 +1187,11 @@ def test_prior_shapes_are_one_or_one_per_source(call, which, two_draws):
     (events, _), params, _, state = two_draws
     S = events.S
     assert S == 5
+    # a column or a row of S shapes is refused when the prior is made
+    for shape in ((S, 1), (1, S)):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"prior {which} must be 1-D, not of shape {shape}")):
+            _prior(shape, which)
     with pytest.raises(ValidationError, match=f"prior {which} has length 3, not 1 or S = 5"):
         PRIOR_CALLS[call](events, params, state, _prior(3, which))
     # one shape is shared by every source: the same values as S equal ones
