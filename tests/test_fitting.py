@@ -796,11 +796,12 @@ def test_sub_model_passes_build_only_their_layouts(monkeypatch):
     assert len(layouts) == 1 and "cells" in vars(live)
 
 
-def test_structure_holds_its_overlap_layout_from_construction():
-    # a new layout holds every triple and overlap-pair array, equal to the
-    # per-token references, and its kernel cells only once read; a deep copy
-    # and a pickle hold equal arrays of equal dtypes; and a fit on a layout
-    # built beforehand returns the same parameters bit for bit
+def test_triples_are_built_on_first_use():
+    # the layout builds its triples and overlap pairs when it is made, so
+    # they are there on first use, equal to the per-token references; the
+    # temporal pass runs on its own mark-free layout and leaves this one as
+    # it was; and a fit on a layout built beforehand returns the same
+    # parameters bit for bit
     rng = np.random.default_rng(105)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
@@ -816,12 +817,11 @@ def test_structure_holds_its_overlap_layout_from_construction():
     log_kernel, pair_cell, _ = reference_pairs(st)
     np.testing.assert_array_equal(st.ov_cell, pair_cell[ov_pair])
     np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[ov_pair])
-    for twin in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
-        for name in OVERLAP_PART:
-            got, want = vars(twin)[name], vars(st)[name]
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
-    del st, twin
+    before = dict(vars(st))
+    rs.root_probabilities_temporal(events, params, window=5.0)
+    assert vars(st).keys() == before.keys()
+    assert all(vars(st)[name] is before[name] for name in OVERLAP_PART)
+    del st, before
     twin = copy.deepcopy(events)
     prebuilt = PairStructure(twin, params.nu, window=5.0)
     fresh = fit(events, init=params, window=5.0, max_iters=4)
@@ -829,6 +829,29 @@ def test_structure_holds_its_overlap_layout_from_construction():
     assert built.eta.structure is prebuilt
     for name in ("rho", "A", "theta", "gamma"):
         np.testing.assert_array_equal(getattr(fresh.params, name), getattr(built.params, name))
+
+
+def test_unbuilt_structure_copies_build_lazily():
+    # a deep copy and a pickle of a layout hold every triple and overlap-pair
+    # array, equal and of equal dtypes; the kernel cells, the one part left
+    # lazy, are built on first read, to the original's arrays; an instance
+    # with nothing set raises AttributeError for them
+    rng = np.random.default_rng(106)
+    events = random_events(rng, 200, 3, 6, T=40.0)
+    st = PairStructure(events, 1.0, window=5.0)
+    twins = (copy.deepcopy(st), pickle.loads(pickle.dumps(st)))
+    for twin in twins:
+        assert "cells" not in vars(twin)
+        for name in OVERLAP_PART:
+            got, want = vars(twin)[name], vars(st)[name]
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for got, want in zip(twin.cells, st.cells):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert "cells" in vars(twin)
+    with pytest.raises(AttributeError, match="events"):
+        PairStructure.__new__(PairStructure).cells
 
 
 def test_structure_stores_no_per_pair_array():
