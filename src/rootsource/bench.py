@@ -142,9 +142,11 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     sweep_seconds is the fastest whole sweep (other work on the host only
     ever adds time), and e_step_seconds, rho_A_seconds and
     theta_gamma_seconds are that sweep's E-step and M-steps.  objective_seconds
-    times one `elbo` on the last sweep's state at its E-step's parameters,
-    outside the sweeps: the weights' terms there and the state's masses,
-    nothing per pair.  threads_seconds times one `mini_conversations` on
+    times one `elbo` on the last sweep's state at the last M-step's
+    parameters, outside the sweeps: the weights' terms there and at the
+    state's own parameters, and the state's masses, nothing per pair (at
+    its own parameters, as in `fit`'s trace, `elbo` needs none of these).
+    threads_seconds times one `mini_conversations` on
     that state, which reads the E-step's terms, not per-pair posteriors.  The
     root pass is an E-step plus a block forward substitution over the
     posteriors that it builds a block of rows at a time.  Like a root pass
@@ -182,7 +184,6 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
 
         phases = np.zeros((sweeps, 3))
         for k in range(sweeps):
-            e_params = params
             t0 = time.perf_counter()
             state = update_eta(events, params, structure)
             t1 = time.perf_counter()
@@ -199,7 +200,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         e_step, rho_a, theta_gamma = fastest.tolist()
 
         t0 = time.perf_counter()
-        elbo(events, e_params, state, prior)
+        elbo(events, params, state, prior)
         objective = time.perf_counter() - t0
         t0 = time.perf_counter()
         mini_conversations(state, events)

@@ -20,9 +20,10 @@ kernel weight below exp(-window), and the same restricted objective is then
 maximized monotonically.  The pair layout (child i's parents are lo_i..i-1)
 and the token-overlap triples (i, j, v) are built once per fit in a
 PairStructure and reused across sweeps, and by root passes on the same
-events while the fit's state is alive.  It builds the triples, their overlap
-pairs and those pairs' kernel terms on construction, and the kernel cells on
-first use, which the mark-only root pass never reads.  An overlap pair is
+events while the fit's state is alive.  It builds the triples and their
+overlap pairs on construction, and its one lazy part on first use: the
+kernel cells with the overlap pairs' kernel terms, which the mark-only root
+pass never reads.  An overlap pair is
 stored as its parent event, grouped by child, which is all that its readers
 need.  Two weak tables keyed by (id(events), nu, window) find the live
 layout (`_LIVE`) and the last `update_eta` state on it (`_LAST`), so a full
@@ -46,8 +47,10 @@ sources there are.  `_weights` computes the terms of every weight and
 pairs, for the full model and for the mark-only root pass; the temporal-only
 pass is the full model on the events without their marks.
 The E-step, both M-steps and the objective cost O(cells + overlap pairs +
-triples): `elbo` reads the masses of the E-step's state and needs the terms
-at its own parameters only.  Nothing here builds per-pair posteriors: the
+triples).  `elbo` at the E-step's own parameters sums its normalizers, the
+compensator and the prior, which `fit` records as its trace; at other
+parameters it adds the state's masses times the weights' terms at both, and
+needs nothing per pair either.  Nothing here builds per-pair posteriors: the
 root passes expand the E-step's terms a block of children at a time
 (`_eta_blocks`), and `VariationalState.eta_pair` copies those blocks into
 one array only when it is read.
@@ -100,8 +103,10 @@ class PriorConfig:
     Maximum-likelihood mode is the improper prior a=1, b=0, under which the
     rho/A updates coincide with the ML closed forms.  Empirical-Bayes mode
     sets a_rho[s] = a_alpha[s] = N_s, b_rho = T/c, b_alpha = T/(1-c) from an
-    expected immigrant proportion c.  A shape array of more than one
-    dimension raises ValidationError naming it and its shape.
+    expected immigrant proportion c, from which `fit`'s default initial
+    point takes rho and A as shapes over rates.  A shape array of more than
+    one dimension raises ValidationError naming it and its shape, and c with
+    a zero rate one naming c and that rate.
     """
 
     a_rho: np.ndarray
@@ -125,6 +130,9 @@ class PriorConfig:
             raise ValidationError("prior rates must be nonnegative")
         if self.c is not None and not 0 < self.c < 1:
             raise ValidationError("c must lie in (0, 1)")
+        if self.c is not None and 0 in (self.b_rho, self.b_alpha):
+            zero = " and ".join(f"{n} = 0" for n in ("b_rho", "b_alpha") if getattr(self, n) == 0)
+            raise ValidationError(f"prior c = {self.c} needs positive rates, not {zero}")
 
     @classmethod
     def maximum_likelihood(cls, S: int) -> "PriorConfig":
@@ -341,11 +349,12 @@ class PairStructure:
     triple's position in the pair order, is the build's key for the
     distinct pairs.  cells holds, per child and parent class (source, empty
     or non-empty mark) with a candidate in the child's window, the log sum
-    of kappa over those candidates (see `_kernel_cells`); the E-step reads
-    the cells and the overlap pairs.  `__init__` builds the triples, the
-    overlap pairs and their kernel cells and log kernels (`_build_overlaps`);
-    cells is built on first use, since the mark-only pass does not read it.
-    n_triples counts the triples before they are built.
+    of kappa over those candidates (see `_kernel_cells`), and then each
+    overlap pair's kernel cell and log kernel; the E-step reads the cells
+    and the overlap pairs.  `__init__` builds the triples and the overlap
+    pairs (`_build_overlaps`); cells, the one lazy part, is built on first
+    use, since the mark-only pass reads none of it.  n_triples counts the
+    triples before they are built.
 
     Everything here depends only on events, nu and window, so one instance
     is shared across sweeps, and later E-steps and root passes on the same
@@ -411,8 +420,7 @@ class PairStructure:
         from `_first_partners`), grouped by child, then token, then parent;
         and ov_*: the distinct pairs among them, the overlap pairs, by child
         and their parents ov_parent in ascending order, with tri_ov each
-        triple's, each pair's kernel cell s_i S + s_j (the flat index of
-        A[s_i, s_j]) and its log kappa(t_i - t_j) = (t_j - t_i) / nu - log nu.
+        triple's.
 
         The mark entries come event by event, so each child's triples are
         contiguous and each sweep's reads through tri_ov stay inside that
@@ -444,14 +452,18 @@ class PairStructure:
         i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
         ov -= (self.row_start[:-1] - self.lo)[i]
         self.ov_parent = ov
-        sources, t = self.events.sources, self.events.times
-        self.ov_cell = sources[i] * self.events.S + sources[ov]
-        self.ov_log_kernel = (t[ov] - t[i]) / self.nu - np.log(self.nu)
 
     @cached_property
     def cells(self):
-        """(cell_start, cell_key, cell_log, cell_last) of `_kernel_cells`."""
-        return _kernel_cells(self.events, self.nu, self.lo)
+        """(cell_start, cell_key, cell_log, cell_last) of `_kernel_cells`, then
+        (ov_cell, ov_log_kernel): each overlap pair's kernel cell s_i S + s_j
+        (the flat index of A[s_i, s_j]) and its log kappa(t_i - t_j) =
+        (t_j - t_i) / nu - log nu."""
+        i = np.repeat(np.arange(len(self.events)), self.ov_row_len)
+        j, sources, t = self.ov_parent, self.events.sources, self.events.times
+        ov_cell = sources[i] * self.events.S + sources[j]
+        ov_log_kernel = (t[j] - t[i]) / self.nu - np.log(self.nu)
+        return (*_kernel_cells(self.events, self.nu, self.lo), ov_cell, ov_log_kernel)
 
 
 class VariationalState:
@@ -463,9 +475,9 @@ class VariationalState:
     per child and parent source), eta_empty (each child's eta mass on parents
     with an empty mark), _at, a `ModelParams` copy of its own parameters
     (set by `update_eta`, whose `_weights` gate they passed), and, once
-    `elbo` asks, the mean log weight at them; and _factors, the
-    terms from which `_eta_blocks` expands eta over blocks of children for
-    the root passes.  eta_pair, eta on every pair of the
+    `elbo` asks at other parameters, the mean log weight at _at; and
+    _factors, the terms from which `_eta_blocks` expands eta over blocks of
+    children for the root passes.  eta_pair, eta on every pair of the
     structure, is built from those blocks on first access; nothing in the
     package reads it.
 
@@ -495,7 +507,8 @@ class VariationalState:
     @cached_property
     def _mean_log_w(self) -> float:
         """The mean log weight at the parameters of the state's E-step, for
-        `elbo`; from the copy that `update_eta` made (`_at`)."""
+        `elbo` at other parameters; from the copy that `update_eta` made
+        (`_at`)."""
         return _mean_log_weight(self, *_weights(self.structure, self._at))
 
     def __len__(self) -> int:
@@ -541,8 +554,9 @@ def _state_at(structure: PairStructure, params: ModelParams) -> "VariationalStat
 
 
 def _same(p: ModelParams, q: ModelParams) -> bool:
-    """Whether p and q hold equal rho, A, theta and gamma, by value."""
-    return (p.gamma == q.gamma and np.array_equal(p.rho, q.rho)
+    """Whether p and q hold equal rho, A, theta, gamma and nu, by value: equal
+    parameters pass `_weights`' gate together."""
+    return (p.gamma == q.gamma and p.nu == q.nu and np.array_equal(p.rho, q.rho)
             and np.array_equal(p.A, q.A) and np.array_equal(p.theta, q.theta))
 
 
@@ -744,11 +758,11 @@ def _e_step(structure: PairStructure, params: ModelParams,
     if dead.any():
         excess[np.repeat(dead, ov_len)] = 1.0
     if use_time:
-        cell_start, cell_key, cell_log, _ = structure.cells
+        cell_start, cell_key, cell_log, _, ov_cell, ov_log_kernel = structure.cells
         logw = log_a[cell_key]
         logw += cell_log
-        logw_ov = log_a[structure.ov_cell]
-        logw_ov += structure.ov_log_kernel
+        logw_ov = log_a[ov_cell]
+        logw_ov += ov_log_kernel
         logw_ov += sigma
     else:
         # one cell per half: its parents with a non-empty and an empty mark,
@@ -781,7 +795,7 @@ def _e_step(structure: PairStructure, params: ModelParams,
     state.eta_overlap = w_ov
     if use_time:
         cells = np.bincount(cell_key, weights=w, minlength=S * S)
-        cells += np.bincount(structure.ov_cell, weights=excess, minlength=S * S)
+        cells += np.bincount(ov_cell, weights=excess, minlength=S * S)
         state.eta_cells = cells.reshape(S, S)
         state.eta_empty = halves[:, 1] / z
     factor -= log_zr[:, None]
@@ -960,7 +974,7 @@ def _open_children(structure: PairStructure, log_a: np.ndarray) -> np.ndarray:
     token with it, where log_a[s_i S + s_j] > -inf: per child, such cells
     hold more parents than overlap pairs."""
     events, n, S = structure.events, len(structure.events), structure.events.S
-    cell_start, cell_key, _, cell_last = structure.cells
+    cell_start, cell_key, _, cell_last, ov_cell, _ = structure.cells
     seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
     keep = (seg % 2 == 0) & (log_a[cell_key] > -np.inf)
     i, cls = seg[keep] // 2, cell_key[keep] % S
@@ -969,7 +983,7 @@ def _open_children(structure: PairStructure, log_a: np.ndarray) -> np.ndarray:
     count = (np.searchsorted(key, cls * n + cell_last[keep], side="right")
              - np.searchsorted(key, cls * n + structure.lo[i]))
     shared = np.bincount(np.repeat(np.arange(n), structure.ov_row_len),
-                         weights=log_a[structure.ov_cell] > -np.inf, minlength=n)
+                         weights=log_a[ov_cell] > -np.inf, minlength=n)
     return np.bincount(i, weights=count, minlength=n) > shared
 
 
@@ -978,31 +992,32 @@ def elbo(events: EventSequence, params: ModelParams, state: VariationalState,
     """Evaluate L~(Theta, eta) exactly (multinomial coefficient excluded).
 
     eta is the state's E-step at parameters Theta0, where L~ equals sum_i
-    log z_i less the compensator.  At other parameters Theta it adds
-    sum_ik eta_ik (log w_ik(Theta) - log w_ik(Theta0)); the kernels cancel,
-    so this needs only the state's masses and `_weights`' terms at Theta,
-    and, on the state's first call, at Theta0; nothing per pair.  At Theta0
-    it is fit's trace value bit for bit.  Adds
-    the Gamma log-prior terms when a prior is supplied.  A state built on
-    another events object, even one of the same length, raises
-    ValidationError, as do parameters of another nu, S or V (`_weights`) and
-    prior shapes of a length other than 1 or S.
+    log z_i less the compensator, plus the Gamma log-prior terms when a
+    prior is supplied: at parameters equal to Theta0 (`_same`) that is all
+    it sums, so it needs no weights' terms, and `fit` records its trace
+    with it.  At other parameters Theta it adds sum_ik eta_ik (log
+    w_ik(Theta) - log w_ik(Theta0)); the kernels cancel, so this needs only
+    the state's masses and `_weights`' terms at Theta, and, on the state's
+    first such call, at Theta0; nothing per pair.  A state built on another
+    events object, even one of the same length, raises ValidationError, as
+    do parameters of another nu, S or V (`_weights`) and prior shapes of a
+    length other than 1 or S; a NaN value raises NumericalError.
     """
     st = state.structure
     _check_built_for(st, events, "state")
-    own = state._mean_log_w  # first, so that its terms are gone before those at Theta
-    log_a, logw_imm, c, factor, sigma = _weights(st, params)
-    value = math.fsum([
-        -_compensator_terms(st, params),
-        float(np.sum(state.log_z, dtype=np.longdouble)),
-        _mean_log_weight(state, log_a, logw_imm, c, factor, sigma),
-        -own,
-        _prior_terms(params, prior),
-    ])
-    # a child whose token is dead at Theta but not at Theta0 gives weight 0
-    # to the parents with mass that share no token with it
-    fresh = (factor[:, 0] == -np.inf) & (state._factors[1][:, 0] > -np.inf)
-    if fresh.any() and (fresh & _open_children(st, state._factors[0])).any():
+    moved, dead = [], False
+    if not _same(state._at, params):
+        own = state._mean_log_w  # first, so that its terms are gone before those at Theta
+        log_a, logw_imm, c, factor, sigma = _weights(st, params)
+        moved = [_mean_log_weight(state, log_a, logw_imm, c, factor, sigma), -own]
+        # a child whose token is dead at Theta but not at Theta0 gives weight
+        # 0 to the parents with mass that share no token with it
+        fresh = (factor[:, 0] == -np.inf) & (state._factors[1][:, 0] > -np.inf)
+        dead = fresh.any() and (fresh & _open_children(st, state._factors[0])).any()
+    value = math.fsum([-_compensator_terms(st, params),
+                       float(np.sum(state.log_z, dtype=np.longdouble)),
+                       _prior_terms(params, prior), *moved])
+    if dead:
         value = -math.inf
     if math.isnan(value):
         raise NumericalError("ELBO evaluated to NaN")
@@ -1023,7 +1038,7 @@ def _window_dropped(structure: PairStructure, A: np.ndarray) -> np.ndarray | Non
     times, n = events.times, len(events)
     with np.errstate(divide="ignore"):
         log_a = np.log(A)
-    cell_start, cell_key, cell_log, _ = structure.cells
+    cell_start, cell_key, cell_log = structure.cells[:3]
     rows = cell_start[::2]
     x = log_a.ravel()[cell_key] + cell_log
     top = segment_max(x, rows)
@@ -1080,13 +1095,14 @@ def fit(events: EventSequence, init: ModelParams | None = None,
         window: float | None = None, nu: float | None = None) -> FitReport:
     """Block-coordinate ascent eta -> (rho, A) -> (theta, gamma) until the ELBO settles.
 
-    The trace records, for each sweep, the surrogate at the post-E-step point
-    (computed from the E-step normalizers, so it equals the exact ELBO there);
-    the sequence is monotone because every block update is.  Convergence:
-    relative trace change below tol, or the parameters reach an exact fixed
-    point.  A fit that reaches max_iters unconverged stops after that sweep's
-    E-step, so the returned eta is the E-step at the returned parameters and
-    elbo(events, params, eta) is the last trace value.  Nothing builds
+    The trace records, for each sweep, `elbo` at the post-E-step point, with
+    the prior: there it sums the E-step's normalizers, the compensator and
+    the prior, and no weights' terms.  The sequence is monotone because
+    every block update is.  Convergence: relative trace change below tol, or
+    the parameters reach an exact fixed point.  A fit that reaches max_iters
+    unconverged stops after that sweep's E-step, so the returned eta is the
+    E-step at the returned parameters and elbo(events, params, eta) is the
+    last trace value, by the same call.  Nothing builds
     per-pair posteriors: a full root pass at the returned parameters reads
     the returned eta's terms, a block of children at a time, and
     `mini_conversations` reads them too.
@@ -1117,14 +1133,10 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     state = None
     for it in range(1, max_iters + 1):
         state = update_eta(events, params, structure)
-        value = math.fsum([
-            -_compensator_terms(structure, params),
-            float(np.sum(state.log_z, dtype=np.longdouble)),
-            _prior_terms(params, prior),
-        ])
-        if math.isnan(value):
-            raise NumericalError(f"ELBO became NaN at iteration {it}")
-        trace.append(value)
+        try:
+            trace.append(elbo(events, params, state, prior))
+        except NumericalError as err:
+            raise NumericalError(f"{err} at iteration {it}") from None
         if it > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             converged = True
             break

@@ -124,7 +124,7 @@ def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConv
     st = eta.structure
     _check_built_for(st, events, "state")
     n = len(eta)
-    cell_start, cell_key, _, cell_last = st.cells
+    cell_start, cell_key, _, cell_last = st.cells[:4]
     # each cell's value at its latest event, as the root passes value eta
     seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
     i = seg >> 1

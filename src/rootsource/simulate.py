@@ -97,6 +97,8 @@ class SimConfig:
         if np.any(means <= 0):
             raise ValidationError("mean text lengths must be positive")
         self.mean_text_length = means
+        if self.max_events is not None and self.max_events < 1:
+            raise ValidationError(f"max_events must be at least 1, got {self.max_events}")
 
 
 def expected_event_count(params: ModelParams, T: float) -> float:

@@ -284,9 +284,12 @@ def test_exit_code_malformed_comma_list(argv, flag, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--S", "0"], "S must be at least 1, got 0"),
     (["--mean-lengths", "1,2"], "2 mean text lengths given for 5 sources"),
-], ids=["no sources", "mean lengths"])
+    (["--max-events", "0"], "max_events must be at least 1, got 0"),
+    (["--max-events", "-3"], "max_events must be at least 1, got -3"),
+], ids=["no sources", "mean lengths", "no events", "negative events"])
 def test_exit_code_simulate_config(argv, message, capsys):
-    # both crashed inside numpy with a traceback, and exit code 1
+    # the first two crashed inside numpy with a traceback, and exit code 1;
+    # an event cap below 1 exited 3 with a cascade over the cap
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--T", "5", "--events", os.devnull] + argv)
     assert exc.value.code == 2

@@ -156,9 +156,11 @@ def test_build_triples_matches_per_token_loop(case):
     assert st.ov_parent.dtype == np.int64
     np.testing.assert_array_equal(st.ov_parent, pair_parents(st)[ov_pair])
     assert np.all(np.diff(st.ov_parent)[np.diff(child) == 0] > 0)
+    # their kernel cells and log kernels, built with the kernel cells
     log_kernel, pair_cell, _ = reference_pairs(st)
-    np.testing.assert_array_equal(st.ov_cell, pair_cell[ov_pair])
-    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[ov_pair])
+    ov_cell, ov_log_kernel = st.cells[4:]
+    np.testing.assert_array_equal(ov_cell, pair_cell[ov_pair])
+    np.testing.assert_array_equal(ov_log_kernel, log_kernel[ov_pair])
 
 
 def _count_builds(monkeypatch):
@@ -651,7 +653,7 @@ def _cell_sums(structure):
     child's window."""
     events = structure.events
     n, S = len(events), events.S
-    start, key, log, last = structure.cells
+    start, key, log, last = structure.cells[:4]
     seg = np.repeat(np.arange(2 * n), np.diff(start))  # 2 child + empty-mark class
     child = seg // 2
     np.testing.assert_array_equal(key // S, events.sources[child])
@@ -763,13 +765,14 @@ def test_many_sources_match_the_per_pair_reference(window):
 
 
 OVERLAP_PART = ("tri_pair", "tri_key", "tri_xiv", "tri_xjv", "tri_ov", "ov_parent",
-                "ov_row_start", "ov_row_len", "ov_cell", "ov_log_kernel")
+                "ov_row_start", "ov_row_len")
 
 
 def test_sub_model_passes_build_only_their_layouts(monkeypatch):
     # the temporal pass builds the layout of its events without marks, which
     # holds no triples or overlap pairs; the mark pass reads the overlap
-    # pairs but builds no kernel cells
+    # pairs but builds no kernel cells, so none of the overlap pairs' kernel
+    # cells and log kernels, which come with them
     rng = np.random.default_rng(103)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
@@ -789,19 +792,23 @@ def test_sub_model_passes_build_only_their_layouts(monkeypatch):
     for name in OVERLAP_PART:
         if not name.startswith("ov_row"):
             assert vars(temporal)[name].size == 0, name
+    assert temporal.cells[4].size == temporal.cells[5].size == 0
     np.testing.assert_array_equal(temporal.ov_row_start, np.zeros(len(events) + 1))
     rs.root_probabilities_mark(events, params, window=5.0)
     assert len(layouts) == 1 and live.n_triples > 0 and "cells" not in vars(live)
     rs.root_probabilities(events, params, window=5.0)
     assert len(layouts) == 1 and "cells" in vars(live)
+    assert live.cells[4].size == live.cells[5].size == live.ov_parent.size > 0
 
 
 def test_triples_are_built_on_first_use():
     # the layout builds its triples and overlap pairs when it is made, so
     # they are there on first use, equal to the per-token references; the
-    # temporal pass runs on its own mark-free layout and leaves this one as
-    # it was; and a fit on a layout built beforehand returns the same
-    # parameters bit for bit
+    # overlap pairs' kernel cells and log kernels come with the kernel cells,
+    # on first read, equal to the per-pair references; the temporal pass
+    # runs on its own mark-free layout and leaves this one as it was; and a
+    # fit on a layout built beforehand returns the same parameters bit for
+    # bit
     rng = np.random.default_rng(105)
     events = random_events(rng, 200, 3, 6, T=40.0)
     params = random_params(rng, 3, 6, nu=1.0)
@@ -815,12 +822,14 @@ def test_triples_are_built_on_first_use():
     np.testing.assert_array_equal(ov_pair, np.unique(st.tri_pair))
     np.testing.assert_array_equal(ov_pair[st.tri_ov], st.tri_pair)
     log_kernel, pair_cell, _ = reference_pairs(st)
-    np.testing.assert_array_equal(st.ov_cell, pair_cell[ov_pair])
-    np.testing.assert_array_equal(st.ov_log_kernel, log_kernel[ov_pair])
+    assert "cells" not in vars(st)
+    ov_cell, ov_log_kernel = st.cells[4:]
+    np.testing.assert_array_equal(ov_cell, pair_cell[ov_pair])
+    np.testing.assert_array_equal(ov_log_kernel, log_kernel[ov_pair])
     before = dict(vars(st))
     rs.root_probabilities_temporal(events, params, window=5.0)
     assert vars(st).keys() == before.keys()
-    assert all(vars(st)[name] is before[name] for name in OVERLAP_PART)
+    assert all(vars(st)[name] is before[name] for name in OVERLAP_PART + ("cells",))
     del st, before
     twin = copy.deepcopy(events)
     prebuilt = PairStructure(twin, params.nu, window=5.0)
@@ -833,9 +842,10 @@ def test_triples_are_built_on_first_use():
 
 def test_unbuilt_structure_copies_build_lazily():
     # a deep copy and a pickle of a layout hold every triple and overlap-pair
-    # array, equal and of equal dtypes; the kernel cells, the one part left
-    # lazy, are built on first read, to the original's arrays; an instance
-    # with nothing set raises AttributeError for them
+    # array, equal and of equal dtypes; the kernel cells with the overlap
+    # pairs' kernel cells and log kernels, the one part left lazy, are built
+    # on first read, to the original's arrays; an instance with nothing set
+    # raises AttributeError for them
     rng = np.random.default_rng(106)
     events = random_events(rng, 200, 3, 6, T=40.0)
     st = PairStructure(events, 1.0, window=5.0)
@@ -846,6 +856,7 @@ def test_unbuilt_structure_copies_build_lazily():
             got, want = vars(twin)[name], vars(st)[name]
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
+        assert len(twin.cells) == len(st.cells) == 6
         for got, want in zip(twin.cells, st.cells):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -855,15 +866,19 @@ def test_unbuilt_structure_copies_build_lazily():
 
 
 def test_structure_stores_no_per_pair_array():
-    # fewer triples than pairs, so no overlap-pair array has a pair's length
+    # fewer triples than pairs, so no overlap-pair array has a pair's length,
+    # nor does any array of the kernel cells and the overlap pairs' kernel
+    # terms
     rng = np.random.default_rng(107)
     events = random_events(rng, 300, 3, 40, T=60.0)
     report = fit(events, nu=1.0, max_iters=3)
     rs.root_probabilities_mark(events, report.params)
     st = report.eta.structure
     assert st.tri_pair.size < st.n_pairs and st.cells[0][-1] < st.n_pairs
-    assert {"ov_parent", "tri_ov", "ov_cell", "ov_log_kernel"} <= set(vars(st))
+    assert {"ov_parent", "tri_ov", "cells"} <= set(vars(st))
+    assert st.cells[4].size == st.cells[5].size == st.ov_parent.size
     sizes = {name: v.size for name, v in vars(st).items() if isinstance(v, np.ndarray)}
+    sizes.update({f"cells[{k}]": v.size for k, v in enumerate(st.cells)})
     assert st.n_pairs not in sizes.values(), sizes
     assert isinstance(PairStructure.pair_i, property)
     assert st.pair_i.size == st.n_pairs
@@ -1222,6 +1237,41 @@ def test_prior_shapes_are_one_or_one_per_source(call, which, two_draws):
                                   PRIOR_CALLS[call](events, params, state, _prior(S, which)))
 
 
+@pytest.mark.parametrize("zero", [("b_rho",), ("b_alpha",), ("b_rho", "b_alpha")])
+def test_prior_c_needs_positive_rates(zero):
+    # fit's default initial point divides the shapes by the rates: with a
+    # zero rate it warned of a division by zero and then named rho or A
+    rates = {"b_rho": 1.0, "b_alpha": 1.0, **{name: 0.0 for name in zero}}
+    message = " and ".join(f"{name} = 0" for name in zero)
+    with pytest.raises(ValidationError, match=f"^prior c = 0.1 needs positive rates, not "
+                                              f"{message}$"):
+        PriorConfig(a_rho=np.ones(5), a_alpha=np.ones(5), c=0.1, **rates)
+    # without c a zero rate is the improper maximum-likelihood prior
+    PriorConfig(a_rho=np.ones(5), a_alpha=np.ones(5), **rates)
+
+
+def _nan_objective_draw():
+    """A 73-event draw, and a start and a prior at which the log-prior is
+    NaN: rho[4] = 0 under shape 0.5 gives +inf, A[4, 4] = 0 under shape 2
+    gives -inf."""
+    events = rs.simulate(rs.make_synthetic_config(T=60.0, seed=3))[0]
+    init = fit(events, nu=10.0, max_iters=1).params
+    rho, A = init.rho.copy(), init.A.copy()
+    rho[4] = A[4, 4] = 0.0
+    start = rs.ModelParams(rho=rho, A=A, theta=init.theta, gamma=init.gamma, nu=init.nu)
+    prior = PriorConfig(a_rho=[1.0, 1.0, 1.0, 1.0, 0.5], b_rho=0.0, a_alpha=2.0, b_alpha=0.0)
+    return events, start, prior
+
+
+def test_a_nan_objective_raises_with_the_iteration():
+    events, start, prior = _nan_objective_draw()
+    assert len(events) == 73
+    with pytest.raises(NumericalError, match="^ELBO evaluated to NaN$"):
+        elbo(events, start, update_eta(events, start), prior)
+    with pytest.raises(NumericalError, match="^ELBO evaluated to NaN at iteration 1$"):
+        fit(events, init=start, prior=prior)
+
+
 def test_fit_single_event_trivial():
     events = rs.EventSequence.from_events([rs.Event.make(1, 2.0, 0, {0: 3})],
                                           T=4.0, S=1, V=1)
@@ -1261,6 +1311,29 @@ def test_converged_fit_returns_the_eta_of_its_params():
     report = fit(events, nu=10.0, window=20.0, tol=1e-5)
     assert report.converged and 2 < report.iterations < 200
     assert elbo(events, report.params, report.eta) == report.elbo_trace[-1]
+
+
+@pytest.mark.parametrize("eb", [False, True], ids=["no prior", "empirical Bayes"])
+def test_elbo_at_the_states_parameters_runs_no_weights(eb, monkeypatch):
+    # at the returned parameters, or an equal copy of them, elbo is the last
+    # trace value and runs no `_weights`; at other parameters it runs them
+    # there and, on the state's first such call, at its own
+    events, _ = rs.simulate(rs.make_synthetic_config(T=200.0, seed=1))
+    prior = PriorConfig.empirical_bayes(events) if eb else None
+    report = fit(events, nu=10.0, window=20.0, prior=prior, max_iters=3)
+    seen = []
+    weights = rs.fitting._weights
+    monkeypatch.setattr(rs.fitting, "_weights",
+                        lambda st, params, *args: seen.append(params) or weights(st, params, *args))
+    for params in (report.params, copy.deepcopy(report.params)):
+        assert elbo(events, params, report.eta, prior) == report.elbo_trace[-1]
+    assert seen == []
+    p = report.params
+    moved = rs.ModelParams(rho=1.5 * p.rho, A=p.A, theta=p.theta, gamma=p.gamma, nu=p.nu)
+    for calls in (2, 3):
+        assert math.isfinite(elbo(events, moved, report.eta, prior))
+        assert len(seen) == calls and seen[-1] is moved
+    assert rs.fitting._same(seen[0], p)
 
 
 def test_elbo_allocates_nothing_per_pair():

@@ -179,6 +179,12 @@ def test_sim_config_validation():
             SimConfig(params=params, T=1.0, mean_text_length=means)
     for means in ([4.0], [4.0, 5.0]):
         assert SimConfig(params=params, T=1.0, mean_text_length=means).mean_text_length.size == 2
+    # an event cap below 1 is refused by name; it used to surface as a cascade
+    # that "exceeded the event cap"
+    for cap in (0, -3):
+        with pytest.raises(ValidationError, match=f"^max_events must be at least 1, got {cap}$"):
+            SimConfig(params=params, T=1.0, mean_text_length=3.0, max_events=cap)
+    assert SimConfig(params=params, T=1.0, mean_text_length=3.0, max_events=1).max_events == 1
 
 
 def assert_same_draw(config):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +77,34 @@ def test_bench_pairs_verdicts():
     wide = compare([0.5, 0.8, 1.0, 1.2, 1.5], steady, "lower", 0.25)
     assert wide["parent_iqr_over_median"] == pytest.approx(0.4)
     assert wide["verdict"] == "unresolved"
+
+
+def test_equivalence_finds_this_checkout_identical_to_itself():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "equivalence.py"), "--parent", str(ROOT), "--change",
+         str(ROOT), "--smoke"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "60 of 60 arrays identical"
+    assert all(line.endswith("  identical") for line in lines[:-1])
+    for name in ("pipeline_w20 elbo_trace", "fit_exact elbo one M-step further, empirical Bayes",
+                 "fit_exact mark pass cold, gamma 1", "pipeline_w20 eta_overlap"):
+        assert any(line.startswith(name + "  ") for line in lines), name
+
+
+def test_equivalence_flags_a_one_ulp_change():
+    equivalence = _load("equivalence")
+    r = np.linspace(0.1, 0.9, 12).reshape(4, 3)
+    nudged = r.copy()
+    nudged[2, 1] = np.nextafter(nudged[2, 1], 1.0)
+    assert equivalence.difference(r, r.copy()) is None
+    assert equivalence.difference(np.float64(-3.5), np.float64(-3.5)) is None
+    what = equivalence.difference(r, nudged)
+    assert what == f"largest absolute difference {float(nudged[2, 1] - r[2, 1])!r}"
+    assert float(what.split()[-1]) > 0
+    # equal infinities compare as no gap; a dtype or a shape of its own differs
+    inf = np.array([np.inf, 1.0])
+    assert equivalence.difference(inf, inf + [0.0, 2.0]) == "largest absolute difference 2.0"
+    assert equivalence.difference(r, r.astype(np.float32)) == "float64[4, 3] against float32[4, 3]"
+    assert equivalence.compare({"a": r, "b": r}, {"a": nudged, "c": r}) == [
+        ("a", what), ("b", "missing in the change"), ("c", "missing in the parent")]
