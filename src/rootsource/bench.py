@@ -55,7 +55,7 @@ class BenchRow:
     theta_gamma_seconds: float
     objective_seconds: float
     threads_seconds: float  # mini_conversations on the last E-step state
-    structure_mb: float  # the PairStructure's own arrays after the sweeps, in MiB
+    structure_mb: float  # the PairStructure's arrays, cells included, after the sweeps, MiB
     peak_rss_mb: float | None  # the process's peak RSS after this row
 
 
@@ -155,9 +155,10 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
     at the parameters of the last M-step, which no E-step has seen, so it
     runs its own E-step: the path of a root pass that cannot reuse a fit's
     final E-step.  Each row also counts the layout's candidate pairs and
-    token-overlap triples, sums its arrays' nbytes after the sweeps
-    (structure_mb, in MiB), and records the process's peak RSS (ru_maxrss,
-    which never decreases) after the row.  Scales are target event counts;
+    token-overlap triples, sums the nbytes of its arrays after the sweeps,
+    the lazily built `cells` tuple's included (structure_mb, in MiB), and
+    records the process's peak RSS (ru_maxrss, which never decreases) after
+    the row.  Scales are target event counts;
     the synthetic setup has stationary rate 2.5 events per time unit, so
     T = n / RATE.  Sweep timing excludes the one-time candidate-structure
     build (with its token-overlap triples and overlap pairs, all built when
@@ -195,8 +196,10 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
             params = ModelParams(rho=rho, A=A, theta=theta, gamma=gamma,
                                  nu=params.nu)
         fastest = phases[phases.sum(axis=1).argmin()]
-        structure_mb = sum(v.nbytes for v in vars(structure).values()
-                           if isinstance(v, np.ndarray)) / 2.0 ** 20
+        # the array attributes and the arrays of the lazily built cells tuple
+        structure_mb = sum(a.nbytes for v in vars(structure).values()
+                           for a in (v if isinstance(v, tuple) else (v,))
+                           if isinstance(a, np.ndarray)) / 2.0 ** 20
         e_step, rho_a, theta_gamma = fastest.tolist()
 
         t0 = time.perf_counter()

@@ -77,7 +77,7 @@ def _out(path):
 
 
 @click.group()
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Global seed; overrides per-command seeds.")
 @click.pass_context
 def cli(ctx, seed):
@@ -103,7 +103,7 @@ def _resolve_seed(ctx, local_seed):
 @click.option("--nu", type=float, default=10.0, show_default=True)
 @click.option("--mean-lengths", type=str, default=None,
               help="Comma list of per-source mean text lengths; default 10,20,...,10S.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--max-events", type=int, default=None)
 @click.option("--events", "events_out", default="-", show_default=True,
               help="Event JSONL output ('-' = stdout).")
@@ -147,7 +147,7 @@ def simulate(ctx, config, T, S, V, rho, diag, offdiag, gamma, nu, mean_lengths,
 @click.option("--max-iters", type=int, default=200, show_default=True)
 @click.option("--truncate-window", "window", type=float, default=None,
               help="Keep candidate parents within window*nu; exact when absent.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Randomize the initial point (off by default).")
 @click.option("--params-out", default="-", show_default=True)
 @click.option("--trace-out", default=None, help="ELBO trace CSV output path.")
@@ -268,7 +268,7 @@ def evaluate(ctx, config, rootprob_in, truth_in, est_params, true_params, ks, ou
 @click.option("--exact", is_flag=True, default=False,
               help="Benchmark exact mode (quadratic) instead of the window.")
 @click.option("--sweeps", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", default=None, help="Rows as JSON output path.")
 @click.pass_context
 def bench(ctx, config, scales, window, exact, sweeps, seed, out):

@@ -1108,13 +1108,14 @@ def fit(events: EventSequence, init: ModelParams | None = None,
     `mini_conversations` reads them too.
     A windowed fit reports the largest and the mean share of an event's
     excitation intensity that the window dropped.  Raises NumericalError on
-    a NaN objective with the iteration number, and ValidationError, naming
-    both values, when both init and nu are given and nu differs from
+    a NaN objective with the iteration number, ValidationError when tol is
+    not positive (NaN too) or max_iters is below 1, and ValidationError,
+    naming both values, when both init and nu are given and nu differs from
     init.nu.
     """
     if len(events) == 0:
         raise ValidationError("cannot fit an empty event sequence")
-    if tol <= 0 or max_iters < 1:
+    if not tol > 0 or max_iters < 1:  # not tol <= 0, which NaN passes
         raise ValidationError("tol must be positive and max_iters >= 1")
     if init is None and nu is None:
         raise ValidationError("either init or nu must be given")

@@ -25,6 +25,7 @@ exact zero weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,25 +46,22 @@ __all__ = [
 
 
 def _canonical_mark(x) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a mark given as dict/pairs into sorted (tokens, counts) arrays.
+    """Normalize a mark, a dict or a (tokens, counts) pair, into sorted arrays.
 
     Zero counts are dropped; duplicate token entries are summed.
     """
     if x is None:
         return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
     if isinstance(x, dict):
-        items = sorted(x.items())
-        tokens = np.array([v for v, _ in items], dtype=np.int32)
-        counts = np.array([c for _, c in items], dtype=np.float64)
-    else:
-        tokens = np.asarray(x[0], dtype=np.int32)
-        counts = np.asarray(x[1], dtype=np.float64)
-        order = np.argsort(tokens, kind="stable")
-        tokens, counts = tokens[order], counts[order]
-        if tokens.size and np.any(tokens[1:] == tokens[:-1]):
-            uniq, inv = np.unique(tokens, return_inverse=True)
-            counts = np.bincount(inv, weights=counts, minlength=uniq.size)
-            tokens = uniq.astype(np.int32)
+        x = list(x), list(x.values())
+    tokens = np.asarray(x[0], dtype=np.int32)
+    counts = np.asarray(x[1], dtype=np.float64)
+    order = np.argsort(tokens, kind="stable")
+    tokens, counts = tokens[order], counts[order]
+    if tokens.size and np.any(tokens[1:] == tokens[:-1]):
+        uniq, inv = np.unique(tokens, return_inverse=True)
+        counts = np.bincount(inv, weights=counts, minlength=uniq.size)
+        tokens = uniq.astype(np.int32)
     keep = counts > 0
     return tokens[keep], counts[keep]
 
@@ -111,13 +109,16 @@ class EventSequence:
 
     Times are strictly increasing in (0, T]; sources are 0-based labels in
     [0, S); marks are stored CSR-style (tok_indptr/tok_index/tok_count) with
-    token indices sorted within each row.
+    token indices sorted within each row.  Construction checks all of this
+    and refuses a violation with a ValidationError naming the first bad
+    event.
 
-    The arrays must not be mutated after construction: the token postings
-    cached here, the pair layouts that fits and root passes derive from the
-    sequence and reuse while they are alive, and the final E-step of a fit
-    that a root pass reuses would no longer match them.  Build a new
-    EventSequence instead.
+    The derived arrays (`entry_event`, `lengths` and the token postings) are
+    cached properties, each built on first read and shared after.  The
+    arrays must not be mutated after construction: those caches, the pair
+    layouts that fits and root passes derive from the sequence and reuse
+    while they are alive, and the final E-step of a fit that a root pass
+    reuses would no longer match them.  Build a new EventSequence instead.
     """
 
     def __init__(self, times, sources, tok_indptr, tok_index, tok_count, T, S, V):
@@ -129,7 +130,6 @@ class EventSequence:
         self.T = float(T)
         self.S = int(S)
         self.V = int(V)
-        self._postings = None
         self._validate()
 
     def _validate(self):
@@ -151,9 +151,7 @@ class EventSequence:
             """Raise message for the first True of bad, over events or mark entries."""
             if bad.any():
                 k = int(np.argmax(bad))
-                if entries:
-                    k = int(np.searchsorted(self.tok_indptr, k, side="right")) - 1
-                raise ValidationError(message, event=k)
+                raise ValidationError(message, event=int(self.entry_event[k]) if entries else k)
 
         refuse(~((self.times > 0) & (self.times <= self.T)),
                "event timestamps must lie in (0, T]")
@@ -164,21 +162,17 @@ class EventSequence:
                 f"timestamps must be strictly increasing; tie or inversion at events "
                 f"{k + 1} and {k + 2}", event=k + 1)
         refuse((self.sources < 0) | (self.sources >= self.S), "source labels out of range")
-        if self.tok_index.size:
-            refuse((self.tok_index < 0) | (self.tok_index >= self.V),
-                   "token indices out of range", entries=True)
+        tok = self.tok_index
+        if tok.size:
+            refuse((tok < 0) | (tok >= self.V), "token indices out of range", entries=True)
             refuse(self.tok_count <= 0, "stored token counts must be positive", entries=True)
             refuse(~(np.isfinite(self.tok_count) & (self.tok_count == np.floor(self.tok_count))),
                    "token counts must be finite integers", entries=True)
-        if self.tok_index.size > 1:
-            d = np.diff(self.tok_index.astype(np.int64))
-            row_break = np.zeros(d.size, dtype=bool)
-            starts = self.tok_indptr[1:-1]
-            starts = starts[(starts > 0) & (starts < self.tok_index.size)]
-            row_break[starts - 1] = True
-            # entry k + 1 is the one out of order
-            refuse(np.concatenate(([False], (d <= 0) & ~row_break)),
-                   "token indices not sorted/unique within an event", entries=True)
+            # an entry is in order when it starts an event or its token is above the one before
+            in_order = np.zeros(tok.size + 1, dtype=bool)
+            in_order[ptr] = True
+            in_order[1:-1] |= tok[1:] > tok[:-1]
+            refuse(~in_order[:-1], "token indices not sorted/unique within an event", entries=True)
 
     @classmethod
     def from_events(cls, events, T, S=None, V=None) -> "EventSequence":
@@ -210,19 +204,15 @@ class EventSequence:
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
-    @property
+    @cached_property
     def entry_event(self) -> np.ndarray:
         """The event of each mark entry (in tok_index order), int64."""
-        if not hasattr(self, "_entry_event"):
-            self._entry_event = np.repeat(np.arange(len(self)), np.diff(self.tok_indptr))
-        return self._entry_event
+        return np.repeat(np.arange(len(self)), np.diff(self.tok_indptr))
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
         """Per-event total token counts L_i, float64."""
-        if not hasattr(self, "_lengths"):
-            self._lengths = scatter_sum(self.entry_event, self.tok_count, len(self))
-        return self._lengths
+        return scatter_sum(self.entry_event, self.tok_count, len(self))
 
     def token_postings(self):
         """Column-oriented view of the marks: per token, which events use it.
@@ -232,42 +222,47 @@ class EventSequence:
         ascending) and their counts normalized by the event's length.  The
         entries are those of a CSC transpose of the marks with sorted
         indices, bit for bit.  `posting_positions` inverts the order; the
-        raw counts are tok_count, each at its entry's posting.
+        raw counts are tok_count, each at its entry's posting.  The arrays
+        are built on the first call of either method and shared by later
+        calls; raises ValidationError when V and the number of mark entries
+        cannot be packed into one 64-bit sort key.
         """
-        if self._postings is None:
-            V, tok = self.V, self.tok_index
-            nnz = tok.size
-            # Entries by token, then by event.  Tokens are unique within an
-            # event and the entries are stored event by event, so one sort of
-            # the packed key (token, entry) orders them; the entry gives each
-            # posting its event and count, and each entry its posting.
-            e_bits = max(nnz - 1, 0).bit_length()
-            bits = V.bit_length() + e_bits  # not V - 1: indptr[V] searches V
-            if bits > 64:
-                raise ValidationError(f"{V} tokens and {nnz} mark entries are too many to "
-                                      f"index together in 64 bits")
-            kt = np.uint32 if bits <= 32 else np.uint64  # uint32 sorts in half the time
-            key = tok.astype(kt) << kt(e_bits)
-            key |= np.arange(nnz, dtype=kt)
-            key.sort()
-            indptr = np.searchsorted(key, np.arange(V + 1, dtype=kt) << kt(e_bits))
-            key &= kt((1 << e_bits) - 1)
-            entry = key.astype(np.intp)
-            del key
-            ev = self.entry_event[entry]
-            norm = self.lengths[ev]
-            with np.errstate(invalid="ignore"):
-                np.divide(self.tok_count[entry], norm, out=norm)
-            at = np.empty(nnz, dtype=np.intp)
-            at[entry] = np.arange(nnz)
-            self._postings = (indptr.astype(np.int64, copy=False), ev, norm, at)
         return self._postings[:3]
 
     def posting_positions(self) -> np.ndarray:
         """Each mark entry's position in `token_postings`: entry k (in
         tok_index order) is posting posting_positions()[k]."""
-        self.token_postings()
         return self._postings[3]
+
+    @cached_property
+    def _postings(self):
+        """`token_postings`' three arrays and `posting_positions`."""
+        V, tok = self.V, self.tok_index
+        nnz = tok.size
+        # Entries by token, then by event.  Tokens are unique within an
+        # event and the entries are stored event by event, so one sort of
+        # the packed key (token, entry) orders them; the entry gives each
+        # posting its event and count, and each entry its posting.
+        e_bits = max(nnz - 1, 0).bit_length()
+        bits = V.bit_length() + e_bits  # not V - 1: indptr[V] searches V
+        if bits > 64:
+            raise ValidationError(f"{V} tokens and {nnz} mark entries are too many to "
+                                  f"index together in 64 bits")
+        kt = np.uint32 if bits <= 32 else np.uint64  # uint32 sorts in half the time
+        key = tok.astype(kt) << kt(e_bits)
+        key |= np.arange(nnz, dtype=kt)
+        key.sort()
+        indptr = np.searchsorted(key, np.arange(V + 1, dtype=kt) << kt(e_bits))
+        key &= kt((1 << e_bits) - 1)
+        entry = key.astype(np.intp)
+        del key
+        ev = self.entry_event[entry]
+        norm = self.lengths[ev]
+        with np.errstate(invalid="ignore"):
+            np.divide(self.tok_count[entry], norm, out=norm)
+        at = np.empty(nnz, dtype=np.intp)
+        at[entry] = np.arange(nnz)
+        return indptr.astype(np.int64, copy=False), ev, norm, at
 
     def token_counts_by_source(self) -> np.ndarray:
         """Dense (S, V) matrix of total token counts per source."""

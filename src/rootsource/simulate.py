@@ -76,6 +76,18 @@ class GroundTruth:
 
 @dataclass
 class SimConfig:
+    """What `simulate` draws from: parameters, window length, text lengths, seed.
+
+    T is the window length, positive and finite.  mean_text_length gives the
+    mean of each source's truncated-Poisson text length, one value for all
+    sources or one per source, each positive and finite; it is stored as one
+    per source.  The parameters need at least one source and one token
+    (every mark draws at least one).  seed is the generator's seed, and
+    max_events, when given and at least 1, caps the cascade (default: 50
+    times the expected count).  Each violation raises a ValidationError
+    naming the field.
+    """
+
     params: ModelParams
     T: float
     mean_text_length: np.ndarray
@@ -84,19 +96,21 @@ class SimConfig:
 
     def __post_init__(self):
         self.T = float(self.T)
-        if self.T <= 0:
-            raise ValidationError("T must be positive")
-        S = self.params.S
+        if not 0 < self.T < np.inf:
+            raise ValidationError(f"T must be positive and finite, got {self.T}")
+        S, V = self.params.S, self.params.V
         if S < 1:
             raise ValidationError(f"S must be at least 1, got {S}")
+        if V < 1:  # every mark draws at least one token
+            raise ValidationError(f"V must be at least 1, got {V}")
         means = np.asarray(self.mean_text_length, dtype=np.float64)
         if means.ndim > 1 or means.size not in (1, S):
             raise ValidationError(f"{means.size} mean text lengths given for {S} sources; "
                                   f"give one, or one per source")
-        means = np.broadcast_to(means, (S,)).copy()
-        if np.any(means <= 0):
-            raise ValidationError("mean text lengths must be positive")
-        self.mean_text_length = means
+        if not np.all((means > 0) & (means < np.inf)):
+            raise ValidationError(f"mean text lengths must be positive and finite, "
+                                  f"got {means.tolist()}")
+        self.mean_text_length = np.broadcast_to(means, (S,)).copy()
         if self.max_events is not None and self.max_events < 1:
             raise ValidationError(f"max_events must be at least 1, got {self.max_events}")
 

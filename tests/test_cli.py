@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import rootsource as rs
 from rootsource.cli import cli, main
+from rootsource.fitting import _default_init
 from rootsource.dataio import (
     read_events,
     read_params,
@@ -207,6 +208,26 @@ def test_bench_smoke(runner, tmp_path):
         assert r["peak_rss_mb"] > 0
     assert "R^2" in res.output
     assert "cold start (import rootsource.cli)" in res.output
+    res = runner.invoke(cli, ["bench", "--scales", "60,120", "--sweeps", "1", "--exact"])
+    assert res.exit_code == 0, res.output
+    assert "exact mode is O(n^2); linear fit shown for reference" in res.output
+
+
+def test_bench_structure_mb_counts_the_cells(monkeypatch):
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(rs.PairStructure(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("rootsource.bench.PairStructure", record)
+    row = rs.run_bench([120], window=None, sweeps=1, seed=7).rows[0]
+    attrs = vars(built[0])
+    arrays = [v for v in attrs.values() if isinstance(v, np.ndarray)]
+    assert len(attrs["cells"]) == 6
+    # the lazily built cells tuple used to be left out
+    want = sum(a.nbytes for a in arrays + list(attrs["cells"])) / 2.0 ** 20
+    assert row.structure_mb == want > sum(a.nbytes for a in arrays) / 2.0 ** 20
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -286,15 +307,73 @@ def test_exit_code_malformed_comma_list(argv, flag, capsys):
     (["--mean-lengths", "1,2"], "2 mean text lengths given for 5 sources"),
     (["--max-events", "0"], "max_events must be at least 1, got 0"),
     (["--max-events", "-3"], "max_events must be at least 1, got -3"),
-], ids=["no sources", "mean lengths", "no events", "negative events"])
+    (["--T", "nan"], "T must be positive and finite, got nan"),
+    (["--T", "inf"], "T must be positive and finite, got inf"),
+    (["--mean-lengths", "nan"], "mean text lengths must be positive and finite, got [nan]"),
+    (["--mean-lengths", "1,inf,3,4,5"],
+     "mean text lengths must be positive and finite, got [1.0, inf, 3.0, 4.0, 5.0]"),
+    (["--V", "0"], "V must be at least 1, got 0"),
+], ids=["no sources", "mean lengths", "no events", "negative events", "T nan", "T inf",
+        "mean length nan", "mean length inf", "no tokens"])
 def test_exit_code_simulate_config(argv, message, capsys):
     # the first two crashed inside numpy with a traceback, and exit code 1;
-    # an event cap below 1 exited 3 with a cascade over the cap
+    # an event cap below 1 exited 3 with a cascade over the cap; a NaN or
+    # infinite T or mean length crashed in numpy or in the event cap; V = 0
+    # exited 0 with events whose marks were all empty
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--T", "5", "--events", os.devnull] + argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T", "50", "--seed", "-1", "--events", os.devnull],
+    ["fit", "--events", os.devnull, "--nu", "1.0", "--seed", "-2"],
+    ["bench", "--scales", "200", "--sweeps", "1", "--seed", "-1"],
+    ["--seed", "-1", "simulate", "--T", "5", "--events", os.devnull],
+    ["simulate", "--T", "5", "--events", os.devnull, "--config", "seed.cfg"],
+], ids=["simulate", "fit", "bench", "global", "config"])
+def test_exit_code_negative_seed(argv, tmp_path, monkeypatch, capsys):
+    # each ended in numpy's "expected non-negative integer", with exit code 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Invalid value for '--seed'" in err and "Traceback" not in err
+
+
+def test_exit_code_fit_tol_nan(workdir, capsys):
+    # NaN passed `tol <= 0`, so the fit ran every sweep and exited 0 unconverged
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0", "--tol", "nan",
+              "--params-out", os.devnull])
+    assert exc.value.code == 2
+    assert "error: tol must be positive" in capsys.readouterr().err
+
+
+def test_exit_code_baseline_malformed_window(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--events", str(workdir / "ev.jsonl"), "--rw", "x",
+              "--out", os.devnull])
+    assert exc.value.code == 2
+    assert "error: --rw must be a positive integer or 'inf', got 'x'" in capsys.readouterr().err
+
+
+def test_fit_seed_jitters_the_default_start(runner, workdir, tmp_path):
+    res = runner.invoke(cli, ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
+                              "--max-iters", "3", "--seed", "4",
+                              "--params-out", str(tmp_path / "p.json")])
+    assert res.exit_code == 0, res.output
+    events = read_events(workdir / "ev.jsonl")
+    init = rs.jitter_init(_default_init(events, rs.PriorConfig.maximum_likelihood(events.S),
+                                        5.0), 4)
+    want = rs.fit(events, init=init, max_iters=3).params
+    got = read_params(tmp_path / "p.json")
+    for name in ("rho", "A", "theta", "gamma", "nu"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def test_exit_code_usage_error(capsys):

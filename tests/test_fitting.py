@@ -1409,6 +1409,9 @@ def test_fit_requires_events_and_bandwidth():
         fit(events)  # neither init nor nu
     with pytest.raises(ValidationError):
         fit(events, init=params, tol=0.0)
+    # NaN passed `tol <= 0` and ran every sweep unconverged
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        fit(events, init=params, tol=np.nan, max_iters=50)
 
 
 def test_fit_empirical_bayes_shrinks_toward_prior():

@@ -79,6 +79,7 @@ def test_sequence_validation_names_the_first_event_at_fault():
     assert refused(count=(1.0, 1.0, 1.0, 2.5)) == 2       # count not an integer
     assert refused(index=(0, 1, 0, 1)) == 1               # tokens out of order
     assert refused(index=(0, 1, 1, 1)) == 1               # a token twice
+    assert refused(indptr=(0, 2, 2, 4), index=(0, 1, 1, 0)) == 2  # after an empty event
     assert refused(sources=(0, 0)) is None                # no single event at fault
     assert refused(T=0.0) is None
 
@@ -106,6 +107,16 @@ def test_sequence_indexing_round_trip():
     with pytest.raises(IndexError):
         events[2]
     np.testing.assert_array_equal(events.lengths, [2.0, 0.0])
+
+
+def test_derived_arrays_are_built_on_first_read():
+    events = rs.simulate(rs.make_synthetic_config(T=40.0, seed=2))[0]
+    # a valid sequence's check builds none of them
+    assert not {"entry_event", "lengths", "_postings"} & set(vars(events))
+    for name in ("entry_event", "lengths"):
+        assert getattr(events, name) is getattr(events, name)
+    assert all(a is b for a, b in zip(events.token_postings(), events.token_postings()))
+    assert events.posting_positions() is events.posting_positions()
 
 
 def test_lengths_are_float64_without_tokens():

@@ -122,6 +122,12 @@ def test_expected_event_count_closed_form():
     p0 = rs.ModelParams(rho=np.array([0.2, 0.3]), A=np.zeros((2, 2)),
                         theta=np.ones((2, 1)), gamma=0.0, nu=1.0)
     assert expected_event_count(p0, 10.0) == pytest.approx(5.0)
+    # at a spectral radius of 0.99 or more the inverse is replaced by the
+    # geometric sum at radius 0.99: 100 times the immigrant count
+    for a in (0.99, 1.5):
+        p = rs.ModelParams(rho=np.array([0.2]), A=np.array([[a]]),
+                           theta=np.array([[1.0]]), gamma=0.0, nu=1.0)
+        assert expected_event_count(p, 10.0) == pytest.approx(200.0)
 
 
 def test_event_count_calibration_smoke():
@@ -185,6 +191,16 @@ def test_sim_config_validation():
         with pytest.raises(ValidationError, match=f"^max_events must be at least 1, got {cap}$"):
             SimConfig(params=params, T=1.0, mean_text_length=3.0, max_events=cap)
     assert SimConfig(params=params, T=1.0, mean_text_length=3.0, max_events=1).max_events == 1
+    # a NaN or infinite T or mean length, and V = 0, are refused by name: the
+    # first two crashed in numpy or in the event cap, and V = 0 drew empty marks
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match=f"^T must be positive and finite, got {T}$"):
+            SimConfig(params=params, T=T, mean_text_length=3.0)
+    for means in (np.nan, [3.0, np.inf]):
+        with pytest.raises(ValidationError, match="^mean text lengths must be positive and finite"):
+            SimConfig(params=params, T=1.0, mean_text_length=means)
+    with pytest.raises(ValidationError, match="^V must be at least 1, got 0$"):
+        SimConfig(params=make_synthetic_params(S=2, V=0), T=1.0, mean_text_length=3.0)
 
 
 def assert_same_draw(config):
