@@ -4,9 +4,9 @@ and per-event root-source probabilities."""
 from .baselines import running_window
 from .bench import BenchReport, linear_fit_r2, run_bench
 from .errors import NumericalError, ValidationError
-from .fitting import (FitReport, PairStructure, PriorConfig, VariationalState,
-                      elbo, fit, jitter_init, update_eta, update_rho_alpha,
+from .fitting import (FitReport, PriorConfig, elbo, fit, jitter_init, update_rho_alpha,
                       update_theta_gamma)
+from .layout import PairStructure
 from .metrics import (EvalReport, MiniConversations, evaluate_root_probabilities,
                       identification_accuracy, mini_conversations,
                       relative_square_error, social_power, top_k_accuracy,
@@ -14,6 +14,7 @@ from .metrics import (EvalReport, MiniConversations, evaluate_root_probabilities
 from .model import (Event, EventSequence, ModelParams, base_intensity, compensator,
                     excited_intensity, log_mark_density_immigrant,
                     log_mark_density_offspring, total_intensity)
+from .posterior import VariationalState, update_eta
 from .rootprob import (RootProbMatrix, enumerate_oracle, root_probabilities,
                        root_probabilities_mark, root_probabilities_temporal)
 from .simulate import (BranchingStructure, GroundTruth, SimConfig,

@@ -1,4 +1,5 @@
-"""Segment reductions over ragged rows stored in flat arrays, and xlogy.
+"""Segment reductions over ragged rows stored in flat arrays, xlogy, and
+the roots of a parent forest.
 
 Rows are delimited by an indptr-style `row_start` array of length n+1;
 row k owns the flat slice row_start[k]:row_start[k+1].  Empty rows are
@@ -58,3 +59,18 @@ def xlogy(x, y) -> np.ndarray:
         out = np.asarray(x * np.log(y))
     np.copyto(out, 0.0, where=(x == 0) & ~np.isnan(y))
     return out
+
+
+def root_positions(parent: np.ndarray) -> np.ndarray:
+    """0-based root event position per event, from each event's 1-based
+    parent (0 for a root); parents always precede children.
+
+    Pointer jumping: from each event's parent (itself for a root), replace
+    every pointer by its target's until none moves, log2(depth) passes.
+    """
+    root = np.where(parent > 0, parent - 1, np.arange(parent.size))
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up

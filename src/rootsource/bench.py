@@ -30,10 +30,11 @@ except ImportError:  # not on every platform
 import numpy as np
 
 from .errors import ValidationError
-from .fitting import (PairStructure, PriorConfig, _default_init, elbo, update_eta,
-                      update_rho_alpha, update_theta_gamma)
+from .fitting import PriorConfig, default_init, elbo, update_rho_alpha, update_theta_gamma
+from .layout import PairStructure
 from .metrics import mini_conversations
 from .model import ModelParams
+from .posterior import update_eta
 from .rootprob import root_probabilities
 from .simulate import make_synthetic_config, simulate
 
@@ -177,7 +178,7 @@ def run_bench(scales, window: float | None = 20.0, sweeps: int = 3,
         events, _ = simulate(cfg)
         sim = time.perf_counter() - t0
         prior = PriorConfig.maximum_likelihood(events.S)
-        params = _default_init(events, prior, cfg.params.nu)
+        params = default_init(events, prior, cfg.params.nu)
 
         t0 = time.perf_counter()
         structure = PairStructure(events, params.nu, window=window)

@@ -18,7 +18,8 @@ from . import dataio
 from .baselines import running_window
 from .bench import run_bench
 from .errors import NumericalError, ValidationError
-from .fitting import PriorConfig, _default_init, _structure_for, fit, jitter_init
+from .fitting import PriorConfig, default_init, fit, jitter_init
+from .layout import structure_for
 from .metrics import evaluate_root_probabilities
 from .rootprob import (root_probabilities, root_probabilities_mark,
                        root_probabilities_temporal)
@@ -160,14 +161,14 @@ def fit_cmd(ctx, config, events_in, empirical_bayes, c, nu, tol, max_iters,
     events = dataio.read_events(_in(events_in))
     # the layout and its memory check before the S-sized prior; held here, so
     # that fit finds and reuses it
-    layout = _structure_for(events, nu, window)
+    layout = structure_for(events, nu, window)
     if empirical_bayes:
         prior = PriorConfig.empirical_bayes(events, c=c)
     else:
         prior = PriorConfig.maximum_likelihood(events.S)
     init = None
     if seed is not None:
-        init = jitter_init(_default_init(events, prior, nu), seed)
+        init = jitter_init(default_init(events, prior, nu), seed)
     report = fit(events, init=init, prior=prior, tol=tol, max_iters=max_iters,
                  window=window, nu=nu)
     click.echo(f"[fit] {report.iterations} iterations, "

@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import segment_max
+from ._numeric import root_positions
 from .errors import ValidationError
-from .fitting import VariationalState, _check_built_for, _log_kernel_a
 from .model import EventSequence
+from .posterior import VariationalState, argmax_parents
 from .rootprob import RootProbMatrix
-from .simulate import BranchingStructure, _root_positions
+from .simulate import BranchingStructure
 
 __all__ = [
     "EvalReport",
@@ -103,52 +103,21 @@ class MiniConversations:
 def mini_conversations(eta: VariationalState, events: EventSequence) -> MiniConversations:
     """Group events into threads by the argmax of each variational posterior.
 
-    eta comes from `update_eta` or a fit: the parents are read from the
-    E-step's own terms, not from per-pair posteriors.  Child i's candidates
-    are its overlap pairs (their eta_overlap) and, per kernel cell, the
-    cell's latest event m, valued in the order of operations of
-    `fitting._log_kernel_a`, as the root passes (and eta_pair) value it,
-    bit for bit.  Within a cell every parent that shares no token with i
-    has eta = C kappa(t_i - t_j), which does not grow with the lag, so m
-    bounds the others, and an overlap pair is a candidate itself.  Ties
-    follow np.argmax over (immigrant, parents in time order): the immigrant
-    when eta_i0 reaches the largest candidate, else the earliest candidate
-    that does.  It can differ from np.argmax only on ties within rounding:
-    two same-class events whose t_j / nu round to the same value (times a
-    few ulps apart), where np.argmax takes the earlier and this m; and at
-    gamma = 0, where an overlap pair's mark term is 0, so its eta and its
-    cell's value for the same parent may differ in the last bit.  A state
-    built on another events object, even one of the same length, raises
+    eta comes from `update_eta` or a fit.  Each event's parent is the
+    posteriors' `argmax_parents`: it reads the E-step's own terms, not
+    per-pair posteriors, values them as the root passes (and eta_pair) do,
+    bit for bit, and breaks ties as np.argmax over (immigrant, parents in
+    time order) would, but for ties within rounding.  A state built on
+    another events object, even one of the same length, raises
     ValidationError.
     """
-    st = eta.structure
-    _check_built_for(st, events, "state")
-    n = len(eta)
-    cell_start, cell_key, _, cell_last = st.cells[:4]
-    # each cell's value at its latest event, as the root passes value eta
-    seg = np.repeat(np.arange(2 * n), np.diff(cell_start))
-    i = seg >> 1
-    v_cell = np.exp((_log_kernel_a(eta, i, cell_key) + events.times[cell_last] / st.nu)
-                    + eta._factors[1].ravel()[seg])
-    v_ov, ov_start = eta.eta_overlap, st.ov_row_start
-    best = np.maximum(segment_max(v_cell, cell_start[::2]), segment_max(v_ov, ov_start))
-    # the earliest candidate at the best value: the overlap pairs come in
-    # parent order per child, so the first hit of each child; the cells in
-    # class order, so the least m
-    first = np.full(n, n)
-    hit = np.flatnonzero(v_ov == np.repeat(best, st.ov_row_len))
-    child = np.searchsorted(ov_start, hit, side="right") - 1
-    lead = np.flatnonzero(np.diff(child, prepend=-1))
-    first[child[lead]] = st.ov_parent[hit[lead]]
-    hit = np.flatnonzero(v_cell == best[i])
-    np.minimum.at(first, i[hit], cell_last[hit])
-    parent = np.where(eta.eta0 < best, first + 1, 0)  # 0 = immigrant, j -> event j
-    root = _root_positions(parent)
+    parent = argmax_parents(eta, events)
+    root = root_positions(parent)
     # threads in root order, members in time order
     order = np.argsort(root, kind="stable")
     starts = np.flatnonzero(np.diff(root[order], prepend=-1)).tolist()
     members = (order + 1).tolist()
-    convs = [members[a:b] for a, b in zip(starts, starts[1:] + [n])]
+    convs = [members[a:b] for a, b in zip(starts, starts[1:] + [parent.size])]
     return MiniConversations(branching=BranchingStructure(parent=parent), conversations=convs)
 
 

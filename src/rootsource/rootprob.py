@@ -10,25 +10,17 @@ events, so with the E-step's parent posteriors eta_i0 (immigrant) and eta_ij
 
 a unit lower-triangular system (I - H) R = diag(eta_0) onehot(s) in the
 sparse posteriors H (the branching-structure posterior of Veen & Schoenberg,
-2008).  Each pass takes the PairStructure of the same events and kernel
-settings that is still alive (a fit's, while its report is held) or builds
-one, gets the posteriors, and solves the system by block forward
-substitution.  All three passes get them from the E-step that fits use
-(`fitting._e_step`, from the kernel cells and the overlap pairs), expanded
-a block of children at a time (`fitting._eta_blocks`): each block's rows
-add the earlier rows' part in one matrix product, then solve their own unit
-lower-triangular block, and no per-pair array is built.  When the last
-`update_eta` state for the same events and settings is still alive and ran
-at parameters equal in value to the pass's (a fit's final state, while its
-report is held; `fitting._state_at`), the full pass reads its terms and
-runs only the block substitution, so a reused and a recomputed pass agree
-bit for bit.  The temporal-only variant is the full pass on a copy of the
-events without marks, where every mark density is 1: it builds that copy's
-layout, which holds no overlap pairs; the mark-only variant keeps just the
-densities, with the overlap pairs and, per child, one count of parents per
-mark half in place of the cells.
-Every row of r sums to 1 because every row of eta does, so no row is
-renormalized.
+2008).  All three passes solve it with the posteriors' `root_pass`, from
+the E-step that fits use, by block forward substitution: a pass reuses the
+layout of the same events and kernel settings that is still alive (a
+fit's, while its report is held) or builds one, and the full pass at a
+fit's final parameters reads that fit's last E-step instead of recomputing
+it, bit for bit.  The temporal-only variant is the full pass on a copy of
+the events without marks, where every mark density is 1: it builds that
+copy's layout, which holds no overlap pairs; the mark-only variant keeps
+just the densities, with the overlap pairs and, per child, one count of
+parents per mark half in place of the cells.  Every row of r sums to 1
+because every row of eta does, so no row is renormalized.
 
 `enumerate_oracle` recomputes r by brute force over all joint parent
 assignments (product over events of their candidate sets) and is the ground
@@ -43,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import _check_memory, _e_step, _eta_blocks, _state_at, _structure_for
 from .model import (EventSequence, ModelParams, compensator, excited_intensity,
                     log_mark_density_immigrant, log_mark_density_offspring)
+from .posterior import root_pass
 
 __all__ = [
     "RootProbMatrix",
@@ -94,32 +86,10 @@ class RootProbMatrix:
         return self.r.argmax(axis=1)
 
 
-def _root_pass(events: EventSequence, params: ModelParams, use_time: bool,
-               mode: str, window: float | None) -> RootProbMatrix:
-    params.validate()
-    n, S, V = len(events), events.S, events.V
-    # the n x S result r before any layout is built, then with a reused layout
-    _check_memory(n, 0, 0, S, V, window, roots=True)
-    st = _structure_for(events, params.nu, window)
-    _check_memory(n, st.n_pairs, st.n_triples, S, V, st.window, roots=True)
-    # not update_eta: the record of a fit's E-step in `_LAST` stays
-    state = (use_time and _state_at(st, params)) or _e_step(st, params, use_time)
-    # r starts as eta_i0 e_{s_i}; each block adds its earlier parents' part,
-    # then solves (I - eta over its own rows and parents) r = that
-    r = np.zeros((n, S))
-    r[np.arange(n), events.sources] = state.eta0
-    for a, b, lo_a, D in _eta_blocks(state):
-        rhs = r[a:b]
-        rhs += D[:a - lo_a].T @ r[lo_a:a]
-        r[a:b] = np.linalg.solve((np.eye(b - a) - D[a - lo_a:]).T, rhs)
-    # rounding can push a lone dominant entry to 1 + ulp
-    return RootProbMatrix(np.clip(r, 0.0, 1.0, out=r), mode)
-
-
 def root_probabilities(events: EventSequence, params: ModelParams,
                        window: float | None = None) -> RootProbMatrix:
     """Full-model root probabilities (intensity and mark factors)."""
-    return _root_pass(events, params, True, "full", window)
+    return RootProbMatrix(root_pass(events, params, True, window), "full")
 
 
 def root_probabilities_temporal(events: EventSequence, params: ModelParams,
@@ -128,13 +98,13 @@ def root_probabilities_temporal(events: EventSequence, params: ModelParams,
     events with their marks removed, where every mark density is 1."""
     view = EventSequence(events.times, events.sources, np.zeros(len(events) + 1, dtype=np.int64),
                          [], [], events.T, events.S, events.V)
-    return _root_pass(view, params, True, "temporal_only", window)
+    return RootProbMatrix(root_pass(view, params, True, window), "temporal_only")
 
 
 def root_probabilities_mark(events: EventSequence, params: ModelParams,
                             window: float | None = None) -> RootProbMatrix:
     """Sub-model variant using mark densities only."""
-    return _root_pass(events, params, False, "mark_only", window)
+    return RootProbMatrix(root_pass(events, params, False, window), "mark_only")
 
 
 ORACLE_CAP = 12

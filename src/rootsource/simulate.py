@@ -26,11 +26,12 @@ the tests keep as a reference.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import ragged_ranges
+from ._numeric import ragged_ranges, root_positions
 from .errors import NumericalError, ValidationError
 from .model import EventSequence, ModelParams
 
@@ -74,6 +75,10 @@ class GroundTruth:
     inherited_tokens: np.ndarray
 
 
+# numpy's largest Poisson mean: a larger one raises "lam value too large"
+POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 @dataclass
 class SimConfig:
     """What `simulate` draws from: parameters, window length, text lengths, seed.
@@ -81,11 +86,13 @@ class SimConfig:
     T is the window length, positive and finite.  mean_text_length gives the
     mean of each source's truncated-Poisson text length, one value for all
     sources or one per source, each positive and finite; it is stored as one
-    per source.  The parameters need at least one source and one token
-    (every mark draws at least one).  seed is the generator's seed, and
-    max_events, when given and at least 1, caps the cascade (default: 50
-    times the expected count).  Each violation raises a ValidationError
-    naming the field.
+    per source.  Each mean length, and each source's expected immigrant
+    count rho[s] T, must be at most numpy's largest Poisson mean
+    (POISSON_MAX, about 9.2e18).  The parameters need at least one source
+    and one token (every mark draws at least one).  seed is the generator's
+    seed, a nonnegative integer, and max_events, when given an integer of at
+    least 1, caps the cascade (default: 50 times the expected count).  Each
+    violation raises a ValidationError naming the field.
     """
 
     params: ModelParams
@@ -110,9 +117,22 @@ class SimConfig:
         if not np.all((means > 0) & (means < np.inf)):
             raise ValidationError(f"mean text lengths must be positive and finite, "
                                   f"got {means.tolist()}")
+        if np.any(means > POISSON_MAX):
+            raise ValidationError(f"mean text lengths must be at most numpy's largest Poisson "
+                                  f"mean, {POISSON_MAX:.4g}, got {means.tolist()}")
         self.mean_text_length = np.broadcast_to(means, (S,)).copy()
-        if self.max_events is not None and self.max_events < 1:
-            raise ValidationError(f"max_events must be at least 1, got {self.max_events}")
+        immigrants = self.params.rho * self.T  # as `_draw_stream` draws them
+        if np.any(immigrants > POISSON_MAX):
+            s = int(np.argmax(immigrants))
+            raise ValidationError(f"T = {self.T} is too long: rho[{s}] T = {immigrants[s]:.4g} "
+                                  f"exceeds numpy's largest Poisson mean, {POISSON_MAX:.4g}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        cap = self.max_events
+        if cap is not None and not isinstance(cap, numbers.Integral):
+            raise ValidationError(f"max_events must be an integer, got {cap!r}")
+        if cap is not None and cap < 1:
+            raise ValidationError(f"max_events must be at least 1, got {cap}")
 
 
 def expected_event_count(params: ModelParams, T: float) -> float:
@@ -130,26 +150,12 @@ def expected_event_count(params: ModelParams, T: float) -> float:
     return float(m.sum() / (1.0 - min(radius, 0.99)))
 
 
-def _root_positions(parent: np.ndarray) -> np.ndarray:
-    """0-based root event position per event; parents always precede children.
-
-    Pointer jumping: from each event's parent (itself for a root), replace
-    every pointer by its target's until none moves, log2(depth) passes.
-    """
-    root = np.where(parent > 0, parent - 1, np.arange(parent.size))
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            return root
-        root = up
-
-
 def trace_roots(branching: BranchingStructure, events: EventSequence) -> np.ndarray:
     """Source label of each event's root, following parent links to the tree origin."""
     parent = branching.parent
     if parent.size != len(events):
         raise ValidationError("branching and events disagree on length")
-    root = _root_positions(parent)
+    root = root_positions(parent)
     return events.sources[root]
 
 
@@ -203,15 +209,16 @@ def _draw_stream(config: SimConfig, cap: int):
     u: list[np.ndarray] = []
 
     for s in range(S):
-        t = rng.uniform(0.0, T, size=rng.poisson(params.rho[s] * T))
+        count = rng.poisson(params.rho[s] * T)
+        if len(lengths) + count > cap:  # before the count's times and marks
+            raise _cap_error(cap, params)
+        t = rng.uniform(0.0, T, size=count)
         for _ in range(t.size):
             L = _draw_length(rng, mean_len[s])
             lengths.append(L)
             u.append(random(L))
         times.append(t)
         s_list += [s] * t.size
-        if len(lengths) > cap:
-            raise _cap_error(cap, params)
     parent += [-1] * len(lengths)
 
     # per exciting source, the targets it excites and their A entries: a
@@ -345,7 +352,7 @@ def simulate(config: SimConfig) -> tuple[EventSequence, GroundTruth]:
     pos_of_build = np.empty(n, dtype=np.int64)
     pos_of_build[order] = np.arange(n)
     parent_sorted = np.where(parent[order] >= 0, pos_of_build[parent[order]] + 1, 0)
-    root_pos = _root_positions(parent_sorted)
+    root_pos = root_positions(parent_sorted)
     truth = GroundTruth(
         branching=BranchingStructure(parent_sorted),
         roots=events.sources[root_pos],

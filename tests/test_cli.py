@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import rootsource as rs
 from rootsource.cli import cli, main
-from rootsource.fitting import _default_init
+from rootsource.fitting import default_init as _default_init
 from rootsource.dataio import (
     read_events,
     read_params,
@@ -266,7 +266,7 @@ def test_exit_code_malformed_file_names_the_field(argv, files, field, tmp_path,
 
 def test_exit_code_pairs_beyond_memory(workdir, monkeypatch, capsys):
     # a machine too small for the exact layout of this tiny sequence
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 1000)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: 1000)
     argv = ["fit", "--events", str(workdir / "ev.jsonl"), "--nu", "5.0",
             "--params-out", os.devnull]
     with pytest.raises(SystemExit) as exc:
@@ -279,7 +279,7 @@ def test_exit_code_pairs_beyond_memory(workdir, monkeypatch, capsys):
 def test_exit_code_sources_beyond_memory(prior, tmp_path, monkeypatch, capsys):
     # a header's S of 10^30 reads fine; the memory guard refuses it before the
     # prior allocates anything S-sized (numpy would raise a bare ValueError)
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 2**33)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: 2**33)
     ev = tmp_path / "ev.jsonl"
     ev.write_text('{"schema": "events-v1", "T": 5.0, "S": %d, "V": 3}\n'
                   '{"i": 1, "t": 1.0, "s": 1, "x": {"0": 2}}\n'
@@ -313,13 +313,16 @@ def test_exit_code_malformed_comma_list(argv, flag, capsys):
     (["--mean-lengths", "1,inf,3,4,5"],
      "mean text lengths must be positive and finite, got [1.0, inf, 3.0, 4.0, 5.0]"),
     (["--V", "0"], "V must be at least 1, got 0"),
+    (["--T", "1e300"], "T = 1e+300 is too long: rho[0] T = 1e+299 exceeds numpy's largest"),
+    (["--mean-lengths", "1e300"], "mean text lengths must be at most numpy's largest Poisson"),
 ], ids=["no sources", "mean lengths", "no events", "negative events", "T nan", "T inf",
-        "mean length nan", "mean length inf", "no tokens"])
+        "mean length nan", "mean length inf", "no tokens", "T huge", "mean length huge"])
 def test_exit_code_simulate_config(argv, message, capsys):
     # the first two crashed inside numpy with a traceback, and exit code 1;
     # an event cap below 1 exited 3 with a cascade over the cap; a NaN or
-    # infinite T or mean length crashed in numpy or in the event cap; V = 0
-    # exited 0 with events whose marks were all empty
+    # infinite T or mean length crashed in numpy or in the event cap, and a
+    # huge one with numpy's "lam value too large"; V = 0 exited 0 with
+    # events whose marks were all empty
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--T", "5", "--events", os.devnull] + argv)
     assert exc.value.code == 2

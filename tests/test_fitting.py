@@ -15,28 +15,26 @@ import pytest
 import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
 from rootsource.fitting import (
+    PriorConfig,
+    default_init as _default_init,
+    elbo,
+    fit,
+    jitter_init,
+    update_rho_alpha,
+    update_theta_gamma,
+)
+from rootsource.layout import (
     CELL_BYTES,
     PAIR_BYTES,
     PARAM_BYTES,
     ROOT_BYTES,
     TRIPLE_BYTES,
-    _LAST,
     _LIVE,
     PairStructure,
-    VariationalState,
-    _default_init,
-    _e_step,
     _physical_memory,
-    _state_at,
-    _structure_for,
-    PriorConfig,
-    elbo,
-    fit,
-    jitter_init,
-    update_eta,
-    update_rho_alpha,
-    update_theta_gamma,
+    structure_for as _structure_for,
 )
+from rootsource.posterior import _LAST, VariationalState, _e_step, _state_at, update_eta
 from rootsource.rootprob import enumerate_posteriors
 from util import (covered_cells, dense_eta, ov_pairs, pair_parents, random_events,
                   random_instance, random_params, reference_e_step, reference_pairs,
@@ -187,7 +185,7 @@ def _count_e_steps(monkeypatch):
             calls.append(structure.events)
         return _e_step(structure, params, *flags)
 
-    monkeypatch.setattr("rootsource.rootprob._e_step", counting)
+    monkeypatch.setattr("rootsource.posterior._e_step", counting)
     return calls
 
 
@@ -426,7 +424,7 @@ def test_fit_checks_memory_before_the_parameters(field, size, monkeypatch):
     # S or V of 10^30 from an events header: fit raises the guard's error
     # before any S- or V-sized array (numpy would raise a bare ValueError),
     # and sizes beyond float range format in the message
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: 2**33)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: 2**33)
     huge = {"S": 2, "V": 3, field: size}
     events = rs.EventSequence(np.array([1.0, 2.0]), np.array([0, 1]), np.array([0, 1, 3]),
                               np.array([0, 0, 1]), np.array([2.0, 1.0, 1.0]), T=5.0, **huge)
@@ -454,10 +452,10 @@ def test_fail_fast_counts_token_overlap_triples(monkeypatch):
         del built
         need = (n_pairs * PAIR_BYTES + n_triples * TRIPLE_BYTES + cells * CELL_BYTES
                 + events.S * (events.V + events.S) * PARAM_BYTES)
-        monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need - 1)
+        monkeypatch.setattr("rootsource.layout._physical_memory", lambda: need - 1)
         with pytest.raises(ValidationError, match=f"{n_triples} token-overlap triples need"):
             PairStructure(events, nu=1.0, window=window)
-        monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: need)
+        monkeypatch.setattr("rootsource.layout._physical_memory", lambda: need)
         assert PairStructure(events, nu=1.0, window=window).tri_pair.size == n_triples
     assert pairs_bound == [False, True]
 
@@ -474,9 +472,9 @@ def test_fail_fast_counts_the_parameters(monkeypatch):
     param = 300 * (20_000 + 300) * PARAM_BYTES
     assert param > 100 * layout
     inits = []
-    monkeypatch.setattr("rootsource.fitting._default_init",
+    monkeypatch.setattr("rootsource.fitting.default_init",
                         lambda *args: inits.append(args))
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param - 1)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: param - 1)
     for attempt in (lambda: PairStructure(events, nu=1.0, window=1.0),
                     lambda: fit(events, nu=1.0, window=1.0)):
         with pytest.raises(ValidationError, match="fewer sources or tokens") as err:
@@ -486,11 +484,11 @@ def test_fail_fast_counts_the_parameters(monkeypatch):
     # checked before fit's initial point allocates its S x V theta
     assert inits == []
     # the parameters fit, the whole does not: the window is the fix
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + layout - 1)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: param + layout - 1)
     with pytest.raises(ValidationError, match="--truncate-window") as err:
         PairStructure(events, nu=1.0, window=1.0)
     assert "fewer sources" not in str(err.value)
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + layout)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: param + layout)
     PairStructure(events, nu=1.0, window=1.0)
 
 
@@ -509,7 +507,7 @@ def test_root_passes_count_the_root_matrix(monkeypatch):
     assert layout < root
     passes = (rs.root_probabilities, rs.root_probabilities_temporal,
               rs.root_probabilities_mark)
-    monkeypatch.setattr("rootsource.fitting._physical_memory", lambda: param + root - 1)
+    monkeypatch.setattr("rootsource.layout._physical_memory", lambda: param + root - 1)
     for reused in (True, False):
         if not reused:
             del live  # each pass builds and checks its own structure
@@ -524,8 +522,8 @@ def test_root_passes_count_the_root_matrix(monkeypatch):
         raise AssertionError("a layout was built")
 
     with monkeypatch.context() as m:
-        m.setattr("rootsource.fitting._physical_memory", lambda: root - 1)
-        m.setattr("rootsource.fitting._first_partners", build)
+        m.setattr("rootsource.layout._physical_memory", lambda: root - 1)
+        m.setattr("rootsource.layout._first_partners", build)
         for root_pass in passes:
             with pytest.raises(ValidationError, match=r"use fewer sources \(") as err:
                 root_pass(events, params, window=0.5)
@@ -533,7 +531,7 @@ def test_root_passes_count_the_root_matrix(monkeypatch):
             assert "--truncate-window" not in str(err.value)
     # the structure alone fits
     PairStructure(events, nu=1.0, window=0.5)
-    monkeypatch.setattr("rootsource.fitting._physical_memory",
+    monkeypatch.setattr("rootsource.layout._physical_memory",
                         lambda: layout + param + root)
     for root_pass in passes:
         assert root_pass(events, params, window=0.5).r.shape == (2000, 300)
@@ -898,7 +896,7 @@ def test_expansion_does_not_depend_on_the_block_size(window, monkeypatch):
     got = {}
     for block in (None, 1, 7):
         if block is not None:
-            monkeypatch.setattr("rootsource.fitting.ROOT_BLOCK", block)
+            monkeypatch.setattr("rootsource.posterior.ROOT_BLOCK", block)
         for gamma in (0.3, 1.0):
             p = rs.ModelParams(rho=params.rho, A=params.A, theta=params.theta, gamma=gamma,
                                nu=params.nu)
@@ -1250,6 +1248,20 @@ def test_prior_c_needs_positive_rates(zero):
     PriorConfig(a_rho=np.ones(5), a_alpha=np.ones(5), **rates)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["a_rho", "b_rho", "a_alpha", "b_alpha"])
+def test_prior_refuses_non_finite_values(field, value):
+    # NaN passed the checks a <= 0 and b < 0, and inf both: fit then failed
+    # without naming the prior, with a NaN ELBO at iteration 1 or 2, zero
+    # probabilities, or ModelParams' "A must be a finite nonnegative S x S
+    # matrix" from inside the M-step
+    values = {"a_rho": [1.0, 1.0], "b_rho": 0.0, "a_alpha": [1.0, 1.0], "b_alpha": 0.0}
+    values[field] = [2.0, value] if field.startswith("a") else value
+    kind = "shapes must be positive" if field.startswith("a") else "rates must be nonnegative"
+    with pytest.raises(ValidationError, match=f"^prior {kind} and finite, not {field} = {value}$"):
+        PriorConfig(**values)
+
+
 def _nan_objective_draw():
     """A 73-event draw, and a start and a prior at which the log-prior is
     NaN: rho[4] = 0 under shape 0.5 gives +inf, A[4, 4] = 0 under shape 2
@@ -1322,8 +1334,8 @@ def test_elbo_at_the_states_parameters_runs_no_weights(eb, monkeypatch):
     prior = PriorConfig.empirical_bayes(events) if eb else None
     report = fit(events, nu=10.0, window=20.0, prior=prior, max_iters=3)
     seen = []
-    weights = rs.fitting._weights
-    monkeypatch.setattr(rs.fitting, "_weights",
+    weights = rs.posterior._weights
+    monkeypatch.setattr(rs.posterior, "_weights",
                         lambda st, params, *args: seen.append(params) or weights(st, params, *args))
     for params in (report.params, copy.deepcopy(report.params)):
         assert elbo(events, params, report.eta, prior) == report.elbo_trace[-1]
@@ -1333,7 +1345,7 @@ def test_elbo_at_the_states_parameters_runs_no_weights(eb, monkeypatch):
     for calls in (2, 3):
         assert math.isfinite(elbo(events, moved, report.eta, prior))
         assert len(seen) == calls and seen[-1] is moved
-    assert rs.fitting._same(seen[0], p)
+    assert rs.posterior.same_params(seen[0], p)
 
 
 def test_elbo_allocates_nothing_per_pair():

@@ -20,7 +20,8 @@ from rootsource.rootprob import (
     root_probabilities_mark,
     root_probabilities_temporal,
 )
-from rootsource.fitting import ROOT_BLOCK, PairStructure
+from rootsource.layout import PairStructure
+from rootsource.posterior import ROOT_BLOCK
 from util import dense_eta, random_events, random_instance, random_params, reference_root_pass
 
 

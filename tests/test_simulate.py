@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rootsource as rs
 from rootsource.errors import NumericalError, ValidationError
 from rootsource.simulate import (
+    POISSON_MAX,
     BranchingStructure,
     SimConfig,
     expected_event_count,
@@ -201,6 +204,38 @@ def test_sim_config_validation():
             SimConfig(params=params, T=1.0, mean_text_length=means)
     with pytest.raises(ValidationError, match="^V must be at least 1, got 0$"):
         SimConfig(params=make_synthetic_params(S=2, V=0), T=1.0, mean_text_length=3.0)
+    # a seed numpy cannot take, a cap that is not a count, and Poisson means
+    # beyond numpy's limit are refused by name: they ended in numpy's
+    # "expected non-negative integer", a SeedSequence TypeError, a "cap
+    # (2.5)" and "lam value too large"
+    for seed in (-1, 2.5):
+        with pytest.raises(ValidationError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+            SimConfig(params=params, T=1.0, mean_text_length=3.0, seed=seed)
+    with pytest.raises(ValidationError, match="^max_events must be an integer, got 2.5$"):
+        SimConfig(params=params, T=1.0, mean_text_length=3.0, max_events=2.5)
+    with pytest.raises(ValidationError, match=r"^T = 1e\+300 is too long: rho\[0\] T = 1e\+299"):
+        SimConfig(params=params, T=1e300, mean_text_length=3.0)
+    with pytest.raises(ValidationError, match="^mean text lengths must be at most numpy's largest"):
+        SimConfig(params=params, T=1.0, mean_text_length=[3.0, 1e300])
+    at_limit = SimConfig(params=params, T=1.0, mean_text_length=POISSON_MAX, seed=np.int64(4),
+                         max_events=np.int32(5))
+    assert (at_limit.seed, at_limit.max_events) == (4, 5)
+    np.random.default_rng(0).poisson(POISSON_MAX)  # numpy's limit itself
+
+
+def test_immigrants_over_the_cap_are_refused_before_they_are_drawn():
+    # 3 10^7 expected immigrants of the first source against a cap of
+    # 1 000: the count alone decides, before any of their times or marks
+    # is drawn (240 MB of times, and a loop per immigrant, before)
+    config = small_config(seed=0, T=1e8, max_events=1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=r"event cap \(1000\)"):
+            simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def assert_same_draw(config):

@@ -202,7 +202,7 @@ def reference_normalize(structure, logw_imm, logw_pair, c):
     eta_pair, log_z); eta_pair is logw_pair's buffer, normalized in place.
     """
     from rootsource._numeric import segment_max, segment_sum
-    from rootsource.fitting import _raise_if_dead
+    from rootsource.posterior import _raise_if_dead
 
     m = np.maximum(segment_max(logw_pair, structure.row_start), logw_imm)
     _raise_if_dead(m)
@@ -266,9 +266,9 @@ def reference_simulate(config):
     Draws each event's mark as the event is added, with one np.unique per
     event; `simulate` must return the same arrays for every config.
     """
+    from rootsource._numeric import root_positions
     from rootsource.errors import NumericalError
-    from rootsource.simulate import (BranchingStructure, GroundTruth, _root_positions,
-                                     expected_event_count)
+    from rootsource.simulate import BranchingStructure, GroundTruth, expected_event_count
 
     params = config.params
     S, V, T = params.S, params.V, config.T
@@ -363,7 +363,7 @@ def reference_simulate(config):
     events = rs.EventSequence(times, sources, indptr, tok_index, tok_count, T, S, V)
 
     branching = BranchingStructure(parent_sorted)
-    root_pos = _root_positions(parent_sorted)
+    root_pos = root_positions(parent_sorted)
     truth = GroundTruth(
         branching=branching,
         roots=sources[root_pos],
